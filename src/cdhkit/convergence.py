@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import BoundViolation, UnsupportedOperation
 from .homeos import CylinderHomeo, FactorHomeo, FloatHomeo, compose
 from .rationals import ZERO, bound_exponent, format_scalar, pow2
-from .spaces import ProductSpace
+from .spaces import ProductSpace, ProductStage
 
 _MATERIALIZE_CAP = 1 << 16
 
@@ -64,12 +64,13 @@ class EvalResult:
     tail_residual: Optional[Fraction]
 
 
-def _is_product_stage(h) -> bool:
-    return getattr(h, "is_product_stage", False)
-
-
 class ConvergenceCertificate:
-    """Immutable; `append` returns an extended certificate."""
+    """Immutable; `append` returns an extended certificate.
+
+    Stages are factor homeomorphisms or product stages; both `apply` to a
+    point and report `sup_displacement`.  Product stages invert through
+    `inverse()` and add a Lipschitz bound of their inverse.
+    """
 
     def __init__(self, space, stages: tuple = (), entries: tuple = (),
                  _lip_inv: Fraction = Fraction(1)):
@@ -100,26 +101,20 @@ class ConvergenceCertificate:
     def _stage_inverses(self):
         if self._inverses is None:
             self._inverses = tuple(
-                h.inverse() if _is_product_stage(h) else h.invert() for h in self.stages
+                h.inverse() if isinstance(h, ProductStage) else h.invert() for h in self.stages
             )
         return self._inverses
 
     # -- application ----------------------------------------------------------
-    @staticmethod
-    def _apply_one(h, x):
-        if _is_product_stage(h):
-            return x.apply_stage(h)
-        return h.apply(x)
-
     def partial(self, x, upto: int):
         """H_upto(x) = (h_upto o ... o h_0)(x); exact for exact stages."""
         for h in self.stages[: upto + 1]:
-            x = self._apply_one(h, x)
+            x = h.apply(x)
         return x
 
     def partial_inv(self, x, upto: int):
         for h in reversed(self._stage_inverses()[: upto + 1]):
-            x = self._apply_one(h, x)
+            x = h.apply(x)
         return x
 
     def apply(self, x):
@@ -131,42 +126,31 @@ class ConvergenceCertificate:
     # -- appending with verification -------------------------------------------
     def append(self, h) -> "ConvergenceCertificate":
         k = self.stage_count  # index of the new stage
+        c1 = Fraction(h.sup_displacement())  # exact value of a float estimate
+        lip = self._lip_inv  # unused for factor stages
+        if isinstance(h, ProductStage):
+            lip *= h.lip_backward_bound()
         if k == 0:
-            entry = BoundEntry(0, None, self._safe_disp(h), None, None, "exempt")
-            lip = self._lip_of_inverse(h)
+            entry = BoundEntry(0, None, c1, None, None, "exempt")
             return ConvergenceCertificate(self.space, (h,), (entry,), lip)
         bound = pow2(-(k - 1))
-        c1, c2, method = self._cond_values(h)
+        c2, method = self._cond_values(h, c1)
         if c1 > bound:
             raise BoundViolation(stage=k, condition=1, bound=bound, value=c1)
         if c2 > bound:
             raise BoundViolation(stage=k, condition=2, bound=bound, value=c2)
         entry = BoundEntry(k, bound, c1, bound, c2, method)
-        lip = self._lip_inv * self._lip_of_inverse(h)
         return ConvergenceCertificate(
             self.space, self.stages + (h,), self.entries + (entry,), lip
         )
 
-    def _safe_disp(self, h):
-        if _is_product_stage(h):
-            return h.dstar_displacement()
-        d = h.sup_displacement()
-        if isinstance(d, dict):  # float estimate record
-            return Fraction(d["lower_estimate"] * d["safety_factor"])
-        return d
-
-    def _lip_of_inverse(self, h) -> Fraction:
-        if _is_product_stage(h):
-            return h.lip_backward_bound()
-        return Fraction(1)  # unused for factor stages
-
-    def _cond_values(self, h):
-        """Condition (1) and (2) values for appending h, plus the method tag."""
-        c1 = self._safe_disp(h)
-        if _is_product_stage(h):
-            return c1, self._lip_inv * c1, "lipschitz"
+    def _cond_values(self, h, c1):
+        """Condition (2) value for appending h, given its condition (1) value
+        c1, plus the method tag."""
+        if isinstance(h, ProductStage):
+            return self._lip_inv * c1, "lipschitz"
         if isinstance(h, FloatHomeo):
-            return c1, c1 * 2, "sampled"
+            return c1 * 2, "sampled"
         # exact factor stage: condition (2) equals sup displacement of
         # H_n^-1 o h o H_n.
         if isinstance(h, CylinderHomeo):
@@ -175,9 +159,9 @@ class ConvergenceCertificate:
                 # every moved pair stays inside one depth-t cylinder, where the
                 # chain inverse acts as an isometry: the conjugate displacement
                 # equals the displacement itself
-                return c1, c1, "exact-isometry"
+                return c1, "exact-isometry"
         conj = self._materialized_conjugate(h)
-        return c1, conj.sup_displacement(), "exact"
+        return conj.sup_displacement(), "exact"
 
     def _materialized_conjugate(self, h) -> FactorHomeo:
         mat = self._materialize()
@@ -238,11 +222,8 @@ class ConvergenceCertificate:
 
     def describe(self) -> dict:
         return {
-            "space": self.space.descriptor() if hasattr(self.space, "descriptor") else str(self.space),
-            "stages": [
-                h.descriptor() if hasattr(h, "descriptor") else {"stage": "opaque"}
-                for h in self.stages
-            ],
+            "space": self.space.descriptor(),
+            "stages": [h.descriptor() for h in self.stages],
             "ledger": self.ledger(),
         }
 

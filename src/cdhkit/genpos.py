@@ -21,8 +21,7 @@ which is what lets them ride a convergence certificate on the product.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -31,10 +30,10 @@ from .errors import (
     BudgetExceeded,
     PreconditionError,
     SearchExhausted,
-    SpaceMismatch,
     UnsupportedOperation,
 )
-from .pairs import ConvenientPair
+from .homeos import _undo_shift
+from .pairs import ConvenientPair, vnorm
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
 from .spaces import (
     BasePattern,
@@ -51,6 +50,7 @@ from .spaces import (
     ProductStage,
     SymSeq,
     _dyadic,
+    _point_key,
     _wrap1,
     bin_tuple,
     nat_tuple,
@@ -81,46 +81,40 @@ def check_general_position(points: Sequence[ProductPoint], depth: Optional[int] 
     at every evaluated index; exact for exact kinds."""
     if not points:
         return CollisionReport(0, {}, (), {})
-    space = points[0].space
-    idx = list(space.indices(depth))
-    dis, cols, classes = {}, [], {}
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            where = []
-            for a in idx:
-                if not space.factor(a).points_equal(points[i].coord(a), points[j].coord(a)):
-                    where.append(a)
-                else:
-                    cols.append((i, j, a))
-            dis[(i, j)] = tuple(where)
-            classes[(i, j)] = (
-                "disagrees-everywhere-to-depth" if len(where) == len(idx) else "agrees-somewhere"
-            )
-    return CollisionReport(len(idx), dis, tuple(cols), classes)
+    return _collision_report(points, [(a,) for a in points[0].space.indices(depth)])
 
 
 def check_regrouped_general_position(points: Sequence[ProductPoint],
                                      plan: "PartitionPlan") -> CollisionReport:
     """General position of the block view: coordinates are the plan's blocks,
     two points differ at a block iff they differ somewhere inside it."""
+    return _collision_report(points, plan.blocks)
+
+
+def _collision_report(points, blocks) -> CollisionReport:
+    """Pairwise report over `blocks` (index tuples, numbered by position);
+    every point's coordinates are read once."""
     space = points[0].space
+    used = {a for block in blocks for a in block}
+    equal = {a: space.factor(a).points_equal for a in used}
+    rows = [{a: p.coord(a) for a in used} for p in points]
     dis, cols, classes = {}, [], {}
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
+    for i, x in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            y = rows[j]
             where = []
-            for b, block in enumerate(plan.blocks):
-                if any(
-                    not space.factor(a).points_equal(points[i].coord(a), points[j].coord(a))
-                    for a in block
-                ):
-                    where.append(b)
+            for b, block in enumerate(blocks):
+                for a in block:
+                    if not equal[a](x[a], y[a]):
+                        where.append(b)
+                        break
                 else:
                     cols.append((i, j, b))
             dis[(i, j)] = tuple(where)
             classes[(i, j)] = (
-                "disagrees-everywhere-to-depth" if len(where) == len(plan.blocks) else "agrees-somewhere"
+                "disagrees-everywhere-to-depth" if len(where) == len(blocks) else "agrees-somewhere"
             )
-    return CollisionReport(len(plan.blocks), dis, tuple(cols), classes)
+    return CollisionReport(len(blocks), dis, tuple(cols), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +219,11 @@ def greedy_dense_gp(space: ProductSpace, count: int,
             ok = True
             for a in sorted(relevant):
                 factor = space.factor(a)
-                avoid = {_val_key(factor, p.coord(a)) for p in points}
+                avoid = {_point_key(factor, p.coord(a)) for p in points}
                 target_box = box.get(a)
                 if target_box is None:
                     base_val = marker_point(factor, k)
-                    if attempt == 0 and _val_key(factor, base_val) not in avoid:
+                    if attempt == 0 and _point_key(factor, base_val) not in avoid:
                         continue  # marker base already distinct, no override
                     target_box = _any_box(factor)
                 val = _pick_avoiding(factor, target_box, avoid, attempt)
@@ -255,18 +249,10 @@ def greedy_dense_gp(space: ProductSpace, count: int,
     return GreedyResult(points, boxes)
 
 
-def _val_key(factor, v):
-    if isinstance(v, SymSeq):
-        return (v.prefix, v.tail)
-    if isinstance(factor, CircleSpace):
-        return _wrap1(v)
-    return v
-
-
 def _pick_avoiding(factor, box, avoid, attempt, tries: int = 64):
     for salt in range(attempt * tries, (attempt + 1) * tries):
         v = factor.pick_in(box, salt)
-        if _val_key(factor, v) not in avoid:
+        if _point_key(factor, v) not in avoid:
             return v
     return None
 
@@ -402,12 +388,6 @@ class PartitionPlan:
     omega_star_traces: tuple      # per-block tuple of omega* indices
     depth: int
 
-    def block_of(self, index: int) -> int:
-        for b, block in enumerate(self.blocks):
-            if index in block:
-                return b
-        raise KeyError(index)
-
 
 def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
                   omega_star: Optional[Iterable[int]] = None,
@@ -501,8 +481,6 @@ class ConditionalMoveStage(ProductStage):
     the radius-r_u bump around the center, identity outside.
     """
 
-    is_product_stage = True
-
     def __init__(self, space: ProductSpace, alpha: int, beta: int,
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
@@ -560,18 +538,11 @@ class ConditionalMoveStage(ProductStage):
         return self._unmove(get(self.alpha), self.gate(get(self.beta)))
 
     # -- certified bounds --------------------------------------------------------
-    def dstar_displacement(self) -> F:
+    def sup_displacement(self) -> F:
         return pow2(-self.alpha) * abs(self.shift)
 
-    def _slope_margin(self) -> F:
-        return abs(self.shift) / self.u_radius
-
-    def lip_forward_bound(self) -> F:
-        cross = abs(self.shift) / self.gate_radius * pow2(self.beta - self.alpha)
-        return 1 + self._slope_margin() + cross
-
     def lip_backward_bound(self) -> F:
-        m = 1 - self._slope_margin()
+        m = 1 - abs(self.shift) / self.u_radius
         cross = (abs(self.shift) / m) / self.gate_radius * pow2(self.beta - self.alpha)
         return max(F(1), 1 / m) + cross
 
@@ -652,7 +623,7 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace,
             raise PreconditionError(f"points {i} and {j} are identical; repair impossible")
         stage = _build_move(space, pts, i, alpha, beta, cert)
         cert = cert.append(stage)
-        total += stage.dstar_displacement()
+        total += stage.sup_displacement()
         pts = [p.apply_stage(stage) for p in pts]
         new_report = check_general_position(pts)
         if len(new_report.collisions) >= len(report.collisions):
@@ -684,10 +655,10 @@ def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
     cap = min(pow2(-k), pow2(-(k - 1)) / cert._lip_inv) if k >= 1 else F(1)
     cap = min(cap, pow2(-k))
     shift = min(r_u / 2, cap * pow2(alpha))
-    taken = {_val_key(fa, p.coord(alpha)) for p in pts}
+    taken = {_point_key(fa, p.coord(alpha)) for p in pts}
     while True:
         target = _wrap1(u_c + shift) if isinstance(fa, CircleSpace) else u_c + shift
-        if _val_key(fa, target) not in taken:
+        if _point_key(fa, target) not in taken:
             break
         shift /= 2
         if shift == 0:
@@ -756,16 +727,9 @@ class FloatConditionalStage(ProductStage):
     def preimage_coord(self, get, a):
         if a != self.alpha:
             return get(a)
-        target = get(self.alpha)
         gate = self._gate(get(self.beta))
-        u = target
-        for _ in range(200):
-            w = gate * self._bump(u)
-            nxt = tuple(c - w * s for c, s in zip(target, self.shift))
-            if self.space.factor(self.alpha).metric(nxt, u) < 1e-15:
-                return nxt
-            u = nxt
-        return u
+        return _undo_shift(self.space.factor(self.alpha).metric, get(self.alpha), self.shift,
+                           lambda u: gate * self._bump(u))
 
     def descriptor(self):
         return {"stage": "float-conditional-move", "alpha": self.alpha, "beta": self.beta}
@@ -798,7 +762,7 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
 
     def interior(p):
         return all(
-            _norm(p.coord(a)) < 1.0 - float(space.factor(a).tolerance)
+            vnorm(p.coord(a)) < 1.0 - float(space.factor(a).tolerance)
             for a in space.indices()
         )
 
@@ -838,7 +802,7 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
         g_c = pts[x].coord(beta)
         vgaps = [fb.metric(p.coord(beta), g_c) for p in pts if fb.metric(p.coord(beta), g_c) > 0]
         r_v = min(vgaps + [0.25]) / 2
-        margin = 1.0 - _norm(u_c)
+        margin = 1.0 - vnorm(u_c)
         shift_len = min(r_u / 2, margin / 4, 2.0 ** (-step - 3))
         shift = (shift_len,) + (0.0,) * (len(u_c) - 1)
         stage = FloatConditionalStage(space, 0, beta, u_c, r_u, shift, g_c, r_v)
@@ -846,7 +810,3 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
         pts = [p.apply_stage(stage) for p in pts]
         step += 1
     return BoundaryChaseResult(stages, pts)
-
-
-def _norm(x) -> float:
-    return math.sqrt(sum(c * c for c in x))

@@ -48,7 +48,7 @@ from .spaces import (
     LineSpace,
     SymSeq,
     _wrap1,
-    seq_zip,
+    _point_key,
 )
 
 _COMPOSE_SIZE_CAP = 1 << 18
@@ -119,21 +119,16 @@ class CylinderHomeo(FactorHomeo):
     def apply(self, x: SymSeq) -> SymSeq:
         c = x.take(self.depth)
         c2 = self.table.get(c, c)
+        rest = x.drop(self.depth)
         m = self.masks.get(c)
-        if m is None:
-            return SymSeq(c2 + tuple(x.at(self.depth + i) for i in range(max(0, x.stab - self.depth))), x.tail)
-        op = self.space.symbol_op
-        n = max(x.stab - self.depth, m.stab)
-        suffix = tuple(op(x.at(self.depth + i), m.at(i)) for i in range(n))
-        return SymSeq(c2 + suffix, op(x.tail, m.tail))
+        if m is not None:
+            rest = self.space.group.op(rest, m)
+        return SymSeq(c2 + rest.prefix, rest.tail)
 
     def invert(self) -> "CylinderHomeo":
-        neg = self.space.symbol_neg
+        inv = self.space.group.inv
         inv_table = {v: k for k, v in self.table.items()}
-        inv_masks = {}
-        for src, m in self.masks.items():
-            dst = self.table.get(src, src)
-            inv_masks[dst] = SymSeq(tuple(neg(s) for s in m.prefix), neg(m.tail))
+        inv_masks = {self.table.get(src, src): inv(m) for src, m in self.masks.items()}
         return CylinderHomeo(self.space, self.depth, inv_table, inv_masks)
 
     def is_identity(self) -> bool:
@@ -163,12 +158,6 @@ class CylinderHomeo(FactorHomeo):
                 best = j
         return ZERO if best is None else pow2(-best)
 
-    def lip_bound(self) -> Fraction:
-        """Sound (coarse) Lipschitz bound in the 2^-firstdiff metric."""
-        if self.is_identity():
-            return Fraction(1)
-        return pow2(max(0, self.depth - 1))
-
     # -- structure ------------------------------------------------------------
     def lift(self, depth: int) -> "CylinderHomeo":
         if depth == self.depth:
@@ -184,17 +173,18 @@ class CylinderHomeo(FactorHomeo):
         touched = set(self.table) | set(self.masks)
         if len(touched) << delta > _COMPOSE_SIZE_CAP:
             raise UnsupportedOperation("lifted cylinder table would be too large")
-        op = self.space.symbol_op
         table, masks = {}, {}
         for c in touched:
             c2 = self.table.get(c, c)
             m = self.masks.get(c, _zero_mask())
+            head = m.take(delta)
+            rest = m.drop(delta)
             for ext in itertools.product((0, 1), repeat=delta):
                 src = c + ext
-                dst = c2 + tuple(op(ext[i], m.at(i)) for i in range(delta))
+                # the cantor group law, symbolwise xor, on the extension
+                dst = c2 + tuple(e ^ h for e, h in zip(ext, head))
                 if src != dst:
                     table[src] = dst
-                rest = m.drop(delta)
                 if rest != _zero_mask():
                     masks[src] = rest
         return CylinderHomeo(self.space, depth, table, masks)
@@ -219,7 +209,7 @@ def _compose_cylinder(g: CylinderHomeo, h: CylinderHomeo) -> CylinderHomeo:
     depth = max(g.depth, h.depth)
     if g.depth != h.depth:
         g, h = g.lift(depth), h.lift(depth)
-    op = g.space.symbol_op
+    op = g.space.group.op
     g_inv_table = {v: k for k, v in g.table.items()}
     sources = set(g.table) | set(g.masks)
     for mid in set(h.table) | set(h.masks):
@@ -230,7 +220,7 @@ def _compose_cylinder(g: CylinderHomeo, h: CylinderHomeo) -> CylinderHomeo:
         dst = h.table.get(mid, mid)
         m1 = g.masks.get(c, _zero_mask())
         m2 = h.masks.get(mid, _zero_mask())
-        m = seq_zip(m1, m2, op)
+        m = op(m1, m2)
         if c != dst:
             table[c] = dst
         if m != _zero_mask():
@@ -276,15 +266,6 @@ class PLLineHomeo(FactorHomeo):
         if not self.breaks:
             return ZERO
         return min(max(abs(y - x) for x, y in self.breaks), Fraction(1))
-
-    def slopes(self) -> list:
-        return [
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.breaks, self.breaks[1:])
-        ]
-
-    def lip_bound(self) -> Fraction:
-        return max([Fraction(1)] + self.slopes())
 
     def descriptor(self) -> dict:
         return {
@@ -404,14 +385,6 @@ class PLCircleHomeo(FactorHomeo):
                 best = max(best, min(f, 1 - f))
         return best
 
-    def slopes(self) -> list:
-        ys = [y for _, y in self.breaks] + [self.breaks[0][1] + self.orientation]
-        xs = self._xs + [Fraction(1)]
-        return [abs((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])) for i in range(len(xs) - 1)]
-
-    def lip_bound(self) -> Fraction:
-        return max([Fraction(1)] + self.slopes())
-
     def descriptor(self) -> dict:
         return {
             "type": "pl_circle",
@@ -435,8 +408,8 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
 class FloatHomeo(FactorHomeo):
     """Forward/backward closure pair on a disc/ball domain.
 
-    Displacement is sampled, never certified; consumers must treat the
-    estimate as a lower bound scaled by the declared safety factor.
+    Displacement is sampled, never certified: `sup_displacement` returns the
+    sampled lower estimate scaled by a safety factor of 2.
     """
 
     exact = False
@@ -456,21 +429,17 @@ class FloatHomeo(FactorHomeo):
         return FloatHomeo(self.space, self.backward, self.forward,
                           self.tolerance, label=f"{self.label}^-1")
 
-    def sup_displacement(self):
-        return self.displacement_estimate()
-
-    def displacement_estimate(self, samples: int = 512, seed: int = 7,
-                              safety: float = 2.0) -> dict:
-        rng = random.Random(seed)
+    def sup_displacement(self) -> float:
+        rng = random.Random(7)
         dim = getattr(self.space, "dim", 1)
         best = 0.0
-        for _ in range(samples):
+        for _ in range(512):
             v = [rng.gauss(0, 1) for _ in range(dim)]
             norm = sum(c * c for c in v) ** 0.5 or 1.0
             r = rng.random() ** (1.0 / dim) * 0.999
             x = tuple(c / norm * r for c in v)
             best = max(best, self.space.metric(x, self.apply(x)))
-        return {"lower_estimate": best, "safety_factor": safety, "sampled": True}
+        return best * 2.0
 
     def descriptor(self) -> dict:
         return {"type": "float", "label": self.label, "tolerance": self.tolerance,
@@ -514,10 +483,6 @@ def compose(g: FactorHomeo, h: FactorHomeo) -> FactorHomeo:
     raise UnsupportedOperation("cannot compose these homeomorphism kinds")
 
 
-def sup_displacement(h: FactorHomeo):
-    return h.sup_displacement()
-
-
 def homeo_from_descriptor(desc: dict) -> FactorHomeo:
     t = desc["type"]
     if t == "cylinder":
@@ -552,9 +517,9 @@ def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
     """
     keys = list(sigma)
     vals = list(sigma.values())
-    if len({_pkey(factor, v) for v in vals}) != len(vals):
+    if len({_point_key(factor, v) for v in vals}) != len(vals):
         raise PreconditionError("sigma is not injective")
-    if len({_pkey(factor, k) for k in keys}) != len(keys):
+    if len({_point_key(factor, k) for k in keys}) != len(keys):
         raise PreconditionError("sigma has duplicate source points")
     if all(factor.points_equal(k, sigma[k]) for k in keys):
         return identity_for(factor)
@@ -569,16 +534,6 @@ def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
     )
 
 
-def _pkey(factor, p):
-    if isinstance(p, SymSeq):
-        return (p.prefix, p.tail)
-    if isinstance(factor, CircleSpace):
-        return _wrap1(p)
-    if isinstance(p, Fraction):
-        return p
-    return tuple(p)
-
-
 def _realize_seq(factor, sigma: dict) -> CylinderHomeo:
     pts = list(sigma) + list(sigma.values())
     depth = 1
@@ -590,11 +545,11 @@ def _realize_seq(factor, sigma: dict) -> CylinderHomeo:
             depth = max(depth, j + 1)
     table = {}
     masks = {}
-    op, neg = factor.symbol_op, factor.symbol_neg
+    g = factor.group
     for x, y in sigma.items():
         cx, cy = x.take(depth), y.take(depth)
         table[cx] = cy
-        offs = seq_zip(y.drop(depth), x.drop(depth), lambda u, v: op(u, neg(v)))
+        offs = g.op(y.drop(depth), g.inv(x.drop(depth)))
         if offs != _zero_mask():
             masks[cx] = offs
     # close the partial injection to a permutation of the touched prefixes
@@ -718,14 +673,20 @@ def _euclid_transporter(factor, center, target, delta: float) -> FloatHomeo:
         return tuple(a + w * s for a, s in zip(x, shift))
 
     def backward(y):
-        x = y
-        for _ in range(200):
-            w = lam(x)
-            nxt = tuple(b - w * s for b, s in zip(y, shift))
-            if factor.metric(nxt, x) < 1e-15:
-                return nxt
-            x = nxt
-        return x
+        return _undo_shift(factor.metric, y, shift, lam)
 
     return FloatHomeo(factor, forward, backward, tolerance=1e-12,
                       label=f"transporter(r={r:.3g})")
+
+
+def _undo_shift(metric: Callable, y: tuple, shift: tuple, weight: Callable) -> tuple:
+    """The x with x + weight(x) * shift = y, by fixed-point iteration from y;
+    stops when a step moves less than 1e-15, or after 200 steps."""
+    x = y
+    for _ in range(200):
+        w = weight(x)
+        nxt = tuple(b - w * s for b, s in zip(y, shift))
+        if metric(nxt, x) < 1e-15:
+            return nxt
+        x = nxt
+    return x

@@ -18,11 +18,11 @@ on the projections of a given finite set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .errors import PreconditionError, UnsupportedOperation
+from .errors import PreconditionError
 from .homeos import FloatHomeo
 from .rationals import pow2
 from .spaces import BallSpace, FactorSpace
@@ -64,13 +64,6 @@ class ConvenientPair:
     focus: tuple
     provenance: str
     exact: bool
-
-    def round_trip_defect(self, x, y, metric=None):
-        a = self.s(self.t(x, y), y)
-        b = self.t(self.s(x, y), y)
-        if metric is None:
-            return a, b
-        return metric(a, x), metric(b, x)
 
 
 def group_pair(factor: FactorSpace, y_subset: str = "whole") -> ConvenientPair:
@@ -191,12 +184,6 @@ class Chart:
 @dataclass
 class GluedPair(ConvenientPair):
     charts: tuple = ()
-
-    def chart_of(self, x, y) -> Optional[Chart]:
-        for ch in self.charts:
-            if vnorm(vsub(x, ch.a_center)) < ch.a_radius and vnorm(vsub(y, ch.b_center)) < ch.b_radius:
-                return ch
-        return None
 
 
 def _dyadic_floor(x: float, bits: int = 40) -> Fraction:

@@ -22,11 +22,10 @@ memoized, so evaluation is pure and order-independent.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import IndexRange, SpaceMismatch, UnsupportedOperation
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
@@ -250,23 +249,11 @@ class _SeqSpace(FactorSpace):
 
 class CantorSpace(_SeqSpace):
     kind = "cantor"
-
-    @property
-    def group(self):
-        return GroupOps(
-            identity=SymSeq((), 0),
-            op=lambda a, b: seq_zip(a, b, lambda u, v: u ^ v),
-            inv=lambda a: a,
-        )
-
-    def symbols_at(self, position: int) -> tuple:
-        return (0, 1)
-
-    def symbol_op(self, u: int, v: int) -> int:
-        return (u + v) & 1
-
-    def symbol_neg(self, v: int) -> int:
-        return v & 1
+    group = GroupOps(
+        identity=SymSeq((), 0),
+        op=lambda a, b: seq_zip(a, b, lambda u, v: u ^ v),
+        inv=lambda a: a,
+    )
 
     def basic_open(self, n: int) -> CylinderOpen:
         return CylinderOpen(bin_tuple(n))
@@ -277,20 +264,11 @@ class CantorSpace(_SeqSpace):
 
 class BaireSpace(_SeqSpace):
     kind = "baire"
-
-    @property
-    def group(self):
-        return GroupOps(
-            identity=SymSeq((), 0),
-            op=lambda a, b: seq_zip(a, b, lambda u, v: u + v),
-            inv=lambda a: seq_zip(SymSeq((), 0), a, lambda _, v: -v),
-        )
-
-    def symbol_op(self, u: int, v: int) -> int:
-        return u + v
-
-    def symbol_neg(self, v: int) -> int:
-        return -v
+    group = GroupOps(
+        identity=SymSeq((), 0),
+        op=lambda a, b: seq_zip(a, b, lambda u, v: u + v),
+        inv=lambda a: seq_zip(SymSeq((), 0), a, lambda _, v: -v),
+    )
 
     def basic_open(self, n: int) -> CylinderOpen:
         return CylinderOpen(nat_tuple(n))
@@ -305,14 +283,11 @@ def _wrap1(x: Fraction) -> Fraction:
 
 class CircleSpace(FactorSpace):
     kind = "circle"
-
-    @property
-    def group(self):
-        return GroupOps(
-            identity=Fraction(0),
-            op=lambda a, b: _wrap1(a + b),
-            inv=lambda a: _wrap1(-a),
-        )
+    group = GroupOps(
+        identity=Fraction(0),
+        op=lambda a, b: _wrap1(a + b),
+        inv=lambda a: _wrap1(-a),
+    )
 
     def base_point(self):
         return Fraction(0)
@@ -346,10 +321,7 @@ class CircleSpace(FactorSpace):
 
 class LineSpace(FactorSpace):
     kind = "line"
-
-    @property
-    def group(self):
-        return GroupOps(identity=Fraction(0), op=lambda a, b: a + b, inv=lambda a: -a)
+    group = GroupOps(identity=Fraction(0), op=lambda a, b: a + b, inv=lambda a: -a)
 
     def base_point(self):
         return Fraction(0)
@@ -444,6 +416,14 @@ def factor_from_descriptor(desc: dict) -> FactorSpace:
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
+def _point_key(factor: FactorSpace, p):
+    """Hashable key of a factor point; for exact kinds two points get equal
+    keys iff `factor.points_equal` holds."""
+    if isinstance(factor, CircleSpace):
+        return _wrap1(p)
+    return p if factor.exact else tuple(p)
+
+
 # ---------------------------------------------------------------------------
 # Product spaces
 # ---------------------------------------------------------------------------
@@ -474,15 +454,15 @@ class ProductSpace:
         self.working_depth = working_depth if working_depth is not None else count
         if self.working_depth is None:
             raise ValueError("countable products need a working depth")
+        # bounds the diameter of every factor past the working depth
+        self._tail_diameter = _EuclidSpace.diameter
 
     @classmethod
     def uniform(cls, factor: FactorSpace, count: Optional[int] = None,
                 working_depth: Optional[int] = None) -> "ProductSpace":
-        return cls(lambda a: factor, count=count, working_depth=working_depth)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.count is not None
+        space = cls(lambda a: factor, count=count, working_depth=working_depth)
+        space._tail_diameter = factor.diameter
+        return space
 
     def __eq__(self, other):
         if not isinstance(other, ProductSpace):
@@ -505,13 +485,6 @@ class ProductSpace:
             d = min(d, self.count)
         return range(d)
 
-    def check_same(self, other: "ProductSpace"):
-        if self.count != other.count or self.working_depth != other.working_depth:
-            raise SpaceMismatch("products have different index sets")
-        for a in self.indices():
-            if self.factor(a) != other.factor(a):
-                raise SpaceMismatch(f"factor mismatch at index {a}")
-
     def point(self, overrides: Optional[dict] = None, base: Optional["BasePattern"] = None,
               ) -> "ProductPoint":
         return ProductPoint(self, base or DefaultBase(), dict(overrides or {}))
@@ -523,6 +496,8 @@ class ProductSpace:
 
         The truncation tail past index M contributes at most
         sum_{a>=M} 2^-a diam_a, which is 2^-(M-1) for diameter-1 factors.
+        A countable product bounds diam_a by the largest diameter any factor
+        kind declares, or by the factor's own when built by `uniform`.
         """
         if x.space is not self and x.space != self:
             raise SpaceMismatch("x lives in a different product")
@@ -540,9 +515,8 @@ class ProductSpace:
         if self.count is not None:
             for a in range(m, self.count):
                 tail += pow2(-a) * self.factor(a).diameter
-        elif self.count is None:
-            # countable tail: geometric bound with the tail factor's diameter
-            tail = pow2(-(m - 1)) * self.factor(m).diameter
+        else:
+            tail = pow2(-(m - 1)) * self._tail_diameter
         return total, total + tail
 
     def metric_exact(self, x: "ProductPoint", y: "ProductPoint") -> Fraction:
@@ -631,6 +605,10 @@ class ProductStage:
 
     `get` is a callable alpha -> factor point giving the input point's
     coordinates; a stage may consult several of them (not just alpha).
+
+    A stage that can ride a convergence certificate also certifies its
+    d*-displacement and a Lipschitz bound of its inverse; the others raise
+    UnsupportedOperation there.
     """
 
     def image_coord(self, get: Callable[[int], object], alpha: int):
@@ -644,6 +622,14 @@ class ProductStage:
 
     def apply(self, point: "ProductPoint") -> "ProductPoint":
         return point.apply_stage(self)
+
+    def sup_displacement(self) -> Fraction:
+        """Certified sup_x d*(h(x), x)."""
+        raise UnsupportedOperation(f"{type(self).__name__} certifies no displacement bound")
+
+    def lip_backward_bound(self) -> Fraction:
+        """Certified Lipschitz bound of the inverse in d*."""
+        raise UnsupportedOperation(f"{type(self).__name__} certifies no Lipschitz bound")
 
     def descriptor(self) -> dict:
         return {"stage": type(self).__name__}
@@ -677,10 +663,8 @@ class CoordwiseStage(ProductStage):
         x = get(alpha)
         return h.apply(x) if h is not None else x
 
-    def preimage_coord(self, get, alpha):
-        h = self.maps.get(alpha)
-        x = get(alpha)
-        return h.invert().apply(x) if h is not None else x
+    def inverse(self) -> "CoordwiseStage":
+        return CoordwiseStage({a: h.invert() for a, h in self.maps.items()})
 
     def descriptor(self):
         return {
@@ -732,11 +716,6 @@ class ProductPoint:
         p = ProductPoint(self.space, self.base, self.overrides, self.pipeline + (stage,))
         return p
 
-    def undo_stage(self) -> "ProductPoint":
-        if not self.pipeline:
-            raise UnsupportedOperation("point has an empty pipeline")
-        return ProductPoint(self.space, self.base, self.overrides, self.pipeline[:-1])
-
     def support(self) -> tuple:
         return tuple(sorted(self.overrides))
 
@@ -774,11 +753,3 @@ class ProductPoint:
         return (
             f"ProductPoint(support={self.support()}, stages={len(self.pipeline)})"
         )
-
-
-def points_equal_to_depth(x: ProductPoint, y: ProductPoint, depth: int) -> bool:
-    space = x.space
-    for a in space.indices(depth):
-        if not space.factor(a).points_equal(x.coord(a), y.coord(a)):
-            return False
-    return True

@@ -2,16 +2,34 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from cdhkit.convergence import ConvergenceCertificate, double_limit_defect, reverify_ledger
-from cdhkit.errors import BoundViolation
-from cdhkit.homeos import CylinderHomeo, identity_for
+from cdhkit.errors import BoundViolation, CdhError, UnsupportedOperation
+from cdhkit.genpos import (
+    CollarShrinkStage,
+    FloatConditionalStage,
+    WgppStage,
+    collision_repair_gpp,
+    conditional_move_from_descriptor,
+)
+from cdhkit.homeos import CylinderHomeo, homeo_from_descriptor, identity_for, small_ball_transporter
+from cdhkit.pairs import group_pair
 from cdhkit.rationals import pow2
-from cdhkit.spaces import CANTOR, SymSeq
+from cdhkit.spaces import (
+    CANTOR,
+    CIRCLE,
+    LINE,
+    CoordwiseStage,
+    DiscSpace,
+    ProductSpace,
+    SymSeq,
+    factor_from_descriptor,
+)
 
 F = Fraction
 
@@ -223,3 +241,95 @@ def test_reverify_detects_edited_bound():
     ledger[3]["cond1_value"] = "1/1024"
     verdicts = reverify_ledger(CANTOR, cert.stages, ledger)
     assert not verdicts[3]["ok"]
+
+
+# ---------------------------------------------------------------------------
+# ledger methods: lipschitz (product stages), sampled (float), exact-isometry
+# ---------------------------------------------------------------------------
+
+def _circle_line_repair():
+    space = ProductSpace([CIRCLE, LINE])
+    points = [
+        space.point({0: F(0), 1: F(0)}),
+        space.point({0: F(0), 1: F(1, 2)}),
+        space.point({0: F(1, 4), 1: F(1, 2)}),
+    ]
+    return space, collision_repair_gpp(points, space)
+
+
+def test_ledger_lipschitz_entries_of_a_product_repair():
+    space, result = _circle_line_repair()
+    cert = result.certificate
+    assert 2 <= cert.stage_count <= 3
+    lip = F(1)
+    for k, (stage, entry) in enumerate(zip(cert.stages, cert.entries)):
+        assert entry.method == ("exempt" if k == 0 else "lipschitz")
+        assert entry.cond1_value == pow2(-stage.alpha) * abs(stage.shift)
+        if k > 0:
+            assert entry.cond2_value == lip * entry.cond1_value
+            assert entry.cond1_value <= entry.cond1_bound == pow2(-(k - 1))
+        lip *= stage.lip_backward_bound()
+    desc = json.loads(json.dumps(cert.describe()))
+    rebuilt = ProductSpace([factor_from_descriptor(f) for f in desc["space"]["factors"]])
+    stages = [conditional_move_from_descriptor(rebuilt, d) for d in desc["stages"]]
+    verdicts = reverify_ledger(rebuilt, stages, desc["ledger"])
+    assert len(verdicts) == cert.stage_count
+    assert all(v["ok"] for v in verdicts)
+
+
+def test_ledger_sampled_entries_of_a_disc_chain():
+    disc = DiscSpace(2)
+    rng = random.Random(11)
+    cert = ConvergenceCertificate(disc)
+    for k in range(4):
+        delta = pow2(-(k + 1))
+        center = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        target = (center[0] + float(delta) / 4, center[1])
+        cert = cert.append(small_ball_transporter(disc, center, target, delta))
+    for k, entry in enumerate(cert.entries):
+        assert isinstance(entry.cond1_value, Fraction) and entry.cond1_value > 0
+        if k == 0:
+            assert entry.method == "exempt"
+            continue
+        assert entry.method == "sampled"
+        assert entry.cond2_value == 2 * entry.cond1_value
+    verdicts = reverify_ledger(disc, cert.stages, cert.ledger())
+    assert all(v["ok"] for v in verdicts)
+
+
+def test_ledger_exact_isometry_below_the_chain_depth():
+    h0 = CylinderHomeo(CANTOR, 3, {(0, 0, 0): (1, 1, 1), (1, 1, 1): (0, 0, 0)})
+    # moves only inside the depth-4 cylinder [0101]: displacement 2^-4 <= 2^-3
+    h1 = CylinderHomeo(CANTOR, 5, {(0, 1, 0, 1, 0): (0, 1, 0, 1, 1),
+                                   (0, 1, 0, 1, 1): (0, 1, 0, 1, 0)})
+    cert = ConvergenceCertificate(CANTOR).append(h0).append(h1)
+    entry = cert.entries[1]
+    assert entry.method == "exact-isometry"
+    assert entry.cond1_value == entry.cond2_value == pow2(-4)
+    desc = json.loads(json.dumps(cert.describe()))
+    stages = [homeo_from_descriptor(d) for d in desc["stages"]]
+    verdicts = reverify_ledger(factor_from_descriptor(desc["space"]), stages, desc["ledger"])
+    assert [v["ok"] for v in verdicts] == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# stages without certified bounds
+# ---------------------------------------------------------------------------
+
+_CIRCLE_LINE = ProductSpace([CIRCLE, LINE])
+_DISCS = ProductSpace([DiscSpace(2), DiscSpace(1)])
+
+
+@pytest.mark.parametrize("space, stage", [
+    (_CIRCLE_LINE, CoordwiseStage({0: identity_for(CIRCLE)})),
+    (_CIRCLE_LINE, WgppStage(frozenset({1}), {1: group_pair(LINE)})),
+    (_DISCS, CollarShrinkStage(F(1, 16), (0, 1))),
+    (_DISCS, FloatConditionalStage(_DISCS, 0, 1, (0.0, 0.0), 0.25, (0.01, 0.0), (0.0,), 0.25)),
+], ids=["coordwise", "wgpp", "collar-shrink", "float-conditional"])
+def test_append_uncertified_product_stage_raises_typed_error(space, stage):
+    with pytest.raises(UnsupportedOperation, match=type(stage).__name__):
+        ConvergenceCertificate(space).append(stage)
+    if space is _CIRCLE_LINE:
+        repair = _circle_line_repair()[1].certificate
+        with pytest.raises(CdhError):
+            repair.append(stage)

@@ -1,0 +1,159 @@
+"""General position: collision reports, greedy placement, repairs, float stages."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cdhkit.genpos import (
+    FloatConditionalStage,
+    PartitionPlan,
+    box_contains,
+    check_general_position,
+    check_regrouped_general_position,
+    collision_repair_gpp,
+    greedy_dense_gp,
+)
+from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
+from cdhkit.spaces import BAIRE, CANTOR, CIRCLE, LINE, DiscSpace, ProductSpace, SymSeq
+
+F = Fraction
+
+
+def _colliding_points():
+    space = ProductSpace([CIRCLE, LINE, CIRCLE])
+    rows = [(F(0), F(0), F(1, 2)), (F(0), F(1, 4), F(1, 2)), (F(1), F(1, 4), F(3, 4)),
+            (F(1, 8), F(0), F(3, 2))]
+    return space, [space.point(dict(enumerate(r))) for r in rows]
+
+
+def _greedy(factor):
+    space = ProductSpace.uniform(factor, working_depth=8)
+    return space, greedy_dense_gp(space, 10)
+
+
+def _singleton_plan(space):
+    return PartitionPlan(tuple((a,) for a in space.indices()), {}, (), space.working_depth)
+
+
+# ---------------------------------------------------------------------------
+# collision reports
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["colliding", "greedy-circle", "greedy-cantor"])
+def test_singleton_blocks_report_equals_plain_report(kind):
+    if kind == "colliding":
+        space, points = _colliding_points()
+    else:
+        space, result = _greedy(CIRCLE if kind == "greedy-circle" else CANTOR)
+        points = result.points
+    plain = check_general_position(points)
+    assert check_regrouped_general_position(points, _singleton_plan(space)) == plain
+
+
+def test_report_lists_every_collision_of_hand_made_points():
+    _, points = _colliding_points()
+    report = check_general_position(points)
+    # 1 == 0 and 3/2 == 1/2 on the circle
+    assert report.collisions == ((0, 1, 0), (0, 1, 2), (0, 2, 0), (0, 3, 1), (0, 3, 2),
+                                 (1, 2, 0), (1, 2, 1), (1, 3, 2))
+    assert report.disagreements[(2, 3)] == (0, 1, 2)
+    assert report.pair_classes[(2, 3)] == "disagrees-everywhere-to-depth"
+    assert not report.in_general_position
+
+
+def test_block_report_counts_a_block_once():
+    _, points = _colliding_points()
+    plan = PartitionPlan(((0, 2), (1,)), {}, (), 3)
+    report = check_regrouped_general_position(points, plan)
+    assert report.depth == 2
+    assert report.disagreements[(0, 1)] == (1,)
+    assert report.collisions == ((0, 1, 0), (0, 3, 1), (1, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# greedy placement
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("factor", [CIRCLE, LINE, CANTOR, BAIRE], ids=lambda f: f.kind)
+def test_greedy_points_hit_their_boxes_and_differ_everywhere(factor):
+    space, result = _greedy(factor)
+    assert len(result.points) == 10
+    for point, box in zip(result.points, result.boxes):
+        assert box_contains(space, box, point)
+    for i, p in enumerate(result.points):
+        for q in result.points[i + 1:]:
+            for a in space.indices():
+                assert not factor.points_equal(p.coord(a), q.coord(a))
+
+
+# ---------------------------------------------------------------------------
+# collision repair
+# ---------------------------------------------------------------------------
+
+def test_repair_history_strictly_decreases_to_general_position():
+    space, points = _colliding_points()
+    result = collision_repair_gpp(points, space)
+    history = result.collision_history
+    assert history[0] == len(check_general_position(points).collisions)
+    assert all(b < a for a, b in zip(history, history[1:]))
+    assert history[-1] == 0
+    assert result.moves == result.certificate.stage_count == len(history) - 1
+    assert check_general_position(result.points).in_general_position
+
+
+# ---------------------------------------------------------------------------
+# float stages: fixed-point inverses
+# ---------------------------------------------------------------------------
+
+def test_float_conditional_stage_round_trip():
+    space = ProductSpace([DiscSpace(2), DiscSpace(1)])
+    stage = FloatConditionalStage(space, 0, 1, (0.1, 0.0), 0.3, (0.05, 0.02), (0.2,), 0.4)
+    rng = random.Random(3)
+    moved_any = False
+    for _ in range(50):
+        u = (0.1 + rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25))
+        p = space.point({0: u, 1: (0.2 + rng.uniform(-0.3, 0.3),)})
+        image = p.apply_stage(stage)
+        back = image.apply_stage(stage.inverse())
+        moved_any |= space.factor(0).metric(image.coord(0), u) > 1e-3
+        for a in space.indices():
+            assert space.factor(a).metric(back.coord(a), p.coord(a)) <= 1e-12
+    assert moved_any
+
+
+def test_disc_transporter_round_trip():
+    disc = DiscSpace(2)
+    center, target = (0.2, -0.1), (0.26, -0.05)
+    h = small_ball_transporter(disc, center, target, 0.25)
+    h_inv = h.invert()
+    assert disc.metric(h.apply(center), target) <= 1e-12
+    rng = random.Random(4)
+    for _ in range(100):
+        x = (center[0] + rng.uniform(-0.2, 0.2), center[1] + rng.uniform(-0.2, 0.2))
+        assert disc.metric(h_inv.apply(h.apply(x)), x) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# baire realizer: suffix offsets undone by the inverse
+# ---------------------------------------------------------------------------
+
+def test_baire_bijection_with_suffix_offsets_round_trips():
+    sigma = {
+        SymSeq((1, 2, 3), 0): SymSeq((2, 5), 7),
+        SymSeq((4,), -1): SymSeq((0, 0, 9), 0),
+        SymSeq((0, -3), 2): SymSeq((5, 1, 1, 1), 1),
+    }
+    h = realize_finite_bijection(BAIRE, sigma)
+    assert h.masks  # the suffixes really are translated
+    h_inv = h.invert()
+    for x, y in sigma.items():
+        assert h.apply(x) == y
+        assert h_inv.apply(y) == x
+    rng = random.Random(5)
+    for _ in range(100):
+        z = SymSeq(tuple(rng.randint(-3, 6) for _ in range(rng.randint(0, 6))), rng.randint(-2, 2))
+        assert h_inv.apply(h.apply(z)) == z
+        assert h.apply(h_inv.apply(z)) == z

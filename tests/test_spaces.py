@@ -222,6 +222,18 @@ def test_distance_truncation_bound():
     assert hi == pow2(-3)
 
 
+def test_distance_tail_bound_covers_larger_later_factors():
+    # circle, circle, then disc(1) (diameter 2) from index 2 on; only index 0
+    # is evaluated, so the tail must allow for the discs' diameter
+    space = ProductSpace(lambda a: CIRCLE if a < 2 else DiscSpace(1), working_depth=1)
+    x = space.point({1: F(0), **{a: (-1.0,) for a in range(2, 5)}})
+    y = space.point({1: F(1, 2), **{a: (1.0,) for a in range(2, 5)}})
+    lo, hi = space.distance(x, y)
+    assert lo == 0
+    # the first five terms alone: 2^-1 * 1/2 + (2^-2 + 2^-3 + 2^-4) * 2
+    assert hi >= F(9, 8)
+
+
 def test_distance_nesting_refinement():
     space = _cantor_omega(depth=32)
     x = space.point({1: SymSeq((1, 1), 0), 9: SymSeq((0, 0, 1), 0)})
