@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundViolation, UnsupportedOperation
-from .homeos import CylinderHomeo, FactorHomeo, FloatHomeo, compose
+from .homeos import CylinderHomeo, FactorHomeo, FloatHomeo, compose, identity_for
 from .rationals import ZERO, bound_exponent, format_scalar, pow2
 from .spaces import ProductSpace, ProductStage
 
@@ -72,12 +72,12 @@ class ConvergenceCertificate:
     `inverse()` and add a Lipschitz bound of their inverse.
     """
 
-    def __init__(self, space, stages: tuple = (), entries: tuple = (),
-                 _lip_inv: Fraction = Fraction(1)):
+    def __init__(self, space):
         self.space = space
-        self.stages = tuple(stages)
-        self.entries = tuple(entries)
-        self._lip_inv = _lip_inv  # certified Lipschitz bound for H_n^-1 (product stages)
+        self.stages: tuple = ()
+        self.entries: tuple = ()
+        self._lip_inv = Fraction(1)  # certified Lipschitz bound for H_n^-1 (product stages)
+        self._parent = None       # the certificate this one extends, until _mat is set
         self._mat = None          # materialized H_n, exact kinds only
         self._mat_inv = None
         self._inverses = None
@@ -132,17 +132,20 @@ class ConvergenceCertificate:
             lip *= h.lip_backward_bound()
         if k == 0:
             entry = BoundEntry(0, None, c1, None, None, "exempt")
-            return ConvergenceCertificate(self.space, (h,), (entry,), lip)
-        bound = pow2(-(k - 1))
-        c2, method = self._cond_values(h, c1)
-        if c1 > bound:
-            raise BoundViolation(stage=k, condition=1, bound=bound, value=c1)
-        if c2 > bound:
-            raise BoundViolation(stage=k, condition=2, bound=bound, value=c2)
-        entry = BoundEntry(k, bound, c1, bound, c2, method)
-        return ConvergenceCertificate(
-            self.space, self.stages + (h,), self.entries + (entry,), lip
-        )
+        else:
+            bound = pow2(-(k - 1))
+            c2, method = self._cond_values(h, c1)
+            if c1 > bound:
+                raise BoundViolation(stage=k, condition=1, bound=bound, value=c1)
+            if c2 > bound:
+                raise BoundViolation(stage=k, condition=2, bound=bound, value=c2)
+            entry = BoundEntry(k, bound, c1, bound, c2, method)
+        cert = ConvergenceCertificate(self.space)
+        cert.stages = self.stages + (h,)
+        cert.entries = self.entries + (entry,)
+        cert._lip_inv = lip
+        cert._parent = self
+        return cert
 
     def _cond_values(self, h, c1):
         """Condition (2) value for appending h, given its condition (1) value
@@ -169,11 +172,13 @@ class ConvergenceCertificate:
         return compose(compose(mat, h), mat_inv)
 
     def _materialize(self) -> FactorHomeo:
+        """H_n, composed onto the nearest ancestor that holds its own."""
         if self._mat is None:
-            from .homeos import identity_for
-
-            acc = identity_for(self.stages[0].space if self.stages else self.space)
-            for h in self.stages:
+            base = self
+            while base._mat is None and base._parent is not None:
+                base = base._parent
+            acc = base._mat or identity_for(self.stages[0].space if self.stages else self.space)
+            for h in self.stages[base.stage_count:]:
                 acc = compose(acc, h)
                 if isinstance(acc, CylinderHomeo) and len(acc.table) > _MATERIALIZE_CAP:
                     raise UnsupportedOperation(
@@ -181,6 +186,7 @@ class ConvergenceCertificate:
                         "check; use stages supported beyond the chain depth"
                     )
             self._mat = acc
+            self._parent = None
         return self._mat
 
     def _materialize_inv(self) -> FactorHomeo:

@@ -79,9 +79,8 @@ def check_general_position(points: Sequence[ProductPoint], depth: Optional[int] 
                             ) -> CollisionReport:
     """Marks the set in general position to the depth iff every pair differs
     at every evaluated index; exact for exact kinds."""
-    if not points:
-        return CollisionReport(0, {}, (), {})
-    return _collision_report(points, [(a,) for a in points[0].space.indices(depth)])
+    blocks = [(a,) for a in points[0].space.indices(depth)] if points else []
+    return _collision_report(points, blocks)
 
 
 def check_regrouped_general_position(points: Sequence[ProductPoint],
@@ -94,6 +93,8 @@ def check_regrouped_general_position(points: Sequence[ProductPoint],
 def _collision_report(points, blocks) -> CollisionReport:
     """Pairwise report over `blocks` (index tuples, numbered by position);
     every point's coordinates are read once."""
+    if not points:
+        return CollisionReport(0, {}, (), {})
     space = points[0].space
     used = {a for block in blocks for a in block}
     equal = {a: space.factor(a).points_equal for a in used}

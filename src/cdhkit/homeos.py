@@ -25,6 +25,7 @@ import itertools
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from math import floor
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -338,29 +339,12 @@ class PLCircleHomeo(FactorHomeo):
     def apply(self, p: Fraction) -> Fraction:
         return _wrap1(self.lift_at(_wrap1(p)))
 
-    def inv_lift_at(self, s: Fraction) -> Fraction:
-        """Inverse of the lift, as a real function."""
-        y0 = self.breaks[0][1]
-        if self.orientation == 1:
-            n = (s - y0).numerator // (s - y0).denominator
-            base = s - n
-        else:
-            u = y0 - s
-            n = u.numerator // u.denominator
-            base = s + n
-        ys = [y for _, y in self.breaks] + [y0 + self.orientation]
-        xs = self._xs + [Fraction(1)]
-        for i in range(len(ys) - 1):
-            lo, hi = sorted((ys[i], ys[i + 1]))
-            if lo <= base <= hi:
-                t = xs[i] + (base - ys[i]) * (xs[i + 1] - xs[i]) / (ys[i + 1] - ys[i])
-                return t + n
-        raise AssertionError("lift inverse: value outside one period")
-
     def invert(self) -> "PLCircleHomeo":
-        positions = sorted({Fraction(0)} | {_wrap1(y) for _, y in self.breaks})
-        pts = [(s, self.inv_lift_at(s)) for s in positions]
-        return PLCircleHomeo(pts, self.orientation)
+        """Each break (x, y) lies on the inverse lift as (y - n, x - s*n),
+        n = floor(y), s the orientation; the break at 0 is interpolated."""
+        s = self.orientation
+        pts = sorted((y - floor(y), x - s * floor(y)) for x, y in self.breaks)
+        return _circle_through(pts, s)
 
     def is_identity(self) -> bool:
         return self.orientation == 1 and all(x == y for x, y in self.breaks)
@@ -590,10 +574,7 @@ def _circle_increasing(items) -> PLCircleHomeo:
     """Orientation-preserving PL map through cyclically ordered pairs."""
     if len(items) == 1:
         (x, y) = items[0]
-        shift = _wrap1(y - x)
-        if shift == 0:
-            return PLCircleHomeo(((Fraction(0), Fraction(0)),), 1)
-        return PLCircleHomeo(((Fraction(0), shift),), 1)
+        return PLCircleHomeo(((Fraction(0), _wrap1(y - x)),), 1)
     lifts = [items[0][1]]
     for _, y in items[1:]:
         w = _wrap1(y - lifts[-1])
@@ -605,16 +586,17 @@ def _circle_increasing(items) -> PLCircleHomeo:
             "cyclic order of targets is incompatible with an orientation-preserving map",
             witness=items,
         )
-    xs = [x for x, _ in items]
-    if xs[0] == 0:
-        pts = list(zip(xs, lifts))
-    else:
-        # interpolate the wrap segment (x_last, lift_last) -> (x_0 + 1, lift_0 + 1)
-        x_prev, y_prev = xs[-1] - 1, lifts[-1] - 1
-        x_next, y_next = xs[0], lifts[0]
+    return _circle_through([(x, y) for (x, _), y in zip(items, lifts)], 1)
+
+
+def _circle_through(pts: list, orientation: int) -> PLCircleHomeo:
+    """PL circle map through (x, lift) pairs sorted in [0, 1); fills in 0 on the wrap segment."""
+    if pts[0][0] != 0:
+        x_prev, y_prev = pts[-1][0] - 1, pts[-1][1] - orientation
+        x_next, y_next = pts[0]
         v0 = y_prev + (0 - x_prev) * (y_next - y_prev) / (x_next - x_prev)
-        pts = [(Fraction(0), v0)] + list(zip(xs, lifts))
-    return PLCircleHomeo(pts, 1)
+        pts = [(Fraction(0), v0)] + pts
+    return PLCircleHomeo(pts, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +657,18 @@ def _euclid_transporter(factor, center, target, delta: float) -> FloatHomeo:
     def backward(y):
         return _undo_shift(factor.metric, y, shift, lam)
 
-    return FloatHomeo(factor, forward, backward, tolerance=1e-12,
-                      label=f"transporter(r={r:.3g})")
+    return _Transporter(factor, forward, backward, d, label=f"transporter(r={r:.3g})")
+
+
+class _Transporter(FloatHomeo):
+    """Moves x by w(x) * shift with w <= 1 = w(center): the sup is |shift|, reported twice."""
+
+    def __init__(self, factor, forward, backward, reach: float, label: str):
+        super().__init__(factor, forward, backward, tolerance=1e-12, label=label)
+        self.reach = reach
+
+    def sup_displacement(self) -> float:
+        return self.reach * 2.0
 
 
 def _undo_shift(metric: Callable, y: tuple, shift: tuple, weight: Callable) -> tuple:

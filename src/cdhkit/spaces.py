@@ -15,9 +15,9 @@ are eventually-constant symbol sequences or rationals, their metric values
 are Fractions.  Euclidean kinds use float tuples and carry a comparison
 tolerance.
 
-A product point is a base pattern plus finitely many overrides plus a
-pipeline of applied product maps; coordinates are evaluated on demand and
-memoized, so evaluation is pure and order-independent.
+A product point is a root (base pattern plus finitely many overrides) or
+one product stage applied to a parent point; coordinates are evaluated on
+demand and memoized per level, so evaluation is pure and order-independent.
 """
 
 from __future__ import annotations
@@ -497,19 +497,21 @@ class ProductSpace:
         The truncation tail past index M contributes at most
         sum_{a>=M} 2^-a diam_a, which is 2^-(M-1) for diameter-1 factors.
         A countable product bounds diam_a by the largest diameter any factor
-        kind declares, or by the factor's own when built by `uniform`.
+        kind declares, or by the factor's own when built by `uniform`.  A
+        float metric value is widened by the factor's tolerance (lower end >= 0).
         """
         if x.space is not self and x.space != self:
             raise SpaceMismatch("x lives in a different product")
         if y.space is not self and y.space != self:
             raise SpaceMismatch("y lives in a different product")
         idx = self.indices(depth)
-        total = ZERO
+        lo = hi = ZERO
         for a in idx:
-            d = self.factor(a).metric(x.coord(a), y.coord(a))
-            if not isinstance(d, Fraction):
-                d = Fraction(d)  # exact value of the float estimate
-            total += pow2(-a) * d
+            f = self.factor(a)
+            d = Fraction(f.metric(x.coord(a), y.coord(a)))  # exact value of a float estimate
+            tol = ZERO if f.exact else Fraction(f.tolerance)
+            lo += pow2(-a) * max(ZERO, d - tol)
+            hi += pow2(-a) * (d + tol)
         tail = ZERO
         m = len(idx)
         if self.count is not None:
@@ -517,12 +519,12 @@ class ProductSpace:
                 tail += pow2(-a) * self.factor(a).diameter
         else:
             tail = pow2(-(m - 1)) * self._tail_diameter
-        return total, total + tail
+        return lo, hi + tail
 
     def metric_exact(self, x: "ProductPoint", y: "ProductPoint") -> Fraction:
         """Exact d* for finite products of exact factors."""
-        if self.count is None:
-            raise UnsupportedOperation("exact product metric needs a finite product")
+        if self.count is None or not all(self.factor(a).exact for a in range(self.count)):
+            raise UnsupportedOperation("exact product metric needs finitely many exact factors")
         lo, hi = self.distance(x, y, depth=self.count)
         return lo
 
@@ -674,69 +676,61 @@ class CoordwiseStage(ProductStage):
 
 
 class ProductPoint:
-    """Base pattern + finite overrides + a pipeline of applied stages.
+    """A root (base pattern + overrides) or one stage applied to a parent.
 
     Immutable; coordinate evaluation is memoized and pure, so concurrent
     reads are safe and evaluation order never matters.
     """
 
-    __slots__ = ("space", "base", "overrides", "pipeline", "_cache")
+    __slots__ = ("space", "base", "overrides", "parent", "stage", "_cache")
 
-    def __init__(self, space: ProductSpace, base: BasePattern, overrides: dict,
-                 pipeline: tuple = ()):
+    def __init__(self, space: ProductSpace, base: BasePattern, overrides: dict):
         self.space = space
         self.base = base
         self.overrides = dict(overrides)
-        self.pipeline = tuple(pipeline)
+        self.parent: Optional[ProductPoint] = None
+        self.stage: Optional[ProductStage] = None
         self._cache: dict = {}
 
-    def raw_coord(self, alpha: int):
-        if alpha in self.overrides:
-            return self.overrides[alpha]
-        return self.base.value(self.space, alpha)
-
     def coord(self, alpha: int):
-        """Coordinate of the pipeline image; exact for exact kinds."""
-        return self._coord_at(len(self.pipeline), alpha)
-
-    def _coord_at(self, level: int, alpha: int):
+        """Coordinate of the staged image; exact for exact kinds.  Evaluates
+        down from the nearest ancestor holding alpha, whose staged ancestors
+        hold it too, so reads nest per distinct coordinate, not per stage."""
         if alpha < 0 or (self.space.count is not None and alpha >= self.space.count):
             raise IndexRange(f"index {alpha} outside the product")
-        if level == 0:
-            return self.raw_coord(alpha)
-        key = (level, alpha)
-        if key not in self._cache:
-            stage = self.pipeline[level - 1]
-            self._cache[key] = stage.image_coord(
-                lambda b: self._coord_at(level - 1, b), alpha
-            )
-        return self._cache[key]
+        if self.stage is None:
+            if alpha in self.overrides:
+                return self.overrides[alpha]
+            return self.base.value(self.space, alpha)
+        pending = []
+        p = self
+        while p.stage is not None and alpha not in p._cache:
+            pending.append(p)
+            p = p.parent
+        for q in reversed(pending):
+            q._cache[alpha] = q.stage.image_coord(q.parent.coord, alpha)
+        return self._cache[alpha]
 
     def apply_stage(self, stage: ProductStage) -> "ProductPoint":
-        p = ProductPoint(self.space, self.base, self.overrides, self.pipeline + (stage,))
+        p = ProductPoint(self.space, self.base, self.overrides)
+        p.parent = self
+        p.stage = stage
         return p
 
     def support(self) -> tuple:
         return tuple(sorted(self.overrides))
 
-    def materialize(self, depth: Optional[int] = None) -> "ProductPoint":
-        """Pipeline-free point agreeing with this one on the evaluated range.
-
-        Coordinates outside the range keep the base pattern, so this is only
-        a faithful copy when the pipeline acts inside the range.
-        """
-        over = {a: self.coord(a) for a in self.space.indices(depth)}
-        return ProductPoint(self.space, self.base, over)
-
     def ser(self, depth: Optional[int] = None) -> dict:
-        """Serializes base + overrides (pipelines are recorded by their stages)."""
-        if self.pipeline:
-            return self.materialize(depth).ser(depth)
+        """Serializes base + overrides; a staged point records its coordinates
+        on the evaluated range, a faithful copy when its stages act there."""
+        over = self.overrides
+        if self.stage is not None:
+            over = {a: self.coord(a) for a in self.space.indices(depth)}
         return {
             "base": self.base.descriptor(),
             "overrides": {
                 str(a): self.space.factor(a).ser_point(v)
-                for a, v in sorted(self.overrides.items())
+                for a, v in sorted(over.items())
             },
         }
 
@@ -750,6 +744,7 @@ class ProductPoint:
         return ProductPoint(space, base, overrides)
 
     def __repr__(self):
-        return (
-            f"ProductPoint(support={self.support()}, stages={len(self.pipeline)})"
-        )
+        stages, p = 0, self
+        while p.stage is not None:
+            stages, p = stages + 1, p.parent
+        return f"ProductPoint(support={self.support()}, stages={stages})"

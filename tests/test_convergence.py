@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cdhkit import convergence
 from cdhkit.convergence import ConvergenceCertificate, double_limit_defect, reverify_ledger
 from cdhkit.errors import BoundViolation, CdhError, UnsupportedOperation
 from cdhkit.genpos import (
@@ -17,7 +18,13 @@ from cdhkit.genpos import (
     collision_repair_gpp,
     conditional_move_from_descriptor,
 )
-from cdhkit.homeos import CylinderHomeo, homeo_from_descriptor, identity_for, small_ball_transporter
+from cdhkit.homeos import (
+    CylinderHomeo,
+    compose,
+    homeo_from_descriptor,
+    identity_for,
+    small_ball_transporter,
+)
 from cdhkit.pairs import group_pair
 from cdhkit.rationals import pow2
 from cdhkit.spaces import (
@@ -281,7 +288,7 @@ def test_ledger_sampled_entries_of_a_disc_chain():
     disc = DiscSpace(2)
     rng = random.Random(11)
     cert = ConvergenceCertificate(disc)
-    for k in range(4):
+    for k in range(8):
         delta = pow2(-(k + 1))
         center = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
         target = (center[0] + float(delta) / 4, center[1])
@@ -291,6 +298,8 @@ def test_ledger_sampled_entries_of_a_disc_chain():
         if k == 0:
             assert entry.method == "exempt"
             continue
+        # twice the shift delta/4, which the transporter makes at its centre
+        assert entry.cond1_value == pow2(-(k + 2))
         assert entry.method == "sampled"
         assert entry.cond2_value == 2 * entry.cond1_value
     verdicts = reverify_ledger(disc, cert.stages, cert.ledger())
@@ -310,6 +319,41 @@ def test_ledger_exact_isometry_below_the_chain_depth():
     stages = [homeo_from_descriptor(d) for d in desc["stages"]]
     verdicts = reverify_ledger(factor_from_descriptor(desc["space"]), stages, desc["ledger"])
     assert [v["ok"] for v in verdicts] == [True, True]
+
+
+def test_exact_entries_match_a_composition_from_stage_zero():
+    rng = random.Random(3)
+    cert = ConvergenceCertificate(CIRCLE)
+    while cert.stage_count < 8:
+        k = cert.stage_count
+        delta = pow2(-(k + 1))
+        center = F(rng.randrange(64), 64)
+        try:
+            cert = cert.append(small_ball_transporter(CIRCLE, center, center + delta / 2, delta))
+        except BoundViolation:
+            continue
+    assert [e.method for e in cert.entries[1:]] == ["exact"] * 7
+    acc = identity_for(CIRCLE)
+    for h, entry in zip(cert.stages, cert.entries):
+        if entry.method == "exact":
+            conj = compose(compose(acc, h), acc.invert())
+            assert entry.cond2_value == conj.sup_displacement()
+        acc = compose(acc, h)
+
+
+def test_over_cap_composition_is_refused_on_every_attempt(monkeypatch):
+    monkeypatch.setattr(convergence, "_MATERIALIZE_CAP", 8)
+    h0 = CylinderHomeo(CANTOR, 1, {(0,): (1,), (1,): (0,)})
+    # moves inside one depth-4 cylinder: appended through the isometry path
+    h1 = CylinderHomeo(CANTOR, 5, {(0, 0, 0, 0, 0): (0, 0, 0, 0, 1),
+                                   (0, 0, 0, 0, 1): (0, 0, 0, 0, 0)})
+    cert = ConvergenceCertificate(CANTOR).append(h0).append(h1)
+    assert cert.entries[1].method == "exact-isometry"
+    # displacement 1/2 > 2^-5 needs H_1 at depth 5: 32 table entries
+    h2 = CylinderHomeo(CANTOR, 2, {(0, 0): (0, 1), (0, 1): (0, 0)})
+    for _ in range(2):
+        with pytest.raises(UnsupportedOperation, match="too large"):
+            cert.append(h2)
 
 
 # ---------------------------------------------------------------------------

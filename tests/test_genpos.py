@@ -73,6 +73,13 @@ def test_block_report_counts_a_block_once():
     assert report.collisions == ((0, 1, 0), (0, 3, 1), (1, 2, 1))
 
 
+def test_empty_point_set_is_in_general_position():
+    space, _ = _colliding_points()
+    empty = check_general_position([])
+    assert empty.in_general_position and empty.collisions == ()
+    assert check_regrouped_general_position([], _singleton_plan(space)) == empty
+
+
 # ---------------------------------------------------------------------------
 # greedy placement
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdhkit.errors import OrderViolation, PreconditionError, UnsupportedOperation
 from cdhkit.homeos import (
@@ -172,6 +174,33 @@ def test_circle_orientation_reversing_round_trip():
     for k in range(24):
         x = F(k, 24)
         assert hi.apply(h.apply(x)) == x
+
+
+@st.composite
+def _circle_maps(draw) -> PLCircleHomeo:
+    """PL circle maps of either orientation whose lift starts anywhere in
+    [-3, 3], so lifts with L(0) outside [0, 1) are covered."""
+    inner = st.fractions(min_value=0, max_value=1, max_denominator=64).filter(lambda x: 0 < x < 1)
+    xs = sorted({F(0)} | set(draw(st.lists(inner, max_size=5))))
+    s = draw(st.sampled_from((1, -1)))
+    gaps = draw(st.lists(st.integers(1, 20), min_size=len(xs), max_size=len(xs)))
+    ys = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=97))]
+    for g in gaps[:-1]:
+        ys.append(ys[-1] + s * F(g, sum(gaps)))
+    return PLCircleHomeo(list(zip(xs, ys)), s)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_circle_maps(), st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=60),
+                                max_size=6))
+def test_circle_invert_round_trips_exactly(h, ts):
+    hi = h.invert()
+    assert hi.orientation == h.orientation
+    assert hi.breaks[0][0] == 0
+    for t in ts + [x for x, _ in h.breaks] + [y for _, y in h.breaks]:
+        assert hi.lift_at(h.lift_at(t)) == t
+        assert h.lift_at(hi.lift_at(t)) == t
+        assert CIRCLE.points_equal(hi.apply(h.apply(t)), t)
 
 
 def test_line_pl_apply_and_invert_exact():

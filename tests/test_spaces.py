@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdhkit.errors import IndexRange, SpaceMismatch
+from cdhkit.errors import IndexRange, SpaceMismatch, UnsupportedOperation
+from cdhkit.homeos import PLCircleHomeo
 from cdhkit.rationals import pow2
 from cdhkit.spaces import (
     BAIRE,
@@ -189,6 +190,70 @@ def test_pipeline_round_trip_via_inverse_stage():
         assert q.coord(a) == p.coord(a)
 
 
+class _CountingStage(_XorStage):
+    """_XorStage that counts its image_coord calls per index."""
+
+    def __init__(self, c):
+        super().__init__(c)
+        self.calls = {}
+
+    def image_coord(self, get, alpha):
+        self.calls[alpha] = self.calls.get(alpha, 0) + 1
+        return super().image_coord(get, alpha)
+
+
+def test_child_of_an_evaluated_point_evaluates_one_level():
+    space = _cantor_omega(depth=6)
+    ancestors = [_CountingStage(SymSeq((k % 2, 1), 0)) for k in range(5)]
+    p = space.point({1: SymSeq((1,), 0)})
+    for stage in ancestors:
+        p = p.apply_stage(stage)
+    for a in space.indices():
+        p.coord(a)
+    child_stage = _CountingStage(SymSeq((0, 0, 1), 0))
+    child = p.apply_stage(child_stage)
+    for _ in range(2):
+        for a in space.indices():
+            child.coord(a)
+    assert child_stage.calls == {a: 1 for a in space.indices()}
+    assert all(stage.calls == {a: 1 for a in space.indices()} for stage in ancestors)
+
+
+class _GatedRotation(ProductStage):
+    """Rotates circle coordinate 1 by the value of coordinate 0, so every
+    level of a pipeline reads a second coordinate."""
+
+    def image_coord(self, get, alpha):
+        return CIRCLE.group.op(get(1), get(0)) if alpha == 1 else get(alpha)
+
+    def preimage_coord(self, get, alpha):
+        return CIRCLE.group.op(get(1), CIRCLE.group.inv(get(0))) if alpha == 1 else get(alpha)
+
+
+@pytest.mark.parametrize("stage", [
+    CoordwiseStage({0: PLCircleHomeo([(F(0), F(1, 7))]), 2: PLCircleHomeo([(F(0), F(2, 5))])}),
+    _GatedRotation(),
+], ids=["coordwise", "gated"])
+def test_round_trip_through_2000_stages(stage):
+    space = ProductSpace.uniform(CIRCLE, count=3)
+    start = space.point({0: F(1, 7), 1: F(1, 3), 2: F(1, 2)})
+    p = start
+    for _ in range(2000):
+        p = p.apply_stage(stage)
+    # coordinate 1 first: its levels read coordinate 0 before it is cached
+    forward = [p.coord(a) for a in (1, 0, 2)]
+    if isinstance(stage, CoordwiseStage):
+        expected = [F(1, 3), F(2001 % 7, 7), F(1, 2)]
+    else:
+        expected = [F(1, 3) + F(2000 % 7, 7) - 1, F(1, 7), F(1, 2)]
+    assert forward == expected
+    inverse = stage.inverse()
+    for _ in range(2000):
+        p = p.apply_stage(inverse)
+    assert [p.coord(a) for a in space.indices()] == [start.coord(a) for a in space.indices()]
+    assert repr(p) == "ProductPoint(support=(0, 1, 2), stages=4000)"
+
+
 # ---------------------------------------------------------------------------
 # product metric
 # ---------------------------------------------------------------------------
@@ -259,6 +324,19 @@ def test_finite_product_exact_metric():
     x = space.point({0: SymSeq((1,), 0), 1: F(1, 4)})
     y = space.point()
     assert space.metric_exact(x, y) == F(1) + F(1, 2) * F(1, 4)
+
+
+def test_distance_of_float_factors_carries_their_tolerance():
+    disc = DiscSpace(2)
+    space = ProductSpace([disc, disc])
+    x = space.point({0: (0.1, 0.2), 1: (0.3, 0.0)})
+    y = space.point({0: (0.4, -0.2), 1: (0.3, 0.0)})
+    lo, hi = space.distance(x, y)
+    tol = F(disc.tolerance)
+    estimate = F(disc.metric((0.1, 0.2), (0.4, -0.2)))
+    assert lo == estimate - tol < hi == estimate + tol + tol / 2
+    with pytest.raises(UnsupportedOperation):
+        space.metric_exact(x, y)
 
 
 # ---------------------------------------------------------------------------
