@@ -21,6 +21,7 @@ which is what lets them ride a convergence certificate on the product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -312,13 +313,10 @@ def wgpp_transform(points: Sequence[ProductPoint],
     full_depth = len(idx)
 
     # pi_0 restricted to the set must be injective
-    f0 = space.factor(0)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if f0.points_equal(points[i].coord(0), points[j].coord(0)):
-                raise PreconditionError(
-                    f"projection to coordinate 0 is not injective (points {i}, {j})"
-                )
+    clash = _collision_report(points, [(0,)]).collisions
+    if clash:
+        i, j, _ = clash[0]
+        raise PreconditionError(f"projection to coordinate 0 is not injective (points {i}, {j})")
 
     report = check_general_position(points, depth)
     big = tuple(
@@ -352,30 +350,44 @@ def wgpp_transform(points: Sequence[ProductPoint],
     stage = WgppStage(omega, pairs)
     moved = [p.apply_stage(stage) for p in points]
 
-    # the lemma's two guarantees, asserted exactly on the finite set
+    # the lemma's two guarantees, asserted exactly on the finite set where
+    # (a in omega) != (a in dis); a column is read, and keyed if exact, once
+    cols: dict = {}
     for (i, j), dis in report.disagreements.items():
-        dis_set = set(dis)
-        for a in idx:
-            fa = space.factor(a)
-            if a in omega and a not in dis_set:
-                if fa.points_equal(moved[i].coord(a), moved[j].coord(a)):
-                    raise AssertionError(f"twist failed to separate pair {(i, j)} at {a}")
-            if a not in omega and a in dis_set:
-                if fa.points_equal(moved[i].coord(a), moved[j].coord(a)):
-                    raise AssertionError(f"twist disturbed coordinate {a} of pair {(i, j)}")
+        for a in sorted(omega.symmetric_difference(dis)):
+            if a not in cols:
+                fa = space.factor(a)
+                col = [p.coord(a) for p in moved]
+                cols[a] = ((operator.eq, [_point_key(fa, v) for v in col]) if fa.exact
+                           else (fa.points_equal, col))
+            same, col = cols[a]
+            if same(col[i], col[j]):
+                raise AssertionError(f"twist failed to separate pair {(i, j)} at {a}" if a in omega
+                                     else f"twist disturbed coordinate {a} of pair {(i, j)}")
     return WgppResult(stage, moved, omega, report, big)
 
 
 def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int):
+    """Every two distinct ys are separated by s(x, .) for every x in xs, with
+    one evaluation of `pair.s` per (x, y); raises PreconditionError if not."""
+    if factor.exact:  # equal keys iff points_equal: keep one y per key
+        ys = list({_point_key(factor, y): y for y in ys}.values())
+        apart = len(ys) > 1
+    else:  # tolerance equality is not transitive: compare float points pairwise
+        apart = [(i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
+                 if not factor.points_equal(ys[i], ys[j])]
+    if not apart:
+        return
     for x in xs:
-        for i in range(len(ys)):
-            for j in range(i + 1, len(ys)):
-                if factor.points_equal(ys[i], ys[j]):
-                    continue
-                if factor.points_equal(pair.s(x, ys[i]), pair.s(x, ys[j])):
-                    raise PreconditionError(
-                        f"convenient pair at index {alpha} is not focused on the projections"
-                    )
+        images = [pair.s(x, y) for y in ys]
+        if factor.exact:
+            merged = len({_point_key(factor, v) for v in images}) < len(ys)
+        else:
+            merged = any(factor.points_equal(images[i], images[j]) for i, j in apart)
+        if merged:
+            raise PreconditionError(
+                f"convenient pair at index {alpha} is not focused on the projections"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +779,6 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
             for a in space.indices()
         )
 
-    def pi0_injective(ps):
-        f0 = space.factor(0)
-        for x in range(len(ps)):
-            for y in range(x + 1, len(ps)):
-                if f0.points_equal(ps[x].coord(0), ps[y].coord(0)):
-                    return (x, y)
-        return None
-
     if not all(interior(p) for p in pts):
         shrink = CollarShrinkStage(eps, tuple(space.indices()))
         stages.append(shrink)
@@ -782,12 +786,12 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
 
     step = 0
     while True:
-        clash = pi0_injective(pts)
-        if clash is None:
+        clash = _collision_report(pts, [(0,)]).collisions
+        if not clash:
             break
         if step >= budget:
             raise BudgetExceeded(f"projection repair budget {budget} exhausted")
-        x, y = clash
+        x, y, _ = clash[0]
         beta = next(
             (a for a in space.indices()
              if not space.factor(a).points_equal(pts[x].coord(a), pts[y].coord(a))),

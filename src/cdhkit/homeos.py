@@ -667,6 +667,10 @@ class _Transporter(FloatHomeo):
         super().__init__(factor, forward, backward, tolerance=1e-12, label=label)
         self.reach = reach
 
+    def invert(self) -> "_Transporter":
+        """Swaps the maps: sup |h^-1(y) - y| = sup |x - h(x)|, so `reach` carries over."""
+        return _Transporter(self.space, self.backward, self.forward, self.reach, f"{self.label}^-1")
+
     def sup_displacement(self) -> float:
         return self.reach * 2.0
 

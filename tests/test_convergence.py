@@ -304,6 +304,11 @@ def test_ledger_sampled_entries_of_a_disc_chain():
         assert entry.cond2_value == 2 * entry.cond1_value
     verdicts = reverify_ledger(disc, cert.stages, cert.ledger())
     assert all(v["ok"] for v in verdicts)
+    # the inverse of a transporter certifies the same displacement, not a resample
+    for h in cert.stages:
+        inverse = h.invert()
+        assert inverse.sup_displacement() == h.sup_displacement()
+        assert inverse.label == f"{h.label}^-1"
 
 
 def test_ledger_exact_isometry_below_the_chain_depth():

@@ -6,18 +6,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdhkit.errors import PreconditionError
 from cdhkit.genpos import (
     FloatConditionalStage,
     PartitionPlan,
+    block_regroup,
     box_contains,
     check_general_position,
     check_regrouped_general_position,
     collision_repair_gpp,
     greedy_dense_gp,
+    wgpp_transform,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
-from cdhkit.spaces import BAIRE, CANTOR, CIRCLE, LINE, DiscSpace, ProductSpace, SymSeq
+from cdhkit.pairs import ConvenientPair, group_pair
+from cdhkit.spaces import BAIRE, CANTOR, CIRCLE, LINE, DiscSpace, ProductSpace, SymSeq, _wrap1
 
 F = Fraction
 
@@ -94,6 +100,74 @@ def test_greedy_points_hit_their_boxes_and_differ_everywhere(factor):
         for q in result.points[i + 1:]:
             for a in space.indices():
                 assert not factor.points_equal(p.coord(a), q.coord(a))
+
+
+# ---------------------------------------------------------------------------
+# wgpp twist and block regrouping
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([CIRCLE, CANTOR]), st.permutations(range(10)), st.integers(2, 10),
+       st.sets(st.integers(1, 7)), st.integers(2, 4))
+def test_wgpp_twist_and_regrouping_keep_their_guarantees(factor, order, n, collapsed, blocks):
+    space, result = _greedy(factor)
+    # collapsed coordinates fall back to the common base value, so pairs agree there
+    points = [space.point({a: result.points[k].coord(a) for a in space.indices()
+                           if a not in collapsed}) for k in order[:n]]
+    before = check_general_position(points)
+    twist = wgpp_transform(points, lambda a: group_pair(factor))
+    assert 0 not in twist.omega
+    for (i, j), dis in before.disagreements.items():
+        p, q = twist.points[i], twist.points[j]
+        for a in space.indices():
+            if (a in twist.omega) != (a in dis):
+                assert not factor.points_equal(p.coord(a), q.coord(a)), (i, j, a)
+    inverse = twist.stage.inverse()
+    for p, moved in zip(points, twist.points):
+        back = moved.apply_stage(inverse)
+        assert all(factor.points_equal(back.coord(a), p.coord(a)) for a in space.indices())
+
+    plan = block_regroup(twist.points, space, omega_star=twist.omega, block_count=blocks)
+    assert sorted(a for block in plan.blocks for a in block) == list(space.indices())
+    assert all(a >= b for b, block in enumerate(plan.blocks) for a in block)
+    for ((i, j), b), w in plan.witnesses.items():
+        assert w in plan.blocks[b]
+        assert not factor.points_equal(twist.points[i].coord(w), twist.points[j].coord(w))
+
+
+def test_unfocused_exact_pair_is_refused():
+    space = ProductSpace([CIRCLE] * 3)
+    points = [space.point({0: F(i, 4), 1: F(i, 5), 2: F(i, 7)}) for i in range(4)]
+    # x + 2y separates most second arguments but merges y and y + 1/2
+    pair = ConvenientPair(s=lambda x, y: _wrap1(x + 2 * y), t=lambda x, y: _wrap1(x - 2 * y),
+                          domain=("circle", "circle"), focus=("whole", "none"),
+                          provenance="doubling", exact=True)
+    with pytest.raises(PreconditionError, match="not focused"):
+        wgpp_transform(points, lambda a: pair)
+
+
+def test_unfocused_float_pair_is_refused():
+    space = ProductSpace([DiscSpace(1), DiscSpace(2)])
+    points = [space.point({0: (0.1 * i,), 1: (0.2, 0.1 * i)}) for i in range(3)]
+    pair = ConvenientPair(s=lambda x, y: x, t=lambda x, y: x, domain=(("disc", 2), ("disc", 1)),
+                          focus=("none", "none"), provenance="projection", exact=False)
+    with pytest.raises(PreconditionError, match="not focused"):
+        wgpp_transform(points, lambda a: pair)
+
+
+def test_focus_check_evaluates_each_pair_image_once():
+    _, result = _greedy(CIRCLE)
+    pair = group_pair(CIRCLE)
+    s, calls = pair.s, []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return s(x, y)
+
+    pair.s = counted
+    twist = wgpp_transform(result.points, lambda a: pair)
+    n = len(result.points)
+    assert calls and len(calls) <= len(twist.omega) * n * n
 
 
 # ---------------------------------------------------------------------------
