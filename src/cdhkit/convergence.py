@@ -10,8 +10,8 @@ limit:
 
 h_0 is exempt: the first stage may be anything.  Appending verifies both
 bounds before extending; exact kinds are checked exactly, product-space
-stages through certified Lipschitz bounds, float stages by sampling
-(recorded as such in the ledger).
+stages through certified Lipschitz bounds, float stages through the
+displacement their construction declares (tagged "sampled" in the ledger).
 
 Limit evaluation truncates at the stage N where the geometric tail
 2^-(N-1) drops below the requested precision; the returned value always
@@ -153,6 +153,8 @@ class ConvergenceCertificate:
         if isinstance(h, ProductStage):
             return self._lip_inv * c1, "lipschitz"
         if isinstance(h, FloatHomeo):
+            # c1 is the declared reach, doubled; the tag predates that rule and
+            # stays so that recorded ledgers re-verify byte for byte
             return c1 * 2, "sampled"
         # exact factor stage: condition (2) equals sup displacement of
         # H_n^-1 o h o H_n.

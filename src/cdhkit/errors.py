@@ -51,11 +51,3 @@ class PreconditionError(CdhError):
 
 class BudgetExceeded(CdhError):
     """An iterative construction ran out of its step budget."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class SearchExhausted(CdhError):
-    """A dense-set scan ended before a required element was found."""

@@ -30,14 +30,12 @@ from .convergence import ConvergenceCertificate
 from .errors import (
     BudgetExceeded,
     PreconditionError,
-    SearchExhausted,
     UnsupportedOperation,
 )
 from .homeos import _undo_shift
 from .pairs import ConvenientPair, vnorm
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
 from .spaces import (
-    BasePattern,
     CantorSpace,
     BaireSpace,
     CircleSpace,
@@ -46,14 +44,13 @@ from .spaces import (
     FactorSpace,
     IntervalOpen,
     LineSpace,
+    MarkerBase,
     ProductPoint,
     ProductSpace,
     ProductStage,
-    SymSeq,
-    _dyadic,
     _point_key,
     _wrap1,
-    bin_tuple,
+    marker_point,
     nat_tuple,
 )
 
@@ -76,11 +73,10 @@ class CollisionReport:
         return not self.collisions
 
 
-def check_general_position(points: Sequence[ProductPoint], depth: Optional[int] = None
-                            ) -> CollisionReport:
-    """Marks the set in general position to the depth iff every pair differs
-    at every evaluated index; exact for exact kinds."""
-    blocks = [(a,) for a in points[0].space.indices(depth)] if points else []
+def check_general_position(points: Sequence[ProductPoint]) -> CollisionReport:
+    """Marks the set in general position to the working depth iff every pair
+    differs at every evaluated index; exact for exact kinds."""
+    blocks = [(a,) for a in points[0].space.indices()] if points else []
     return _collision_report(points, blocks)
 
 
@@ -120,41 +116,8 @@ def _collision_report(points, blocks) -> CollisionReport:
 
 
 # ---------------------------------------------------------------------------
-# marker base patterns (per-point bases for the greedy construction)
+# enumerated product boxes and the greedy construction
 # ---------------------------------------------------------------------------
-
-class MarkerBase(BasePattern):
-    """Constant-per-coordinate base whose value is the k-th marker point of
-    each factor; distinct markers differ as factor points, which is what
-    keeps greedy points coordinate-distinct outside their finite supports."""
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def value(self, space, alpha):
-        return marker_point(space.factor(alpha), self.index)
-
-    def descriptor(self):
-        return {"kind": "marker", "index": self.index}
-
-    def __eq__(self, other):
-        return isinstance(other, MarkerBase) and self.index == other.index
-
-    def __hash__(self):
-        return hash(("marker", self.index))
-
-
-def marker_point(factor: FactorSpace, k: int):
-    if isinstance(factor, CantorSpace):
-        return SymSeq(bin_tuple(k) + (1,), 0)
-    if isinstance(factor, BaireSpace):
-        return SymSeq((k + 1,), 0)
-    if isinstance(factor, CircleSpace):
-        return _dyadic(k)
-    if isinstance(factor, LineSpace):
-        return _dyadic(k)
-    raise UnsupportedOperation(f"no marker points for kind {factor.kind}")
-
 
 def _any_box(factor: FactorSpace):
     if isinstance(factor, (CantorSpace, BaireSpace)):
@@ -165,10 +128,6 @@ def _any_box(factor: FactorSpace):
         return IntervalOpen(F(-1), F(1))
     raise UnsupportedOperation(f"no picker for kind {factor.kind}")
 
-
-# ---------------------------------------------------------------------------
-# enumerated product boxes and the greedy construction
-# ---------------------------------------------------------------------------
 
 def product_boxes(space: ProductSpace, count: int) -> list:
     """First `count` members of the product pi-base: finite tuples of
@@ -195,12 +154,9 @@ class GreedyResult:
     boxes: list
 
 
-def greedy_dense_gp(space: ProductSpace, count: int,
-                    forbidden: Optional[Sequence[Callable]] = None,
-                    probe_limit: int = 64) -> GreedyResult:
+def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
     """Point n lands in enumerated box n; every pair of outputs differs at
-    every coordinate (exactly, for exact kinds); all outputs avoid the
-    forbidden closed predicates.
+    every coordinate (exactly, for exact kinds).
 
     Point n uses the n-th marker base, so coordinates outside the finitely
     many adjusted indices are pairwise distinct by construction; adjusted
@@ -209,54 +165,36 @@ def greedy_dense_gp(space: ProductSpace, count: int,
     for a in space.indices():
         if not space.factor(a).crowded:
             raise PreconditionError(f"factor {a} is not crowded")
-    forbidden = list(forbidden or [])
     boxes = product_boxes(space, count)
     points: list[ProductPoint] = []
     for k in range(count):
         box = boxes[k]
         relevant = set(box) | {a for p in points for a in p.support()}
-        point = None
-        for attempt in range(probe_limit):
-            overrides = {}
-            ok = True
-            for a in sorted(relevant):
-                factor = space.factor(a)
-                avoid = {_point_key(factor, p.coord(a)) for p in points}
-                target_box = box.get(a)
-                if target_box is None:
-                    base_val = marker_point(factor, k)
-                    if attempt == 0 and _point_key(factor, base_val) not in avoid:
-                        continue  # marker base already distinct, no override
-                    target_box = _any_box(factor)
-                val = _pick_avoiding(factor, target_box, avoid, attempt)
-                if val is None:
-                    ok = False
-                    break
-                overrides[a] = val
-            if not ok:
-                continue
-            cand = ProductPoint(space, MarkerBase(k), overrides)
-            bad = next((f for f in forbidden if f(cand)), None)
-            if bad is None:
-                point = cand
-                break
-        if point is None:
-            raise SearchExhausted(
-                f"no admissible point for box {k} after {probe_limit} probes; "
-                "a forbidden predicate's complement fails the density probe"
-            )
+        overrides = {}
+        for a in sorted(relevant):
+            factor = space.factor(a)
+            avoid = {_point_key(factor, p.coord(a)) for p in points}
+            target_box = box.get(a)
+            if target_box is None:
+                if _point_key(factor, marker_point(factor, k)) not in avoid:
+                    continue  # marker base already distinct, no override
+                target_box = _any_box(factor)
+            overrides[a] = _pick_avoiding(factor, target_box, avoid)
+        point = ProductPoint(space, MarkerBase(k), overrides)
         if not box_contains(space, box, point):
             raise AssertionError(f"greedy point {k} missed its box")
         points.append(point)
     return GreedyResult(points, boxes)
 
 
-def _pick_avoiding(factor, box, avoid, attempt, tries: int = 64):
-    for salt in range(attempt * tries, (attempt + 1) * tries):
+def _pick_avoiding(factor, box, avoid):
+    """`pick_in` gives distinct points for distinct salts, so one of the
+    len(avoid) + 1 salts tried lands outside `avoid`."""
+    for salt in range(len(avoid) + 1):
         v = factor.pick_in(box, salt)
         if _point_key(factor, v) not in avoid:
             return v
-    return None
+    raise AssertionError(f"pick_in gave fewer than {len(avoid) + 1} distinct points")
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +239,22 @@ _TAIL_WINDOW = 8
 
 
 def wgpp_transform(points: Sequence[ProductPoint],
-                   pair_family: Callable[[int], ConvenientPair],
-                   depth: Optional[int] = None) -> WgppResult:
+                   pair_family: Callable[[int], ConvenientPair]) -> WgppResult:
     """Lemma-style twist: after the transform every pair disagrees at every
     listed coordinate where it previously agreed; disagreements at unlisted
     coordinates survive untouched; the inverse twist undoes it exactly."""
     if not points:
         raise PreconditionError("empty point list")
     space = points[0].space
-    idx = list(space.indices(depth))
+    idx = list(space.indices())
     full_depth = len(idx)
 
-    # pi_0 restricted to the set must be injective
-    clash = _collision_report(points, [(0,)]).collisions
+    # pi_0 restricted to the set must be injective; block 0 of the report is (0,)
+    report = check_general_position(points)
+    clash = next((c for c in report.collisions if c[2] == 0), None)
     if clash:
-        i, j, _ = clash[0]
+        i, j, _ = clash
         raise PreconditionError(f"projection to coordinate 0 is not injective (points {i}, {j})")
-
-    report = check_general_position(points, depth)
     big = tuple(
         p for p, dis in report.disagreements.items()
         if dis and max(dis) >= full_depth - _TAIL_WINDOW
@@ -410,7 +346,7 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
     block(i) <= i, and every block meets omega* emptily or cofinally."""
     depth = space.working_depth
     idx = list(space.indices())
-    report = check_general_position(points, depth)
+    report = check_general_position(points)
     sizes = [len(d) for d in report.disagreements.values()] or [len(idx)]
     feasible = min(sizes)
     B = block_count if block_count is not None else max(1, min(4, feasible))
@@ -594,8 +530,7 @@ class RepairResult:
     collision_history: list
 
 
-def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace,
-                         step_budget: Optional[int] = None) -> RepairResult:
+def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) -> RepairResult:
     """Separates every colliding pair with small conditional moves.
 
     Each move fixes at least one (pair, coordinate) collision permanently and
@@ -614,18 +549,11 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace,
             )
     pts = list(points)
     report = check_general_position(pts)
-    budget = step_budget if step_budget is not None else len(report.collisions) + 8
     cert = ConvergenceCertificate(space)
     total = ZERO
     history = [len(report.collisions)]
 
     while report.collisions:
-        if cert.stage_count >= budget:
-            raise BudgetExceeded(
-                f"step budget {budget} exhausted with {len(report.collisions)} "
-                f"collisions left: {report.collisions[:8]}",
-                partial=RepairResult(cert, pts, cert.stage_count, total, history),
-            )
         i, j, alpha = report.collisions[0]
         beta = next(
             (a for a in space.indices()
@@ -754,8 +682,11 @@ class BoundaryChaseResult:
     points: list
 
 
-def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
-                   eps: F = F(1, 16), budget: int = 64) -> BoundaryChaseResult:
+_CHASE_EPS = F(1, 16)    # collar width
+_CHASE_BUDGET = 64       # projection moves; nothing asserts that a move lowers the clash count
+
+
+def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace) -> BoundaryChaseResult:
     """Pulls a finite set off the pseudoboundary of a disc product and makes
     the first projection injective.
 
@@ -780,7 +711,7 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
         )
 
     if not all(interior(p) for p in pts):
-        shrink = CollarShrinkStage(eps, tuple(space.indices()))
+        shrink = CollarShrinkStage(_CHASE_EPS, tuple(space.indices()))
         stages.append(shrink)
         pts = [p.apply_stage(shrink) for p in pts]
 
@@ -789,8 +720,8 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace,
         clash = _collision_report(pts, [(0,)]).collisions
         if not clash:
             break
-        if step >= budget:
-            raise BudgetExceeded(f"projection repair budget {budget} exhausted")
+        if step >= _CHASE_BUDGET:
+            raise BudgetExceeded(f"projection repair budget {_CHASE_BUDGET} exhausted")
         x, y, _ = clash[0]
         beta = next(
             (a for a in space.indices()

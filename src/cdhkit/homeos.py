@@ -12,8 +12,8 @@ Three representations:
   PLLineHomeo /  circle/line: rational piecewise-linear data, exactly
   PLCircleHomeo  invertible and composable, exact sup-displacement.
   FloatHomeo     Euclidean kinds: forward/backward closures with an
-                 advertised round-trip tolerance; displacement is sampled,
-                 never certified.
+                 advertised round-trip tolerance; displacement is only
+                 what the construction declares, never estimated.
 
 `compose(g, h)` evaluates as h-after-g, matching the stage composition
 H_n = h_n o ... o h_0 used by the convergence certificates.
@@ -22,7 +22,6 @@ H_n = h_n o ... o h_0 used by the convergence certificates.
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import bisect_right
 from fractions import Fraction
 from math import floor
@@ -392,38 +391,35 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
 class FloatHomeo(FactorHomeo):
     """Forward/backward closure pair on a disc/ball domain.
 
-    Displacement is sampled, never certified: `sup_displacement` returns the
-    sampled lower estimate scaled by a safety factor of 2.
+    `reach` is the sup of |h(x) - x| that the construction declares, if it
+    declares one; `sup_displacement` reports it twice, as a float safety
+    margin, and refuses a map without one.
     """
 
     exact = False
 
     def __init__(self, space, forward: Callable, backward: Callable,
-                 tolerance: float = 1e-9, label: str = "float-homeo"):
+                 tolerance: float = 1e-9, label: str = "float-homeo",
+                 reach: Optional[float] = None):
         self.space = space
         self.forward = forward
         self.backward = backward
         self.tolerance = tolerance
         self.label = label
+        self.reach = reach
 
     def apply(self, x):
         return self.forward(x)
 
     def invert(self) -> "FloatHomeo":
+        """Swaps the maps: sup |h^-1(y) - y| = sup |x - h(x)|, so `reach` carries over."""
         return FloatHomeo(self.space, self.backward, self.forward,
-                          self.tolerance, label=f"{self.label}^-1")
+                          self.tolerance, f"{self.label}^-1", self.reach)
 
     def sup_displacement(self) -> float:
-        rng = random.Random(7)
-        dim = getattr(self.space, "dim", 1)
-        best = 0.0
-        for _ in range(512):
-            v = [rng.gauss(0, 1) for _ in range(dim)]
-            norm = sum(c * c for c in v) ** 0.5 or 1.0
-            r = rng.random() ** (1.0 / dim) * 0.999
-            x = tuple(c / norm * r for c in v)
-            best = max(best, self.space.metric(x, self.apply(x)))
-        return best * 2.0
+        if self.reach is None:
+            raise UnsupportedOperation(f"{self.label} declares no displacement bound")
+        return self.reach * 2.0
 
     def descriptor(self) -> dict:
         return {"type": "float", "label": self.label, "tolerance": self.tolerance,
@@ -442,7 +438,7 @@ def identity_for(factor: FactorSpace) -> FactorHomeo:
     if isinstance(factor, LineSpace):
         return PLLineHomeo(())
     if isinstance(factor, (DiscSpace, BallSpace)):
-        return FloatHomeo(factor, lambda x: x, lambda x: x, 0.0, label="identity")
+        return FloatHomeo(factor, lambda x: x, lambda x: x, 0.0, label="identity", reach=0.0)
     raise UnsupportedOperation(f"no identity for kind {factor.kind}")
 
 
@@ -456,14 +452,6 @@ def compose(g: FactorHomeo, h: FactorHomeo) -> FactorHomeo:
         return _compose_pl_line(g, h)
     if isinstance(g, PLCircleHomeo) and isinstance(h, PLCircleHomeo):
         return _compose_pl_circle(g, h)
-    if isinstance(g, FloatHomeo) or isinstance(h, FloatHomeo):
-        return FloatHomeo(
-            g.space,
-            lambda x: h.apply(g.apply(x)),
-            lambda x: g.invert().apply(h.invert().apply(x)),
-            tolerance=max(getattr(g, "tolerance", 0.0), getattr(h, "tolerance", 0.0)) * 2,
-            label="composite",
-        )
     raise UnsupportedOperation("cannot compose these homeomorphism kinds")
 
 
@@ -657,22 +645,8 @@ def _euclid_transporter(factor, center, target, delta: float) -> FloatHomeo:
     def backward(y):
         return _undo_shift(factor.metric, y, shift, lam)
 
-    return _Transporter(factor, forward, backward, d, label=f"transporter(r={r:.3g})")
-
-
-class _Transporter(FloatHomeo):
-    """Moves x by w(x) * shift with w <= 1 = w(center): the sup is |shift|, reported twice."""
-
-    def __init__(self, factor, forward, backward, reach: float, label: str):
-        super().__init__(factor, forward, backward, tolerance=1e-12, label=label)
-        self.reach = reach
-
-    def invert(self) -> "_Transporter":
-        """Swaps the maps: sup |h^-1(y) - y| = sup |x - h(x)|, so `reach` carries over."""
-        return _Transporter(self.space, self.backward, self.forward, self.reach, f"{self.label}^-1")
-
-    def sup_displacement(self) -> float:
-        return self.reach * 2.0
+    # x moves by w(x) * shift with w <= 1 = w(center): the sup is |shift| = d
+    return FloatHomeo(factor, forward, backward, 1e-12, f"transporter(r={r:.3g})", reach=d)
 
 
 def _undo_shift(metric: Callable, y: tuple, shift: tuple, weight: Callable) -> tuple:

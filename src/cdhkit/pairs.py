@@ -66,7 +66,7 @@ class ConvenientPair:
     exact: bool
 
 
-def group_pair(factor: FactorSpace, y_subset: str = "whole") -> ConvenientPair:
+def group_pair(factor: FactorSpace) -> ConvenientPair:
     """s(x,y) = x*y and t(x,y) = x*y^-1 for a group factor; exact, focused
     on the whole factor (cancellation separates second arguments)."""
     g = factor.group
@@ -76,7 +76,7 @@ def group_pair(factor: FactorSpace, y_subset: str = "whole") -> ConvenientPair:
         s=lambda x, y: g.op(x, y),
         t=lambda x, y: g.op(x, g.inv(y)),
         domain=(factor.kind, factor.kind),
-        focus=("whole", y_subset),
+        focus=("whole", "whole"),
         provenance="group",
         exact=factor.exact,
     )

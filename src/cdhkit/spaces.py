@@ -557,12 +557,6 @@ class DefaultBase(BasePattern):
     def descriptor(self):
         return {"kind": "default"}
 
-    def __eq__(self, other):
-        return isinstance(other, DefaultBase)
-
-    def __hash__(self):
-        return hash("default-base")
-
 
 class ConstantBase(BasePattern):
     """Every coordinate carries the same factor point (uniform products)."""
@@ -577,15 +571,32 @@ class ConstantBase(BasePattern):
     def descriptor(self):
         return {"kind": "constant", "value": self.factor.ser_point(self.point)}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConstantBase)
-            and self.factor == other.factor
-            and self.factor.points_equal(self.point, other.point)
-        )
 
-    def __hash__(self):
-        return hash(("constant-base", self.factor.kind))
+class MarkerBase(BasePattern):
+    """Constant-per-coordinate base whose value is the k-th marker point of
+    each factor; distinct markers differ as factor points, which is what
+    keeps greedy points coordinate-distinct outside their finite supports."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def value(self, space, alpha):
+        return marker_point(space.factor(alpha), self.index)
+
+    def descriptor(self):
+        return {"kind": "marker", "index": self.index}
+
+
+def marker_point(factor: FactorSpace, k: int):
+    if isinstance(factor, CantorSpace):
+        return SymSeq(bin_tuple(k) + (1,), 0)
+    if isinstance(factor, BaireSpace):
+        return SymSeq((k + 1,), 0)
+    if isinstance(factor, CircleSpace):
+        return _dyadic(k)
+    if isinstance(factor, LineSpace):
+        return _dyadic(k)
+    raise UnsupportedOperation(f"no marker points for kind {factor.kind}")
 
 
 def base_from_descriptor(desc: dict, factor: Optional[FactorSpace] = None) -> BasePattern:
@@ -595,6 +606,8 @@ def base_from_descriptor(desc: dict, factor: Optional[FactorSpace] = None) -> Ba
         if factor is None:
             raise ValueError("constant base needs the factor kind")
         return ConstantBase(factor, factor.de_point(desc["value"]))
+    if desc["kind"] == "marker":
+        return MarkerBase(desc["index"])
     raise ValueError(f"unknown base pattern {desc['kind']!r}")
 
 

@@ -20,6 +20,7 @@ from cdhkit.genpos import (
 )
 from cdhkit.homeos import (
     CylinderHomeo,
+    FloatHomeo,
     compose,
     homeo_from_descriptor,
     identity_for,
@@ -309,6 +310,13 @@ def test_ledger_sampled_entries_of_a_disc_chain():
         inverse = h.invert()
         assert inverse.sup_displacement() == h.sup_displacement()
         assert inverse.label == f"{h.label}^-1"
+
+
+def test_float_stage_without_a_declared_reach_is_refused():
+    disc = DiscSpace(2)
+    cert = ConvergenceCertificate(disc).append(identity_for(disc))
+    with pytest.raises(UnsupportedOperation):
+        cert.append(FloatHomeo(disc, lambda x: x, lambda x: x, label="undeclared"))
 
 
 def test_ledger_exact_isometry_below_the_chain_depth():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdhkit.errors import PreconditionError
+from cdhkit.errors import PreconditionError, UnsupportedOperation
 from cdhkit.genpos import (
+    CollarShrinkStage,
     FloatConditionalStage,
     PartitionPlan,
     block_regroup,
+    boundary_chase,
     box_contains,
     check_general_position,
     check_regrouped_general_position,
@@ -22,8 +25,18 @@ from cdhkit.genpos import (
     wgpp_transform,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
-from cdhkit.pairs import ConvenientPair, group_pair
-from cdhkit.spaces import BAIRE, CANTOR, CIRCLE, LINE, DiscSpace, ProductSpace, SymSeq, _wrap1
+from cdhkit.pairs import ConvenientPair, group_pair, vnorm
+from cdhkit.spaces import (
+    BAIRE,
+    CANTOR,
+    CIRCLE,
+    LINE,
+    DiscSpace,
+    ProductPoint,
+    ProductSpace,
+    SymSeq,
+    _wrap1,
+)
 
 F = Fraction
 
@@ -102,6 +115,15 @@ def test_greedy_points_hit_their_boxes_and_differ_everywhere(factor):
                 assert not factor.points_equal(p.coord(a), q.coord(a))
 
 
+@pytest.mark.parametrize("factor", [CIRCLE, CANTOR], ids=lambda f: f.kind)
+def test_greedy_points_read_back_from_json(factor):
+    space, result = _greedy(factor)
+    twist = wgpp_transform(result.points, lambda a: group_pair(factor))
+    for p in (result.points[3], twist.points[3]):
+        back = ProductPoint.de(space, json.loads(json.dumps(p.ser())))
+        assert all(factor.points_equal(back.coord(a), p.coord(a)) for a in space.indices())
+
+
 # ---------------------------------------------------------------------------
 # wgpp twist and block regrouping
 # ---------------------------------------------------------------------------
@@ -133,6 +155,15 @@ def test_wgpp_twist_and_regrouping_keep_their_guarantees(factor, order, n, colla
     for ((i, j), b), w in plan.witnesses.items():
         assert w in plan.blocks[b]
         assert not factor.points_equal(twist.points[i].coord(w), twist.points[j].coord(w))
+
+
+def test_wgpp_refuses_a_non_injective_first_projection():
+    space = ProductSpace([CIRCLE, CIRCLE, CIRCLE])
+    # points 0 and 1 collide first, at coordinate 1; points 1 and 2 at coordinate 0 (5/4 = 1/4)
+    rows = [(F(0), F(1, 8), F(0)), (F(1, 4), F(1, 8), F(1, 2)), (F(5, 4), F(3, 8), F(1, 3))]
+    points = [space.point(dict(enumerate(r))) for r in rows]
+    with pytest.raises(PreconditionError, match=r"coordinate 0 is not injective \(points 1, 2\)"):
+        wgpp_transform(points, lambda a: group_pair(CIRCLE))
 
 
 def test_unfocused_exact_pair_is_refused():
@@ -183,6 +214,55 @@ def test_repair_history_strictly_decreases_to_general_position():
     assert history[-1] == 0
     assert result.moves == result.certificate.stage_count == len(history) - 1
     assert check_general_position(result.points).in_general_position
+
+
+# ---------------------------------------------------------------------------
+# boundary chase
+# ---------------------------------------------------------------------------
+
+_CHASE_SPACE = ProductSpace([DiscSpace(1), DiscSpace(2), DiscSpace(2)])
+# three points share coordinate 0; the last lies on the sphere at coordinate 1
+_CHASE_ROWS = [((0.2,), (0.1, 0.0), (0.0, 0.3)),
+               ((0.2,), (-0.4, 0.2), (0.0, 0.3)),
+               ((0.2,), (0.1, 0.0), (0.5, -0.5)),
+               ((-0.3,), (1.0, 0.0), (0.2, 0.2))]
+
+
+def _chase_points(rows):
+    return [_CHASE_SPACE.point(dict(enumerate(r))) for r in rows]
+
+
+def test_boundary_chase_pulls_points_inside_and_separates_coordinate_0():
+    space, points = _CHASE_SPACE, _chase_points(_CHASE_ROWS)
+    result = boundary_chase(points, space)
+    shrink, *moves = result.stages
+    assert isinstance(shrink, CollarShrinkStage)
+    assert moves and all(isinstance(s, FloatConditionalStage) for s in moves)
+    for p in result.points:
+        assert all(vnorm(p.coord(a)) < 1.0 - space.factor(a).tolerance for a in space.indices())
+    for i, p in enumerate(result.points):
+        for q in result.points[i + 1:]:
+            assert not space.factor(0).points_equal(p.coord(0), q.coord(0))
+    back = result.points
+    for stage in reversed(result.stages):
+        back = [p.apply_stage(stage.inverse()) for p in back]
+    for p, q in zip(back, points):
+        assert all(space.factor(a).metric(p.coord(a), q.coord(a)) <= 1e-12 for a in space.indices())
+
+
+def test_boundary_chase_leaves_interior_injective_input_alone():
+    points = _chase_points([_CHASE_ROWS[0], ((-0.5,), (0.3, 0.3), (0.0, 0.0))])
+    result = boundary_chase(points, _CHASE_SPACE)
+    assert result.stages == [] and result.points == points
+
+
+def test_boundary_chase_refusals():
+    twins = _chase_points([_CHASE_ROWS[0], _CHASE_ROWS[0]])
+    with pytest.raises(PreconditionError, match="identical"):
+        boundary_chase(twins, _CHASE_SPACE)
+    space = ProductSpace([CIRCLE, DiscSpace(2)])
+    with pytest.raises(UnsupportedOperation):
+        boundary_chase([space.point()], space)
 
 
 # ---------------------------------------------------------------------------

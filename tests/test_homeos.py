@@ -118,6 +118,7 @@ def test_sup_displacement_identity():
     assert identity_for(CANTOR).sup_displacement() == 0
     assert identity_for(CIRCLE).sup_displacement() == 0
     assert identity_for(LINE).sup_displacement() == 0
+    assert identity_for(DiscSpace(2)).sup_displacement() == 0
 
 
 def test_sup_displacement_deep_permutation():
@@ -345,6 +346,17 @@ def test_transporter_disc_moves_center_and_fixes_far_points():
     assert h.apply(far) == far
     back = h.invert().apply(moved)
     assert disc.metric(back, (0.1, 0.0)) < 1e-9
+
+
+def test_float_maps_certify_only_a_declared_displacement():
+    disc = DiscSpace(2)
+    h = small_ball_transporter(disc, (0.3, 0.2), (0.3 + 2.0 ** -7, 0.2), 2.0 ** -5)
+    assert h.sup_displacement() == h.invert().sup_displacement() == 2.0 ** -6
+    # a composite declares no reach; sampling the disc would miss this small support
+    with pytest.raises(UnsupportedOperation):
+        compose(identity_for(disc), h)
+    with pytest.raises(UnsupportedOperation):
+        FloatHomeo(disc, lambda x: x, lambda x: x).invert().sup_displacement()
 
 
 def test_transporter_disc_boundary_center_rejected():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cdhkit.errors import PreconditionError
+from cdhkit.errors import PreconditionError, UnsupportedOperation
 from cdhkit.pairs import (
     glue_pairs,
     group_pair,
@@ -138,6 +138,12 @@ def test_radial_homeo_round_trip():
         x = _rand_ball(3, rng, 1.0 - 1e-6)
         back = hi.apply(h.apply(x))
         assert vnorm(vsub(back, x)) < 1e-12
+
+
+def test_radial_homeo_declares_no_displacement_bound():
+    # |h(x) - x| = |x| |x| / (1 - |x|) is unbounded on the open ball
+    with pytest.raises(UnsupportedOperation):
+        radial_homeo(2).sup_displacement()
 
 
 def test_radial_homeo_boundary_rejected():
