@@ -66,7 +66,6 @@ class CollisionReport:
     depth: int
     disagreements: dict      # (i, j) -> tuple of indices where the pair differs
     collisions: tuple        # (i, j, alpha) triples where the pair agrees
-    pair_classes: dict       # (i, j) -> "disagrees-everywhere-to-depth" | "agrees-somewhere"
 
     @property
     def in_general_position(self) -> bool:
@@ -91,12 +90,12 @@ def _collision_report(points, blocks) -> CollisionReport:
     """Pairwise report over `blocks` (index tuples, numbered by position);
     every point's coordinates are read once."""
     if not points:
-        return CollisionReport(0, {}, (), {})
+        return CollisionReport(0, {}, ())
     space = points[0].space
     used = {a for block in blocks for a in block}
     equal = {a: space.factor(a).points_equal for a in used}
     rows = [{a: p.coord(a) for a in used} for p in points]
-    dis, cols, classes = {}, [], {}
+    dis, cols = {}, []
     for i, x in enumerate(rows):
         for j in range(i + 1, len(rows)):
             y = rows[j]
@@ -109,10 +108,7 @@ def _collision_report(points, blocks) -> CollisionReport:
                 else:
                     cols.append((i, j, b))
             dis[(i, j)] = tuple(where)
-            classes[(i, j)] = (
-                "disagrees-everywhere-to-depth" if len(where) == len(blocks) else "agrees-somewhere"
-            )
-    return CollisionReport(len(blocks), dis, tuple(cols), classes)
+    return CollisionReport(len(blocks), dis, tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +228,6 @@ class WgppResult:
     points: list
     omega: frozenset
     report_before: CollisionReport
-    big_pairs: tuple  # pairs whose disagreement sets were already cofinal
 
 
 _TAIL_WINDOW = 8
@@ -300,7 +295,7 @@ def wgpp_transform(points: Sequence[ProductPoint],
             if same(col[i], col[j]):
                 raise AssertionError(f"twist failed to separate pair {(i, j)} at {a}" if a in omega
                                      else f"twist disturbed coordinate {a} of pair {(i, j)}")
-    return WgppResult(stage, moved, omega, report, big)
+    return WgppResult(stage, moved, omega, report)
 
 
 def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int):
@@ -393,11 +388,11 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
                 raise PreconditionError(f"block {b} lost its witness for pair {p}")
             witnesses[(p, b)] = w
     traces = tuple(tuple(a for a in block if a in set(star_in_range)) for block in blocks)
-    _audit_plan(blocks, traces, star_in_range, depth, B)
+    _audit_plan(blocks, traces, star_in_range, B)
     return PartitionPlan(blocks, witnesses, traces, depth)
 
 
-def _audit_plan(blocks, traces, star, depth, B):
+def _audit_plan(blocks, traces, star, B):
     covered = sorted(a for block in blocks for a in block)
     if covered != sorted(set(covered)):
         raise AssertionError("blocks overlap")
@@ -526,7 +521,6 @@ class RepairResult:
     certificate: ConvergenceCertificate
     points: list
     moves: int
-    displacement_total: F
     collision_history: list
 
 
@@ -550,7 +544,6 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
     pts = list(points)
     report = check_general_position(pts)
     cert = ConvergenceCertificate(space)
-    total = ZERO
     history = [len(report.collisions)]
 
     while report.collisions:
@@ -564,14 +557,13 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
             raise PreconditionError(f"points {i} and {j} are identical; repair impossible")
         stage = _build_move(space, pts, i, alpha, beta, cert)
         cert = cert.append(stage)
-        total += stage.sup_displacement()
         pts = [p.apply_stage(stage) for p in pts]
         new_report = check_general_position(pts)
         if len(new_report.collisions) >= len(report.collisions):
             raise AssertionError("a repair move failed to reduce the collision count")
         report = new_report
         history.append(len(report.collisions))
-    return RepairResult(cert, pts, cert.stage_count, total, history)
+    return RepairResult(cert, pts, cert.stage_count, history)
 
 
 def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
@@ -732,11 +724,11 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace) -> Bound
             raise PreconditionError(f"points {x} and {y} are identical")
         f0 = space.factor(0)
         u_c = pts[x].coord(0)
-        gaps = [f0.metric(p.coord(0), u_c) for p in pts if f0.metric(p.coord(0), u_c) > 0]
+        gaps = [d for d in (f0.metric(p.coord(0), u_c) for p in pts) if d > 0]
         r_u = min(gaps + [0.25]) / 2
         fb = space.factor(beta)
         g_c = pts[x].coord(beta)
-        vgaps = [fb.metric(p.coord(beta), g_c) for p in pts if fb.metric(p.coord(beta), g_c) > 0]
+        vgaps = [d for d in (fb.metric(p.coord(beta), g_c) for p in pts) if d > 0]
         r_v = min(vgaps + [0.25]) / 2
         margin = 1.0 - vnorm(u_c)
         shift_len = min(r_u / 2, margin / 4, 2.0 ** (-step - 3))

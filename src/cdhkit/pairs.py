@@ -56,14 +56,10 @@ def vscale(a, s: float):
 
 @dataclass
 class ConvenientPair:
-    """Forward maps as closures plus provenance and focus metadata."""
+    """Forward maps as closures."""
 
     s: Callable
     t: Callable
-    domain: tuple
-    focus: tuple
-    provenance: str
-    exact: bool
 
 
 def group_pair(factor: FactorSpace) -> ConvenientPair:
@@ -75,10 +71,6 @@ def group_pair(factor: FactorSpace) -> ConvenientPair:
     return ConvenientPair(
         s=lambda x, y: g.op(x, y),
         t=lambda x, y: g.op(x, g.inv(y)),
-        domain=(factor.kind, factor.kind),
-        focus=("whole", "whole"),
-        provenance="group",
-        exact=factor.exact,
     )
 
 
@@ -138,32 +130,31 @@ def radial_homeo(m: int) -> FloatHomeo:
 def local_pair(m: int, n: int, k: int) -> ConvenientPair:
     """The damped wrap perturbation of the projection on (D^m, D^n):
     a convenient pair focused on (B^m, B^n), fixing the boundary of the
-    product pointwise, and within 2^-k of the projection everywhere."""
+    product pointwise, and within 2^-k of the projection everywhere.
+
+    The bound: x = h^-1(h(x)) and h^-1 is 1-Lipschitz, so |s_k(x, y) - x|
+    <= 2^-k |phi(y)| <= 2^-k, because |phi| <= 1 with equality at y = 0;
+    the same holds for t_k.
+    """
     if not 1 <= n < m:
         raise PreconditionError("local pairs need 1 <= n < m")
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     phi = wrap_map(n, m)
+    h = radial_homeo(m)
     scale = 2.0 ** (-k)
 
     def _move(x, y, sign):
-        r = vnorm(x)
-        if r >= 1.0 - BOUNDARY_SNAP:
+        if vnorm(x) >= 1.0 - BOUNDARY_SNAP:
             return x
         p = phi(y)
         if all(c == 0.0 for c in p):
             return x
-        hx = vscale(x, 1.0 / (1.0 - r))
-        f = vadd(hx, vscale(p, sign * scale))
-        return vscale(f, 1.0 / (1.0 + vnorm(f)))
+        return h.backward(vadd(h.forward(x), vscale(p, sign * scale)))
 
     return ConvenientPair(
         s=lambda x, y: _move(x, y, +1.0),
         t=lambda x, y: _move(x, y, -1.0),
-        domain=(("disc", m), ("disc", n)),
-        focus=(("ball", m), ("ball", n)),
-        provenance=f"local({m},{n},{k})",
-        exact=False,
     )
 
 
@@ -247,10 +238,7 @@ def glue_pairs(x_desc: tuple, y_desc: tuple, points: Sequence[tuple]) -> GluedPa
 
     if not points:
         proj = lambda x, y: x
-        return GluedPair(
-            s=proj, t=proj, domain=(x_desc, y_desc), focus=((), ()),
-            provenance="glued", exact=False, charts=(),
-        )
+        return GluedPair(s=proj, t=proj, charts=())
 
     a_radii = _separation_radii(a_pts, x_gap, "X")
     b_radii = _separation_radii(b_pts, y_gap, "Y")
@@ -296,10 +284,6 @@ def glue_pairs(x_desc: tuple, y_desc: tuple, points: Sequence[tuple]) -> GluedPa
     glued = GluedPair(
         s=lambda x, y: _glued(x, y, True),
         t=lambda x, y: _glued(x, y, False),
-        domain=(x_desc, y_desc),
-        focus=(tuple(a_pts), tuple(b_pts)),
-        provenance="glued",
-        exact=False,
         charts=charts,
     )
     _audit_charts(glued)
@@ -335,95 +319,3 @@ def _verify_focus(pair: GluedPair, a_pts, b_pts, margin: float = 1e-12):
                     raise AssertionError(
                         f"focus failure at x={a}: images of {b1} and {b2} collide"
                     )
-
-
-# ---------------------------------------------------------------------------
-# empirical equicontinuity report
-# ---------------------------------------------------------------------------
-
-def verify_equicontinuity_bounds(m: int, n: int, samples: int = 10_000,
-                                 seed: int = 0, k_max: int = 8) -> dict:
-    """Report-only: witnesses (R, delta) for the two radial-limit bounds plus
-    the measured sup-grid distances of s_k from the projection."""
-    import random
-
-    rng = random.Random(seed)
-    report: dict = {"radial_limit": [], "sum_direction": [], "sup_sequence": []}
-
-    def rand_dir(dim):
-        v = [rng.gauss(0, 1) for _ in range(dim)]
-        norm = vnorm(v) or 1.0
-        return tuple(c / norm for c in v)
-
-    h_inv = radial_homeo(m).invert()
-
-    for eps in (0.5, 0.25, 0.1):
-        x0 = rand_dir(m)
-        big_r, delta = 2.0 / eps, eps / 2.0
-        violations = 0
-        for _ in range(samples // 10):
-            d = rand_dir(m)
-            mix = tuple(x0c + delta * 0.9 * (dc - x0c) for x0c, dc in zip(x0, d))
-            z_dir = tuple(c / vnorm(mix) for c in mix)
-            if vnorm(vsub(z_dir, x0)) >= delta:
-                continue
-            z = vscale(z_dir, big_r * (1.0 + rng.random()))
-            if vnorm(vsub(h_inv.apply(z), x0)) >= eps:
-                violations += 1
-        report["radial_limit"].append(
-            {"eps": eps, "R": big_r, "delta": delta, "violations": violations}
-        )
-
-        big_r2, delta2 = 3.0 / eps + 1.0, eps / 3.0
-        violations = 0
-        for _ in range(samples // 10):
-            d = rand_dir(m)
-            mix = tuple(x0c + delta2 * 0.9 * (dc - x0c) for x0c, dc in zip(x0, d))
-            u_dir = tuple(c / vnorm(mix) for c in mix)
-            if vnorm(vsub(u_dir, x0)) >= delta2:
-                continue
-            u = vscale(u_dir, big_r2 * (1.0 + rng.random()))
-            v = vscale(rand_dir(m), rng.random())
-            w = vadd(u, v)
-            if vnorm(vsub(vscale(w, 1.0 / vnorm(w)), x0)) >= eps:
-                violations += 1
-        report["sum_direction"].append(
-            {"eps": eps, "R": big_r2, "delta": delta2, "violations": violations}
-        )
-
-    grid = _sample_grid(m, n, samples, rng)
-    for k in range(k_max + 1):
-        pair = local_pair(m, n, k)
-        sup = max(vnorm(vsub(pair.s(x, y), x)) for x, y in grid)
-        report["sup_sequence"].append({"k": k, "sup": sup, "bound": 2.0 ** (-k)})
-    return report
-
-
-def _sample_grid(m, n, samples, rng):
-    grid = []
-    for _ in range(max(64, samples // 20)):
-        grid.append((_rand_ball(m, rng), _rand_ball(n, rng)))
-    return grid
-
-
-def _rand_ball(dim, rng, max_r=0.999):
-    v = [rng.gauss(0, 1) for _ in range(dim)]
-    norm = vnorm(v) or 1.0
-    r = max_r * rng.random() ** (1.0 / dim)
-    return tuple(c / norm * r for c in v)
-
-
-def pair_grid_rows(m: int, n: int, k: int, steps: int = 8) -> list:
-    """CSV-ready rows (x, y, s_k(x,y), |s_k - x|) over a regular grid."""
-    pair = local_pair(m, n, k)
-    rows = []
-    axis = [(-0.9 + 1.8 * i / (steps - 1)) for i in range(steps)]
-    for xv in axis:
-        for yv in axis:
-            x = (xv,) + (0.0,) * (m - 1)
-            y = (yv,) + (0.0,) * (n - 1)
-            if vnorm(x) >= 1 or vnorm(y) >= 1:
-                continue
-            sx = pair.s(x, y)
-            rows.append(list(x) + list(y) + list(sx) + [vnorm(vsub(sx, x))])
-    return rows

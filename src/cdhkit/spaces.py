@@ -558,20 +558,6 @@ class DefaultBase(BasePattern):
         return {"kind": "default"}
 
 
-class ConstantBase(BasePattern):
-    """Every coordinate carries the same factor point (uniform products)."""
-
-    def __init__(self, factor: FactorSpace, point):
-        self.factor = factor
-        self.point = point
-
-    def value(self, space, alpha):
-        return self.point
-
-    def descriptor(self):
-        return {"kind": "constant", "value": self.factor.ser_point(self.point)}
-
-
 class MarkerBase(BasePattern):
     """Constant-per-coordinate base whose value is the k-th marker point of
     each factor; distinct markers differ as factor points, which is what
@@ -599,13 +585,9 @@ def marker_point(factor: FactorSpace, k: int):
     raise UnsupportedOperation(f"no marker points for kind {factor.kind}")
 
 
-def base_from_descriptor(desc: dict, factor: Optional[FactorSpace] = None) -> BasePattern:
+def base_from_descriptor(desc: dict) -> BasePattern:
     if desc["kind"] == "default":
         return DefaultBase()
-    if desc["kind"] == "constant":
-        if factor is None:
-            raise ValueError("constant base needs the factor kind")
-        return ConstantBase(factor, factor.de_point(desc["value"]))
     if desc["kind"] == "marker":
         return MarkerBase(desc["index"])
     raise ValueError(f"unknown base pattern {desc['kind']!r}")
@@ -749,8 +731,7 @@ class ProductPoint:
 
     @staticmethod
     def de(space: ProductSpace, obj: dict) -> "ProductPoint":
-        sample_factor = space.factor(0)
-        base = base_from_descriptor(obj["base"], sample_factor)
+        base = base_from_descriptor(obj["base"])
         overrides = {
             int(a): space.factor(int(a)).de_point(v) for a, v in obj["overrides"].items()
         }

@@ -79,7 +79,6 @@ def test_report_lists_every_collision_of_hand_made_points():
     assert report.collisions == ((0, 1, 0), (0, 1, 2), (0, 2, 0), (0, 3, 1), (0, 3, 2),
                                  (1, 2, 0), (1, 2, 1), (1, 3, 2))
     assert report.disagreements[(2, 3)] == (0, 1, 2)
-    assert report.pair_classes[(2, 3)] == "disagrees-everywhere-to-depth"
     assert not report.in_general_position
 
 
@@ -170,9 +169,7 @@ def test_unfocused_exact_pair_is_refused():
     space = ProductSpace([CIRCLE] * 3)
     points = [space.point({0: F(i, 4), 1: F(i, 5), 2: F(i, 7)}) for i in range(4)]
     # x + 2y separates most second arguments but merges y and y + 1/2
-    pair = ConvenientPair(s=lambda x, y: _wrap1(x + 2 * y), t=lambda x, y: _wrap1(x - 2 * y),
-                          domain=("circle", "circle"), focus=("whole", "none"),
-                          provenance="doubling", exact=True)
+    pair = ConvenientPair(s=lambda x, y: _wrap1(x + 2 * y), t=lambda x, y: _wrap1(x - 2 * y))
     with pytest.raises(PreconditionError, match="not focused"):
         wgpp_transform(points, lambda a: pair)
 
@@ -180,8 +177,7 @@ def test_unfocused_exact_pair_is_refused():
 def test_unfocused_float_pair_is_refused():
     space = ProductSpace([DiscSpace(1), DiscSpace(2)])
     points = [space.point({0: (0.1 * i,), 1: (0.2, 0.1 * i)}) for i in range(3)]
-    pair = ConvenientPair(s=lambda x, y: x, t=lambda x, y: x, domain=(("disc", 2), ("disc", 1)),
-                          focus=("none", "none"), provenance="projection", exact=False)
+    pair = ConvenientPair(s=lambda x, y: x, t=lambda x, y: x)
     with pytest.raises(PreconditionError, match="not focused"):
         wgpp_transform(points, lambda a: pair)
 

@@ -12,9 +12,7 @@ from cdhkit.pairs import (
     glue_pairs,
     group_pair,
     local_pair,
-    pair_grid_rows,
     radial_homeo,
-    verify_equicontinuity_bounds,
     vnorm,
     vsub,
     wrap_map,
@@ -220,6 +218,31 @@ def test_local_pair_within_2k_of_projection():
         assert b <= a + 1e-12
 
 
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 2)])
+def test_local_pair_2k_bound_at_extremal_points(m, n):
+    # |phi(0)| = 1, so at x = 0 the displacement is |h^-1(2^-k phi(0))| = 2^-k/(1+2^-k);
+    # on the ray through -phi(0) it peaks at |h(x)| = 2^-(k+1); it never passes 2^-k
+    origin, y0 = (0.0,) * m, (0.0,) * n
+    ys = [y0, (1.0 - 1e-9,) + (0.0,) * (n - 1), (0.0,) * (n - 1) + (-(1.0 - 1e-6),)]
+    rays = [(1.0,) + (0.0,) * (m - 1), (-1.0,) + (0.0,) * (m - 1),
+            tuple(c / math.sqrt(m) for c in (1.0,) * m)]
+    for k in range(9):
+        pair = local_pair(m, n, k)
+        bound = 2.0 ** (-k)
+        r_peak = bound / 2 / (1 + bound / 2)
+        radii = [0.0, r_peak, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]
+        for move in (pair.s, pair.t):
+            assert abs(vnorm(vsub(move(origin, y0), origin)) - bound / (1 + bound)) <= 1e-15
+            for ray in rays:
+                for r in radii:
+                    x = tuple(r * c for c in ray)
+                    for y in ys:
+                        assert vnorm(vsub(move(x, y), x)) <= bound
+        # that peak comes within a factor 1+2^-(k+1) of 2^-k
+        x = (r_peak,) + (0.0,) * (m - 1)
+        assert vnorm(vsub(pair.s(x, y0), x)) >= bound / (1 + bound / 2) - 1e-15
+
+
 # ---------------------------------------------------------------------------
 # glued pairs
 # ---------------------------------------------------------------------------
@@ -289,28 +312,3 @@ def test_glue_disc_model():
     for _ in range(300):
         x, y = _rand_ball(2, rng), _rand_ball(1, rng)
         assert vnorm(vsub(pair.s(pair.t(x, y), y), x)) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# equicontinuity report and CSV grid
-# ---------------------------------------------------------------------------
-
-def test_equicontinuity_report():
-    report = verify_equicontinuity_bounds(2, 1, samples=2000, seed=0, k_max=6)
-    for row in report["radial_limit"]:
-        assert row["violations"] == 0
-    for row in report["sum_direction"]:
-        assert row["violations"] == 0
-    sups = [row["sup"] for row in report["sup_sequence"]]
-    for a, b in zip(sups, sups[1:]):
-        assert b <= a + 1e-12
-    for row in report["sup_sequence"]:
-        assert row["sup"] <= row["bound"] + 1e-9
-
-
-def test_pair_grid_rows_shape():
-    rows = pair_grid_rows(2, 1, 3, steps=5)
-    assert rows
-    for row in rows:
-        assert len(row) == 2 + 1 + 2 + 1
-        assert row[-1] <= 2.0 ** (-3) + 1e-9

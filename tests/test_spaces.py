@@ -16,7 +16,6 @@ from cdhkit.spaces import (
     CANTOR,
     CIRCLE,
     LINE,
-    ConstantBase,
     CoordwiseStage,
     DiscSpace,
     ProductPoint,
@@ -373,14 +372,3 @@ def test_point_serialization_round_trip_bit_exact():
     for a in range(10):
         assert q.coord(a) == p.coord(a)
     assert q.ser() == obj
-
-
-def test_constant_base_pattern_round_trip():
-    space = _cantor_omega()
-    base = ConstantBase(CANTOR, SymSeq((1, 1), 0))
-    p = ProductPoint(space, base, {2: SymSeq((0, 1), 0)})
-    assert p.coord(0) == SymSeq((1, 1), 0)
-    assert p.coord(2) == SymSeq((0, 1), 0)
-    q = ProductPoint.de(space, p.ser())
-    for a in range(6):
-        assert q.coord(a) == p.coord(a)
