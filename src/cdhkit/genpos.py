@@ -34,7 +34,7 @@ from .errors import (
 )
 from .homeos import _undo_shift
 from .pairs import ConvenientPair, vnorm
-from .rationals import ZERO, format_scalar, parse_scalar, pow2
+from .rationals import ZERO, floor_pow2, format_scalar, parse_scalar, pow2
 from .spaces import (
     CantorSpace,
     BaireSpace,
@@ -86,29 +86,43 @@ def check_regrouped_general_position(points: Sequence[ProductPoint],
     return _collision_report(points, plan.blocks)
 
 
-def _collision_report(points, blocks) -> CollisionReport:
+def _keyed_column(factor: FactorSpace, values) -> tuple:
+    """A coordinate column as (same, column) for pair tests.  Circle and line
+    values become small-int ids (one wrap per value, equal ids iff
+    `points_equal`) and sequence values stay as they are, so for exact kinds
+    `same` is `==` and the entries are hashable; float values keep the
+    tolerance test `points_equal`."""
+    if isinstance(factor, (CircleSpace, LineSpace)):
+        ids: dict = {}
+        return operator.eq, [ids.setdefault(_point_key(factor, v), len(ids)) for v in values]
+    return (operator.eq if factor.exact else factor.points_equal), list(values)
+
+
+def _collision_report(points, blocks, cols=None) -> CollisionReport:
     """Pairwise report over `blocks` (index tuples, numbered by position);
-    every point's coordinates are read once."""
+    every used column is read and keyed once, unless `cols` (index ->
+    `_keyed_column` of the points) already holds it."""
     if not points:
         return CollisionReport(0, {}, ())
     space = points[0].space
-    used = {a for block in blocks for a in block}
-    equal = {a: space.factor(a).points_equal for a in used}
-    rows = [{a: p.coord(a) for a in used} for p in points]
-    dis, cols = {}, []
-    for i, x in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            y = rows[j]
+    cols = dict(cols or {})
+    for a in {a for block in blocks for a in block} - cols.keys():
+        cols[a] = _keyed_column(space.factor(a), [p.coord(a) for p in points])
+    keyed = [[cols[a] for a in block] for block in blocks]
+    dis, collisions = {}, []
+    n = len(points)
+    for i in range(n):
+        for j in range(i + 1, n):
             where = []
-            for b, block in enumerate(blocks):
-                for a in block:
-                    if not equal[a](x[a], y[a]):
+            for b, block in enumerate(keyed):
+                for same, col in block:
+                    if not same(col[i], col[j]):
                         where.append(b)
                         break
                 else:
-                    cols.append((i, j, b))
+                    collisions.append((i, j, b))
             dis[(i, j)] = tuple(where)
-    return CollisionReport(len(blocks), dis, tuple(cols))
+    return CollisionReport(len(blocks), dis, tuple(collisions))
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +296,12 @@ def wgpp_transform(points: Sequence[ProductPoint],
     moved = [p.apply_stage(stage) for p in points]
 
     # the lemma's two guarantees, asserted exactly on the finite set where
-    # (a in omega) != (a in dis); a column is read, and keyed if exact, once
+    # (a in omega) != (a in dis); a column is read, and keyed, once
     cols: dict = {}
     for (i, j), dis in report.disagreements.items():
         for a in sorted(omega.symmetric_difference(dis)):
             if a not in cols:
-                fa = space.factor(a)
-                col = [p.coord(a) for p in moved]
-                cols[a] = ((operator.eq, [_point_key(fa, v) for v in col]) if fa.exact
-                           else (fa.points_equal, col))
+                cols[a] = _keyed_column(space.factor(a), [p.coord(a) for p in moved])
             same, col = cols[a]
             if same(col[i], col[j]):
                 raise AssertionError(f"twist failed to separate pair {(i, j)} at {a}" if a in omega
@@ -302,7 +313,7 @@ def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int):
     """Every two distinct ys are separated by s(x, .) for every x in xs, with
     one evaluation of `pair.s` per (x, y); raises PreconditionError if not."""
     if factor.exact:  # equal keys iff points_equal: keep one y per key
-        ys = list({_point_key(factor, y): y for y in ys}.values())
+        ys = list(dict(zip(_keyed_column(factor, ys)[1], ys)).values())
         apart = len(ys) > 1
     else:  # tolerance equality is not transitive: compare float points pairwise
         apart = [(i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
@@ -312,7 +323,7 @@ def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int):
     for x in xs:
         images = [pair.s(x, y) for y in ys]
         if factor.exact:
-            merged = len({_point_key(factor, v) for v in images}) < len(ys)
+            merged = len(set(_keyed_column(factor, images)[1])) < len(ys)
         else:
             merged = any(factor.points_equal(images[i], images[j]) for i, j in apart)
         if merged:
@@ -366,12 +377,14 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
             owner[cand] = b
 
     omega_star = sorted(set(omega_star or [])) if omega_star else []
-    star_in_range = [a for a in omega_star if a in set(idx)]
+    in_range = set(idx)
+    star_in_range = [a for a in omega_star if a in in_range]
+    star_set = set(star_in_range)
     rank = 0
     for a in idx:
         if a in owner:
             continue
-        if a in star_in_range:
+        if a in star_set:
             b = rank % B
             owner[a] = b if b <= a else a % B
             rank += 1
@@ -387,7 +400,7 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
             if w is None:
                 raise PreconditionError(f"block {b} lost its witness for pair {p}")
             witnesses[(p, b)] = w
-    traces = tuple(tuple(a for a in block if a in set(star_in_range)) for block in blocks)
+    traces = tuple(tuple(a for a in block if a in star_set) for block in blocks)
     _audit_plan(blocks, traces, star_in_range, B)
     return PartitionPlan(blocks, witnesses, traces, depth)
 
@@ -532,6 +545,10 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
     coordinate, and the fresh target value differs from every current value),
     so the collision count strictly decreases.  Move displacements are capped
     by 2^-step, keeping the total below 2 and the product certificate valid.
+
+    A move changes coordinate alpha only, so the collision set is kept
+    between moves and only column alpha is re-checked; one full check at the
+    end guards against drift.  Moves follow (i, j, alpha) order.
     """
     if space.count is None:
         raise PreconditionError("collision repair needs a finite product")
@@ -542,31 +559,42 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
                 f"repair moves are implemented for circle/line factors, not {f.kind}"
             )
     pts = list(points)
-    report = check_general_position(pts)
+    idx = list(space.indices())
+    cols = {a: _keyed_column(space.factor(a), [p.coord(a) for p in pts]) for a in idx}
+    collisions = set(_collision_report(pts, [(a,) for a in idx], cols).collisions)
     cert = ConvergenceCertificate(space)
-    history = [len(report.collisions)]
+    history = [len(collisions)]
 
-    while report.collisions:
-        i, j, alpha = report.collisions[0]
-        beta = next(
-            (a for a in space.indices()
-             if not space.factor(a).points_equal(pts[i].coord(a), pts[j].coord(a))),
-            None,
-        )
+    while collisions:
+        i, j, alpha = min(collisions)
+        beta = next((a for a in idx if cols[a][1][i] != cols[a][1][j]), None)
         if beta is None:
             raise PreconditionError(f"points {i} and {j} are identical; repair impossible")
         stage = _build_move(space, pts, i, alpha, beta, cert)
         cert = cert.append(stage)
         pts = [p.apply_stage(stage) for p in pts]
-        new_report = check_general_position(pts)
-        if len(new_report.collisions) >= len(report.collisions):
+        # the move changes column alpha only: re-key and re-check just that
+        cols[alpha] = _keyed_column(space.factor(alpha), [p.coord(alpha) for p in pts])
+        left = {c for c in collisions if c[2] != alpha}
+        left.update((x, y, alpha) for x, y, _ in _collision_report(pts, [(alpha,)], cols).collisions)
+        if len(left) >= len(collisions):
             raise AssertionError("a repair move failed to reduce the collision count")
-        report = new_report
-        history.append(len(report.collisions))
+        collisions = left
+        history.append(len(collisions))
+    if not check_general_position(pts).in_general_position:
+        raise AssertionError("the collision index drifted from the points")
     return RepairResult(cert, pts, cert.stage_count, history)
 
 
 def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
+    """Stage k = cert.stage_count: moves point i's coordinate alpha, gated on
+    beta, by a power of two at most min(r_u/2, cap * 2^alpha), where
+    cap = min(2^-k, 2^-(k-1)/lip_inv).  Conditions (1) and (2) of the
+    certificate read 2^-alpha |shift| <= 2^-(k-1) and
+    lip_inv 2^-alpha |shift| <= 2^-(k-1); both hold at the cap and for every
+    smaller shift, so snapping down to a power of two (and halving towards a
+    fresh target) keeps them sound.  The power of two keeps dyadic data
+    dyadic instead of passing on the denominator of lip_inv."""
     fa, fb = space.factor(alpha), space.factor(beta)
     u_c = pts[i].coord(alpha)
     g_c = pts[i].coord(beta)
@@ -586,8 +614,7 @@ def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
 
     k = cert.stage_count
     cap = min(pow2(-k), pow2(-(k - 1)) / cert._lip_inv) if k >= 1 else F(1)
-    cap = min(cap, pow2(-k))
-    shift = min(r_u / 2, cap * pow2(alpha))
+    shift = floor_pow2(min(r_u / 2, cap * pow2(alpha)))
     taken = {_point_key(fa, p.coord(alpha)) for p in pts}
     while True:
         target = _wrap1(u_c + shift) if isinstance(fa, CircleSpace) else u_c + shift

@@ -21,6 +21,16 @@ def pow2(n: int) -> Fraction:
     return Fraction(1, 1 << (-n))
 
 
+def floor_pow2(x: Fraction) -> Fraction:
+    """Largest power of two <= x (x > 0), found from the bit lengths of x's
+    numerator and denominator, which put log2 x within one of their
+    difference."""
+    if x <= 0:
+        raise ValueError("x must be positive")
+    p = pow2(x.numerator.bit_length() - x.denominator.bit_length())
+    return p if p <= x else p / 2
+
+
 def format_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 

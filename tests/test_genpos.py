@@ -26,6 +26,7 @@ from cdhkit.genpos import (
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
+from cdhkit.rationals import floor_pow2
 from cdhkit.spaces import (
     BAIRE,
     CANTOR,
@@ -70,6 +71,27 @@ def test_singleton_blocks_report_equals_plain_report(kind):
         points = result.points
     plain = check_general_position(points)
     assert check_regrouped_general_position(points, _singleton_plan(space)) == plain
+
+
+_MIXED = ProductSpace([CIRCLE, LINE, CANTOR, DiscSpace(1)])
+_MIXED_VALUES = (st.fractions(-2, 2, max_denominator=4), st.fractions(-2, 2, max_denominator=4),
+                 st.builds(SymSeq, st.lists(st.integers(0, 1), max_size=2).map(tuple),
+                           st.integers(0, 1)),
+                 st.sampled_from([0.0, 0.5, 0.5 + 1e-13]).map(lambda v: (v,)))
+
+
+@given(st.lists(st.tuples(*_MIXED_VALUES), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_keyed_report_agrees_with_pairwise_points_equal(rows):
+    points = [_MIXED.point(dict(enumerate(r))) for r in rows]
+    report = check_general_position(points)
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
+    equal = [[_MIXED.factor(a).points_equal(rows[i][a], rows[j][a]) for a in range(4)]
+             for i, j in pairs]
+    assert report.collisions == tuple((i, j, a) for (i, j), eq in zip(pairs, equal)
+                                      for a in range(4) if eq[a])
+    assert report.disagreements == {p: tuple(a for a in range(4) if not eq[a])
+                                    for p, eq in zip(pairs, equal)}
 
 
 def test_report_lists_every_collision_of_hand_made_points():
@@ -210,6 +232,71 @@ def test_repair_history_strictly_decreases_to_general_position():
     assert history[-1] == 0
     assert result.moves == result.certificate.stage_count == len(history) - 1
     assert check_general_position(result.points).in_general_position
+
+
+_GRID = st.integers(-16, 31).map(lambda k: F(k, 16))
+
+
+@st.composite
+def _dyadic_repair_inputs(draw):
+    kinds = draw(st.lists(st.sampled_from([CIRCLE, LINE]), min_size=2, max_size=4))
+    space = ProductSpace(kinds)
+    rows = draw(st.lists(st.tuples(*[_GRID] * len(kinds)), min_size=2, max_size=8,
+                         unique_by=lambda r: tuple(_wrap1(v) if f is CIRCLE else v
+                                                   for f, v in zip(kinds, r))))
+    return space, [space.point(dict(enumerate(r))) for r in rows]
+
+
+def _is_pow2(x: Fraction) -> bool:
+    x = abs(x)
+    return x > 0 and x == floor_pow2(x)
+
+
+@given(_dyadic_repair_inputs())
+@settings(max_examples=60, deadline=None)
+def test_repair_replays_its_history_and_keeps_dyadic_data_dyadic(inputs):
+    space, points = inputs
+    result = collision_repair_gpp(points, space)
+    stages = result.certificate.stages
+    pts = list(points)
+    assert len(check_general_position(pts).collisions) == result.collision_history[0]
+    for k, stage in enumerate(stages, 1):
+        pts = [p.apply_stage(stage) for p in pts]
+        assert len(check_general_position(pts).collisions) == result.collision_history[k]
+    assert check_general_position(pts).in_general_position
+    assert all(_is_pow2(stage.shift) for stage in stages)
+    assert all(_is_pow2(F(1, p.coord(a).denominator))
+               for p in result.points for a in space.indices())
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_circle4_repair_keeps_values_printable(n):
+    space = ProductSpace([CIRCLE] * 4)
+    points = [space.point({0: F(i, n - 1), 1: F(i % 2, 3)}) for i in range(n)]
+    result = collision_repair_gpp(points, space)
+    assert check_general_position(result.points).in_general_position
+    json.dumps(result.certificate.describe())  # ValueError past the int-to-str digit limit
+    assert max(stage.shift.denominator.bit_length() for stage in result.certificate.stages) <= 64
+
+
+def test_repair_compares_coordinates_per_move_not_per_pair(monkeypatch):
+    rng = random.Random(3)
+    space = ProductSpace([CIRCLE, LINE, CIRCLE, LINE])
+    rows: set = set()
+    while len(rows) < 8:
+        rows.add(tuple(F(rng.randrange(4), 4) for _ in range(4)))
+    points = [space.point(dict(enumerate(r))) for r in sorted(rows)]
+    calls = []
+    for cls in (type(CIRCLE), type(LINE)):
+        for name in ("points_equal", "metric"):
+            def counted(self, x, y, _f=getattr(cls, name)):
+                calls.append(1)
+                return _f(self, x, y)
+            monkeypatch.setattr(cls, name, counted)
+    result = collision_repair_gpp(points, space)
+    assert result.moves > 4
+    # two gaps per point and move (bump and gate radii), no pairwise tests
+    assert len(calls) <= 2 * result.moves * len(points)
 
 
 # ---------------------------------------------------------------------------

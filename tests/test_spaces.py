@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cdhkit.errors import IndexRange, SpaceMismatch, UnsupportedOperation
 from cdhkit.homeos import PLCircleHomeo
-from cdhkit.rationals import pow2
+from cdhkit.rationals import floor_pow2, pow2
 from cdhkit.spaces import (
     BAIRE,
     CANTOR,
@@ -107,6 +107,14 @@ def test_circle_metric_axioms(a, b, c):
     assert d(a, b) == d(b, a)
     assert d(a, c) <= d(a, b) + d(b, c)
     assert d(a, a) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**30), max_value=10**30))
+def test_floor_pow2_brackets_its_argument(x):
+    p = floor_pow2(x)
+    assert p <= x < 2 * p
+    assert p in (pow2(n) for n in range(-110, 110))
 
 
 # ---------------------------------------------------------------------------
