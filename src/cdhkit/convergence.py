@@ -45,7 +45,7 @@ class BoundEntry:
 
     def ser(self) -> dict:
         def s(v):
-            return None if v is None else (format_scalar(v) if isinstance(v, Fraction) else v)
+            return None if v is None else format_scalar(v)
 
         return {
             "stage": self.stage,
@@ -77,7 +77,6 @@ class ConvergenceCertificate:
         self.stages: tuple = ()
         self.entries: tuple = ()
         self._lip_inv = Fraction(1)  # certified Lipschitz bound for H_n^-1 (product stages)
-        self._parent = None       # the certificate this one extends, until _mat is set
         self._mat = None          # materialized H_n, exact kinds only
         self._mat_inv = None
         self._inverses = None
@@ -130,11 +129,12 @@ class ConvergenceCertificate:
         lip = self._lip_inv  # unused for factor stages
         if isinstance(h, ProductStage):
             lip *= h.lip_backward_bound()
+        mat = None
         if k == 0:
             entry = BoundEntry(0, None, c1, None, None, "exempt")
         else:
             bound = pow2(-(k - 1))
-            c2, method = self._cond_values(h, c1)
+            c2, method, mat = self._cond_values(h, c1)
             if c1 > bound:
                 raise BoundViolation(stage=k, condition=1, bound=bound, value=c1)
             if c2 > bound:
@@ -144,18 +144,18 @@ class ConvergenceCertificate:
         cert.stages = self.stages + (h,)
         cert.entries = self.entries + (entry,)
         cert._lip_inv = lip
-        cert._parent = self
+        cert._mat = mat
         return cert
 
     def _cond_values(self, h, c1):
         """Condition (2) value for appending h, given its condition (1) value
-        c1, plus the method tag."""
+        c1, plus the method tag and, on the exact path, H_{n+1}."""
         if isinstance(h, ProductStage):
-            return self._lip_inv * c1, "lipschitz"
+            return self._lip_inv * c1, "lipschitz", None
         if isinstance(h, FloatHomeo):
             # c1 is the declared reach, doubled; the tag predates that rule and
             # stays so that recorded ledgers re-verify byte for byte
-            return c1 * 2, "sampled"
+            return c1 * 2, "sampled", None
         # exact factor stage: condition (2) equals sup displacement of
         # H_n^-1 o h o H_n.
         if isinstance(h, CylinderHomeo):
@@ -164,32 +164,20 @@ class ConvergenceCertificate:
                 # every moved pair stays inside one depth-t cylinder, where the
                 # chain inverse acts as an isometry: the conjugate displacement
                 # equals the displacement itself
-                return c1, "exact-isometry"
-        conj = self._materialized_conjugate(h)
-        return conj.sup_displacement(), "exact"
-
-    def _materialized_conjugate(self, h) -> FactorHomeo:
-        mat = self._materialize()
-        mat_inv = self._materialize_inv()
-        return compose(compose(mat, h), mat_inv)
+                return c1, "exact-isometry", None
+        # H_{n+1} = h o H_n is built on the way and handed to the extension
+        nxt = compose(self._materialize(), h)
+        return compose(nxt, self._materialize_inv()).sup_displacement(), "exact", nxt
 
     def _materialize(self) -> FactorHomeo:
-        """H_n, composed onto the nearest ancestor that holds its own."""
+        """H_n: handed over by the exact append that made this certificate,
+        else composed from stage 0."""
         if self._mat is None:
-            base = self
-            while base._mat is None and base._parent is not None:
-                base = base._parent
-            acc = base._mat or identity_for(self.stages[0].space if self.stages else self.space)
-            for h in self.stages[base.stage_count:]:
-                acc = compose(acc, h)
-                if isinstance(acc, CylinderHomeo) and len(acc.table) > _MATERIALIZE_CAP:
-                    raise UnsupportedOperation(
-                        "materialized composition too large for an exact condition-(2) "
-                        "check; use stages supported beyond the chain depth"
-                    )
+            acc = identity_for(self.stages[0].space if self.stages else self.space)
+            for h in self.stages:
+                acc = _capped(compose(acc, h))
             self._mat = acc
-            self._parent = None
-        return self._mat
+        return _capped(self._mat)
 
     def _materialize_inv(self) -> FactorHomeo:
         if self._mat_inv is None:
@@ -197,9 +185,6 @@ class ConvergenceCertificate:
         return self._mat_inv
 
     # -- limit evaluation -------------------------------------------------------
-    def _truncation_index(self, eps) -> int:
-        return bound_exponent(Fraction(eps)) + 1
-
     def tail_residual(self) -> Optional[Fraction]:
         """What any bound-respecting extension could still move the limit by."""
         if self.stage_count == 0:
@@ -207,22 +192,18 @@ class ConvergenceCertificate:
         return pow2(-(self.last_index - 1))
 
     def limit_eval(self, x, eps) -> EvalResult:
-        if self.stage_count == 0:
-            return EvalResult(x, ZERO, None)
-        n = self.last_index
-        N = self._truncation_index(eps)
-        if N <= n:
-            return EvalResult(self.partial(x, N), pow2(-(N - 1)), self.tail_residual())
-        return EvalResult(self.apply(x), ZERO, self.tail_residual())
+        return self._limit(self.partial, x, eps)
 
     def limit_inv_eval(self, x, eps) -> EvalResult:
+        return self._limit(self.partial_inv, x, eps)
+
+    def _limit(self, partial, x, eps) -> EvalResult:
         if self.stage_count == 0:
             return EvalResult(x, ZERO, None)
-        n = self.last_index
-        N = self._truncation_index(eps)
-        if N <= n:
-            return EvalResult(self.partial_inv(x, N), pow2(-(N - 1)), self.tail_residual())
-        return EvalResult(self.apply_inv(x), ZERO, self.tail_residual())
+        N = bound_exponent(Fraction(eps)) + 1
+        if N <= self.last_index:
+            return EvalResult(partial(x, N), pow2(-(N - 1)), self.tail_residual())
+        return EvalResult(partial(x, self.last_index), ZERO, self.tail_residual())
 
     # -- export -----------------------------------------------------------------
     def ledger(self) -> list:
@@ -234,6 +215,16 @@ class ConvergenceCertificate:
             "stages": [h.descriptor() for h in self.stages],
             "ledger": self.ledger(),
         }
+
+
+def _capped(mat: FactorHomeo) -> FactorHomeo:
+    """`mat`, unless its cylinder table is too large to check exactly."""
+    if isinstance(mat, CylinderHomeo) and len(mat.table) > _MATERIALIZE_CAP:
+        raise UnsupportedOperation(
+            "materialized composition too large for an exact condition-(2) "
+            "check; use stages supported beyond the chain depth"
+        )
+    return mat
 
 
 def double_limit_defect(cert: ConvergenceCertificate, m: int, n: int, x) -> Fraction:

@@ -144,11 +144,10 @@ def product_boxes(space: ProductSpace, count: int) -> list:
     per-factor basic-open indices, supports clipped to the index set."""
     boxes = []
     n = 0
-    cap = space.count if space.count is not None else None
     while len(boxes) < count:
         t = nat_tuple(n)
         n += 1
-        if cap is not None and len(t) > cap:
+        if space.count is not None and len(t) > space.count:
             continue
         boxes.append({a: space.factor(a).basic_open(b) for a, b in enumerate(t)})
     return boxes
@@ -269,20 +268,18 @@ def wgpp_transform(points: Sequence[ProductPoint],
         if dis and max(dis) >= full_depth - _TAIL_WINDOW
     )
 
-    if not big:
-        omega = frozenset(a for a in idx if a != 0)
-    else:
-        # split each cofinal disagreement set into two interleaved cofinal
-        # halves, claimed pairwise disjointly in pair order; the twist keeps
-        # one half, the untouched half keeps the pair's own disagreements
-        claimed: set = set()
-        into_omega: set = set()
-        for p in big:
-            avail = [a for a in report.disagreements[p] if a not in claimed and a != 0]
-            claimed.update(avail)
-            # alternate from the deep end so both halves stay cofinal
-            into_omega.update(avail[-1::-2])
-        omega = frozenset(a for a in idx if a != 0 and (a not in claimed or a in into_omega))
+    # split each cofinal disagreement set into two interleaved cofinal
+    # halves, claimed pairwise disjointly in pair order; the twist keeps one
+    # half, the untouched half keeps the pair's own disagreements.  With no
+    # big pair nothing is claimed and every nonzero index is twisted.
+    claimed: set = set()
+    into_omega: set = set()
+    for p in big:
+        avail = [a for a in report.disagreements[p] if a not in claimed and a != 0]
+        claimed.update(avail)
+        # alternate from the deep end so both halves stay cofinal
+        into_omega.update(avail[-1::-2])
+    omega = frozenset(a for a in idx if a != 0 and (a not in claimed or a in into_omega))
 
     pairs = {}
     a_col = {a: [p.coord(a) for p in points] for a in idx}
@@ -592,9 +589,12 @@ def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
     cap = min(2^-k, 2^-(k-1)/lip_inv).  Conditions (1) and (2) of the
     certificate read 2^-alpha |shift| <= 2^-(k-1) and
     lip_inv 2^-alpha |shift| <= 2^-(k-1); both hold at the cap and for every
-    smaller shift, so snapping down to a power of two (and halving towards a
-    fresh target) keeps them sound.  The power of two keeps dyadic data
-    dyadic instead of passing on the denominator of lip_inv."""
+    smaller shift, so snapping down to a power of two keeps them sound.  The
+    power of two keeps dyadic data dyadic instead of passing on the
+    denominator of lip_inv.
+
+    The target u_c + shift is fresh: every other value of coordinate alpha
+    lies at distance 0 or at least 2 r_u from u_c, and 0 < |shift| <= r_u/2."""
     fa, fb = space.factor(alpha), space.factor(beta)
     u_c = pts[i].coord(alpha)
     g_c = pts[i].coord(beta)
@@ -615,14 +615,6 @@ def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
     k = cert.stage_count
     cap = min(pow2(-k), pow2(-(k - 1)) / cert._lip_inv) if k >= 1 else F(1)
     shift = floor_pow2(min(r_u / 2, cap * pow2(alpha)))
-    taken = {_point_key(fa, p.coord(alpha)) for p in pts}
-    while True:
-        target = _wrap1(u_c + shift) if isinstance(fa, CircleSpace) else u_c + shift
-        if _point_key(fa, target) not in taken:
-            break
-        shift /= 2
-        if shift == 0:
-            raise AssertionError("could not pick a fresh target value")
     return ConditionalMoveStage(space, alpha, beta, u_c, r_u, shift, g_c, r_v)
 
 

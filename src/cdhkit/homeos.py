@@ -58,7 +58,6 @@ class FactorHomeo:
     """Invertible self-map of one factor."""
 
     space: FactorSpace
-    exact: bool = True
 
     def apply(self, x):
         raise NotImplementedError
@@ -81,8 +80,7 @@ class FactorHomeo:
 # Cylinder homeomorphisms (cantor / baire)
 # ---------------------------------------------------------------------------
 
-def _zero_mask() -> SymSeq:
-    return SymSeq((), 0)
+_ZERO_MASK = SymSeq((), 0)
 
 
 class CylinderHomeo(FactorHomeo):
@@ -103,7 +101,7 @@ class CylinderHomeo(FactorHomeo):
             tuple(k): (m if isinstance(m, SymSeq) else SymSeq(*m))
             for k, m in (masks or {}).items()
         }
-        masks = {k: m for k, m in masks.items() if m != _zero_mask()}
+        masks = {k: m for k, m in masks.items() if m != _ZERO_MASK}
         for k, v in table.items():
             if len(k) != depth or len(v) != depth:
                 raise ValueError("table prefixes must have the declared depth")
@@ -176,7 +174,7 @@ class CylinderHomeo(FactorHomeo):
         table, masks = {}, {}
         for c in touched:
             c2 = self.table.get(c, c)
-            m = self.masks.get(c, _zero_mask())
+            m = self.masks.get(c, _ZERO_MASK)
             head = m.take(delta)
             rest = m.drop(delta)
             for ext in itertools.product((0, 1), repeat=delta):
@@ -185,7 +183,7 @@ class CylinderHomeo(FactorHomeo):
                 dst = c2 + tuple(e ^ h for e, h in zip(ext, head))
                 if src != dst:
                     table[src] = dst
-                if rest != _zero_mask():
+                if rest != _ZERO_MASK:
                     masks[src] = rest
         return CylinderHomeo(self.space, depth, table, masks)
 
@@ -218,12 +216,12 @@ def _compose_cylinder(g: CylinderHomeo, h: CylinderHomeo) -> CylinderHomeo:
     for c in sources:
         mid = g.table.get(c, c)
         dst = h.table.get(mid, mid)
-        m1 = g.masks.get(c, _zero_mask())
-        m2 = h.masks.get(mid, _zero_mask())
+        m1 = g.masks.get(c, _ZERO_MASK)
+        m2 = h.masks.get(mid, _ZERO_MASK)
         m = op(m1, m2)
         if c != dst:
             table[c] = dst
-        if m != _zero_mask():
+        if m != _ZERO_MASK:
             masks[c] = m
     return CylinderHomeo(g.space, depth, table, masks)
 
@@ -396,8 +394,6 @@ class FloatHomeo(FactorHomeo):
     margin, and refuses a map without one.
     """
 
-    exact = False
-
     def __init__(self, space, forward: Callable, backward: Callable,
                  tolerance: float = 1e-9, label: str = "float-homeo",
                  reach: Optional[float] = None):
@@ -507,7 +503,6 @@ def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
 
 
 def _realize_seq(factor, sigma: dict) -> CylinderHomeo:
-    pts = list(sigma) + list(sigma.values())
     depth = 1
     for group in (list(sigma), list(sigma.values())):
         for a, b in itertools.combinations(group, 2):
@@ -522,7 +517,7 @@ def _realize_seq(factor, sigma: dict) -> CylinderHomeo:
         cx, cy = x.take(depth), y.take(depth)
         table[cx] = cy
         offs = g.op(y.drop(depth), g.inv(x.drop(depth)))
-        if offs != _zero_mask():
+        if offs != _ZERO_MASK:
             masks[cx] = offs
     # close the partial injection to a permutation of the touched prefixes
     touched = sorted(set(table) | set(table.values()))

@@ -200,7 +200,7 @@ class FactorSpace:
         raise NotImplementedError
 
     def points_equal(self, x, y) -> bool:
-        return self.metric(x, y) == 0
+        return x == y
 
     def metric(self, x, y):
         raise NotImplementedError
@@ -229,9 +229,6 @@ class _SeqSpace(FactorSpace):
     def metric(self, x: SymSeq, y: SymSeq) -> Fraction:
         j = x.first_diff(y)
         return ZERO if j is None else pow2(-j)
-
-    def points_equal(self, x, y):
-        return x == y
 
     def ser_point(self, x: SymSeq):
         return {"prefix": list(x.prefix), "tail": x.tail}
@@ -328,9 +325,6 @@ class LineSpace(FactorSpace):
 
     def metric(self, x: Fraction, y: Fraction) -> Fraction:
         return min(abs(x - y), Fraction(1))
-
-    def points_equal(self, x, y):
-        return x == y
 
     def ser_point(self, x):
         return format_scalar(x)
@@ -485,9 +479,8 @@ class ProductSpace:
             d = min(d, self.count)
         return range(d)
 
-    def point(self, overrides: Optional[dict] = None, base: Optional["BasePattern"] = None,
-              ) -> "ProductPoint":
-        return ProductPoint(self, base or DefaultBase(), dict(overrides or {}))
+    def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
+        return ProductPoint(self, DefaultBase(), dict(overrides or {}))
 
     # -- metric ------------------------------------------------------------
     def distance(self, x: "ProductPoint", y: "ProductPoint", depth: Optional[int] = None
@@ -715,12 +708,12 @@ class ProductPoint:
     def support(self) -> tuple:
         return tuple(sorted(self.overrides))
 
-    def ser(self, depth: Optional[int] = None) -> dict:
+    def ser(self) -> dict:
         """Serializes base + overrides; a staged point records its coordinates
         on the evaluated range, a faithful copy when its stages act there."""
         over = self.overrides
         if self.stage is not None:
-            over = {a: self.coord(a) for a in self.space.indices(depth)}
+            over = {a: self.coord(a) for a in self.space.indices()}
         return {
             "base": self.base.descriptor(),
             "overrides": {

@@ -334,10 +334,10 @@ def test_ledger_exact_isometry_below_the_chain_depth():
     assert [v["ok"] for v in verdicts] == [True, True]
 
 
-def test_exact_entries_match_a_composition_from_stage_zero():
+def _exact_circle_chain(length: int) -> ConvergenceCertificate:
     rng = random.Random(3)
     cert = ConvergenceCertificate(CIRCLE)
-    while cert.stage_count < 8:
+    while cert.stage_count < length:
         k = cert.stage_count
         delta = pow2(-(k + 1))
         center = F(rng.randrange(64), 64)
@@ -345,6 +345,11 @@ def test_exact_entries_match_a_composition_from_stage_zero():
             cert = cert.append(small_ball_transporter(CIRCLE, center, center + delta / 2, delta))
         except BoundViolation:
             continue
+    return cert
+
+
+def test_exact_entries_match_a_composition_from_stage_zero():
+    cert = _exact_circle_chain(8)
     assert [e.method for e in cert.entries[1:]] == ["exact"] * 7
     acc = identity_for(CIRCLE)
     for h, entry in zip(cert.stages, cert.entries):
@@ -352,6 +357,23 @@ def test_exact_entries_match_a_composition_from_stage_zero():
             conj = compose(compose(acc, h), acc.invert())
             assert entry.cond2_value == conj.sup_displacement()
         acc = compose(acc, h)
+
+
+def test_exact_chain_composes_each_partial_once(monkeypatch):
+    stages = _exact_circle_chain(12).stages
+    calls = []
+
+    def counted(g, h):
+        calls.append(1)
+        return compose(g, h)
+
+    monkeypatch.setattr(convergence, "compose", counted)
+    cert = ConvergenceCertificate(CIRCLE)
+    for h in stages:
+        cert = cert.append(h)
+    assert [e.method for e in cert.entries[1:]] == ["exact"] * 11
+    # H_0 once, then per append H_{n+1} = h o H_n and the conjugate
+    assert len(calls) <= 2 * (len(stages) - 1) + 1
 
 
 def test_over_cap_composition_is_refused_on_every_attempt(monkeypatch):
@@ -363,6 +385,19 @@ def test_over_cap_composition_is_refused_on_every_attempt(monkeypatch):
     cert = ConvergenceCertificate(CANTOR).append(h0).append(h1)
     assert cert.entries[1].method == "exact-isometry"
     # displacement 1/2 > 2^-5 needs H_1 at depth 5: 32 table entries
+    h2 = CylinderHomeo(CANTOR, 2, {(0, 0): (0, 1), (0, 1): (0, 0)})
+    for _ in range(2):
+        with pytest.raises(UnsupportedOperation, match="too large"):
+            cert.append(h2)
+
+
+def test_over_cap_composition_is_refused_after_an_exact_append(monkeypatch):
+    monkeypatch.setattr(convergence, "_MATERIALIZE_CAP", 8)
+    h0 = CylinderHomeo(CANTOR, 1, {(0,): (1,), (1,): (0,)})
+    h1 = CylinderHomeo(CANTOR, 4, {(0, 0, 0, 0): (1, 0, 0, 0), (1, 0, 0, 0): (0, 0, 0, 0)})
+    cert = ConvergenceCertificate(CANTOR).append(h0).append(h1)
+    assert cert.entries[1].method == "exact"
+    # the append built H_1 = h1 o h0 at depth 4: 14 table entries
     h2 = CylinderHomeo(CANTOR, 2, {(0, 0): (0, 1), (0, 1): (0, 0)})
     for _ in range(2):
         with pytest.raises(UnsupportedOperation, match="too large"):

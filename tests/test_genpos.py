@@ -187,6 +187,27 @@ def test_wgpp_refuses_a_non_injective_first_projection():
         wgpp_transform(points, lambda a: group_pair(CIRCLE))
 
 
+def test_wgpp_without_big_pairs_twists_every_nonzero_index():
+    space = ProductSpace.uniform(CIRCLE, working_depth=12)
+    points = [space.point({0: F(i, 8), 1: F(i % 2, 2)}) for i in range(8)]
+    before = check_general_position(points)
+    twist = wgpp_transform(points, lambda a: group_pair(CIRCLE))
+    assert twist.omega == frozenset(range(1, 12))
+    for (i, j), dis in before.disagreements.items():
+        for a in space.indices():
+            if (a in twist.omega) != (a in dis):
+                assert not CIRCLE.points_equal(twist.points[i].coord(a),
+                                               twist.points[j].coord(a)), (i, j, a)
+
+
+def test_block_regroup_refuses_more_blocks_than_disagreements():
+    space = ProductSpace([CIRCLE, CIRCLE, CIRCLE])
+    # the two points differ at coordinate 0 only
+    points = [space.point({0: F(0)}), space.point({0: F(1, 2)})]
+    with pytest.raises(PreconditionError, match="fewer than 2 blocks"):
+        block_regroup(points, space, block_count=2)
+
+
 def test_unfocused_exact_pair_is_refused():
     space = ProductSpace([CIRCLE] * 3)
     points = [space.point({0: F(i, 4), 1: F(i, 5), 2: F(i, 7)}) for i in range(4)]
@@ -234,6 +255,24 @@ def test_repair_history_strictly_decreases_to_general_position():
     assert check_general_position(result.points).in_general_position
 
 
+def test_repair_refuses_a_countable_product():
+    space = ProductSpace.uniform(CIRCLE, working_depth=4)
+    with pytest.raises(PreconditionError, match="finite product"):
+        collision_repair_gpp([space.point(), space.point({0: F(1, 2)})], space)
+
+
+def test_repair_refuses_a_cantor_factor():
+    space = ProductSpace([CIRCLE, CANTOR])
+    with pytest.raises(UnsupportedOperation, match="not cantor"):
+        collision_repair_gpp([space.point(), space.point({0: F(1, 2)})], space)
+
+
+def test_repair_refuses_identical_points():
+    space = ProductSpace([CIRCLE, LINE])
+    with pytest.raises(PreconditionError, match="identical"):
+        collision_repair_gpp([space.point({0: F(1, 4)}), space.point({0: F(5, 4)})], space)
+
+
 _GRID = st.integers(-16, 31).map(lambda k: F(k, 16))
 
 
@@ -261,6 +300,10 @@ def test_repair_replays_its_history_and_keeps_dyadic_data_dyadic(inputs):
     pts = list(points)
     assert len(check_general_position(pts).collisions) == result.collision_history[0]
     for k, stage in enumerate(stages, 1):
+        # the move's target is a fresh value of its coordinate
+        factor = space.factor(stage.alpha)
+        target = stage.u_center + stage.shift
+        assert not any(factor.points_equal(p.coord(stage.alpha), target) for p in pts)
         pts = [p.apply_stage(stage) for p in pts]
         assert len(check_general_position(pts).collisions) == result.collision_history[k]
     assert check_general_position(pts).in_general_position
