@@ -77,9 +77,7 @@ class ConvergenceCertificate:
         self.stages: tuple = ()
         self.entries: tuple = ()
         self._lip_inv = Fraction(1)  # certified Lipschitz bound for H_n^-1 (product stages)
-        self._mat = None          # materialized H_n, exact kinds only
-        self._mat_inv = None
-        self._inverses = None
+        self._mat = None  # (H_m, m): the last partial composition an append built
 
     # -- bookkeeping ---------------------------------------------------------
     @property
@@ -97,13 +95,6 @@ class ConvergenceCertificate:
                 d = max(d, h.depth)
         return d
 
-    def _stage_inverses(self):
-        if self._inverses is None:
-            self._inverses = tuple(
-                h.inverse() if isinstance(h, ProductStage) else h.invert() for h in self.stages
-            )
-        return self._inverses
-
     # -- application ----------------------------------------------------------
     def partial(self, x, upto: int):
         """H_upto(x) = (h_upto o ... o h_0)(x); exact for exact stages."""
@@ -112,8 +103,8 @@ class ConvergenceCertificate:
         return x
 
     def partial_inv(self, x, upto: int):
-        for h in reversed(self._stage_inverses()[: upto + 1]):
-            x = h.apply(x)
+        for h in reversed(self.stages[: upto + 1]):
+            x = (h.inverse() if isinstance(h, ProductStage) else h.invert()).apply(x)
         return x
 
     def apply(self, x):
@@ -129,12 +120,12 @@ class ConvergenceCertificate:
         lip = self._lip_inv  # unused for factor stages
         if isinstance(h, ProductStage):
             lip *= h.lip_backward_bound()
-        mat = None
+        nxt = None
         if k == 0:
             entry = BoundEntry(0, None, c1, None, None, "exempt")
         else:
             bound = pow2(-(k - 1))
-            c2, method, mat = self._cond_values(h, c1)
+            c2, method, nxt = self._cond_values(h, c1)
             if c1 > bound:
                 raise BoundViolation(stage=k, condition=1, bound=bound, value=c1)
             if c2 > bound:
@@ -144,7 +135,7 @@ class ConvergenceCertificate:
         cert.stages = self.stages + (h,)
         cert.entries = self.entries + (entry,)
         cert._lip_inv = lip
-        cert._mat = mat
+        cert._mat = self._mat if nxt is None else (nxt, k)
         return cert
 
     def _cond_values(self, h, c1):
@@ -166,23 +157,21 @@ class ConvergenceCertificate:
                 # equals the displacement itself
                 return c1, "exact-isometry", None
         # H_{n+1} = h o H_n is built on the way and handed to the extension
-        nxt = compose(self._materialize(), h)
-        return compose(nxt, self._materialize_inv()).sup_displacement(), "exact", nxt
+        mat = self._materialize()
+        nxt = compose(mat, h)
+        return compose(nxt, mat.invert()).sup_displacement(), "exact", nxt
 
     def _materialize(self) -> FactorHomeo:
-        """H_n: handed over by the exact append that made this certificate,
-        else composed from stage 0."""
+        """H_n: stages m+1..n composed onto H_m, the last partial composition
+        an append built; from stage 0 when no append has built one."""
         if self._mat is None:
-            acc = identity_for(self.stages[0].space if self.stages else self.space)
-            for h in self.stages:
-                acc = _capped(compose(acc, h))
-            self._mat = acc
-        return _capped(self._mat)
-
-    def _materialize_inv(self) -> FactorHomeo:
-        if self._mat_inv is None:
-            self._mat_inv = self._materialize().invert()
-        return self._mat_inv
+            acc, m = identity_for(self.stages[0].space if self.stages else self.space), -1
+        else:
+            acc, m = self._mat
+        for h in self.stages[m + 1:]:
+            acc = _capped(compose(acc, h))
+        self._mat = (acc, self.last_index)
+        return _capped(acc)
 
     # -- limit evaluation -------------------------------------------------------
     def tail_residual(self) -> Optional[Fraction]:

@@ -36,13 +36,9 @@ from .homeos import _undo_shift
 from .pairs import ConvenientPair, vnorm
 from .rationals import ZERO, floor_pow2, format_scalar, parse_scalar, pow2
 from .spaces import (
-    CantorSpace,
-    BaireSpace,
     CircleSpace,
-    CylinderOpen,
     DiscSpace,
     FactorSpace,
-    IntervalOpen,
     LineSpace,
     MarkerBase,
     ProductPoint,
@@ -129,16 +125,6 @@ def _collision_report(points, blocks, cols=None) -> CollisionReport:
 # enumerated product boxes and the greedy construction
 # ---------------------------------------------------------------------------
 
-def _any_box(factor: FactorSpace):
-    if isinstance(factor, (CantorSpace, BaireSpace)):
-        return CylinderOpen(())
-    if isinstance(factor, CircleSpace):
-        return IntervalOpen(F(0), F(1), wrap=True)
-    if isinstance(factor, LineSpace):
-        return IntervalOpen(F(-1), F(1))
-    raise UnsupportedOperation(f"no picker for kind {factor.kind}")
-
-
 def product_boxes(space: ProductSpace, count: int) -> list:
     """First `count` members of the product pi-base: finite tuples of
     per-factor basic-open indices, supports clipped to the index set."""
@@ -187,7 +173,7 @@ def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
             if target_box is None:
                 if _point_key(factor, marker_point(factor, k)) not in avoid:
                     continue  # marker base already distinct, no override
-                target_box = _any_box(factor)
+                target_box = factor.basic_open(0)
             overrides[a] = _pick_avoiding(factor, target_box, avoid)
         point = ProductPoint(space, MarkerBase(k), overrides)
         if not box_contains(space, box, point):

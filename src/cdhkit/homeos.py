@@ -17,6 +17,10 @@ Three representations:
 
 `compose(g, h)` evaluates as h-after-g, matching the stage composition
 H_n = h_n o ... o h_0 used by the convergence certificates.
+
+Maps are immutable: nothing assigns to their fields after construction.  So
+`invert()` builds a map's inverse once, keeps it, and links it back to the
+map, and h.invert().invert() is h.
 """
 
 from __future__ import annotations
@@ -58,11 +62,19 @@ class FactorHomeo:
     """Invertible self-map of one factor."""
 
     space: FactorSpace
+    _inv: Optional["FactorHomeo"] = None
 
     def apply(self, x):
         raise NotImplementedError
 
     def invert(self) -> "FactorHomeo":
+        """h^-1, built on first use and kept; its own inverse is h."""
+        if self._inv is None:
+            self._inv = self._inverse()
+            self._inv._inv = self
+        return self._inv
+
+    def _inverse(self) -> "FactorHomeo":
         raise NotImplementedError
 
     def sup_displacement(self):
@@ -123,7 +135,7 @@ class CylinderHomeo(FactorHomeo):
             rest = self.space.group.op(rest, m)
         return SymSeq(c2 + rest.prefix, rest.tail)
 
-    def invert(self) -> "CylinderHomeo":
+    def _inverse(self) -> "CylinderHomeo":
         inv = self.space.group.inv
         inv_table = {v: k for k, v in self.table.items()}
         inv_masks = {self.table.get(src, src): inv(m) for src, m in self.masks.items()}
@@ -252,7 +264,7 @@ class PLLineHomeo(FactorHomeo):
         (x0, y0), (x1, y1) = self.breaks[i], self.breaks[i + 1]
         return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
 
-    def invert(self) -> "PLLineHomeo":
+    def _inverse(self) -> "PLLineHomeo":
         return PLLineHomeo(tuple((y, x) for x, y in self.breaks))
 
     def is_identity(self) -> bool:
@@ -273,15 +285,16 @@ class PLLineHomeo(FactorHomeo):
 
 
 def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
-    if g.is_identity():
-        return h
-    if h.is_identity():
-        return g
+    """h after g, with breaks at g's breaks and at g^-1 of h's breaks.
+
+    No padding is needed at either end.  Let p be h's first break.  The
+    least candidate c is g's first break, so g(c) = c <= g(g^-1(p)) = p, or
+    else c = g^-1(p) lies below g's first break, where g is the identity,
+    so c = p.  Either way g and h both fix c and everything below it.  The
+    same holds for the greatest candidate and everything above it.
+    """
     g_inv = g.invert()
     xs = {x for x, _ in g.breaks} | {g_inv.apply(x) for x, _ in h.breaks}
-    lo = min(xs.union(x for x, _ in h.breaks)) - 1
-    hi = max(xs.union(x for x, _ in h.breaks)) + 1
-    xs |= {lo, hi}
     pts = tuple((x, h.apply(g.apply(x))) for x in sorted(xs))
     return PLLineHomeo(pts)
 
@@ -336,7 +349,7 @@ class PLCircleHomeo(FactorHomeo):
     def apply(self, p: Fraction) -> Fraction:
         return _wrap1(self.lift_at(_wrap1(p)))
 
-    def invert(self) -> "PLCircleHomeo":
+    def _inverse(self) -> "PLCircleHomeo":
         """Each break (x, y) lies on the inverse lift as (y - n, x - s*n),
         n = floor(y), s the orientation; the break at 0 is interpolated."""
         s = self.orientation
@@ -407,7 +420,7 @@ class FloatHomeo(FactorHomeo):
     def apply(self, x):
         return self.forward(x)
 
-    def invert(self) -> "FloatHomeo":
+    def _inverse(self) -> "FloatHomeo":
         """Swaps the maps: sup |h^-1(y) - y| = sup |x - h(x)|, so `reach` carries over."""
         return FloatHomeo(self.space, self.backward, self.forward,
                           self.tolerance, f"{self.label}^-1", self.reach)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdhkit import convergence
+from cdhkit import convergence, homeos
 from cdhkit.convergence import ConvergenceCertificate, double_limit_defect, reverify_ledger
 from cdhkit.errors import BoundViolation, CdhError, UnsupportedOperation
 from cdhkit.genpos import (
@@ -251,6 +251,17 @@ def test_reverify_detects_edited_bound():
     assert not verdicts[3]["ok"]
 
 
+def test_reverify_stops_at_a_violated_bound():
+    cert = _exact_circle_chain(6)
+    stages = list(cert.stages)
+    # displacement about 1/4 > 2^-3, the condition-(1) bound of stage 4
+    stages[4] = small_ball_transporter(CIRCLE, F(0), F(1, 4), F(1, 2))
+    verdicts = reverify_ledger(CIRCLE, stages, cert.ledger())
+    assert [v["ok"] for v in verdicts] == [True] * 4 + [False]
+    assert verdicts[-1]["stage"] == 4
+    assert "violation" in verdicts[-1]
+
+
 # ---------------------------------------------------------------------------
 # ledger methods: lipschitz (product stages), sampled (float), exact-isometry
 # ---------------------------------------------------------------------------
@@ -263,6 +274,21 @@ def _circle_line_repair():
         space.point({0: F(1, 4), 1: F(1, 2)}),
     ]
     return space, collision_repair_gpp(points, space)
+
+
+def test_double_limit_defect_of_a_product_repair_within_the_ledger():
+    space = ProductSpace([CIRCLE, LINE, CIRCLE])
+    points = [space.point({0: F(a, 4), 1: F(b, 2), 2: F(c, 4)})
+              for a, b, c in [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (2, 1, 1)]]
+    cert = collision_repair_gpp(points, space).certificate
+    n = cert.last_index
+    assert n >= 4
+    xs = points + [space.point({0: F(1, 3), 1: F(-2, 5), 2: F(5, 7)})]
+    for m in range(n + 1):
+        # d(H_m^-1(y), H_n^-1(y)) telescopes over the condition-(2) values
+        tail = sum((e.cond2_value for e in cert.entries[m + 1:]), F(0))
+        for x in xs:
+            assert double_limit_defect(cert, m, n, x) <= tail
 
 
 def test_ledger_lipschitz_entries_of_a_product_repair():
@@ -374,6 +400,63 @@ def test_exact_chain_composes_each_partial_once(monkeypatch):
     assert [e.method for e in cert.entries[1:]] == ["exact"] * 11
     # H_0 once, then per append H_{n+1} = h o H_n and the conjugate
     assert len(calls) <= 2 * (len(stages) - 1) + 1
+
+
+def test_exact_chain_builds_one_inverse_per_partial(monkeypatch):
+    stages = _exact_circle_chain(12).stages
+    calls = []
+    circle_through = homeos._circle_through
+
+    def counted(pts, orientation):
+        calls.append(1)
+        return circle_through(pts, orientation)
+
+    monkeypatch.setattr(homeos, "_circle_through", counted)
+    cert = ConvergenceCertificate(CIRCLE)
+    for h in stages:
+        cert = cert.append(h)
+    assert [e.method for e in cert.entries[1:]] == ["exact"] * 11
+    # the identity, H_0, then H_{n+1} once per append
+    assert len(calls) <= len(stages) + 1
+
+
+def _alternating_cantor_chain(length: int) -> ConvergenceCertificate:
+    """Exact appends at odd stages, exact-isometry appends at even ones."""
+    rng = random.Random(4)
+    cert = ConvergenceCertificate(CANTOR).append(_sibling_swap(rng, 1))
+    while cert.stage_count < length:
+        k = cert.stage_count
+        try:
+            nxt = cert.append(_sibling_swap(rng, rng.randint(k, k + 3)))
+        except BoundViolation:
+            continue
+        if nxt.entries[-1].method == ("exact" if k % 2 else "exact-isometry"):
+            cert = nxt
+    return cert
+
+
+def test_alternating_chain_composes_onto_the_last_built_partial(monkeypatch):
+    stages = _alternating_cantor_chain(13).stages
+    calls = []
+
+    def counted(g, h):
+        calls.append(1)
+        return compose(g, h)
+
+    monkeypatch.setattr(convergence, "compose", counted)
+    cert = ConvergenceCertificate(CANTOR)
+    for h in stages:
+        cert = cert.append(h)
+    assert [e.method for e in cert.entries[1:]] == ["exact", "exact-isometry"] * 6
+    # an isometry append passes H_m on: each exact append composes at most
+    # the stage before it, h o H_n and the conjugate
+    assert len(calls) <= 2 * (len(stages) - 1) + 1
+    # the first refused attempt keeps the H_n it composed; the retry reuses it
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(BoundViolation):
+            cert.append(_sibling_swap(random.Random(0), 1))
+    assert len(calls) == 1 + 2 * 2
 
 
 def test_over_cap_composition_is_refused_on_every_attempt(monkeypatch):

@@ -211,6 +211,31 @@ def test_line_pl_apply_and_invert_exact():
     assert h.invert().apply(h.apply(F(1, 3))) == F(1, 3)
 
 
+@pytest.mark.parametrize("h", [
+    CylinderHomeo(CANTOR, 2, {(0, 0): (1, 1), (1, 1): (0, 0)}, {(0, 1): SymSeq((1,), 0)}),
+    small_ball_transporter(LINE, F(2), F(2) + F(1, 32), F(1, 16)),
+    small_ball_transporter(CIRCLE, F(0), F(1, 16), F(1, 8)),
+    small_ball_transporter(DiscSpace(2), (0.1, 0.0), (0.12, 0.01), 0.1),
+], ids=["cylinder", "pl-line", "pl-circle", "disc"])
+def test_inverse_is_built_once_and_linked_back(h):
+    hi = h.invert()
+    assert h.invert() is hi
+    assert hi.invert() is h
+
+
+def test_line_composite_has_no_padding_breaks():
+    rng = random.Random(12)
+    for _ in range(100):
+        g, h = (small_ball_transporter(LINE, c, c + F(rng.randrange(1, 8), 64), F(1, 4))
+                for c in (F(rng.randrange(-32, 32), 16), F(rng.randrange(-32, 32), 16)))
+        gh = compose(g, h)
+        assert len(gh.breaks) <= len(g.breaks) + len(h.breaks)
+        xs = [x for x, _ in g.breaks + h.breaks + gh.breaks]
+        for t in xs + [x + d for x in xs for d in (F(-1, 7), F(1, 7))]:
+            assert gh.apply(t) == h.apply(g.apply(t))
+    assert compose(identity_for(LINE), g).breaks == compose(g, identity_for(LINE)).breaks == g.breaks
+
+
 # ---------------------------------------------------------------------------
 # realize_finite_bijection
 # ---------------------------------------------------------------------------
