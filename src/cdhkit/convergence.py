@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundViolation, UnsupportedOperation
-from .homeos import CylinderHomeo, FactorHomeo, FloatHomeo, compose, identity_for
+from .homeos import CylinderHomeo, FactorHomeo, FloatHomeo, compose, identity_for, sup_distance
 from .rationals import ZERO, bound_exponent, format_scalar, pow2
 from .spaces import ProductSpace, ProductStage
 
@@ -147,8 +147,6 @@ class ConvergenceCertificate:
             # c1 is the declared reach, doubled; the tag predates that rule and
             # stays so that recorded ledgers re-verify byte for byte
             return c1 * 2, "sampled", None
-        # exact factor stage: condition (2) equals sup displacement of
-        # H_n^-1 o h o H_n.
         if isinstance(h, CylinderHomeo):
             t = self.chain_table_depth()
             if c1 <= pow2(-t):
@@ -156,10 +154,15 @@ class ConvergenceCertificate:
                 # chain inverse acts as an isometry: the conjugate displacement
                 # equals the displacement itself
                 return c1, "exact-isometry", None
-        # H_{n+1} = h o H_n is built on the way and handed to the extension
+        # exact factor stage: condition (2) is sup_y d(H_{n+1}^-1(y), H_n^-1(y)),
+        # taken from the two inverses (PL maps: at their merged breaks).  At
+        # y = H_{n+1}(x) the distance is d(H_n^-1 h H_n(x), x), so this is the
+        # sup displacement of the conjugate H_n^-1 o h o H_n; only cylinder maps
+        # build it.  H_{n+1} goes to the extension, whose next append needs
+        # H_{n+1}^-1 anyway.
         mat = self._materialize()
         nxt = compose(mat, h)
-        return compose(nxt, mat.invert()).sup_displacement(), "exact", nxt
+        return sup_distance(nxt.invert(), mat.invert()), "exact", nxt
 
     def _materialize(self) -> FactorHomeo:
         """H_n: stages m+1..n composed onto H_m, the last partial composition

@@ -16,7 +16,9 @@ Three representations:
                  what the construction declares, never estimated.
 
 `compose(g, h)` evaluates as h-after-g, matching the stage composition
-H_n = h_n o ... o h_0 used by the convergence certificates.
+H_n = h_n o ... o h_0 used by the convergence certificates.  `sup_distance(f,
+g)` is sup_x d(f(x), g(x)); for PL maps a displacement is the distance to the
+identity.
 
 Maps are immutable: nothing assigns to their fields after construction.  So
 `invert()` builds a map's inverse once, keeps it, and links it back to the
@@ -26,9 +28,10 @@ map, and h.invert().invert() is h.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import floor
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -84,9 +87,6 @@ class FactorHomeo:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def is_identity(self) -> bool:
-        return False
-
 
 # ---------------------------------------------------------------------------
 # Cylinder homeomorphisms (cantor / baire)
@@ -140,9 +140,6 @@ class CylinderHomeo(FactorHomeo):
         inv_table = {v: k for k, v in self.table.items()}
         inv_masks = {self.table.get(src, src): inv(m) for src, m in self.masks.items()}
         return CylinderHomeo(self.space, self.depth, inv_table, inv_masks)
-
-    def is_identity(self) -> bool:
-        return not self.table and not self.masks
 
     # -- exact metrics --------------------------------------------------------
     def sup_displacement(self) -> Fraction:
@@ -262,20 +259,13 @@ class PLLineHomeo(FactorHomeo):
             return t
         i = bisect_right(self._xs, t) - 1
         (x0, y0), (x1, y1) = self.breaks[i], self.breaks[i + 1]
-        return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+        return _on_segment(t, x0, y0, x1, y1)
 
     def _inverse(self) -> "PLLineHomeo":
         return PLLineHomeo(tuple((y, x) for x, y in self.breaks))
 
-    def is_identity(self) -> bool:
-        return all(x == y for x, y in self.breaks)
-
     def sup_displacement(self) -> Fraction:
-        """h(x)-x is PL, so the extreme lives at a breakpoint; the metric
-        min(|.|, 1) caps the value."""
-        if not self.breaks:
-            return ZERO
-        return min(max(abs(y - x) for x, y in self.breaks), Fraction(1))
+        return sup_distance(self, identity_for(LINE))
 
     def descriptor(self) -> dict:
         return {
@@ -287,6 +277,9 @@ class PLLineHomeo(FactorHomeo):
 def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
     """h after g, with breaks at g's breaks and at g^-1 of h's breaks.
 
+    Nothing is evaluated through g: at a break (x, y) of g the composite is
+    h(y), and at g^-1(u) for a break (u, v) of h it is v.
+
     No padding is needed at either end.  Let p be h's first break.  The
     least candidate c is g's first break, so g(c) = c <= g(g^-1(p)) = p, or
     else c = g^-1(p) lies below g's first break, where g is the identity,
@@ -294,8 +287,9 @@ def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
     same holds for the greatest candidate and everything above it.
     """
     g_inv = g.invert()
-    xs = {x for x, _ in g.breaks} | {g_inv.apply(x) for x, _ in h.breaks}
-    pts = tuple((x, h.apply(g.apply(x))) for x in sorted(xs))
+    xs, pts = list(g._xs), [(x, h.apply(y)) for x, y in g.breaks]
+    for u, v in h.breaks:
+        _insert_break(xs, pts, g_inv.apply(u), v)
     return PLLineHomeo(pts)
 
 
@@ -342,9 +336,10 @@ class PLCircleHomeo(FactorHomeo):
 
     def lift_at(self, t: Fraction) -> Fraction:
         n = t.numerator // t.denominator
+        if not n:
+            return _on_segment(t, *self._segment(t))
         frac = t - n
-        x0, y0, x1, y1 = self._segment(frac)
-        return y0 + (frac - x0) * (y1 - y0) / (x1 - x0) + n * self.orientation
+        return _on_segment(frac, *self._segment(frac)) + n * self.orientation
 
     def apply(self, p: Fraction) -> Fraction:
         return _wrap1(self.lift_at(_wrap1(p)))
@@ -353,31 +348,15 @@ class PLCircleHomeo(FactorHomeo):
         """Each break (x, y) lies on the inverse lift as (y - n, x - s*n),
         n = floor(y), s the orientation; the break at 0 is interpolated."""
         s = self.orientation
-        pts = sorted((y - floor(y), x - s * floor(y)) for x, y in self.breaks)
+        pts = []
+        for x, y in self.breaks:
+            n = floor(y)
+            pts.append((y - n, x - s * n) if n else (y, x))
+        pts.sort(key=itemgetter(0))
         return _circle_through(pts, s)
 
-    def is_identity(self) -> bool:
-        return self.orientation == 1 and all(x == y for x, y in self.breaks)
-
     def sup_displacement(self) -> Fraction:
-        """Arc distance of L(t)-t to 0; per segment the maximum is 1/2 when
-        the segment image crosses a half-integer, else it sits at an end."""
-        ys = [y for _, y in self.breaks] + [self.breaks[0][1] + self.orientation]
-        xs = self._xs + [Fraction(1)]
-        best = ZERO
-        half = Fraction(1, 2)
-        for i in range(len(xs) - 1):
-            g0 = ys[i] - xs[i]
-            g1 = ys[i + 1] - xs[i + 1]
-            lo, hi = sorted((g0, g1))
-            # does (lo, hi) contain k + 1/2 for an integer k?
-            k = (lo - half).numerator // (lo - half).denominator + 1
-            if lo <= k + half <= hi:
-                return half
-            for g in (g0, g1):
-                f = _wrap1(g)
-                best = max(best, min(f, 1 - f))
-        return best
+        return sup_distance(self, identity_for(CIRCLE))
 
     def descriptor(self) -> dict:
         return {
@@ -388,11 +367,41 @@ class PLCircleHomeo(FactorHomeo):
 
 
 def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
+    """h after g, with breaks at g's breaks and at g^-1 of h's breaks.
+
+    Nothing is evaluated through g.  At a break (x, Y) of g the composite is
+    L_h(Y).  For a break (u, v) of h let t' = L_{g^-1}(u) and n = floor(t'):
+    the break sits at t = t' - n, where L_g(t) = u - s_g*n, so the composite
+    is v - s_h*s_g*n (s_g, s_h the orientations).
+    """
+    s = g.orientation * h.orientation
     g_inv = g.invert()
-    cands = {Fraction(0)} | {x for x, _ in g.breaks}
-    cands |= {g_inv.apply(x) for x, _ in h.breaks}
-    pts = [(t, h.lift_at(g.lift_at(t))) for t in sorted(cands)]
-    return PLCircleHomeo(pts, g.orientation * h.orientation)
+    xs, pts = list(g._xs), [(x, h.lift_at(y)) for x, y in g.breaks]
+    for u, v in h.breaks:
+        t = g_inv.lift_at(u)
+        n = t.numerator // t.denominator
+        _insert_break(xs, pts, t - n, v - s * n)
+    return PLCircleHomeo(pts, s)
+
+
+def _insert_break(xs: list, pts: list, x: Fraction, y: Fraction):
+    """Adds (x, y) to the sorted break list pts, whose abscissas are xs,
+    unless x is already a break."""
+    i = bisect_left(xs, x)
+    if i == len(xs) or xs[i] != x:
+        xs.insert(i, x)
+        pts.insert(i, (x, y))
+
+
+def _on_segment(t, x0, y0, x1, y1) -> Fraction:
+    """The value at t of the segment from (x0, y0) to (x1, y1): the stored
+    value at x0, an added offset on a translation segment, else interpolated."""
+    if t == x0:
+        return y0
+    dx, dy = x1 - x0, y1 - y0
+    if dx != dy:
+        return y0 + (t - x0) * dy / dx
+    return t if x0 == y0 else t + (y0 - x0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +471,65 @@ def compose(g: FactorHomeo, h: FactorHomeo) -> FactorHomeo:
     if isinstance(g, PLCircleHomeo) and isinstance(h, PLCircleHomeo):
         return _compose_pl_circle(g, h)
     raise UnsupportedOperation("cannot compose these homeomorphism kinds")
+
+
+def sup_distance(f: FactorHomeo, g: FactorHomeo):
+    """sup_x d(f(x), g(x)) for two exact maps of one factor."""
+    if f.space != g.space:
+        raise SpaceMismatch(f"cannot compare {f.space.kind} with {g.space.kind}")
+    if isinstance(f, CylinderHomeo) and isinstance(g, CylinderHomeo):
+        # at x = f^-1(y) the distance is d(g(f^-1(y)), y): a displacement
+        return compose(f.invert(), g).sup_displacement()
+    if isinstance(f, PLLineHomeo) and isinstance(g, PLLineHomeo):
+        # f - g is PL and 0 outside the breaks; the metric min(|.|, 1) caps it
+        gaps = _gaps_at_merged_breaks(f, g, f.apply, g.apply)
+        return min(max(map(abs, gaps), default=ZERO), Fraction(1))
+    if isinstance(f, PLCircleHomeo) and isinstance(g, PLCircleHomeo):
+        gaps = _gaps_at_merged_breaks(f, g, f.lift_at, g.lift_at)
+        gaps.append(gaps[0] + f.orientation - g.orientation)  # at 1
+        return _arc_sup(gaps)
+    raise UnsupportedOperation("cannot compare these homeomorphism kinds")
+
+
+def _gaps_at_merged_breaks(f, g, f_at: Callable, g_at: Callable) -> list:
+    """f - g at the sorted union of both maps' break abscissas; each map is
+    evaluated only at the other's breaks, and f - g is linear in between."""
+    fb, gb = f.breaks, g.breaks
+    gaps = []
+    i = j = 0
+    while i < len(fb) and j < len(gb):
+        (x, y), (u, v) = fb[i], gb[j]
+        if x == u:
+            gaps.append(y - v)
+            i += 1
+            j += 1
+        elif x < u:
+            gaps.append(y - g_at(x))
+            i += 1
+        else:
+            gaps.append(f_at(u) - v)
+            j += 1
+    gaps.extend(y - g_at(x) for x, y in fb[i:])
+    gaps.extend(f_at(u) - v for u, v in gb[j:])
+    return gaps
+
+
+def _arc_sup(gaps: list) -> Fraction:
+    """Largest arc distance to 0 of a function linear between consecutive
+    gaps: 1/2 when a segment crosses a half-integer, else it sits at an end."""
+    half = Fraction(1, 2)
+    for g0, g1 in zip(gaps, gaps[1:]):
+        if g0 != g1:
+            lo, hi = (g0, g1) if g0 < g1 else (g1, g0)
+            # the least half-integer above lo; lo itself is checked at the ends
+            if floor(lo - half) + 1 + half <= hi:
+                return half
+    best = ZERO
+    for g in gaps:
+        if g:
+            f = _wrap1(g)
+            best = max(best, min(f, 1 - f))
+    return best
 
 
 def homeo_from_descriptor(desc: dict) -> FactorHomeo:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -385,8 +386,14 @@ def test_exact_entries_match_a_composition_from_stage_zero():
         acc = compose(acc, h)
 
 
-def test_exact_chain_composes_each_partial_once(monkeypatch):
-    stages = _exact_circle_chain(12).stages
+def test_exact_circle_chain_describes_the_recorded_document():
+    doc = json.dumps(_exact_circle_chain(12).describe())
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "72e8bf3be718e50414d7e4b2aa7bd082ed771b9cfc2cb6a412e15f4efe6a9a9c")
+
+
+def _counted_compose(monkeypatch) -> list:
+    """Counts compose calls, from the certificate and from inside homeos."""
     calls = []
 
     def counted(g, h):
@@ -394,12 +401,19 @@ def test_exact_chain_composes_each_partial_once(monkeypatch):
         return compose(g, h)
 
     monkeypatch.setattr(convergence, "compose", counted)
+    monkeypatch.setattr(homeos, "compose", counted)
+    return calls
+
+
+def test_exact_chain_composes_each_partial_once(monkeypatch):
+    stages = _exact_circle_chain(12).stages
+    calls = _counted_compose(monkeypatch)
     cert = ConvergenceCertificate(CIRCLE)
     for h in stages:
         cert = cert.append(h)
     assert [e.method for e in cert.entries[1:]] == ["exact"] * 11
-    # H_0 once, then per append H_{n+1} = h o H_n and the conjugate
-    assert len(calls) <= 2 * (len(stages) - 1) + 1
+    # H_0 once, then H_{n+1} = h o H_n per append and no conjugate
+    assert len(calls) <= len(stages)
 
 
 def test_exact_chain_builds_one_inverse_per_partial(monkeypatch):
@@ -437,19 +451,13 @@ def _alternating_cantor_chain(length: int) -> ConvergenceCertificate:
 
 def test_alternating_chain_composes_onto_the_last_built_partial(monkeypatch):
     stages = _alternating_cantor_chain(13).stages
-    calls = []
-
-    def counted(g, h):
-        calls.append(1)
-        return compose(g, h)
-
-    monkeypatch.setattr(convergence, "compose", counted)
+    calls = _counted_compose(monkeypatch)
     cert = ConvergenceCertificate(CANTOR)
     for h in stages:
         cert = cert.append(h)
     assert [e.method for e in cert.entries[1:]] == ["exact", "exact-isometry"] * 6
     # an isometry append passes H_m on: each exact append composes at most
-    # the stage before it, h o H_n and the conjugate
+    # the stage before it, h o H_n and, for cylinders, the conjugate
     assert len(calls) <= 2 * (len(stages) - 1) + 1
     # the first refused attempt keeps the H_n it composed; the retry reuses it
     calls.clear()

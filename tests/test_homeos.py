@@ -21,6 +21,7 @@ from cdhkit.homeos import (
     identity_for,
     realize_finite_bijection,
     small_ball_transporter,
+    sup_distance,
 )
 from cdhkit.rationals import pow2
 from cdhkit.spaces import BAIRE, CANTOR, CIRCLE, LINE, DiscSpace, SymSeq
@@ -236,6 +237,82 @@ def test_line_composite_has_no_padding_breaks():
     assert compose(identity_for(LINE), g).breaks == compose(g, identity_for(LINE)).breaks == g.breaks
 
 
+def _interpolated(h, t: Fraction) -> Fraction:
+    """h's lift (circle) or h (line) at t, interpolated on the segment that
+    holds t: the reference evaluation."""
+    if isinstance(h, PLLineHomeo):
+        if not h.breaks or not h.breaks[0][0] < t < h.breaks[-1][0]:
+            return t
+        i = max(i for i, (x, _) in enumerate(h.breaks) if x <= t)
+        x0, y0, x1, y1 = *h.breaks[i], *h.breaks[i + 1]
+        return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+    n = t.numerator // t.denominator
+    x0, y0, x1, y1 = h._segment(t - n)
+    return y0 + (t - n - x0) * (y1 - y0) / (x1 - x0) + n * h.orientation
+
+
+def _check_composite(g, h, ts):
+    """compose(g, h) equals the composite built from the candidate set
+    {0} | {g's breaks} | g^-1({h's breaks}), each candidate interpolated
+    through g and then h; it agrees pointwise with h after g, and its
+    condition-(2) distance with the conjugate's displacement."""
+    gh = compose(g, h)
+    g_inv = g.invert()
+    cands = {x for x, _ in g.breaks} | {g_inv.apply(u) for u, _ in h.breaks}
+    if isinstance(g, PLCircleHomeo):
+        cands.add(F(0))
+    assert gh.breaks == tuple((t, _interpolated(h, _interpolated(g, t))) for t in sorted(cands))
+    xs = [x for x, _ in g.breaks + h.breaks + gh.breaks]
+    for t in ts + xs + [x + F(1, 7) for x in xs]:
+        assert _interpolated(gh, t) == _interpolated(h, _interpolated(g, t))
+        for m in (g, h, gh):
+            assert (m.apply(t) if isinstance(m, PLLineHomeo) else m.lift_at(t)) == _interpolated(m, t)
+    d = sup_distance(gh.invert(), g_inv)
+    assert d == compose(gh, g_inv).sup_displacement()
+    for t in ts + xs:
+        assert gh.space.metric(gh.invert().apply(t), g_inv.apply(t)) <= d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circle_maps(), _circle_maps(),
+       st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=60), max_size=6))
+def test_circle_compose_evaluates_only_what_it_must(g, h, ts):
+    _check_composite(g, h, ts)
+
+
+def test_line_compose_evaluates_only_what_it_must():
+    rng = random.Random(21)
+
+    def transporter():
+        c = F(rng.randrange(-32, 32), 16)
+        return small_ball_transporter(LINE, c, c + F(rng.randrange(-15, 16), 64), F(1, 2))
+
+    for _ in range(150):
+        g = identity_for(LINE)
+        for _ in range(rng.randrange(4)):
+            g = compose(g, transporter())
+        ts = [F(rng.randrange(-80, 80), rng.randrange(1, 24)) for _ in range(6)]
+        _check_composite(g, transporter(), ts)
+        _check_composite(transporter(), g, ts)
+
+
+def test_sup_distance_of_cylinder_maps():
+    rng = random.Random(8)
+    for _ in range(20):
+        f, g = _random_cylinder_homeo(rng, 3), _random_cylinder_homeo(rng, 2)
+        d = sup_distance(f, g)
+        assert d == sup_distance(g, f)
+        assert sup_distance(f, identity_for(CANTOR)) == f.sup_displacement()
+        for _ in range(16):
+            x = _random_seq(rng)
+            assert CANTOR.metric(f.apply(x), g.apply(x)) <= d
+
+
+def test_sup_distance_refuses_mixed_kinds():
+    with pytest.raises(UnsupportedOperation):
+        sup_distance(identity_for(CIRCLE), FloatHomeo(CIRCLE, lambda x: x, lambda x: x))
+
+
 # ---------------------------------------------------------------------------
 # realize_finite_bijection
 # ---------------------------------------------------------------------------
@@ -243,7 +320,7 @@ def test_line_composite_has_no_padding_breaks():
 def test_realize_identity_bijection():
     x = SymSeq((1, 0), 0)
     h = realize_finite_bijection(CANTOR, {x: x})
-    assert h.is_identity()
+    assert h.sup_displacement() == 0
 
 
 def test_realize_cantor_swap_of_constant_tails():
@@ -327,7 +404,7 @@ def test_realize_rejects_non_injective():
 
 def test_transporter_center_equals_target():
     h = small_ball_transporter(CANTOR, SymSeq((1,), 0), SymSeq((1,), 0), F(1, 2))
-    assert h.is_identity()
+    assert h.sup_displacement() == 0
 
 
 def test_transporter_cantor_swap_within_ball():
