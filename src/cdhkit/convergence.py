@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Optional
 
 from .errors import BoundViolation, UnsupportedOperation
@@ -30,6 +31,7 @@ from .rationals import ZERO, bound_exponent, format_scalar, pow2
 from .spaces import ProductSpace, ProductStage
 
 _MATERIALIZE_CAP = 1 << 16
+_LIP_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class ConvergenceCertificate:
         self.space = space
         self.stages: tuple = ()
         self.entries: tuple = ()
-        self._lip_inv = Fraction(1)  # certified Lipschitz bound for H_n^-1 (product stages)
+        self._lip_inv = Fraction(1)  # certified, rounded-up Lipschitz bound for H_n^-1
         self._mat = None  # (H_m, m): the last partial composition an append built
 
     # -- bookkeeping ---------------------------------------------------------
@@ -119,15 +121,15 @@ class ConvergenceCertificate:
         c1 = Fraction(h.sup_displacement())  # exact value of a float estimate
         lip = self._lip_inv  # unused for factor stages
         if isinstance(h, ProductStage):
-            lip *= h.lip_backward_bound()
+            lip = _round_up(lip * h.lip_backward_bound())
         nxt = None
         if k == 0:
             entry = BoundEntry(0, None, c1, None, None, "exempt")
         else:
             bound = pow2(-(k - 1))
-            c2, method, nxt = self._cond_values(h, c1)
             if c1 > bound:
                 raise BoundViolation(stage=k, condition=1, bound=bound, value=c1)
+            c2, method, nxt = self._cond_values(h, c1)
             if c2 > bound:
                 raise BoundViolation(stage=k, condition=2, bound=bound, value=c2)
             entry = BoundEntry(k, bound, c1, bound, c2, method)
@@ -157,8 +159,8 @@ class ConvergenceCertificate:
         # exact factor stage: condition (2) is sup_y d(H_{n+1}^-1(y), H_n^-1(y)),
         # taken from the two inverses (PL maps: at their merged breaks).  At
         # y = H_{n+1}(x) the distance is d(H_n^-1 h H_n(x), x), so this is the
-        # sup displacement of the conjugate H_n^-1 o h o H_n; only cylinder maps
-        # build it.  H_{n+1} goes to the extension, whose next append needs
+        # sup displacement of the conjugate H_n^-1 o h o H_n, which no kind
+        # builds.  H_{n+1} goes to the extension, whose next append needs
         # H_{n+1}^-1 anyway.
         mat = self._materialize()
         nxt = compose(mat, h)
@@ -207,6 +209,22 @@ class ConvergenceCertificate:
             "stages": [h.descriptor() for h in self.stages],
             "ledger": self.ledger(),
         }
+
+
+def _round_up(x: Fraction) -> Fraction:
+    """x while its numerator and denominator fit in _LIP_BITS bits, else the
+    least m/2^e >= x with m < 2^_LIP_BITS: sound for a bound, and short.  For
+    b the difference of the bit lengths, x 2^(_LIP_BITS-b) lies in
+    (2^(_LIP_BITS-1), 2^(_LIP_BITS+1)), so e is _LIP_BITS - b or one less."""
+    n, d = x.numerator, x.denominator
+    if max(n.bit_length(), d.bit_length()) <= _LIP_BITS:
+        return x
+    e = _LIP_BITS - (n.bit_length() - d.bit_length())
+    m = ceil(x * pow2(e))
+    if m >= 1 << _LIP_BITS:
+        e -= 1
+        m = ceil(x * pow2(e))
+    return m * pow2(-e)
 
 
 def _capped(mat: FactorHomeo) -> FactorHomeo:

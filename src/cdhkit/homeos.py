@@ -10,15 +10,15 @@ Three representations:
                  000... onto 111... exactly, which finite-bijection
                  realization requires.
   PLLineHomeo /  circle/line: rational piecewise-linear data, exactly
-  PLCircleHomeo  invertible and composable, exact sup-displacement.
+  PLCircleHomeo  invertible and composable.
   FloatHomeo     Euclidean kinds: forward/backward closures with an
                  advertised round-trip tolerance; displacement is only
                  what the construction declares, never estimated.
 
 `compose(g, h)` evaluates as h-after-g, matching the stage composition
 H_n = h_n o ... o h_0 used by the convergence certificates.  `sup_distance(f,
-g)` is sup_x d(f(x), g(x)); for PL maps a displacement is the distance to the
-identity.
+g)` is sup_x d(f(x), g(x)), read off the data of f and g without composing
+them; every exact kind's displacement is its distance to the identity.
 
 Maps are immutable: nothing assigns to their fields after construction.  So
 `invert()` builds a map's inverse once, keeps it, and links it back to the
@@ -82,7 +82,7 @@ class FactorHomeo:
 
     def sup_displacement(self):
         """max_x d(h(x), x); a Fraction for exact kinds."""
-        raise NotImplementedError
+        return sup_distance(self, identity_for(self.space))
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -141,43 +141,23 @@ class CylinderHomeo(FactorHomeo):
         inv_masks = {self.table.get(src, src): inv(m) for src, m in self.masks.items()}
         return CylinderHomeo(self.space, self.depth, inv_table, inv_masks)
 
-    # -- exact metrics --------------------------------------------------------
-    def sup_displacement(self) -> Fraction:
-        """Every point of a source cylinder moves by the same amount, so the
-        sup is a max over listed cylinders of 2^-(first changed position)."""
-        best = None
-        for c in set(self.table) | set(self.masks):
-            c2 = self.table.get(c, c)
-            j = None
-            for i in range(self.depth):
-                if c[i] != c2[i]:
-                    j = i
-                    break
-            if j is None:
-                m = self.masks.get(c)
-                if m is not None:
-                    k = next((i for i, s in enumerate(m.prefix) if s != 0), None)
-                    if k is not None:
-                        j = self.depth + k
-                    elif m.tail != 0:
-                        j = self.depth + m.stab
-            if j is not None and (best is None or j < best):
-                best = j
-        return ZERO if best is None else pow2(-best)
-
     # -- structure ------------------------------------------------------------
     def lift(self, depth: int) -> "CylinderHomeo":
+        """The same map at a greater depth; a map that lists nothing lifts on
+        every kind."""
         if depth == self.depth:
             return self
         if depth < self.depth:
             raise ValueError("can only lift to a greater depth")
+        touched = set(self.table) | set(self.masks)
+        if not touched:
+            return CylinderHomeo(self.space, depth, {})
         if not isinstance(self.space, CantorSpace):
             raise UnsupportedOperation(
                 "lifting enumerates all cylinder extensions; only the binary "
                 "alphabet is finite — compose baire maps at equal depth or as a chain"
             )
         delta = depth - self.depth
-        touched = set(self.table) | set(self.masks)
         if len(touched) << delta > _COMPOSE_SIZE_CAP:
             raise UnsupportedOperation("lifted cylinder table would be too large")
         table, masks = {}, {}
@@ -263,9 +243,6 @@ class PLLineHomeo(FactorHomeo):
 
     def _inverse(self) -> "PLLineHomeo":
         return PLLineHomeo(tuple((y, x) for x, y in self.breaks))
-
-    def sup_displacement(self) -> Fraction:
-        return sup_distance(self, identity_for(LINE))
 
     def descriptor(self) -> dict:
         return {
@@ -354,9 +331,6 @@ class PLCircleHomeo(FactorHomeo):
             pts.append((y - n, x - s * n) if n else (y, x))
         pts.sort(key=itemgetter(0))
         return _circle_through(pts, s)
-
-    def sup_displacement(self) -> Fraction:
-        return sup_distance(self, identity_for(CIRCLE))
 
     def descriptor(self) -> dict:
         return {
@@ -478,8 +452,7 @@ def sup_distance(f: FactorHomeo, g: FactorHomeo):
     if f.space != g.space:
         raise SpaceMismatch(f"cannot compare {f.space.kind} with {g.space.kind}")
     if isinstance(f, CylinderHomeo) and isinstance(g, CylinderHomeo):
-        # at x = f^-1(y) the distance is d(g(f^-1(y)), y): a displacement
-        return compose(f.invert(), g).sup_displacement()
+        return _cylinder_distance(f, g)
     if isinstance(f, PLLineHomeo) and isinstance(g, PLLineHomeo):
         # f - g is PL and 0 outside the breaks; the metric min(|.|, 1) caps it
         gaps = _gaps_at_merged_breaks(f, g, f.apply, g.apply)
@@ -489,6 +462,28 @@ def sup_distance(f: FactorHomeo, g: FactorHomeo):
         gaps.append(gaps[0] + f.orientation - g.orientation)  # at 1
         return _arc_sup(gaps)
     raise UnsupportedOperation("cannot compare these homeomorphism kinds")
+
+
+def _cylinder_distance(f: CylinderHomeo, g: CylinderHomeo) -> Fraction:
+    """At a common depth each map sends a listed cylinder c to one cylinder
+    and adds one mask to the suffix, so d(f(x), g(x)) is the same for every x
+    in c: 2^-j, j the first position where the image prefixes differ or, when
+    they agree, depth + the first position where the masks differ."""
+    depth = max(f.depth, g.depth)
+    f, g = f.lift(depth), g.lift(depth)
+    best = None
+    for c in set(f.table) | set(f.masks) | set(g.table) | set(g.masks):
+        a, b = f.table.get(c, c), g.table.get(c, c)
+        if a != b:
+            j = next(i for i in range(depth) if a[i] != b[i])
+        else:
+            j = f.masks.get(c, _ZERO_MASK).first_diff(g.masks.get(c, _ZERO_MASK))
+            if j is None:
+                continue
+            j += depth
+        if best is None or j < best:
+            best = j
+    return ZERO if best is None else pow2(-best)
 
 
 def _gaps_at_merged_breaks(f, g, f_at: Callable, g_at: Callable) -> list:

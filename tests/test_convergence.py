@@ -457,14 +457,29 @@ def test_alternating_chain_composes_onto_the_last_built_partial(monkeypatch):
         cert = cert.append(h)
     assert [e.method for e in cert.entries[1:]] == ["exact", "exact-isometry"] * 6
     # an isometry append passes H_m on: each exact append composes at most
-    # the stage before it, h o H_n and, for cylinders, the conjugate
-    assert len(calls) <= 2 * (len(stages) - 1) + 1
-    # the first refused attempt keeps the H_n it composed; the retry reuses it
+    # the stage before it and h o H_n, and no conjugate
+    assert len(calls) <= len(stages)
+    # a swap refused by condition (1) builds nothing
     calls.clear()
     for _ in range(2):
-        with pytest.raises(BoundViolation):
+        with pytest.raises(BoundViolation, match=r"condition \(1\)"):
             cert.append(_sibling_swap(random.Random(0), 1))
-    assert len(calls) == 1 + 2 * 2
+    assert calls == []
+
+
+def test_append_refused_by_condition_2_keeps_its_partial(monkeypatch):
+    h0 = CylinderHomeo(CANTOR, 2, {(0, 0): (0, 1), (0, 1): (0, 0)})
+    h1 = CylinderHomeo(CANTOR, 2, {(0, 0): (1, 0), (1, 0): (0, 0)})
+    cert = ConvergenceCertificate(CANTOR).append(h0).append(h1)
+    assert cert.entries[1].method == "exact"
+    # c1 = 1/2 passes the bound 1/2; the condition-(2) value is 1
+    h2 = CylinderHomeo(CANTOR, 3, {(0, 0, 0): (0, 1, 0), (0, 1, 0): (0, 0, 0)})
+    calls = _counted_compose(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(BoundViolation, match=r"condition \(2\)"):
+            cert.append(h2)
+    # H_1 came with the certificate: each attempt composes h2 o H_1 alone
+    assert len(calls) == 2
 
 
 def test_over_cap_composition_is_refused_on_every_attempt(monkeypatch):

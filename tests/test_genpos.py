@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdhkit.convergence import ConvergenceCertificate, reverify_ledger
 from cdhkit.errors import PreconditionError, UnsupportedOperation
 from cdhkit.genpos import (
     CollarShrinkStage,
@@ -20,13 +21,15 @@ from cdhkit.genpos import (
     box_contains,
     check_general_position,
     check_regrouped_general_position,
+    _build_move,
     collision_repair_gpp,
+    conditional_move_from_descriptor,
     greedy_dense_gp,
     wgpp_transform,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
-from cdhkit.rationals import floor_pow2
+from cdhkit.rationals import floor_pow2, parse_scalar
 from cdhkit.spaces import (
     BAIRE,
     CANTOR,
@@ -320,6 +323,27 @@ def test_circle4_repair_keeps_values_printable(n):
     assert check_general_position(result.points).in_general_position
     json.dumps(result.certificate.describe())  # ValueError past the int-to-str digit limit
     assert max(stage.shift.denominator.bit_length() for stage in result.certificate.stages) <= 64
+
+
+def test_long_move_ledger_stays_short_and_re_verifies():
+    # moves sized by the repair's own builder, each from the certificate so far
+    rng = random.Random(7)
+    space = ProductSpace([CIRCLE, LINE] * 3)
+    pts = [space.point({a: F(rng.randrange(8), 8) for a in range(6)}) for _ in range(16)]
+    cert = ConvergenceCertificate(space)
+    for _ in range(240):
+        alpha, beta = rng.sample(range(6), 2)
+        cert = cert.append(_build_move(space, pts, rng.randrange(len(pts)), alpha, beta, cert))
+    # the unrounded product of the stages' bounds passes 20,000 bits, and
+    # printing it raises ValueError past the int-to-str digit limit
+    doc = json.loads(json.dumps(cert.describe()))
+    for entry in doc["ledger"][1:]:
+        # cond2_value = lip_inv * cond1_value, lip_inv rounded up to m/2^e
+        lip = parse_scalar(entry["cond2_value"]) / parse_scalar(entry["cond1_value"])
+        assert lip.numerator < 1 << 32 and lip.denominator <= 1 << 32
+    stages = [conditional_move_from_descriptor(space, d) for d in doc["stages"]]
+    verdicts = reverify_ledger(space, stages, doc["ledger"])
+    assert len(verdicts) == len(stages) and all(v["ok"] for v in verdicts)
 
 
 def test_repair_compares_coordinates_per_move_not_per_pair(monkeypatch):

@@ -296,6 +296,25 @@ def test_line_compose_evaluates_only_what_it_must():
         _check_composite(transporter(), g, ts)
 
 
+def _random_baire_homeo(rng: random.Random, depth: int) -> CylinderHomeo:
+    cylinders = list(itertools.product(range(3), repeat=depth))
+    shuffled = cylinders[:]
+    rng.shuffle(shuffled)
+    masks = {c: SymSeq((rng.randint(-2, 2), rng.randint(-2, 2)), rng.randint(-2, 2))
+             for c in rng.sample(cylinders, k=2)}
+    return CylinderHomeo(BAIRE, depth, dict(zip(cylinders, shuffled)), masks)
+
+
+def _distance_through_apply(space, f, g, depth, symbols, rng) -> Fraction:
+    """max of d(f(x), g(x)) over one x with a random suffix in every
+    depth-`depth` cylinder on the given symbols."""
+    best = Fraction(0)
+    for c in itertools.product(symbols, repeat=depth):
+        x = SymSeq(c + tuple(rng.choice(symbols) for _ in range(4)), rng.choice(symbols))
+        best = max(best, space.metric(f.apply(x), g.apply(x)))
+    return best
+
+
 def test_sup_distance_of_cylinder_maps():
     rng = random.Random(8)
     for _ in range(20):
@@ -303,9 +322,23 @@ def test_sup_distance_of_cylinder_maps():
         d = sup_distance(f, g)
         assert d == sup_distance(g, f)
         assert sup_distance(f, identity_for(CANTOR)) == f.sup_displacement()
-        for _ in range(16):
-            x = _random_seq(rng)
-            assert CANTOR.metric(f.apply(x), g.apply(x)) <= d
+        # the distance is constant on each depth-3 cylinder, so one point in
+        # every cylinder attains it
+        assert d == _distance_through_apply(CANTOR, f, g, 3, (0, 1), rng)
+    for _ in range(20):
+        # baire maps compare at equal depth; symbol 3 reaches unlisted cylinders
+        f, g = _random_baire_homeo(rng, 2), _random_baire_homeo(rng, 2)
+        d = sup_distance(f, g)
+        assert d == sup_distance(g, f)
+        assert d == _distance_through_apply(BAIRE, f, g, 2, range(4), rng)
+
+
+def test_sup_displacement_of_a_depth_2_baire_map():
+    swap = CylinderHomeo(BAIRE, 2, {(1, 1): (1, 2), (1, 2): (1, 1)})
+    assert swap.sup_displacement() == Fraction(1, 2)
+    shift = CylinderHomeo(BAIRE, 2, {}, {(0, 3): SymSeq((0, 0, 5), 0)})
+    assert shift.sup_displacement() == Fraction(1, 16)
+    assert identity_for(BAIRE).sup_displacement() == 0
 
 
 def test_sup_distance_refuses_mixed_kinds():
