@@ -21,11 +21,11 @@ from cdhkit.genpos import (
     box_contains,
     check_general_position,
     check_regrouped_general_position,
-    _build_move,
     collision_repair_gpp,
     conditional_move_from_descriptor,
     greedy_dense_gp,
     wgpp_transform,
+    _build_move,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
