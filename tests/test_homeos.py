@@ -322,6 +322,9 @@ def test_sup_distance_of_cylinder_maps():
         d = sup_distance(f, g)
         assert d == sup_distance(g, f)
         assert sup_distance(f, identity_for(CANTOR)) == f.sup_displacement()
+        for _ in range(16):
+            x = _random_seq(rng)
+            assert CANTOR.metric(f.apply(x), g.apply(x)) <= d
         # the distance is constant on each depth-3 cylinder, so one point in
         # every cylinder attains it
         assert d == _distance_through_apply(CANTOR, f, g, 3, (0, 1), rng)
