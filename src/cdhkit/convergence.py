@@ -9,9 +9,8 @@ limit:
   (2)  sup_x d(H_{i+1}^-1(x), H_i^-1(x))   <= 2^-i
 
 h_0 is exempt: the first stage may be anything.  Appending verifies both
-bounds before extending; exact kinds are checked exactly, product-space
-stages through certified Lipschitz bounds, float stages through the
-displacement their construction declares (tagged "sampled" in the ledger).
+bounds before extending: factor stages exactly, product-space stages
+through certified Lipschitz bounds.  Every ledger value is a Fraction.
 
 Limit evaluation truncates at the stage N where the geometric tail
 2^-(N-1) drops below the requested precision; the returned value always
@@ -25,8 +24,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from .errors import BoundViolation, UnsupportedOperation
-from .homeos import CylinderHomeo, FactorHomeo, FloatHomeo, compose, identity_for, sup_distance
+from .errors import BoundViolation, PreconditionError, UnsupportedOperation
+from .homeos import CylinderHomeo, FactorHomeo, compose, identity_for, sup_distance
 from .rationals import ZERO, bound_exponent, format_scalar, pow2
 from .spaces import ProductSpace, ProductStage
 
@@ -43,7 +42,7 @@ class BoundEntry:
     cond1_value: Optional[Fraction]
     cond2_bound: Optional[Fraction]
     cond2_value: Optional[Fraction]
-    method: str  # exact | exact-isometry | lipschitz | sampled | exempt
+    method: str  # exact | exact-isometry | lipschitz | exempt
 
     def ser(self) -> dict:
         def s(v):
@@ -118,7 +117,7 @@ class ConvergenceCertificate:
     # -- appending with verification -------------------------------------------
     def append(self, h) -> "ConvergenceCertificate":
         k = self.stage_count  # index of the new stage
-        c1 = Fraction(h.sup_displacement())  # exact value of a float estimate
+        c1 = h.sup_displacement()
         lip = self._lip_inv  # unused for factor stages
         if isinstance(h, ProductStage):
             lip = _round_up(lip * h.lip_backward_bound())
@@ -145,10 +144,6 @@ class ConvergenceCertificate:
         c1, plus the method tag and, on the exact path, H_{n+1}."""
         if isinstance(h, ProductStage):
             return self._lip_inv * c1, "lipschitz", None
-        if isinstance(h, FloatHomeo):
-            # c1 is the declared reach, doubled; the tag predates that rule and
-            # stays so that recorded ledgers re-verify byte for byte
-            return c1 * 2, "sampled", None
         if isinstance(h, CylinderHomeo):
             t = self.chain_table_depth()
             if c1 <= pow2(-t):
@@ -250,9 +245,12 @@ def double_limit_defect(cert: ConvergenceCertificate, m: int, n: int, x) -> Frac
 def reverify_ledger(space, stages, entries) -> list:
     """Re-checks every recorded bound from the stages alone.
 
-    Returns a list of per-entry verdict dicts; exact kinds must reproduce the
-    recorded values bit-exactly.
+    Returns a list of per-entry verdict dicts; every entry must reproduce the
+    recorded values bit-exactly.  Raises PreconditionError, before replaying
+    anything, when the stage and entry counts differ.
     """
+    if len(stages) != len(entries):
+        raise PreconditionError(f"{len(stages)} stages but {len(entries)} ledger entries")
     cert = ConvergenceCertificate(space)
     verdicts = []
     for h, recorded in zip(stages, entries):

@@ -32,7 +32,6 @@ from .errors import (
     PreconditionError,
     UnsupportedOperation,
 )
-from .homeos import _undo_shift
 from .pairs import ConvenientPair, vnorm
 from .rationals import ZERO, floor_pow2, format_scalar, parse_scalar, pow2
 from .spaces import (
@@ -671,6 +670,19 @@ class FloatConditionalStage(ProductStage):
 
     def descriptor(self):
         return {"stage": "float-conditional-move", "alpha": self.alpha, "beta": self.beta}
+
+
+def _undo_shift(metric: Callable, y: tuple, shift: tuple, weight: Callable) -> tuple:
+    """The x with x + weight(x) * shift = y, by fixed-point iteration from y;
+    stops when a step moves less than 1e-15, or after 200 steps."""
+    x = y
+    for _ in range(200):
+        w = weight(x)
+        nxt = tuple(b - w * s for b, s in zip(y, shift))
+        if metric(nxt, x) < 1e-15:
+            return nxt
+        x = nxt
+    return x
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Exact, composable homeomorphisms per factor kind.
 
-Three representations:
+Two representations:
 
   CylinderHomeo  cantor/baire: a bijection of depth-d cylinders together
                  with an eventually-constant per-cylinder suffix translation
@@ -11,14 +11,14 @@ Three representations:
                  realization requires.
   PLLineHomeo /  circle/line: rational piecewise-linear data, exactly
   PLCircleHomeo  invertible and composable.
-  FloatHomeo     Euclidean kinds: forward/backward closures with an
-                 advertised round-trip tolerance; displacement is only
-                 what the construction declares, never estimated.
+
+Every map is exact: it evaluates, composes and measures in Fractions and
+symbol sequences, and its descriptor rebuilds it.
 
 `compose(g, h)` evaluates as h-after-g, matching the stage composition
 H_n = h_n o ... o h_0 used by the convergence certificates.  `sup_distance(f,
 g)` is sup_x d(f(x), g(x)), read off the data of f and g without composing
-them; every exact kind's displacement is its distance to the identity.
+them; every map's displacement is its distance to the identity.
 
 Maps are immutable: nothing assigns to their fields after construction.  So
 `invert()` builds a map's inverse once, keeps it, and links it back to the
@@ -42,20 +42,17 @@ from .errors import (
 )
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
 from .spaces import (
-    BAIRE,
-    CANTOR,
     CIRCLE,
     LINE,
-    BallSpace,
     CantorSpace,
     BaireSpace,
     CircleSpace,
-    DiscSpace,
     FactorSpace,
     LineSpace,
     SymSeq,
     _wrap1,
     _point_key,
+    factor_from_descriptor,
 )
 
 _COMPOSE_SIZE_CAP = 1 << 18
@@ -80,8 +77,8 @@ class FactorHomeo:
     def _inverse(self) -> "FactorHomeo":
         raise NotImplementedError
 
-    def sup_displacement(self):
-        """max_x d(h(x), x); a Fraction for exact kinds."""
+    def sup_displacement(self) -> Fraction:
+        """max_x d(h(x), x), a Fraction."""
         return sup_distance(self, identity_for(self.space))
 
     def descriptor(self) -> dict:
@@ -379,46 +376,6 @@ def _on_segment(t, x0, y0, x1, y1) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Float homeomorphisms (Euclidean kinds)
-# ---------------------------------------------------------------------------
-
-class FloatHomeo(FactorHomeo):
-    """Forward/backward closure pair on a disc/ball domain.
-
-    `reach` is the sup of |h(x) - x| that the construction declares, if it
-    declares one; `sup_displacement` reports it twice, as a float safety
-    margin, and refuses a map without one.
-    """
-
-    def __init__(self, space, forward: Callable, backward: Callable,
-                 tolerance: float = 1e-9, label: str = "float-homeo",
-                 reach: Optional[float] = None):
-        self.space = space
-        self.forward = forward
-        self.backward = backward
-        self.tolerance = tolerance
-        self.label = label
-        self.reach = reach
-
-    def apply(self, x):
-        return self.forward(x)
-
-    def _inverse(self) -> "FloatHomeo":
-        """Swaps the maps: sup |h^-1(y) - y| = sup |x - h(x)|, so `reach` carries over."""
-        return FloatHomeo(self.space, self.backward, self.forward,
-                          self.tolerance, f"{self.label}^-1", self.reach)
-
-    def sup_displacement(self) -> float:
-        if self.reach is None:
-            raise UnsupportedOperation(f"{self.label} declares no displacement bound")
-        return self.reach * 2.0
-
-    def descriptor(self) -> dict:
-        return {"type": "float", "label": self.label, "tolerance": self.tolerance,
-                "kind": self.space.kind, "dim": getattr(self.space, "dim", None)}
-
-
-# ---------------------------------------------------------------------------
 # Composition and identities
 # ---------------------------------------------------------------------------
 
@@ -429,8 +386,6 @@ def identity_for(factor: FactorSpace) -> FactorHomeo:
         return PLCircleHomeo(((Fraction(0), Fraction(0)),), 1)
     if isinstance(factor, LineSpace):
         return PLLineHomeo(())
-    if isinstance(factor, (DiscSpace, BallSpace)):
-        return FloatHomeo(factor, lambda x: x, lambda x: x, 0.0, label="identity", reach=0.0)
     raise UnsupportedOperation(f"no identity for kind {factor.kind}")
 
 
@@ -530,7 +485,7 @@ def _arc_sup(gaps: list) -> Fraction:
 def homeo_from_descriptor(desc: dict) -> FactorHomeo:
     t = desc["type"]
     if t == "cylinder":
-        space = CANTOR if desc["kind"] == "cantor" else BAIRE
+        space = factor_from_descriptor({"kind": desc["kind"]})
         table = {tuple(k): tuple(v) for k, v in desc["table"]}
         masks = {
             tuple(k): SymSeq(tuple(m["prefix"]), m["tail"]) for k, m in desc["masks"]
@@ -665,14 +620,12 @@ def _circle_through(pts: list, orientation: int) -> PLCircleHomeo:
 def small_ball_transporter(factor: FactorSpace, center, target, delta) -> FactorHomeo:
     """h(center) = target with supp(h) inside the delta-ball around center
     and sup-displacement below delta."""
+    if not factor.exact:
+        raise UnsupportedOperation(f"no transporter for kind {factor.kind}")
     d = factor.metric(center, target)
-    if factor.exact:
-        delta = Fraction(delta)
-        if d >= delta:
-            raise PreconditionError(f"target at distance {d} is outside the {delta}-ball")
-    else:
-        if d >= float(delta):
-            raise PreconditionError("target outside the delta-ball")
+    delta = Fraction(delta)
+    if d >= delta:
+        raise PreconditionError(f"target at distance {d} is outside the {delta}-ball")
     if factor.points_equal(center, target):
         return identity_for(factor)
     if isinstance(factor, (CantorSpace, BaireSpace)):
@@ -690,44 +643,5 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
     if isinstance(factor, LineSpace):
         r = (d + delta) / 2
         return _realize_line({center - r: center - r, center: target, center + r: center + r})
-    if isinstance(factor, (DiscSpace, BallSpace)):
-        return _euclid_transporter(factor, center, target, float(delta))
     raise UnsupportedOperation(f"no transporter for kind {factor.kind}")
 
-
-def _euclid_transporter(factor, center, target, delta: float) -> FloatHomeo:
-    gap = 1.0 - factor.metric(center, factor.base_point())
-    if gap <= factor.tolerance:
-        raise UnsupportedOperation("no small-support move at a boundary point of the disc")
-    d = factor.metric(center, target)
-    r = min(delta, gap) * 0.5 + d * 0.5
-    if not d < r:
-        raise PreconditionError("target too far for an interior transporter")
-    shift = tuple(t - c for t, c in zip(target, center))
-
-    def lam(x):
-        u = factor.metric(x, center)
-        return max(0.0, 1.0 - u / r)
-
-    def forward(x):
-        w = lam(x)
-        return tuple(a + w * s for a, s in zip(x, shift))
-
-    def backward(y):
-        return _undo_shift(factor.metric, y, shift, lam)
-
-    # x moves by w(x) * shift with w <= 1 = w(center): the sup is |shift| = d
-    return FloatHomeo(factor, forward, backward, 1e-12, f"transporter(r={r:.3g})", reach=d)
-
-
-def _undo_shift(metric: Callable, y: tuple, shift: tuple, weight: Callable) -> tuple:
-    """The x with x + weight(x) * shift = y, by fixed-point iteration from y;
-    stops when a step moves less than 1e-15, or after 200 steps."""
-    x = y
-    for _ in range(200):
-        w = weight(x)
-        nxt = tuple(b - w * s for b, s in zip(y, shift))
-        if metric(nxt, x) < 1e-15:
-            return nxt
-        x = nxt
-    return x

@@ -23,9 +23,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PreconditionError
-from .homeos import FloatHomeo
 from .rationals import pow2
-from .spaces import BallSpace, FactorSpace
+from .spaces import FactorSpace
 
 BOUNDARY_SNAP = 1e-12
 
@@ -105,22 +104,18 @@ def wrap_map(n: int, m: int) -> Callable:
     return phi
 
 
-def radial_homeo(m: int) -> FloatHomeo:
-    """The chart h(x) = x/(1-|x|) from the open ball onto R^m; its inverse
-    x/(1+|x|) is 1-Lipschitz, which the closeness bounds below rely on."""
-    if m < 1:
-        raise PreconditionError("dimension must be >= 1")
+def radial(x):
+    """The chart h(x) = x/(1-|x|) from the open ball onto R^m."""
+    r = vnorm(x)
+    if r >= 1.0:
+        raise PreconditionError("radial chart is undefined on the boundary sphere")
+    return vscale(x, 1.0 / (1.0 - r))
 
-    def forward(x):
-        r = vnorm(x)
-        if r >= 1.0:
-            raise PreconditionError("radial chart is undefined on the boundary sphere")
-        return vscale(x, 1.0 / (1.0 - r))
 
-    def backward(x):
-        return vscale(x, 1.0 / (1.0 + vnorm(x)))
-
-    return FloatHomeo(BallSpace(m), forward, backward, tolerance=1e-12, label=f"radial({m})")
+def radial_inv(x):
+    """h^-1(x) = x/(1+|x|); it is 1-Lipschitz, which the closeness bounds
+    below rely on."""
+    return vscale(x, 1.0 / (1.0 + vnorm(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +136,6 @@ def local_pair(m: int, n: int, k: int) -> ConvenientPair:
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     phi = wrap_map(n, m)
-    h = radial_homeo(m)
     scale = 2.0 ** (-k)
 
     def _move(x, y, sign):
@@ -150,7 +144,7 @@ def local_pair(m: int, n: int, k: int) -> ConvenientPair:
         p = phi(y)
         if all(c == 0.0 for c in p):
             return x
-        return h.backward(vadd(h.forward(x), vscale(p, sign * scale)))
+        return radial_inv(vadd(radial(x), vscale(p, sign * scale)))
 
     return ConvenientPair(
         s=lambda x, y: _move(x, y, +1.0),

@@ -1,19 +1,17 @@
 """Factor spaces, product spaces and lazily evaluated product points.
 
 Factor kinds and their standardized admissible complete metrics (diameter
-at most 1, except the Euclidean kinds, which are flagged):
+at most 1, except the disc, which is flagged):
 
   cantor   bit sequences,        d(x,y) = 2^-min{i : x_i != y_i}
   baire    integer sequences,    same formula
   circle   R/Z,                  d(x,y) = min(|x-y|, 1-|x-y|)
   line     R,                    d(x,y) = min(|x-y|, 1)
   disc(m)  closed unit ball of R^m, Euclidean (diameter 2)
-  ball(m)  open unit ball of R^m,   Euclidean (diameter < 2)
 
 Exact kinds (cantor, baire, circle, line) never touch floats: their points
 are eventually-constant symbol sequences or rationals, their metric values
-are Fractions.  Euclidean kinds use float tuples and carry a comparison
-tolerance.
+are Fractions.  Disc points are float tuples compared with a tolerance.
 
 A product point is a root (base pattern plus finitely many overrides) or
 one product stage applied to a parent point; coordinates are evaluated on
@@ -351,7 +349,10 @@ def _dyadic(n: int) -> Fraction:
     return Fraction(2 * n + 1, 1 << level)
 
 
-class _EuclidSpace(FactorSpace):
+class DiscSpace(FactorSpace):
+    """Closed unit ball of R^m.  Diameter 2: the flagged metric exception."""
+
+    kind = "disc"
     exact = False
     diameter = Fraction(2)
 
@@ -379,18 +380,6 @@ class _EuclidSpace(FactorSpace):
         return tuple(float(c) for c in obj)
 
 
-class DiscSpace(_EuclidSpace):
-    """Closed unit ball of R^m.  Diameter 2: the flagged metric exception."""
-
-    kind = "disc"
-
-
-class BallSpace(_EuclidSpace):
-    """Open unit ball of R^m (the model of R^m under the radial map)."""
-
-    kind = "ball"
-
-
 CANTOR = CantorSpace()
 BAIRE = BaireSpace()
 CIRCLE = CircleSpace()
@@ -405,8 +394,6 @@ def factor_from_descriptor(desc: dict) -> FactorSpace:
         return _FACTOR_KINDS[kind]
     if kind == "disc":
         return DiscSpace(desc["dim"])
-    if kind == "ball":
-        return BallSpace(desc["dim"])
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
@@ -449,7 +436,7 @@ class ProductSpace:
         if self.working_depth is None:
             raise ValueError("countable products need a working depth")
         # bounds the diameter of every factor past the working depth
-        self._tail_diameter = _EuclidSpace.diameter
+        self._tail_diameter = DiscSpace.diameter
 
     @classmethod
     def uniform(cls, factor: FactorSpace, count: Optional[int] = None,

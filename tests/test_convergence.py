@@ -11,7 +11,7 @@ import pytest
 
 from cdhkit import convergence, homeos
 from cdhkit.convergence import ConvergenceCertificate, double_limit_defect, reverify_ledger
-from cdhkit.errors import BoundViolation, CdhError, UnsupportedOperation
+from cdhkit.errors import BoundViolation, CdhError, PreconditionError, UnsupportedOperation
 from cdhkit.genpos import (
     CollarShrinkStage,
     FloatConditionalStage,
@@ -21,7 +21,6 @@ from cdhkit.genpos import (
 )
 from cdhkit.homeos import (
     CylinderHomeo,
-    FloatHomeo,
     compose,
     homeo_from_descriptor,
     identity_for,
@@ -263,8 +262,20 @@ def test_reverify_stops_at_a_violated_bound():
     assert "violation" in verdicts[-1]
 
 
+def test_reverify_refuses_a_ledger_of_another_length():
+    cert = _exact_circle_chain(4)
+    ledger = cert.ledger()
+    with pytest.raises(PreconditionError, match="4 stages but 2 ledger entries"):
+        reverify_ledger(CIRCLE, cert.stages, ledger[:2])
+    with pytest.raises(PreconditionError, match="4 stages but 5 ledger entries"):
+        reverify_ledger(CIRCLE, cert.stages, ledger + [ledger[-1]])
+    with pytest.raises(PreconditionError, match="3 stages but 4 ledger entries"):
+        reverify_ledger(CIRCLE, cert.stages[:3], ledger)
+    assert [v["ok"] for v in reverify_ledger(CIRCLE, cert.stages, ledger)] == [True] * 4
+
+
 # ---------------------------------------------------------------------------
-# ledger methods: lipschitz (product stages), sampled (float), exact-isometry
+# ledger methods: lipschitz (product stages), exact-isometry
 # ---------------------------------------------------------------------------
 
 def _circle_line_repair():
@@ -310,40 +321,6 @@ def test_ledger_lipschitz_entries_of_a_product_repair():
     verdicts = reverify_ledger(rebuilt, stages, desc["ledger"])
     assert len(verdicts) == cert.stage_count
     assert all(v["ok"] for v in verdicts)
-
-
-def test_ledger_sampled_entries_of_a_disc_chain():
-    disc = DiscSpace(2)
-    rng = random.Random(11)
-    cert = ConvergenceCertificate(disc)
-    for k in range(8):
-        delta = pow2(-(k + 1))
-        center = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-        target = (center[0] + float(delta) / 4, center[1])
-        cert = cert.append(small_ball_transporter(disc, center, target, delta))
-    for k, entry in enumerate(cert.entries):
-        assert isinstance(entry.cond1_value, Fraction) and entry.cond1_value > 0
-        if k == 0:
-            assert entry.method == "exempt"
-            continue
-        # twice the shift delta/4, which the transporter makes at its centre
-        assert entry.cond1_value == pow2(-(k + 2))
-        assert entry.method == "sampled"
-        assert entry.cond2_value == 2 * entry.cond1_value
-    verdicts = reverify_ledger(disc, cert.stages, cert.ledger())
-    assert all(v["ok"] for v in verdicts)
-    # the inverse of a transporter certifies the same displacement, not a resample
-    for h in cert.stages:
-        inverse = h.invert()
-        assert inverse.sup_displacement() == h.sup_displacement()
-        assert inverse.label == f"{h.label}^-1"
-
-
-def test_float_stage_without_a_declared_reach_is_refused():
-    disc = DiscSpace(2)
-    cert = ConvergenceCertificate(disc).append(identity_for(disc))
-    with pytest.raises(UnsupportedOperation):
-        cert.append(FloatHomeo(disc, lambda x: x, lambda x: x, label="undeclared"))
 
 
 def test_ledger_exact_isometry_below_the_chain_depth():

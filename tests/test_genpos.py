@@ -27,7 +27,7 @@ from cdhkit.genpos import (
     wgpp_transform,
     _build_move,
 )
-from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
+from cdhkit.homeos import realize_finite_bijection
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
 from cdhkit.rationals import floor_pow2, parse_scalar
 from cdhkit.spaces import (
@@ -433,18 +433,6 @@ def test_float_conditional_stage_round_trip():
         for a in space.indices():
             assert space.factor(a).metric(back.coord(a), p.coord(a)) <= 1e-12
     assert moved_any
-
-
-def test_disc_transporter_round_trip():
-    disc = DiscSpace(2)
-    center, target = (0.2, -0.1), (0.26, -0.05)
-    h = small_ball_transporter(disc, center, target, 0.25)
-    h_inv = h.invert()
-    assert disc.metric(h.apply(center), target) <= 1e-12
-    rng = random.Random(4)
-    for _ in range(100):
-        x = (center[0] + rng.uniform(-0.2, 0.2), center[1] + rng.uniform(-0.2, 0.2))
-        assert disc.metric(h_inv.apply(h.apply(x)), x) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

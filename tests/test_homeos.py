@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdhkit.errors import OrderViolation, PreconditionError, UnsupportedOperation
+from cdhkit.errors import OrderViolation, PreconditionError, SpaceMismatch, UnsupportedOperation
 from cdhkit.homeos import (
     CylinderHomeo,
-    FloatHomeo,
     PLCircleHomeo,
     PLLineHomeo,
     compose,
@@ -24,7 +23,7 @@ from cdhkit.homeos import (
     sup_distance,
 )
 from cdhkit.rationals import pow2
-from cdhkit.spaces import BAIRE, CANTOR, CIRCLE, LINE, DiscSpace, SymSeq
+from cdhkit.spaces import BAIRE, CANTOR, CIRCLE, LINE, DiscSpace, SymSeq, _wrap1
 
 F = Fraction
 
@@ -119,7 +118,6 @@ def test_sup_displacement_identity():
     assert identity_for(CANTOR).sup_displacement() == 0
     assert identity_for(CIRCLE).sup_displacement() == 0
     assert identity_for(LINE).sup_displacement() == 0
-    assert identity_for(DiscSpace(2)).sup_displacement() == 0
 
 
 def test_sup_displacement_deep_permutation():
@@ -216,8 +214,7 @@ def test_line_pl_apply_and_invert_exact():
     CylinderHomeo(CANTOR, 2, {(0, 0): (1, 1), (1, 1): (0, 0)}, {(0, 1): SymSeq((1,), 0)}),
     small_ball_transporter(LINE, F(2), F(2) + F(1, 32), F(1, 16)),
     small_ball_transporter(CIRCLE, F(0), F(1, 16), F(1, 8)),
-    small_ball_transporter(DiscSpace(2), (0.1, 0.0), (0.12, 0.01), 0.1),
-], ids=["cylinder", "pl-line", "pl-circle", "disc"])
+], ids=["cylinder", "pl-line", "pl-circle"])
 def test_inverse_is_built_once_and_linked_back(h):
     hi = h.invert()
     assert h.invert() is hi
@@ -345,8 +342,10 @@ def test_sup_displacement_of_a_depth_2_baire_map():
 
 
 def test_sup_distance_refuses_mixed_kinds():
-    with pytest.raises(UnsupportedOperation):
-        sup_distance(identity_for(CIRCLE), FloatHomeo(CIRCLE, lambda x: x, lambda x: x))
+    with pytest.raises(SpaceMismatch):
+        sup_distance(identity_for(CIRCLE), identity_for(LINE))
+    with pytest.raises(SpaceMismatch):
+        sup_distance(identity_for(CANTOR), identity_for(BAIRE))
 
 
 # ---------------------------------------------------------------------------
@@ -475,32 +474,66 @@ def test_transporter_rejects_target_outside_ball():
         small_ball_transporter(CIRCLE, F(0), F(1, 4), F(1, 8))
 
 
-def test_transporter_disc_moves_center_and_fixes_far_points():
-    disc = DiscSpace(2)
-    h = small_ball_transporter(disc, (0.1, 0.0), (0.12, 0.01), 0.1)
-    moved = h.apply((0.1, 0.0))
-    assert disc.metric(moved, (0.12, 0.01)) < 1e-12
-    far = (0.9, 0.0)
-    assert h.apply(far) == far
-    back = h.invert().apply(moved)
-    assert disc.metric(back, (0.1, 0.0)) < 1e-9
+_SYMBOLS = {CANTOR: (0, 1), BAIRE: (-2, -1, 0, 1, 2)}
 
 
-def test_float_maps_certify_only_a_declared_displacement():
-    disc = DiscSpace(2)
-    h = small_ball_transporter(disc, (0.3, 0.2), (0.3 + 2.0 ** -7, 0.2), 2.0 ** -5)
-    assert h.sup_displacement() == h.invert().sup_displacement() == 2.0 ** -6
-    # a composite declares no reach; sampling the disc would miss this small support
-    with pytest.raises(UnsupportedOperation):
-        compose(identity_for(disc), h)
-    with pytest.raises(UnsupportedOperation):
-        FloatHomeo(disc, lambda x: x, lambda x: x).invert().sup_displacement()
+@st.composite
+def _transporter_cases(draw):
+    """(factor, center, target, delta, probes), the target inside the open
+    delta-ball around the center; among the probes are points at distance
+    exactly delta and beyond it."""
+    factor = draw(st.sampled_from((CANTOR, BAIRE, CIRCLE, LINE)))
+    if factor in _SYMBOLS:
+        symbols = _SYMBOLS[factor]
+        sym = st.sampled_from(symbols)
+
+        def seq(head=()):
+            return SymSeq(tuple(head) + tuple(draw(st.lists(sym, max_size=6))), draw(sym))
+
+        center = seq()
+        j = draw(st.integers(0, 6))
+        # the target agrees with the center on j + 1 symbols; probe i leaves
+        # it at position i <= j, at distance 2^-i >= 2^-j
+        probes = [seq(center.take(i) + (draw(st.sampled_from(
+            [s for s in symbols if s != center.at(i)])),)) for i in range(j + 1)]
+        return factor, center, seq(center.take(j + 1)), pow2(-j), probes + [seq(), seq()]
+    delta = draw(st.fractions(F(1, 64), F(1, 2) if factor is CIRCLE else F(1), max_denominator=64))
+    u = draw(st.fractions(-1, 1, max_denominator=16).filter(lambda v: abs(v) < 1))
+    if factor is CIRCLE:
+        center = draw(st.fractions(0, 1, max_denominator=64).filter(lambda v: v < 1))
+        wrap = _wrap1
+    else:
+        center = draw(st.fractions(-4, 4, max_denominator=64))
+        wrap = F
+    spread = st.fractions(1, 3, max_denominator=16)
+    probes = [wrap(center + sign * delta * draw(spread)) for sign in (1, -1)]
+    probes += [wrap(center + sign * delta) for sign in (1, -1)]
+    probes += [wrap(center + draw(st.fractions(-2, 2, max_denominator=64))) for _ in range(2)]
+    return factor, center, wrap(center + delta * u), delta, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transporter_cases())
+def test_transporter_keeps_its_documented_promises(case):
+    factor, center, target, delta, probes = case
+    h = small_ball_transporter(factor, center, target, delta)
+    assert h.apply(center) == target
+    for p in probes:
+        if factor.metric(p, center) >= delta:
+            assert h.apply(p) == p
+    assert h.sup_displacement() < delta
 
 
 def test_transporter_disc_boundary_center_rejected():
+    # transporters are exact maps: a disc is refused before any work, at its
+    # boundary or not
     disc = DiscSpace(2)
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(UnsupportedOperation, match="no transporter for kind disc"):
+        small_ball_transporter(disc, None, None, None)
+    with pytest.raises(UnsupportedOperation, match="no transporter for kind disc"):
         small_ball_transporter(disc, (1.0, 0.0), (0.9, 0.0), 0.5)
+    with pytest.raises(UnsupportedOperation, match="no transporter for kind disc"):
+        small_ball_transporter(disc, (0.1, 0.0), (0.12, 0.01), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +555,14 @@ def test_homeo_descriptor_round_trip():
     circ = PLCircleHomeo([(F(0), F(1, 8)), (F(1, 2), F(5, 8))], 1)
     circ2 = homeo_from_descriptor(circ.descriptor())
     assert circ2.apply(F(1, 4)) == circ.apply(F(1, 4))
+
+
+def test_cylinder_descriptor_rebuilds_baire_and_refuses_other_kinds():
+    h = CylinderHomeo(BAIRE, 1, {(0,): (5,), (5,): (0,)}, {(2,): SymSeq((1,), -1)})
+    desc = h.descriptor()
+    h2 = homeo_from_descriptor(desc)
+    assert h2.space == BAIRE and h2.descriptor() == desc
+    for x in (SymSeq((0, 4), 3), SymSeq((2, -7), 0), SymSeq((9,), 1)):
+        assert h2.apply(x) == h.apply(x)
+    with pytest.raises(SpaceMismatch):
+        homeo_from_descriptor({**desc, "kind": "circle"})

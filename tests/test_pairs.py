@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from cdhkit.errors import PreconditionError, UnsupportedOperation
+from cdhkit.errors import PreconditionError
 from cdhkit.pairs import (
     glue_pairs,
     group_pair,
     local_pair,
-    radial_homeo,
+    radial,
+    radial_inv,
     vnorm,
     vsub,
     wrap_map,
@@ -122,37 +124,26 @@ def test_wrap_map_dimension_guard():
 # ---------------------------------------------------------------------------
 
 def test_radial_homeo_fixed_point_and_formula():
-    h = radial_homeo(2)
-    assert h.apply((0.0, 0.0)) == (0.0, 0.0)
-    assert h.apply((0.5, 0.0)) == (1.0, 0.0)
-    assert h.invert().apply((1.0, 0.0)) == (0.5, 0.0)
+    assert radial((0.0, 0.0)) == (0.0, 0.0)
+    assert radial((0.5, 0.0)) == (1.0, 0.0)
+    assert radial_inv((1.0, 0.0)) == (0.5, 0.0)
 
 
 def test_radial_homeo_round_trip():
-    h = radial_homeo(3)
-    hi = h.invert()
     rng = random.Random(5)
     for _ in range(2000):
         x = _rand_ball(3, rng, 1.0 - 1e-6)
-        back = hi.apply(h.apply(x))
+        back = radial_inv(radial(x))
         assert vnorm(vsub(back, x)) < 1e-12
 
 
-def test_radial_homeo_declares_no_displacement_bound():
-    # |h(x) - x| = |x| |x| / (1 - |x|) is unbounded on the open ball
-    with pytest.raises(UnsupportedOperation):
-        radial_homeo(2).sup_displacement()
-
-
 def test_radial_homeo_boundary_rejected():
-    h = radial_homeo(2)
     with pytest.raises(PreconditionError):
-        h.apply((1.0, 0.0))
+        radial((1.0, 0.0))
 
 
 def test_radial_inverse_is_one_lipschitz():
     # finite-difference oracle used before trusting the 2^-k closeness bound
-    h_inv = radial_homeo(2).invert()
     rng = random.Random(6)
     for _ in range(20_000):
         u = tuple(rng.uniform(-5, 5) for _ in range(2))
@@ -160,7 +151,7 @@ def test_radial_inverse_is_one_lipschitz():
         du = vnorm(vsub(u, v))
         if du < 1e-9:
             continue
-        assert vnorm(vsub(h_inv.apply(u), h_inv.apply(v))) <= du * (1 + 1e-9)
+        assert vnorm(vsub(radial_inv(u), radial_inv(v))) <= du * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +303,22 @@ def test_glue_disc_model():
     for _ in range(300):
         x, y = _rand_ball(2, rng), _rand_ball(1, rng)
         assert vnorm(vsub(pair.s(pair.t(x, y), y), x)) <= 1e-9
+
+
+def test_glue_disc_outputs_are_pinned():
+    # the s and t values of a seeded five-point disc pair, bit for bit, at
+    # seeded queries: random ones and twenty inside every chart
+    rng = random.Random(15)
+    pts = [_rand_ball(2, rng, 0.9) + _rand_ball(1, rng, 0.9) for _ in range(5)]
+    pair = glue_pairs(("disc", 2), ("disc", 1), pts)
+    queries = [(_rand_ball(2, rng), _rand_ball(1, rng)) for _ in range(100)]
+    for ch in pair.charts:
+        for _ in range(20):
+            x = tuple(c + ch.a_radius * d for c, d in zip(ch.a_center, _rand_ball(2, rng)))
+            y = tuple(c + ch.b_radius * d for c, d in zip(ch.b_center, _rand_ball(1, rng)))
+            queries.append((x, y))
+    out = [(pair.s(x, y), pair.t(x, y)) for x, y in queries]
+    assert len(pair.charts) == 25
+    assert sum(s != x for (s, _), (x, _) in zip(out, queries)) == 501
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "b93524f53a5386f975c752d7156829014ac196b87f9aeaf2460c163e8f79d650")
