@@ -12,6 +12,11 @@ h_0 is exempt: the first stage may be anything.  Appending verifies both
 bounds before extending: factor stages exactly, product-space stages
 through certified Lipschitz bounds.  Every ledger value is a Fraction.
 
+On the exact path a certificate keeps the inverse partial H_n^-1, not H_n:
+condition (2) compares two inverse partials, and H_{n+1}^-1 = H_n^-1 o
+h_{n+1}^-1 differs from H_n^-1 only where h_{n+1} moves, which is all a PL
+composition has to touch.
+
 Limit evaluation truncates at the stage N where the geometric tail
 2^-(N-1) drops below the requested precision; the returned value always
 carries its guaranteed error bound.
@@ -78,7 +83,7 @@ class ConvergenceCertificate:
         self.stages: tuple = ()
         self.entries: tuple = ()
         self._lip_inv = Fraction(1)  # certified, rounded-up Lipschitz bound for H_n^-1
-        self._mat = None  # (H_m, m): the last partial composition an append built
+        self._mat = None  # (H_m^-1, m): the last inverse partial an append built
 
     # -- bookkeeping ---------------------------------------------------------
     @property
@@ -141,7 +146,7 @@ class ConvergenceCertificate:
 
     def _cond_values(self, h, c1):
         """Condition (2) value for appending h, given its condition (1) value
-        c1, plus the method tag and, on the exact path, H_{n+1}."""
+        c1, plus the method tag and, on the exact path, H_{n+1}^-1."""
         if isinstance(h, ProductStage):
             return self._lip_inv * c1, "lipschitz", None
         if isinstance(h, CylinderHomeo):
@@ -152,24 +157,25 @@ class ConvergenceCertificate:
                 # equals the displacement itself
                 return c1, "exact-isometry", None
         # exact factor stage: condition (2) is sup_y d(H_{n+1}^-1(y), H_n^-1(y)),
-        # taken from the two inverses (PL maps: at their merged breaks).  At
-        # y = H_{n+1}(x) the distance is d(H_n^-1 h H_n(x), x), so this is the
-        # sup displacement of the conjugate H_n^-1 o h o H_n, which no kind
-        # builds.  H_{n+1} goes to the extension, whose next append needs
-        # H_{n+1}^-1 anyway.
+        # taken from the two inverse partials (PL maps: at their merged
+        # breaks, of which all but those h moves are shared).  At y =
+        # H_{n+1}(x) the distance is d(H_n^-1 h H_n(x), x), so this is the sup
+        # displacement of the conjugate H_n^-1 o h o H_n, which no kind
+        # builds.  H_{n+1}^-1 goes to the extension's next append.
         mat = self._materialize()
-        nxt = compose(mat, h)
-        return sup_distance(nxt.invert(), mat.invert()), "exact", nxt
+        nxt = compose(h.invert(), mat)
+        return sup_distance(nxt, mat), "exact", nxt
 
     def _materialize(self) -> FactorHomeo:
-        """H_n: stages m+1..n composed onto H_m, the last partial composition
-        an append built; from stage 0 when no append has built one."""
+        """H_n^-1: the inverses of stages m+1..n composed under H_m^-1, the
+        last inverse partial an append built; from stage 0 when no append
+        has built one."""
         if self._mat is None:
             acc, m = identity_for(self.stages[0].space if self.stages else self.space), -1
         else:
             acc, m = self._mat
         for h in self.stages[m + 1:]:
-            acc = _capped(compose(acc, h))
+            acc = _capped(compose(h.invert(), acc))
         self._mat = (acc, self.last_index)
         return _capped(acc)
 

@@ -16,13 +16,18 @@ Every map is exact: it evaluates, composes and measures in Fractions and
 symbol sequences, and its descriptor rebuilds it.
 
 `compose(g, h)` evaluates as h-after-g, matching the stage composition
-H_n = h_n o ... o h_0 used by the convergence certificates.  `sup_distance(f,
-g)` is sup_x d(f(x), g(x)), read off the data of f and g without composing
-them; every map's displacement is its distance to the identity.
+H_n = h_n o ... o h_0 used by the convergence certificates.  On the PL kinds
+it is local in its first argument: a break of h where g is the identity is
+taken over as the same tuple, and only h's breaks inside g's moved arcs are
+mapped through g^-1.  `sup_distance(f, g)` is sup_x d(f(x), g(x)), read off
+the data of f and g without composing them; every map's displacement is its
+distance to the identity.
 
 Maps are immutable: nothing assigns to their fields after construction.  So
 `invert()` builds a map's inverse once, keeps it, and links it back to the
-map, and h.invert().invert() is h.
+map, and h.invert().invert() is h; a PL map reads its moved arcs off its
+breaks once; and maps may share break tuples, which `sup_distance` reads as
+gaps of 0.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
@@ -220,7 +226,7 @@ class PLLineHomeo(FactorHomeo):
     """Strictly increasing rational PL map, identity outside its breakpoints."""
 
     def __init__(self, breaks: Iterable[tuple] = ()):
-        breaks = tuple((Fraction(x), Fraction(y)) for x, y in breaks)
+        breaks = _as_breaks(breaks)
         self.space = LINE
         for (x0, y0), (x1, y1) in zip(breaks, breaks[1:]):
             if not (x0 < x1 and y0 < y1):
@@ -240,6 +246,10 @@ class PLLineHomeo(FactorHomeo):
 
     def _inverse(self) -> "PLLineHomeo":
         return PLLineHomeo(tuple((y, x) for x, y in self.breaks))
+
+    @cached_property
+    def _arcs(self) -> list:
+        return _moved_arcs(self.breaks)
 
     def descriptor(self) -> dict:
         return {
@@ -261,10 +271,9 @@ def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
     same holds for the greatest candidate and everything above it.
     """
     g_inv = g.invert()
-    xs, pts = list(g._xs), [(x, h.apply(y)) for x, y in g.breaks]
-    for u, v in h.breaks:
-        _insert_break(xs, pts, g_inv.apply(u), v)
-    return PLLineHomeo(pts)
+    return PLLineHomeo(_compose_breaks(
+        g, h, [(x, h.apply(y)) for x, y in g.breaks],
+        lambda b: (g_inv.apply(b[0]), b[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +289,15 @@ class PLCircleHomeo(FactorHomeo):
     """
 
     def __init__(self, breaks: Iterable[tuple], orientation: int = 1):
-        breaks = tuple((Fraction(x), Fraction(y)) for x, y in breaks)
+        breaks = _as_breaks(breaks)
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if not breaks or breaks[0][0] != 0:
             raise ValueError("circle breakpoints must start at 0")
+        if not breaks[-1][0] < 1:
+            raise ValueError("circle breakpoints must increase within [0, 1)")
         for (x0, _), (x1, _) in zip(breaks, breaks[1:]):
-            if not (0 <= x0 < x1 < 1):
+            if not x0 < x1:
                 raise ValueError("circle breakpoints must increase within [0, 1)")
         ys = [y for _, y in breaks] + [breaks[0][1] + orientation]
         for y0, y1 in zip(ys, ys[1:]):
@@ -329,6 +340,10 @@ class PLCircleHomeo(FactorHomeo):
         pts.sort(key=itemgetter(0))
         return _circle_through(pts, s)
 
+    @cached_property
+    def _arcs(self) -> list:
+        return _moved_arcs(self.breaks + ((Fraction(1), self.breaks[0][1] + self.orientation),))
+
     def descriptor(self) -> dict:
         return {
             "type": "pl_circle",
@@ -347,21 +362,73 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
     """
     s = g.orientation * h.orientation
     g_inv = g.invert()
-    xs, pts = list(g._xs), [(x, h.lift_at(y)) for x, y in g.breaks]
-    for u, v in h.breaks:
-        t = g_inv.lift_at(u)
+
+    def through(b):
+        t = g_inv.lift_at(b[0])
         n = t.numerator // t.denominator
-        _insert_break(xs, pts, t - n, v - s * n)
-    return PLCircleHomeo(pts, s)
+        return t - n, b[1] - s * n
+
+    return PLCircleHomeo(_compose_breaks(
+        g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through), s)
 
 
-def _insert_break(xs: list, pts: list, x: Fraction, y: Fraction):
-    """Adds (x, y) to the sorted break list pts, whose abscissas are xs,
-    unless x is already a break."""
-    i = bisect_left(xs, x)
-    if i == len(xs) or xs[i] != x:
-        xs.insert(i, x)
-        pts.insert(i, (x, y))
+def _as_breaks(breaks: Iterable) -> tuple:
+    """The breaks as a tuple of pairs of Fractions; a pair that already is
+    one is kept as it is, so that maps can share it."""
+    out = []
+    for b in breaks:
+        x, y = b
+        if not (type(b) is tuple and type(x) is Fraction and type(y) is Fraction):
+            b = (Fraction(x), Fraction(y))
+        out.append(b)
+    return tuple(out)
+
+
+def _moved_arcs(pts) -> list:
+    """Closed intervals [a, b], increasing and disjoint, outside which the PL
+    function through pts (and the identity beyond them) is the identity: the
+    maximal runs of segments whose two ends are not both fixed.  A reversing
+    circle map fixes no segment, so its one arc is the whole circle."""
+    arcs = []
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 == y0 and x1 == y1:
+            continue
+        if arcs and arcs[-1][1] == x0:
+            arcs[-1] = (arcs[-1][0], x1)
+        else:
+            arcs.append((x0, x1))
+    return arcs
+
+
+def _compose_breaks(g, h, new: list, through: Callable) -> list:
+    """The break list of h after g: `new`, g's breaks with the composite's
+    values, extended by h's breaks inside g's moved arcs sent through g^-1
+    by `through`, merged with h's other breaks as they are, since g^-1 fixes
+    their abscissas.  Where two candidates share an abscissa their values
+    agree and one is kept."""
+    xs, hb = h._xs, h.breaks
+    kept, start = [], 0
+    for a, b in g._arcs:
+        lo, hi = bisect_left(xs, a, start), bisect_right(xs, b, start)
+        kept += hb[start:lo]
+        new += map(through, hb[lo:hi])
+        start = hi
+    kept += hb[start:]
+    new.sort(key=itemgetter(0))
+    pts, i = [], 0
+    for p in new:
+        if pts and pts[-1][0] == p[0]:
+            continue
+        j = bisect_left(kept, p[0], i, key=itemgetter(0))
+        pts += kept[i:j]
+        if j < len(kept) and kept[j][0] == p[0]:
+            pts.append(kept[j])
+            i = j + 1
+        else:
+            pts.append(p)
+            i = j
+    pts += kept[i:]
+    return pts
 
 
 def _on_segment(t, x0, y0, x1, y1) -> Fraction:
@@ -443,12 +510,26 @@ def _cylinder_distance(f: CylinderHomeo, g: CylinderHomeo) -> Fraction:
 
 def _gaps_at_merged_breaks(f, g, f_at: Callable, g_at: Callable) -> list:
     """f - g at the sorted union of both maps' break abscissas; each map is
-    evaluated only at the other's breaks, and f - g is linear in between."""
+    evaluated only at the other's breaks, and f - g is linear in between.
+
+    A break both maps hold as one tuple has gap 0 and is not compared.  A
+    run of such breaks is listed as one 0: f - g is 0 across the run, so the
+    list still holds the same segments and their ends."""
     fb, gb = f.breaks, g.breaks
     gaps = []
     i = j = 0
+    run = False
     while i < len(fb) and j < len(gb):
-        (x, y), (u, v) = fb[i], gb[j]
+        p, q = fb[i], gb[j]
+        if p is q:
+            if not run:
+                gaps.append(ZERO)
+                run = True
+            i += 1
+            j += 1
+            continue
+        run = False
+        (x, y), (u, v) = p, q
         if x == u:
             gaps.append(y - v)
             i += 1
@@ -633,6 +714,10 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
         # first difference, which sits inside the open ball
         return _realize_seq(factor, {center: target, target: center})
     if isinstance(factor, CircleSpace):
+        if d == Fraction(1, 2):
+            # the anchors center -+ r would coincide; as d < delta, the ball
+            # is the whole circle, and the rotation by 1/2 stays inside it
+            return _realize_circle({center: target})
         r = (d + min(delta, Fraction(1, 2))) / 2
         anchors = {
             _wrap1(center - r): _wrap1(center - r),
@@ -641,7 +726,10 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
         }
         return _realize_circle(anchors)
     if isinstance(factor, LineSpace):
-        r = (d + delta) / 2
+        # the metric caps at 1, so a gap of delta or more means delta > 1:
+        # the ball is the whole line, and any bump wider than the gap fits
+        gap = abs(target - center)
+        r = (gap + delta) / 2 if gap < delta else gap + 1
         return _realize_line({center - r: center - r, center: target, center + r: center + r})
     raise UnsupportedOperation(f"no transporter for kind {factor.kind}")
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import Callable, Optional, Sequence
 
-from .errors import IndexRange, SpaceMismatch, UnsupportedOperation
+from .errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
 
 FLOAT_TOLERANCE = 1e-9
@@ -389,12 +389,16 @@ _FACTOR_KINDS = {"cantor": CANTOR, "baire": BAIRE, "circle": CIRCLE, "line": LIN
 
 
 def factor_from_descriptor(desc: dict) -> FactorSpace:
-    kind = desc["kind"]
+    """The factor a descriptor names; a descriptor that names none raises a
+    CdhError."""
+    kind = desc.get("kind")
     if kind in _FACTOR_KINDS:
         return _FACTOR_KINDS[kind]
     if kind == "disc":
+        if "dim" not in desc:
+            raise PreconditionError("a disc descriptor needs its 'dim'")
         return DiscSpace(desc["dim"])
-    raise ValueError(f"unknown factor kind {kind!r}")
+    raise UnsupportedOperation(f"unknown factor kind {kind!r}")
 
 
 def _point_key(factor: FactorSpace, p):

@@ -411,6 +411,25 @@ def test_exact_chain_builds_one_inverse_per_partial(monkeypatch):
     assert len(calls) <= len(stages) + 1
 
 
+def test_exact_appends_touch_only_what_each_stage_moves(monkeypatch):
+    stages = _exact_circle_chain(48).stages
+    calls = []
+    on_segment = homeos._on_segment
+
+    def counted(*args):
+        calls.append(1)
+        return on_segment(*args)
+
+    monkeypatch.setattr(homeos, "_on_segment", counted)
+    cert = ConvergenceCertificate(CIRCLE)
+    for h in stages:
+        cert = cert.append(h)
+    assert [e.method for e in cert.entries[1:]] == ["exact"] * 47
+    # H_n^-1 holds about 3n breaks, but a stage moves only the few inside
+    # its support: a bounded number of evaluations per append, not O(n)
+    assert len(calls) <= 12 * len(stages)
+
+
 def _alternating_cantor_chain(length: int) -> ConvergenceCertificate:
     """Exact appends at odd stages, exact-isometry appends at even ones."""
     rng = random.Random(4)

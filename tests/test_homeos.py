@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -268,10 +269,39 @@ def _check_composite(g, h, ts):
     assert d == compose(gh, g_inv).sup_displacement()
     for t in ts + xs:
         assert gh.space.metric(gh.invert().apply(t), g_inv.apply(t)) <= d
+    # gh may hold some of h's break tuples; a copy with fresh, equal-valued
+    # breaks is at the same distance from every map
+    copy = [(x, y) for x, y in gh.breaks]
+    fresh = PLLineHomeo(copy) if isinstance(gh, PLLineHomeo) else PLCircleHomeo(copy, gh.orientation)
+    assert not {id(b) for b in fresh.breaks} & {id(b) for b in gh.breaks + h.breaks}
+    for m in (h, g, g_inv):
+        assert sup_distance(gh, m) == sup_distance(fresh, m) == sup_distance(m, gh)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_circle_maps(), _circle_maps(),
+@st.composite
+def _circle_transporters(draw) -> PLCircleHomeo:
+    """Small-ball circle transporters, their supports across 0 or not, some
+    inverted, some with the lift moved by whole turns so that L(0) lies
+    outside [0, 1); at delta = 3/4 the half turn, a rotation."""
+    center = draw(st.fractions(0, 1, max_denominator=64).filter(lambda v: v < 1))
+    delta = draw(st.sampled_from((F(1, 32), F(1, 8), F(1, 2), F(3, 4))))
+    u = draw(st.fractions(-1, 1, max_denominator=16).filter(lambda v: abs(v) < 1))
+    shift = F(1, 2) if delta == F(3, 4) and draw(st.booleans()) else delta * u
+    h = small_ball_transporter(CIRCLE, center, _wrap1(center + shift), delta)
+    if draw(st.booleans()):
+        h = h.invert()
+    turns = draw(st.integers(-2, 2))
+    return PLCircleHomeo([(x, y + turns) for x, y in h.breaks], 1) if turns else h
+
+
+def _circle_composites():
+    """Circle maps of either kind, and composites of up to three transporters."""
+    chains = st.lists(_circle_transporters(), min_size=1, max_size=3)
+    return st.one_of(_circle_maps(), chains.map(lambda hs: functools.reduce(compose, hs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circle_composites(), _circle_composites(),
        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=60), max_size=6))
 def test_circle_compose_evaluates_only_what_it_must(g, h, ts):
     _check_composite(g, h, ts)
@@ -469,6 +499,18 @@ def test_transporter_line_bump():
     assert h.sup_displacement() <= F(1, 16)
 
 
+def test_transporter_with_a_ball_wider_than_the_metric():
+    # delta beyond the metric's range: the ball is the whole factor
+    h = small_ball_transporter(CIRCLE, F(0), F(1, 2), F(3, 4))
+    assert h.apply(F(0)) == F(1, 2)
+    assert h.sup_displacement() == F(1, 2)
+    # the line metric caps at 1, so the bump reaches past the 5 it moves by
+    h = small_ball_transporter(LINE, F(0), F(5), F(2))
+    assert h.apply(F(0)) == F(5)
+    assert h.sup_displacement() == 1
+    assert all(h.apply(x) == x for x in (F(-6), F(-10), F(6), F(10)))
+
+
 def test_transporter_rejects_target_outside_ball():
     with pytest.raises(PreconditionError):
         small_ball_transporter(CIRCLE, F(0), F(1, 4), F(1, 8))
@@ -497,7 +539,8 @@ def _transporter_cases(draw):
         probes = [seq(center.take(i) + (draw(st.sampled_from(
             [s for s in symbols if s != center.at(i)])),)) for i in range(j + 1)]
         return factor, center, seq(center.take(j + 1)), pow2(-j), probes + [seq(), seq()]
-    delta = draw(st.fractions(F(1, 64), F(1, 2) if factor is CIRCLE else F(1), max_denominator=64))
+    # deltas beyond the metric's range (1/2 on the circle, 1 on the line) too
+    delta = draw(st.fractions(F(1, 64), F(1) if factor is CIRCLE else F(4), max_denominator=64))
     u = draw(st.fractions(-1, 1, max_denominator=16).filter(lambda v: abs(v) < 1))
     if factor is CIRCLE:
         center = draw(st.fractions(0, 1, max_denominator=64).filter(lambda v: v < 1))
@@ -566,3 +609,8 @@ def test_cylinder_descriptor_rebuilds_baire_and_refuses_other_kinds():
         assert h2.apply(x) == h.apply(x)
     with pytest.raises(SpaceMismatch):
         homeo_from_descriptor({**desc, "kind": "circle"})
+    # a kind that names no factor is a typed error, not a KeyError or ValueError
+    with pytest.raises(PreconditionError, match="disc descriptor needs its 'dim'"):
+        homeo_from_descriptor({**desc, "kind": "disc"})
+    with pytest.raises(UnsupportedOperation, match="unknown factor kind 'torus'"):
+        homeo_from_descriptor({**desc, "kind": "torus"})
