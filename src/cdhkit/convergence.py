@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from .errors import BoundViolation, PreconditionError, UnsupportedOperation
+from .errors import BoundViolation, PreconditionError, SpaceMismatch, UnsupportedOperation
 from .homeos import CylinderHomeo, FactorHomeo, compose, identity_for, sup_distance
 from .rationals import ZERO, bound_exponent, format_scalar, pow2
 from .spaces import ProductSpace, ProductStage
@@ -123,6 +123,9 @@ class ConvergenceCertificate:
     def append(self, h) -> "ConvergenceCertificate":
         k = self.stage_count  # index of the new stage
         c1 = h.sup_displacement()
+        space = getattr(h, "space", None)
+        if space is not self.space and space != self.space:
+            raise SpaceMismatch(f"stage {k} lives on another space than the certificate")
         lip = self._lip_inv  # unused for factor stages
         if isinstance(h, ProductStage):
             lip = _round_up(lip * h.lip_backward_bound())

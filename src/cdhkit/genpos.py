@@ -14,9 +14,12 @@ Operations:
   boundary_chase           collar shrink (a self-embedding) plus a
                            first-coordinate injectivity perturbation
 
-The repair moves are product stages: they move one coordinate, gated by a
-second coordinate, with exact displacement and certified Lipschitz bounds,
-which is what lets them ride a convergence certificate on the product.
+Both the repair and the chase move points with one gated move: a product
+stage that shifts one coordinate inside a bump, scaled by a tent gate on a
+second coordinate.  It has two kinds.  `ConditionalMoveStage` is exact on
+circle/line data, with exact displacement and certified Lipschitz bounds,
+which is what lets repair moves ride a convergence certificate on the
+product; `FloatConditionalStage` is its float disc analogue for the chase.
 """
 
 from __future__ import annotations
@@ -412,9 +415,39 @@ def _swrap(x: F) -> F:
     return _wrap1(x + F(1, 2)) - F(1, 2)
 
 
-class ConditionalMoveStage(ProductStage):
-    """Moves coordinate alpha by a bump scaled with a tent gate read off
-    coordinate beta; exact on rational circle/line data.
+class _GatedMove(ProductStage):
+    """Moves coordinate alpha by a bump shift scaled with a tent gate on
+    coordinate beta != alpha, which the move leaves alone, so the inverse
+    reads the same gate.  A kind supplies `gate(v)`, `_shift(u, w)` at gate
+    weight w and its inverse `_unshift(u, w)`."""
+
+    def __init__(self, space, alpha: int, beta: int, u_center, u_radius, shift,
+                 gate_center, gate_radius):
+        if alpha == beta:
+            raise PreconditionError(f"a move of coordinate {alpha} cannot be gated on itself")
+        if not gate_radius > 0:
+            raise PreconditionError(f"gate radius {gate_radius} is not positive")
+        self.space = space
+        self.alpha, self.beta = alpha, beta
+        self.u_center, self.u_radius, self.shift = u_center, u_radius, shift
+        self.gate_center, self.gate_radius = gate_center, gate_radius
+
+    def image_coord(self, get, a):
+        if a != self.alpha:
+            return get(a)
+        return self._shift(get(self.alpha), self.gate(get(self.beta)))
+
+    def preimage_coord(self, get, a):
+        if a != self.alpha:
+            return get(a)
+        return self._unshift(get(self.alpha), self.gate(get(self.beta)))
+
+
+_MOVE_SCALARS = ("u_center", "u_radius", "shift", "gate_center", "gate_radius")
+
+
+class ConditionalMoveStage(_GatedMove):
+    """The gated move on rational circle/line data, exact.
 
     u-map at gate weight w: rel -> rel + (1 - |rel|/r_u) * w * shift inside
     the radius-r_u bump around the center, identity outside.
@@ -425,11 +458,8 @@ class ConditionalMoveStage(ProductStage):
                  gate_center: F, gate_radius: F):
         if abs(shift) >= u_radius:
             raise PreconditionError("shift must stay inside the bump radius")
-        self.space = space
-        self.alpha, self.beta = alpha, beta
-        self.u_center, self.u_radius = F(u_center), F(u_radius)
-        self.shift = F(shift)
-        self.gate_center, self.gate_radius = F(gate_center), F(gate_radius)
+        super().__init__(space, alpha, beta, F(u_center), F(u_radius), F(shift),
+                         F(gate_center), F(gate_radius))
         self._circle_u = isinstance(space.factor(alpha), CircleSpace)
         self._circle_v = isinstance(space.factor(beta), CircleSpace)
 
@@ -448,13 +478,13 @@ class ConditionalMoveStage(ProductStage):
             return ZERO
         return 1 - dist / self.gate_radius
 
-    def _move(self, u, w: F):
+    def _shift(self, u, w: F):
         rel = self._rel(u)
         if abs(rel) >= self.u_radius or w == 0:
             return u
         return self._out(rel + (1 - abs(rel) / self.u_radius) * w * self.shift)
 
-    def _unmove(self, u, w: F):
+    def _unshift(self, u, w: F):
         rel = self._rel(u)
         if abs(rel) >= self.u_radius or w == 0:
             return u
@@ -464,17 +494,6 @@ class ConditionalMoveStage(ProductStage):
         else:
             back = self.u_radius * (rel - ws) / (self.u_radius - ws)
         return self._out(back)
-
-    # -- stage interface -------------------------------------------------------
-    def image_coord(self, get, a):
-        if a != self.alpha:
-            return get(a)
-        return self._move(get(self.alpha), self.gate(get(self.beta)))
-
-    def preimage_coord(self, get, a):
-        if a != self.alpha:
-            return get(a)
-        return self._unmove(get(self.alpha), self.gate(get(self.beta)))
 
     # -- certified bounds --------------------------------------------------------
     def sup_displacement(self) -> F:
@@ -486,25 +505,17 @@ class ConditionalMoveStage(ProductStage):
         return max(F(1), 1 / m) + cross
 
     def descriptor(self):
-        return {
-            "stage": "conditional-move",
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "u_center": format_scalar(self.u_center),
-            "u_radius": format_scalar(self.u_radius),
-            "shift": format_scalar(self.shift),
-            "gate_center": format_scalar(self.gate_center),
-            "gate_radius": format_scalar(self.gate_radius),
-        }
+        return {"stage": "conditional-move", "alpha": self.alpha, "beta": self.beta,
+                **{name: format_scalar(getattr(self, name)) for name in _MOVE_SCALARS}}
 
 
 def conditional_move_from_descriptor(space: ProductSpace, desc: dict) -> ConditionalMoveStage:
-    return ConditionalMoveStage(
-        space, desc["alpha"], desc["beta"],
-        parse_scalar(desc["u_center"]), parse_scalar(desc["u_radius"]),
-        parse_scalar(desc["shift"]),
-        parse_scalar(desc["gate_center"]), parse_scalar(desc["gate_radius"]),
-    )
+    """The move a descriptor names; a malformed one raises PreconditionError."""
+    try:
+        return ConditionalMoveStage(space, desc["alpha"], desc["beta"],
+                                    *(parse_scalar(desc[name]) for name in _MOVE_SCALARS))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise PreconditionError(f"malformed conditional-move descriptor: {e!r}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -578,29 +589,26 @@ def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
     power of two keeps dyadic data dyadic instead of passing on the
     denominator of lip_inv.
 
-    The target u_c + shift is fresh: every other value of coordinate alpha
-    lies at distance 0 or at least 2 r_u from u_c, and 0 < |shift| <= r_u/2."""
-    fa, fb = space.factor(alpha), space.factor(beta)
+    The radii r_u and r_v come from `_clearance` with cap 1/2, so the bump
+    leaves out every alpha-different point and the gate every beta-different
+    one.  The target u_c + shift is fresh: every other value of coordinate
+    alpha lies at distance 0 or at least 2 r_u from u_c, and
+    0 < |shift| <= r_u/2."""
     u_c = pts[i].coord(alpha)
     g_c = pts[i].coord(beta)
-
-    # support small enough to exclude every alpha-different point ...
-    r_u = F(1, 4)
-    for p in pts:
-        d = fa.metric(p.coord(alpha), u_c)
-        if d != 0:
-            r_u = min(r_u, d / 2)
-    # ... and a gate excluding every beta-different point
-    r_v = F(1, 4)
-    for p in pts:
-        d = fb.metric(p.coord(beta), g_c)
-        if d != 0:
-            r_v = min(r_v, d / 2)
-
+    r_u = _clearance(space.factor(alpha), (p.coord(alpha) for p in pts), u_c, F(1, 2))
+    r_v = _clearance(space.factor(beta), (p.coord(beta) for p in pts), g_c, F(1, 2))
     k = cert.stage_count
     cap = min(pow2(-k), pow2(-(k - 1)) / cert._lip_inv) if k >= 1 else F(1)
     shift = floor_pow2(min(r_u / 2, cap * pow2(alpha)))
     return ConditionalMoveStage(space, alpha, beta, u_c, r_u, shift, g_c, r_v)
+
+
+def _clearance(factor, values, center, cap):
+    """Half the least of `cap` and the nonzero distances from `center` to
+    `values`: the open ball of twice this radius about `center` holds no
+    value but those equal to it."""
+    return min([cap] + [d for d in (factor.metric(v, center) for v in values) if d > 0]) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -634,19 +642,18 @@ class CollarShrinkStage(ProductStage):
                 "indices": sorted(self.indices)}
 
 
-class FloatConditionalStage(ProductStage):
-    """Euclidean analogue of the conditional move: shift coordinate alpha by
-    a tent bump gated on coordinate beta.  Float path, tolerance semantics."""
+class FloatConditionalStage(_GatedMove):
+    """The gated move on disc data: shift coordinate alpha by a tent bump
+    gated on coordinate beta.  Float path, tolerance semantics."""
 
     def __init__(self, space, alpha: int, beta: int, u_center, u_radius: float,
                  shift, gate_center, gate_radius: float):
-        self.space = space
-        self.alpha, self.beta = alpha, beta
-        self.u_center, self.u_radius = tuple(u_center), float(u_radius)
-        self.shift = tuple(shift)
-        self.gate_center, self.gate_radius = tuple(gate_center), float(gate_radius)
+        if not vnorm(shift) < u_radius:
+            raise PreconditionError("shift must stay inside the bump radius")
+        super().__init__(space, alpha, beta, tuple(u_center), float(u_radius), tuple(shift),
+                         tuple(gate_center), float(gate_radius))
 
-    def _gate(self, v) -> float:
+    def gate(self, v) -> float:
         d = self.space.factor(self.beta).metric(v, self.gate_center)
         return max(0.0, 1.0 - d / self.gate_radius)
 
@@ -654,35 +661,25 @@ class FloatConditionalStage(ProductStage):
         d = self.space.factor(self.alpha).metric(u, self.u_center)
         return max(0.0, 1.0 - d / self.u_radius)
 
-    def image_coord(self, get, a):
-        if a != self.alpha:
-            return get(a)
-        u = get(self.alpha)
-        w = self._gate(get(self.beta)) * self._bump(u)
+    def _shift(self, u, gate: float):
+        w = gate * self._bump(u)
         return tuple(c + w * s for c, s in zip(u, self.shift))
 
-    def preimage_coord(self, get, a):
-        if a != self.alpha:
-            return get(a)
-        gate = self._gate(get(self.beta))
-        return _undo_shift(self.space.factor(self.alpha).metric, get(self.alpha), self.shift,
-                           lambda u: gate * self._bump(u))
+    def _unshift(self, y, gate: float):
+        """The x with x + gate * bump(x) * shift = y, by fixed-point iteration
+        from y; stops when a step moves less than 1e-15, or after 200 steps."""
+        metric = self.space.factor(self.alpha).metric
+        x = y
+        for _ in range(200):
+            w = gate * self._bump(x)
+            nxt = tuple(b - w * s for b, s in zip(y, self.shift))
+            if metric(nxt, x) < 1e-15:
+                return nxt
+            x = nxt
+        return x
 
     def descriptor(self):
         return {"stage": "float-conditional-move", "alpha": self.alpha, "beta": self.beta}
-
-
-def _undo_shift(metric: Callable, y: tuple, shift: tuple, weight: Callable) -> tuple:
-    """The x with x + weight(x) * shift = y, by fixed-point iteration from y;
-    stops when a step moves less than 1e-15, or after 200 steps."""
-    x = y
-    for _ in range(200):
-        w = weight(x)
-        nxt = tuple(b - w * s for b, s in zip(y, shift))
-        if metric(nxt, x) < 1e-15:
-            return nxt
-        x = nxt
-    return x
 
 
 @dataclass
@@ -739,14 +736,10 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace) -> Bound
         )
         if beta is None:
             raise PreconditionError(f"points {x} and {y} are identical")
-        f0 = space.factor(0)
         u_c = pts[x].coord(0)
-        gaps = [d for d in (f0.metric(p.coord(0), u_c) for p in pts) if d > 0]
-        r_u = min(gaps + [0.25]) / 2
-        fb = space.factor(beta)
         g_c = pts[x].coord(beta)
-        vgaps = [d for d in (fb.metric(p.coord(beta), g_c) for p in pts) if d > 0]
-        r_v = min(vgaps + [0.25]) / 2
+        r_u = _clearance(space.factor(0), (p.coord(0) for p in pts), u_c, 0.25)
+        r_v = _clearance(space.factor(beta), (p.coord(beta) for p in pts), g_c, 0.25)
         margin = 1.0 - vnorm(u_c)
         shift_len = min(r_u / 2, margin / 4, 2.0 ** (-step - 3))
         shift = (shift_len,) + (0.0,) * (len(u_c) - 1)

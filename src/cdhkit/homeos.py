@@ -564,23 +564,28 @@ def _arc_sup(gaps: list) -> Fraction:
 
 
 def homeo_from_descriptor(desc: dict) -> FactorHomeo:
-    t = desc["type"]
-    if t == "cylinder":
-        space = factor_from_descriptor({"kind": desc["kind"]})
-        table = {tuple(k): tuple(v) for k, v in desc["table"]}
-        masks = {
-            tuple(k): SymSeq(tuple(m["prefix"]), m["tail"]) for k, m in desc["masks"]
-        }
-        return CylinderHomeo(space, desc["depth"], table, masks)
-    if t == "pl_line":
-        return PLLineHomeo(
-            tuple((parse_scalar(x), parse_scalar(y)) for x, y in desc["breaks"])
-        )
-    if t == "pl_circle":
-        return PLCircleHomeo(
-            tuple((parse_scalar(x), parse_scalar(y)) for x, y in desc["breaks"]),
-            desc["orientation"],
-        )
+    """The map a descriptor names; a malformed one raises a CdhError, a
+    PreconditionError where reading or building it fails otherwise."""
+    try:
+        t = desc["type"]
+        if t == "cylinder":
+            space = factor_from_descriptor({"kind": desc["kind"]})
+            table = {tuple(k): tuple(v) for k, v in desc["table"]}
+            masks = {
+                tuple(k): SymSeq(tuple(m["prefix"]), m["tail"]) for k, m in desc["masks"]
+            }
+            return CylinderHomeo(space, desc["depth"], table, masks)
+        if t == "pl_line":
+            return PLLineHomeo(
+                tuple((parse_scalar(x), parse_scalar(y)) for x, y in desc["breaks"])
+            )
+        if t == "pl_circle":
+            return PLCircleHomeo(
+                tuple((parse_scalar(x), parse_scalar(y)) for x, y in desc["breaks"]),
+                desc["orientation"],
+            )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise PreconditionError(f"malformed homeomorphism descriptor: {e!r}") from e
     raise UnsupportedOperation(f"cannot rebuild homeomorphism of type {t!r}")
 
 

@@ -11,9 +11,16 @@ import pytest
 
 from cdhkit import convergence, homeos
 from cdhkit.convergence import ConvergenceCertificate, double_limit_defect, reverify_ledger
-from cdhkit.errors import BoundViolation, CdhError, PreconditionError, UnsupportedOperation
+from cdhkit.errors import (
+    BoundViolation,
+    CdhError,
+    PreconditionError,
+    SpaceMismatch,
+    UnsupportedOperation,
+)
 from cdhkit.genpos import (
     CollarShrinkStage,
+    ConditionalMoveStage,
     FloatConditionalStage,
     WgppStage,
     collision_repair_gpp,
@@ -527,3 +534,23 @@ def test_append_uncertified_product_stage_raises_typed_error(space, stage):
         repair = _circle_line_repair()[1].certificate
         with pytest.raises(CdhError):
             repair.append(stage)
+
+
+_MOVE = ConditionalMoveStage(_CIRCLE_LINE, 0, 1, 0, F(1, 4), F(1, 8), 0, F(1, 4))
+
+
+@pytest.mark.parametrize("space, first, stage", [
+    (CIRCLE, identity_for(CIRCLE), identity_for(LINE)),
+    (CIRCLE, identity_for(CIRCLE), _MOVE),
+    (_CIRCLE_LINE, _MOVE, small_ball_transporter(CIRCLE, F(0), F(1, 16), F(1, 8))),
+], ids=["line-map-on-circle", "product-move-on-circle", "circle-map-on-product"])
+def test_append_refuses_a_stage_on_another_space(space, first, stage):
+    with pytest.raises(SpaceMismatch):
+        ConvergenceCertificate(space).append(stage)
+    with pytest.raises(SpaceMismatch):
+        ConvergenceCertificate(space).append(first).append(stage)
+
+
+def test_append_takes_a_stage_on_an_equal_space():
+    cert = ConvergenceCertificate(ProductSpace([CIRCLE, LINE])).append(_MOVE)
+    assert cert.stages == (_MOVE,)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdhkit.convergence import ConvergenceCertificate, reverify_ledger
-from cdhkit.errors import PreconditionError, UnsupportedOperation
+from cdhkit.errors import IndexRange, PreconditionError, UnsupportedOperation
 from cdhkit.genpos import (
     CollarShrinkStage,
+    ConditionalMoveStage,
     FloatConditionalStage,
     PartitionPlan,
     block_regroup,
@@ -346,6 +348,42 @@ def test_long_move_ledger_stays_short_and_re_verifies():
     assert len(verdicts) == len(stages) and all(v["ok"] for v in verdicts)
 
 
+def test_gated_moves_refuse_a_gate_they_cannot_invert_or_certify():
+    space = ProductSpace([LINE, LINE])
+    desc = ConditionalMoveStage(space, 0, 1, 0, F(1, 4), F(3, 16), 0, F(1, 4)).descriptor()
+    assert conditional_move_from_descriptor(space, desc).descriptor() == desc
+    # gated on itself the move is not monotone; a gate radius <= 0 gives a
+    # Lipschitz bound of 0 or divides by zero
+    for bad, match in [({"beta": 0}, "gated on itself"),
+                       ({"gate_radius": "-1/4"}, "not positive"),
+                       ({"gate_radius": "0/1"}, "not positive")]:
+        with pytest.raises(PreconditionError, match=match):
+            conditional_move_from_descriptor(space, {**desc, **bad})
+    discs = ProductSpace([DiscSpace(2), DiscSpace(1)])
+    with pytest.raises(PreconditionError, match="gated on itself"):
+        FloatConditionalStage(discs, 0, 0, (0.0, 0.0), 0.25, (0.01, 0.0), (0.0, 0.0), 0.25)
+    with pytest.raises(PreconditionError, match="not positive"):
+        FloatConditionalStage(discs, 0, 1, (0.0, 0.0), 0.25, (0.01, 0.0), (0.0,), 0.0)
+    # a shift as long as the bump radius folds the disc; a radius of 0 divides by zero
+    for u_radius, shift in [(0.1, (0.1, 0.0)), (0.1, (0.0, -0.3)), (0.0, (0.0, 0.0))]:
+        with pytest.raises(PreconditionError, match="inside the bump radius"):
+            FloatConditionalStage(discs, 0, 1, (0.0, 0.0), u_radius, shift, (0.0,), 0.25)
+
+
+def test_malformed_conditional_move_descriptors_raise_typed_errors():
+    space = ProductSpace([CIRCLE, LINE])
+    desc = ConditionalMoveStage(space, 1, 0, 0, F(1, 4), F(1, 8), 0, F(1, 4)).descriptor()
+    missing = {k: v for k, v in desc.items() if k != "u_radius"}
+    for bad, cause in [(missing, KeyError), ({**desc, "shift": "x"}, ValueError),
+                       ({**desc, "shift": "1/0"}, ZeroDivisionError),
+                       ({**desc, "alpha": "1"}, TypeError)]:
+        with pytest.raises(PreconditionError, match="malformed") as info:
+            conditional_move_from_descriptor(space, bad)
+        assert isinstance(info.value.__cause__, cause)
+    with pytest.raises(IndexRange):  # CdhErrors pass unchanged
+        conditional_move_from_descriptor(space, {**desc, "alpha": 2})
+
+
 def test_repair_compares_coordinates_per_move_not_per_pair(monkeypatch):
     rng = random.Random(3)
     space = ProductSpace([CIRCLE, LINE, CIRCLE, LINE])
@@ -364,6 +402,24 @@ def test_repair_compares_coordinates_per_move_not_per_pair(monkeypatch):
     assert result.moves > 4
     # two gaps per point and move (bump and gate radii), no pairwise tests
     assert len(calls) <= 2 * result.moves * len(points)
+
+
+def test_repair_outputs_are_pinned():
+    # the certificate document and the repaired points of a seeded
+    # circle/line repair, bit for bit
+    rng = random.Random(11)
+    space = ProductSpace([CIRCLE, LINE, LINE, CIRCLE])
+    rows: list = []
+    while len(rows) < 8:
+        row = tuple(F(rng.randrange(8), 8) for _ in range(4))
+        if row not in rows:
+            rows.append(row)
+    result = collision_repair_gpp([space.point(dict(enumerate(r))) for r in rows], space)
+    assert result.moves == 12
+    doc = json.dumps({"certificate": result.certificate.describe(),
+                      "points": [p.ser() for p in result.points]})
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "af6126214ea4013d5c43ec87b7f8279717b9d3c09e61319489ba55a5d573711f")
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +454,21 @@ def test_boundary_chase_pulls_points_inside_and_separates_coordinate_0():
         back = [p.apply_stage(stage.inverse()) for p in back]
     for p, q in zip(back, points):
         assert all(space.factor(a).metric(p.coord(a), q.coord(a)) <= 1e-12 for a in space.indices())
+
+
+def test_boundary_chase_outputs_are_pinned():
+    # the chase's stage descriptors, the chased coordinates and the
+    # coordinates mapped back through the float inverses, bit for bit
+    space, points = _CHASE_SPACE, _chase_points(_CHASE_ROWS)
+    result = boundary_chase(points, space)
+    back = result.points
+    for stage in reversed(result.stages):
+        back = [p.apply_stage(stage.inverse()) for p in back]
+    out = ([s.descriptor() for s in result.stages],
+           [[p.coord(a) for a in space.indices()] for p in result.points + back])
+    assert len(result.stages) == 3
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "ec988241619445cc9b90bb95b7555a0849bef67c25b8714ba8745ccd2b216d6c")
 
 
 def test_boundary_chase_leaves_interior_injective_input_alone():

@@ -614,3 +614,19 @@ def test_cylinder_descriptor_rebuilds_baire_and_refuses_other_kinds():
         homeo_from_descriptor({**desc, "kind": "disc"})
     with pytest.raises(UnsupportedOperation, match="unknown factor kind 'torus'"):
         homeo_from_descriptor({**desc, "kind": "torus"})
+
+
+def test_malformed_homeo_descriptors_raise_typed_errors():
+    circ = PLCircleHomeo([(F(0), F(1, 8)), (F(1, 2), F(5, 8))], 1).descriptor()
+    for desc, cause in [({"type": "pl_line"}, KeyError),
+                        ({**circ, "breaks": circ["breaks"][1:]}, ValueError),  # starts at 1/2
+                        ({**circ, "breaks": [["x", "0/1"]]}, ValueError),
+                        ({**circ, "breaks": [["0/1", "1/0"]]}, ZeroDivisionError),
+                        ({**circ, "orientation": -1}, ValueError),
+                        ({**circ, "breaks": 3}, TypeError)]:
+        with pytest.raises(PreconditionError, match="malformed") as info:
+            homeo_from_descriptor(desc)
+        assert isinstance(info.value.__cause__, cause)
+    # CdhErrors pass unchanged (cylinder kinds: see the test above)
+    with pytest.raises(UnsupportedOperation, match="'spiral'"):
+        homeo_from_descriptor({"type": "spiral"})
