@@ -42,13 +42,11 @@ from .spaces import (
     DiscSpace,
     FactorSpace,
     LineSpace,
-    MarkerBase,
     ProductPoint,
     ProductSpace,
     ProductStage,
     _point_key,
     _wrap1,
-    marker_point,
     nat_tuple,
 )
 
@@ -155,13 +153,11 @@ def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
     """Point n lands in enumerated box n; every pair of outputs differs at
     every coordinate (exactly, for exact kinds).
 
-    Point n uses the n-th marker base, so coordinates outside the finitely
-    many adjusted indices are pairwise distinct by construction; adjusted
-    indices get explicitly checked override values.
+    Point n sits at every factor's n-th marker point outside finitely many
+    adjusted indices, so its other coordinates differ from every other
+    point's by construction; adjusted indices get explicitly checked
+    override values.
     """
-    for a in space.indices():
-        if not space.factor(a).crowded:
-            raise PreconditionError(f"factor {a} is not crowded")
     boxes = product_boxes(space, count)
     points: list[ProductPoint] = []
     for k in range(count):
@@ -173,11 +169,11 @@ def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
             avoid = {_point_key(factor, p.coord(a)) for p in points}
             target_box = box.get(a)
             if target_box is None:
-                if _point_key(factor, marker_point(factor, k)) not in avoid:
-                    continue  # marker base already distinct, no override
+                if _point_key(factor, factor.marker(k)) not in avoid:
+                    continue  # marker point already distinct, no override
                 target_box = factor.basic_open(0)
             overrides[a] = _pick_avoiding(factor, target_box, avoid)
-        point = ProductPoint(space, MarkerBase(k), overrides)
+        point = ProductPoint(space, k, overrides)
         if not box_contains(space, box, point):
             raise AssertionError(f"greedy point {k} missed its box")
         points.append(point)

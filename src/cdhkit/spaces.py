@@ -13,8 +13,9 @@ Exact kinds (cantor, baire, circle, line) never touch floats: their points
 are eventually-constant symbol sequences or rationals, their metric values
 are Fractions.  Disc points are float tuples compared with a tolerance.
 
-A product point is a root (base pattern plus finitely many overrides) or
-one product stage applied to a parent point; coordinates are evaluated on
+A product point is a root or one product stage applied to a parent point.
+A root sits at every factor's base point, or at every factor's k-th marker
+point, outside finitely many overrides.  Coordinates are evaluated on
 demand and memoized per level, so evaluation is pure and order-independent.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, sqrt
 from typing import Callable, Optional, Sequence
 
 from .errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
@@ -109,12 +110,8 @@ def bin_tuple(n: int) -> tuple:
 
 
 def _unpair(z: int) -> tuple[int, int]:
-    # inverse Cantor pairing
-    w = int((sqrt(8 * z + 1) - 1) // 2)
-    while (w + 1) * (w + 2) // 2 <= z:
-        w += 1
-    while w * (w + 1) // 2 > z:
-        w -= 1
+    # inverse Cantor pairing: w is the largest with w(w+1)/2 <= z
+    w = (isqrt(8 * z + 1) - 1) // 2
     t = w * (w + 1) // 2
     y = z - t
     x = w - y
@@ -176,7 +173,6 @@ class FactorSpace:
 
     kind: str = "?"
     exact: bool = True
-    crowded: bool = True
     diameter: Fraction = Fraction(1)
     group: Optional[GroupOps] = None
     tolerance: float = FLOAT_TOLERANCE
@@ -217,6 +213,10 @@ class FactorSpace:
         """Deterministic point of `box`; distinct salts give distinct points."""
         raise UnsupportedOperation(f"{self.kind} has no point picker")
 
+    def marker(self, k: int):
+        """The k-th marker point; distinct k give distinct points."""
+        raise UnsupportedOperation(f"no marker points for kind {self.kind}")
+
 
 class _SeqSpace(FactorSpace):
     """Shared machinery of the sequence kinds."""
@@ -237,6 +237,9 @@ class _SeqSpace(FactorSpace):
     def pick_in(self, box: CylinderOpen, salt: int) -> SymSeq:
         # trailing non-tail symbol keeps distinct salts canonically distinct
         return SymSeq(box.prefix + self._salt_tuple(salt), 0)
+
+    def marker(self, k: int) -> SymSeq:
+        return SymSeq(self._salt_tuple(k), 0)
 
     def _salt_tuple(self, salt: int) -> tuple:
         raise NotImplementedError
@@ -313,6 +316,9 @@ class CircleSpace(FactorSpace):
         width = box.hi - box.lo
         return _wrap1(box.lo + width * _dyadic(salt))
 
+    def marker(self, k: int) -> Fraction:
+        return _dyadic(k)
+
 
 class LineSpace(FactorSpace):
     kind = "line"
@@ -338,6 +344,9 @@ class LineSpace(FactorSpace):
 
     def pick_in(self, box: IntervalOpen, salt: int) -> Fraction:
         return box.lo + (box.hi - box.lo) * _dyadic(salt)
+
+    def marker(self, k: int) -> Fraction:
+        return _dyadic(k)
 
 
 def _dyadic(n: int) -> Fraction:
@@ -389,15 +398,21 @@ _FACTOR_KINDS = {"cantor": CANTOR, "baire": BAIRE, "circle": CIRCLE, "line": LIN
 
 
 def factor_from_descriptor(desc: dict) -> FactorSpace:
-    """The factor a descriptor names; a descriptor that names none raises a
-    CdhError."""
-    kind = desc.get("kind")
-    if kind in _FACTOR_KINDS:
-        return _FACTOR_KINDS[kind]
-    if kind == "disc":
-        if "dim" not in desc:
-            raise PreconditionError("a disc descriptor needs its 'dim'")
-        return DiscSpace(desc["dim"])
+    """The factor a descriptor names.  A kind that names none raises
+    UnsupportedOperation, and a descriptor that cannot be read raises
+    PreconditionError with the cause chained."""
+    try:
+        kind = desc["kind"]
+        if kind in _FACTOR_KINDS:
+            return _FACTOR_KINDS[kind]
+        if kind == "disc":
+            if "dim" not in desc:
+                raise PreconditionError("a disc descriptor needs its 'dim'")
+            if type(desc["dim"]) is not int:
+                raise TypeError(f"disc dimension {desc['dim']!r} is not an int")
+            return DiscSpace(desc["dim"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise PreconditionError(f"malformed factor descriptor: {e!r}") from e
     raise UnsupportedOperation(f"unknown factor kind {kind!r}")
 
 
@@ -471,7 +486,7 @@ class ProductSpace:
         return range(d)
 
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
-        return ProductPoint(self, DefaultBase(), dict(overrides or {}))
+        return ProductPoint(self, None, dict(overrides or {}))
 
     # -- metric ------------------------------------------------------------
     def distance(self, x: "ProductPoint", y: "ProductPoint", depth: Optional[int] = None
@@ -518,63 +533,6 @@ class ProductSpace:
             "working_depth": self.working_depth,
             "factors": [self.factor(a).descriptor() for a in self.indices()],
         }
-
-
-# ---------------------------------------------------------------------------
-# Base patterns
-# ---------------------------------------------------------------------------
-
-class BasePattern:
-    def value(self, space: ProductSpace, alpha: int):
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
-
-class DefaultBase(BasePattern):
-    """Every coordinate sits at the factor's base point."""
-
-    def value(self, space, alpha):
-        return space.factor(alpha).base_point()
-
-    def descriptor(self):
-        return {"kind": "default"}
-
-
-class MarkerBase(BasePattern):
-    """Constant-per-coordinate base whose value is the k-th marker point of
-    each factor; distinct markers differ as factor points, which is what
-    keeps greedy points coordinate-distinct outside their finite supports."""
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def value(self, space, alpha):
-        return marker_point(space.factor(alpha), self.index)
-
-    def descriptor(self):
-        return {"kind": "marker", "index": self.index}
-
-
-def marker_point(factor: FactorSpace, k: int):
-    if isinstance(factor, CantorSpace):
-        return SymSeq(bin_tuple(k) + (1,), 0)
-    if isinstance(factor, BaireSpace):
-        return SymSeq((k + 1,), 0)
-    if isinstance(factor, CircleSpace):
-        return _dyadic(k)
-    if isinstance(factor, LineSpace):
-        return _dyadic(k)
-    raise UnsupportedOperation(f"no marker points for kind {factor.kind}")
-
-
-def base_from_descriptor(desc: dict) -> BasePattern:
-    if desc["kind"] == "default":
-        return DefaultBase()
-    if desc["kind"] == "marker":
-        return MarkerBase(desc["index"])
-    raise ValueError(f"unknown base pattern {desc['kind']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +613,20 @@ class CoordwiseStage(ProductStage):
 
 
 class ProductPoint:
-    """A root (base pattern + overrides) or one stage applied to a parent.
+    """A root (a base plus finitely many overrides) or one stage applied to
+    a parent.  A root with `marker` None sits at every factor's base point
+    outside its overrides, one with `marker` k at every factor's k-th marker
+    point; staged points keep their root's marker and overrides.
 
     Immutable; coordinate evaluation is memoized and pure, so concurrent
     reads are safe and evaluation order never matters.
     """
 
-    __slots__ = ("space", "base", "overrides", "parent", "stage", "_cache")
+    __slots__ = ("space", "marker", "overrides", "parent", "stage", "_cache")
 
-    def __init__(self, space: ProductSpace, base: BasePattern, overrides: dict):
+    def __init__(self, space: ProductSpace, marker: Optional[int], overrides: dict):
         self.space = space
-        self.base = base
+        self.marker = marker
         self.overrides = dict(overrides)
         self.parent: Optional[ProductPoint] = None
         self.stage: Optional[ProductStage] = None
@@ -680,7 +641,8 @@ class ProductPoint:
         if self.stage is None:
             if alpha in self.overrides:
                 return self.overrides[alpha]
-            return self.base.value(self.space, alpha)
+            f = self.space.factor(alpha)
+            return f.base_point() if self.marker is None else f.marker(self.marker)
         pending = []
         p = self
         while p.stage is not None and alpha not in p._cache:
@@ -691,7 +653,7 @@ class ProductPoint:
         return self._cache[alpha]
 
     def apply_stage(self, stage: ProductStage) -> "ProductPoint":
-        p = ProductPoint(self.space, self.base, self.overrides)
+        p = ProductPoint(self.space, self.marker, self.overrides)
         p.parent = self
         p.stage = stage
         return p
@@ -706,7 +668,8 @@ class ProductPoint:
         if self.stage is not None:
             over = {a: self.coord(a) for a in self.space.indices()}
         return {
-            "base": self.base.descriptor(),
+            "base": ({"kind": "default"} if self.marker is None
+                     else {"kind": "marker", "index": self.marker}),
             "overrides": {
                 str(a): self.space.factor(a).ser_point(v)
                 for a, v in sorted(over.items())
@@ -715,11 +678,24 @@ class ProductPoint:
 
     @staticmethod
     def de(space: ProductSpace, obj: dict) -> "ProductPoint":
-        base = base_from_descriptor(obj["base"])
-        overrides = {
-            int(a): space.factor(int(a)).de_point(v) for a, v in obj["overrides"].items()
-        }
-        return ProductPoint(space, base, overrides)
+        """Reads `ser()` output back; a document that cannot be read raises
+        PreconditionError with the cause chained."""
+        try:
+            base = obj["base"]
+            if base["kind"] == "default":
+                marker = None
+            elif base["kind"] == "marker":
+                marker = base["index"]
+                if type(marker) is not int or marker < 0:
+                    raise ValueError(f"marker index {marker!r} is not a non-negative int")
+            else:
+                raise ValueError(f"unknown base kind {base['kind']!r}")
+            overrides = {
+                int(a): space.factor(int(a)).de_point(v) for a, v in obj["overrides"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise PreconditionError(f"malformed point: {e!r}") from e
+        return ProductPoint(space, marker, overrides)
 
     def __repr__(self):
         stages, p = 0, self

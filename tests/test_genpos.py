@@ -150,6 +150,21 @@ def test_greedy_points_read_back_from_json(factor):
         assert all(factor.points_equal(back.coord(a), p.coord(a)) for a in space.indices())
 
 
+@pytest.mark.parametrize("factor, digest", [
+    (CIRCLE, "8d93061f75cf53440df8d44acd56c8d10ab45426063dcd13ba74531b2aeea534"),
+    (CANTOR, "ef599099bdba85b71121470bcd37b1f8fef69c091bd356cc61a14fae80535eff"),
+], ids=["circle", "cantor"])
+def test_marker_roots_serialize_to_pinned_bytes(factor, digest):
+    # greedy roots and their twisted images carry a marker base; their
+    # JSON is pinned byte for byte and reads back to the same JSON
+    space, result = _greedy(factor)
+    twist = wgpp_transform(result.points, lambda a: group_pair(factor))
+    objs = [p.ser() for p in result.points + twist.points]
+    doc = json.dumps(objs)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    assert [ProductPoint.de(space, obj).ser() for obj in json.loads(doc)] == objs
+
+
 # ---------------------------------------------------------------------------
 # wgpp twist and block regrouping
 # ---------------------------------------------------------------------------

@@ -616,6 +616,31 @@ def test_cylinder_descriptor_rebuilds_baire_and_refuses_other_kinds():
         homeo_from_descriptor({**desc, "kind": "torus"})
 
 
+def _cyl(depth, table=(), masks=()):
+    return {"type": "cylinder", "kind": "cantor", "depth": depth,
+            "table": [list(r) for r in table], "masks": [list(r) for r in masks]}
+
+
+@pytest.mark.parametrize("desc, message", [
+    (_cyl(2, [[[0], [1]], [[1], [0]]]), "table prefixes must have the declared depth"),
+    (_cyl(1, masks=[[[0, 1], {"prefix": [1], "tail": 0}]]), "mask prefixes must have the declared depth"),
+    (_cyl(1, [[[0], [1]]]), "not a bijection"),
+    ({"type": "pl_line", "breaks": [["0", "0"], ["1/2", "3/4"], ["1/4", "1"]]}, "strictly increasing"),
+    ({"type": "pl_line", "breaks": [["0", "1/4"], ["1", "1"]]}, "identity outside"),
+    ({"type": "pl_circle", "breaks": [["0", "0"]], "orientation": 2}, "orientation must be"),
+    ({"type": "pl_circle", "breaks": [["0", "0"], ["1", "1/2"]], "orientation": 1}, "within \\[0, 1\\)"),
+    ({"type": "pl_circle", "breaks": [["0", "0"], ["1/2", "1/4"], ["1/4", "1/2"]], "orientation": 1},
+     "within \\[0, 1\\)"),
+    ({"type": "pl_circle", "breaks": [["0", "1/2"], ["1/2", "1/4"]], "orientation": 1},
+     "lift must strictly increase"),
+], ids=["table-depth", "mask-depth", "not-bijective", "line-not-increasing", "line-ends-moved",
+        "circle-orientation", "circle-break-at-1", "circle-breaks-unordered", "circle-lift-decreases"])
+def test_descriptors_the_constructors_refuse_raise_typed_errors(desc, message):
+    with pytest.raises(PreconditionError, match=message) as info:
+        homeo_from_descriptor(desc)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_malformed_homeo_descriptors_raise_typed_errors():
     circ = PLCircleHomeo([(F(0), F(1, 8)), (F(1, 2), F(5, 8))], 1).descriptor()
     for desc, cause in [({"type": "pl_line"}, KeyError),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdhkit.errors import IndexRange, SpaceMismatch, UnsupportedOperation
+from cdhkit.errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
 from cdhkit.homeos import PLCircleHomeo
 from cdhkit.rationals import floor_pow2, pow2
 from cdhkit.spaces import (
@@ -22,6 +22,10 @@ from cdhkit.spaces import (
     ProductSpace,
     ProductStage,
     SymSeq,
+    _point_key,
+    _unpair,
+    factor_from_descriptor,
+    nat_tuple,
 )
 
 F = Fraction
@@ -368,6 +372,31 @@ def test_pick_in_lands_in_box_with_distinct_salts():
         assert len({space.ser_point(p) if not hasattr(p, "prefix") else p for p in picks}) == len(picks)
 
 
+def test_unpair_inverts_the_cantor_pairing_exactly():
+    for z in [*range(200_000), 10**400, 10**400 + 1]:
+        x, y = _unpair(z)
+        w = x + y
+        assert x >= 0 and y >= 0 and z == w * (w + 1) // 2 + y
+    # indices past the float range enumerate as well; a line interval's
+    # level is the first component, so keep it small there
+    assert nat_tuple(10**400) and BAIRE.basic_open(10**400).prefix
+    w = 10**200
+    box = LINE.basic_open(w * (w + 1) // 2 + w - 1)  # level 1, position w - 1
+    assert box.hi - box.lo == 1 and box.lo == F(w // 2 - 1, 2)
+
+
+@pytest.mark.parametrize("factor", [CANTOR, BAIRE, CIRCLE, LINE], ids=lambda f: f.kind)
+def test_markers_are_distinct_factor_points(factor):
+    markers = [factor.marker(k) for k in range(64)]
+    assert len({_point_key(factor, m) for m in markers}) == 64
+    assert factor.marker(0) != factor.base_point()
+
+
+def test_a_disc_has_no_markers():
+    with pytest.raises(UnsupportedOperation, match="no marker points for kind disc"):
+        DiscSpace(2).marker(0)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -380,3 +409,40 @@ def test_point_serialization_round_trip_bit_exact():
     for a in range(10):
         assert q.coord(a) == p.coord(a)
     assert q.ser() == obj
+
+
+def test_malformed_factor_descriptors_raise_typed_errors():
+    for desc, cause in [("circle", TypeError), (None, TypeError), ({}, KeyError),
+                        ({"kind": "disc", "dim": 0}, ValueError),
+                        ({"kind": "disc", "dim": "2"}, TypeError),
+                        ({"kind": "disc", "dim": 1.5}, TypeError),
+                        ({"kind": ["circle"]}, TypeError)]:
+        with pytest.raises(PreconditionError, match="malformed") as info:
+            factor_from_descriptor(desc)
+        assert isinstance(info.value.__cause__, cause)
+    assert factor_from_descriptor({"kind": "disc", "dim": 2}) == DiscSpace(2)
+    with pytest.raises(UnsupportedOperation, match="unknown factor kind 'torus'"):
+        factor_from_descriptor({"kind": "torus"})
+
+
+def test_malformed_points_raise_typed_errors():
+    circles = ProductSpace([CIRCLE, CIRCLE])
+    obj = {"base": {"kind": "marker", "index": 3}, "overrides": {"0": "1/4"}}
+    assert ProductPoint.de(circles, obj).coord(1) == F(1, 8)
+    for bad, cause in [({**obj, "base": {"kind": "constant"}}, ValueError),
+                       ({**obj, "base": {"kind": "marker"}}, KeyError),
+                       ({"overrides": {}}, KeyError),
+                       ({**obj, "overrides": {"x": "1/4"}}, ValueError),
+                       ({**obj, "overrides": {"0": "1/0"}}, ZeroDivisionError),
+                       ({**obj, "overrides": {"0": 3}}, AttributeError),
+                       ({**obj, "overrides": []}, AttributeError),
+                       ({**obj, "base": {"kind": "marker", "index": "3"}}, ValueError),
+                       ({**obj, "base": {"kind": "marker", "index": True}}, ValueError),
+                       # a negative index would alias another marker
+                       ({**obj, "base": {"kind": "marker", "index": -1}}, ValueError),
+                       ([], TypeError)]:
+        with pytest.raises(PreconditionError, match="malformed point") as info:
+            ProductPoint.de(circles, bad)
+        assert isinstance(info.value.__cause__, cause)
+    with pytest.raises(IndexRange):  # CdhErrors pass unchanged
+        ProductPoint.de(circles, {**obj, "overrides": {"2": "1/4"}})
