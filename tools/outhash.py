@@ -1,8 +1,8 @@
 """Output identity of the benchmark workloads: one sha256 per workload.
 
-    python3 tools/outhash.py --root DIR [--seed 1 --rounds 4]
+    python3 tools/outhash.py --root DIR
 
-Runs every job of rounds 0 .. rounds-1 of each workload in
+Runs every job of rounds 0 .. ROUNDS-1 under seed SEED of each workload in
 `DIR/cdhbench/workloads.py`, against the library in `DIR/src`, and hashes
 what the job produces: the `sizes()` document (JSON, sorted keys), the
 value `verify` returns (its verdicts, with rebuilt stages read through their
@@ -20,6 +20,10 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+# Fixed inputs: hashes compare across checkouts only on the same jobs.
+SEED = 1
+ROUNDS = 4
 
 
 def canon(obj):
@@ -40,7 +44,7 @@ def canon(obj):
     return repr(obj)
 
 
-def workload_hashes(root: Path, seed: int, rounds: int) -> dict:
+def workload_hashes(root: Path) -> dict:
     sys.path[:0] = [str(root / "src"), str(root / "cdhbench")]
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # as cdhbench/run.py: some values pass the default limit
@@ -49,8 +53,8 @@ def workload_hashes(root: Path, seed: int, rounds: int) -> dict:
     out = {}
     for name, wl in workloads.WORKLOADS.items():
         h = hashlib.sha256()
-        for index in range(rounds):
-            for job in wl.round(seed, index):
+        for index in range(ROUNDS):
+            for job in wl.round(SEED, index):
                 inputs = wl.prepare(job)
                 built = wl.build(job, inputs)
                 verified = wl.verify(job, inputs, built)
@@ -66,13 +70,11 @@ def workload_hashes(root: Path, seed: int, rounds: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, required=True, help="checkout whose src/ and cdhbench/ run")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=4)
     args = ap.parse_args(argv)
     root = args.root.resolve()
     if not (root / "src" / "cdhkit").is_dir() or not (root / "cdhbench" / "workloads.py").is_file():
         sys.exit(f"{root} holds no src/cdhkit or cdhbench/workloads.py")
-    for name, digest in workload_hashes(root, args.seed, args.rounds).items():
+    for name, digest in workload_hashes(root).items():
         print(f"{name} {digest}")
     return 0
 
