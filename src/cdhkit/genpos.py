@@ -45,7 +45,6 @@ from .spaces import (
     ProductPoint,
     ProductSpace,
     ProductStage,
-    _point_key,
     _wrap1,
     nat_tuple,
 )
@@ -83,14 +82,13 @@ def check_regrouped_general_position(points: Sequence[ProductPoint],
 
 
 def _keyed_column(factor: FactorSpace, values) -> tuple:
-    """A coordinate column as (same, column) for pair tests.  Circle and line
-    values become small-int ids (one wrap per value, equal ids iff
-    `points_equal`) and sequence values stay as they are, so for exact kinds
-    `same` is `==` and the entries are hashable; float values keep the
-    tolerance test `points_equal`."""
+    """A column of canonical points as (same, column) for pair tests.  Circle
+    and line values become small-int ids, equal iff the values are and faster
+    to compare than Fractions; sequence values stay as they are.  So for exact
+    kinds `same` is `==`; float values keep the tolerance test `points_equal`."""
     if isinstance(factor, (CircleSpace, LineSpace)):
         ids: dict = {}
-        return operator.eq, [ids.setdefault(_point_key(factor, v), len(ids)) for v in values]
+        return operator.eq, [ids.setdefault(v, len(ids)) for v in values]
     return (operator.eq if factor.exact else factor.points_equal), list(values)
 
 
@@ -166,10 +164,10 @@ def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
         overrides = {}
         for a in sorted(relevant):
             factor = space.factor(a)
-            avoid = {_point_key(factor, p.coord(a)) for p in points}
+            avoid = {p.coord(a) for p in points}
             target_box = box.get(a)
             if target_box is None:
-                if _point_key(factor, factor.marker(k)) not in avoid:
+                if factor.marker(k) not in avoid:
                     continue  # marker point already distinct, no override
                 target_box = factor.basic_open(0)
             overrides[a] = _pick_avoiding(factor, target_box, avoid)
@@ -185,7 +183,7 @@ def _pick_avoiding(factor, box, avoid):
     len(avoid) + 1 salts tried lands outside `avoid`."""
     for salt in range(len(avoid) + 1):
         v = factor.pick_in(box, salt)
-        if _point_key(factor, v) not in avoid:
+        if v not in avoid:
             return v
     raise AssertionError(f"pick_in gave fewer than {len(avoid) + 1} distinct points")
 
@@ -293,8 +291,8 @@ def wgpp_transform(points: Sequence[ProductPoint],
 def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int):
     """Every two distinct ys are separated by s(x, .) for every x in xs, with
     one evaluation of `pair.s` per (x, y); raises PreconditionError if not."""
-    if factor.exact:  # equal keys iff points_equal: keep one y per key
-        ys = list(dict(zip(_keyed_column(factor, ys)[1], ys)).values())
+    if factor.exact:  # canonical points: keep one y per value
+        ys = list(dict.fromkeys(ys))
         apart = len(ys) > 1
     else:  # tolerance equality is not transitive: compare float points pairwise
         apart = [(i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
@@ -304,7 +302,7 @@ def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int):
     for x in xs:
         images = [pair.s(x, y) for y in ys]
         if factor.exact:
-            merged = len(set(_keyed_column(factor, images)[1])) < len(ys)
+            merged = len(set(images)) < len(ys)
         else:
             merged = any(factor.points_equal(images[i], images[j]) for i, j in apart)
         if merged:

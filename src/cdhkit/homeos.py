@@ -57,7 +57,6 @@ from .spaces import (
     LineSpace,
     SymSeq,
     _wrap1,
-    _point_key,
     factor_from_descriptor,
 )
 
@@ -327,7 +326,7 @@ class PLCircleHomeo(FactorHomeo):
         return _on_segment(frac, *self._segment(frac)) + n * self.orientation
 
     def apply(self, p: Fraction) -> Fraction:
-        return _wrap1(self.lift_at(_wrap1(p)))
+        return _wrap1(self.lift_at(p))
 
     def _inverse(self) -> "PLCircleHomeo":
         """Each break (x, y) lies on the inverse lift as (y - n, x - s*n),
@@ -598,35 +597,32 @@ def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
 
     Guaranteed for the sequence kinds; the ordered kinds answer only when
     the data respects their (cyclic) order and raise OrderViolation
-    otherwise.
+    otherwise.  Circle values are read mod 1.  Repeated sources or targets
+    raise PreconditionError, a factor of no exact kind UnsupportedOperation.
     """
-    keys = list(sigma)
-    vals = list(sigma.values())
-    if len({_point_key(factor, v) for v in vals}) != len(vals):
-        raise PreconditionError("sigma is not injective")
-    if len({_point_key(factor, k) for k in keys}) != len(keys):
+    if not isinstance(factor, (CantorSpace, BaireSpace, CircleSpace, LineSpace)):
+        raise UnsupportedOperation(f"no finite-bijection realizer for kind {factor.kind}")
+    n = len(sigma)
+    if isinstance(factor, CircleSpace):
+        sigma = {_wrap1(k): _wrap1(v) for k, v in sigma.items()}
+    if len(sigma) != n:
         raise PreconditionError("sigma has duplicate source points")
-    if all(factor.points_equal(k, sigma[k]) for k in keys):
+    if len(set(sigma.values())) != n:
+        raise PreconditionError("sigma is not injective")
+    if all(k == v for k, v in sigma.items()):
         return identity_for(factor)
     if isinstance(factor, (CantorSpace, BaireSpace)):
         return _realize_seq(factor, sigma)
     if isinstance(factor, LineSpace):
         return _realize_line(sigma)
-    if isinstance(factor, CircleSpace):
-        return _realize_circle(sigma)
-    raise UnsupportedOperation(
-        f"finite bijections are only guaranteed realizable on sequence kinds, not {factor.kind}"
-    )
+    return _realize_circle(sigma)
 
 
 def _realize_seq(factor, sigma: dict) -> CylinderHomeo:
     depth = 1
     for group in (list(sigma), list(sigma.values())):
         for a, b in itertools.combinations(group, 2):
-            j = a.first_diff(b)
-            if j is None:
-                raise PreconditionError("sigma has duplicate points")
-            depth = max(depth, j + 1)
+            depth = max(depth, a.first_diff(b) + 1)
     table = {}
     masks = {}
     g = factor.group
@@ -724,12 +720,7 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
             # is the whole circle, and the rotation by 1/2 stays inside it
             return _realize_circle({center: target})
         r = (d + min(delta, Fraction(1, 2))) / 2
-        anchors = {
-            _wrap1(center - r): _wrap1(center - r),
-            center: target,
-            _wrap1(center + r): _wrap1(center + r),
-        }
-        return _realize_circle(anchors)
+        return _realize_circle({center - r: center - r, center: target, center + r: center + r})
     if isinstance(factor, LineSpace):
         # the metric caps at 1, so a gap of delta or more means delta > 1:
         # the ball is the whole line, and any bump wider than the gap fits

@@ -55,7 +55,7 @@ def vscale(a, s: float):
 
 @dataclass
 class ConvenientPair:
-    """Forward maps as closures."""
+    """Forward maps as closures; on exact factors they keep points canonical."""
 
     s: Callable
     t: Callable

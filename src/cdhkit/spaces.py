@@ -12,6 +12,9 @@ at most 1, except the disc, which is flagged):
 Exact kinds (cantor, baire, circle, line) never touch floats: their points
 are eventually-constant symbol sequences or rationals, their metric values
 are Fractions.  Disc points are float tuples compared with a tolerance.
+Exact points are canonical (a SymSeq strips trailing tail symbols, a circle
+point lies in [0, 1)), so `==` and `hash` decide point equality and a value
+is its own key; `FactorSpace.points_equal` stays for raw values from callers.
 
 A product point is a root or one product stage applied to a parent point.
 A root sits at every factor's base point, or at every factor's k-th marker
@@ -30,6 +33,7 @@ from .errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOpe
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
 
 FLOAT_TOLERANCE = 1e-9
+_LINE_LEVEL_CAP = 1 << 16  # the deepest level of a line basic open
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,9 @@ class GroupOps:
 
 
 class FactorSpace:
-    """Interface of a factor kind; instances are value objects."""
+    """Interface of a factor kind; instances are value objects.  Exact
+    points are canonical, so `==` is point equality; `points_equal` also
+    takes raw values, such as a circle value outside [0, 1)."""
 
     kind: str = "?"
     exact: bool = True
@@ -276,7 +282,9 @@ class BaireSpace(_SeqSpace):
 
 
 def _wrap1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+    """The representative of x mod 1 in [0, 1); x itself if it is one."""
+    q = x.numerator // x.denominator
+    return x - q if q else x
 
 
 class CircleSpace(FactorSpace):
@@ -337,7 +345,11 @@ class LineSpace(FactorSpace):
         return parse_scalar(obj)
 
     def basic_open(self, n: int) -> IntervalOpen:
+        """Interval n, at level j and position r where (j, r) unpairs n.  A
+        level above _LINE_LEVEL_CAP = 2^16 raises PreconditionError."""
         j, r = _unpair(n)
+        if j > _LINE_LEVEL_CAP:
+            raise PreconditionError(f"line interval level {j} exceeds {_LINE_LEVEL_CAP}")
         k = (r + 1) // 2 if r % 2 else -(r // 2)
         lo = Fraction(k - 1, 1 << j)
         return IntervalOpen(lo, lo + pow2(-j + 1))
@@ -416,14 +428,6 @@ def factor_from_descriptor(desc: dict) -> FactorSpace:
     raise UnsupportedOperation(f"unknown factor kind {kind!r}")
 
 
-def _point_key(factor: FactorSpace, p):
-    """Hashable key of a factor point; for exact kinds two points get equal
-    keys iff `factor.points_equal` holds."""
-    if isinstance(factor, CircleSpace):
-        return _wrap1(p)
-    return p if factor.exact else tuple(p)
-
-
 # ---------------------------------------------------------------------------
 # Product spaces
 # ---------------------------------------------------------------------------
@@ -486,7 +490,15 @@ class ProductSpace:
         return range(d)
 
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
-        return ProductPoint(self, None, dict(overrides or {}))
+        """A root at the base point outside `overrides`; an int or Fraction
+        on a circle factor is stored as its representative in [0, 1)."""
+        over = dict(overrides or {})
+        for a, v in over.items():
+            # exact type tests: isinstance against the Fraction ABC is slow
+            if ((type(v) is Fraction or type(v) is int) and v.numerator // v.denominator
+                    and isinstance(self.factor(a), CircleSpace)):
+                over[a] = _wrap1(v)
+        return ProductPoint(self, None, over)
 
     # -- metric ------------------------------------------------------------
     def distance(self, x: "ProductPoint", y: "ProductPoint", depth: Optional[int] = None
@@ -551,6 +563,7 @@ class ProductStage:
     """
 
     def image_coord(self, get: Callable[[int], object], alpha: int):
+        """Coordinate alpha of the image; canonical where `get` gives canonical points."""
         raise NotImplementedError
 
     def preimage_coord(self, get: Callable[[int], object], alpha: int):
@@ -625,6 +638,7 @@ class ProductPoint:
     __slots__ = ("space", "marker", "overrides", "parent", "stage", "_cache")
 
     def __init__(self, space: ProductSpace, marker: Optional[int], overrides: dict):
+        """Takes canonical overrides as they are; `ProductSpace.point` canonicalizes."""
         self.space = space
         self.marker = marker
         self.overrides = dict(overrides)

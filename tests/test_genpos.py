@@ -18,6 +18,7 @@ from cdhkit.genpos import (
     ConditionalMoveStage,
     FloatConditionalStage,
     PartitionPlan,
+    WgppStage,
     block_regroup,
     boundary_chase,
     box_contains,
@@ -29,7 +30,7 @@ from cdhkit.genpos import (
     wgpp_transform,
     _build_move,
 )
-from cdhkit.homeos import realize_finite_bijection
+from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
 from cdhkit.rationals import floor_pow2, parse_scalar
 from cdhkit.spaces import (
@@ -37,6 +38,7 @@ from cdhkit.spaces import (
     CANTOR,
     CIRCLE,
     LINE,
+    CoordwiseStage,
     DiscSpace,
     ProductPoint,
     ProductSpace,
@@ -542,3 +544,44 @@ def test_baire_bijection_with_suffix_offsets_round_trips():
         z = SymSeq(tuple(rng.randint(-3, 6) for _ in range(rng.randint(0, 6))), rng.randint(-2, 2))
         assert h_inv.apply(h.apply(z)) == z
         assert h.apply(h_inv.apply(z)) == z
+
+
+# ---------------------------------------------------------------------------
+# canonical circle points: every stage keeps circle values in [0, 1)
+# ---------------------------------------------------------------------------
+
+_UNIT = st.integers(0, 63).map(lambda k: F(k, 64))
+_RADIUS = st.integers(1, 32).map(lambda k: F(k, 64))
+_INSIDE = st.integers(-63, 63).map(lambda k: F(k, 64))
+
+
+@st.composite
+def _circle_stages(draw):
+    """A canonical point of circle^3 and one stage of each exact kind that
+    acts on circle coordinates; the point sits inside the move's bump and
+    gate, so the move shifts it."""
+    space = ProductSpace([CIRCLE] * 3)
+    alpha, beta, other = draw(st.permutations(range(3)))
+    u_c, g_c = draw(_UNIT), draw(_UNIT)
+    r_u, r_v = draw(_RADIUS), draw(_RADIUS)
+    move = ConditionalMoveStage(space, alpha, beta, u_c, r_u, r_u * draw(_INSIDE), g_c, r_v)
+    point = space.point({alpha: u_c + r_u * draw(_INSIDE), beta: g_c + r_v * draw(_INSIDE),
+                         other: draw(_UNIT)})
+    twist = WgppStage(frozenset({1, 2}), {1: group_pair(CIRCLE), 2: group_pair(CIRCLE)})
+    center, target = draw(_UNIT), draw(_UNIT)
+    delta = CIRCLE.metric(center, target) + draw(_RADIUS)
+    n = draw(st.integers(1, 3))  # three points always fit one orientation
+    keys = draw(st.lists(_UNIT, min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(_UNIT, min_size=n, max_size=n, unique=True))
+    maps = CoordwiseStage({0: small_ball_transporter(CIRCLE, center, target, delta),
+                           2: realize_finite_bijection(CIRCLE, dict(zip(keys, values)))})
+    return point, [move, twist, maps]
+
+
+@given(_circle_stages())
+@settings(max_examples=150, deadline=None)
+def test_stages_send_canonical_circle_points_to_canonical_points(inputs):
+    point, stages = inputs
+    for stage in stages:
+        for image in (point.apply_stage(stage), point.apply_stage(stage.inverse())):
+            assert all(0 <= image.coord(a) < 1 for a in range(3)), stage.descriptor()

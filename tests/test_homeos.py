@@ -463,6 +463,21 @@ def test_realize_rejects_non_injective():
         })
 
 
+def test_realize_refuses_circle_duplicates_mod_1():
+    for sigma, what in [({0: F(1, 4), 1: F(1, 2)}, "duplicate source"),
+                        ({0: F(1, 4), F(1, 2): F(5, 4)}, "not injective")]:
+        with pytest.raises(PreconditionError, match=what):
+            realize_finite_bijection(CIRCLE, sigma)
+    h = realize_finite_bijection(CIRCLE, {F(5, 4): F(-1, 2)})  # read mod 1
+    assert h.apply(F(1, 4)) == F(1, 2)
+
+
+def test_realize_refuses_a_disc_before_reading_sigma():
+    for sigma in ({(0.0,): [0.5], (0.5,): [0.0]}, None):
+        with pytest.raises(UnsupportedOperation, match="no finite-bijection realizer"):
+            realize_finite_bijection(DiscSpace(1), sigma)
+
+
 # ---------------------------------------------------------------------------
 # small_ball_transporter
 # ---------------------------------------------------------------------------

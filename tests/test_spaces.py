@@ -22,8 +22,9 @@ from cdhkit.spaces import (
     ProductSpace,
     ProductStage,
     SymSeq,
-    _point_key,
+    _LINE_LEVEL_CAP,
     _unpair,
+    _wrap1,
     factor_from_descriptor,
     nat_tuple,
 )
@@ -385,10 +386,20 @@ def test_unpair_inverts_the_cantor_pairing_exactly():
     assert box.hi - box.lo == 1 and box.lo == F(w // 2 - 1, 2)
 
 
+def test_line_basic_open_refuses_a_level_past_its_cap():
+    # index (j+1)(j+2)/2 is the first at level j + 1; the refusal comes
+    # before any shift, so no 2^j is built for a level j past the cap
+    cap = _LINE_LEVEL_CAP
+    assert LINE.basic_open(cap * (cap + 1) // 2).lo == F(-1, 1 << cap)  # level cap, position 0
+    for n in (10**400, (cap + 1) * (cap + 2) // 2):
+        with pytest.raises(PreconditionError, match="exceeds"):
+            LINE.basic_open(n)
+
+
 @pytest.mark.parametrize("factor", [CANTOR, BAIRE, CIRCLE, LINE], ids=lambda f: f.kind)
 def test_markers_are_distinct_factor_points(factor):
     markers = [factor.marker(k) for k in range(64)]
-    assert len({_point_key(factor, m) for m in markers}) == 64
+    assert len(set(markers)) == 64
     assert factor.marker(0) != factor.base_point()
 
 
@@ -400,6 +411,19 @@ def test_a_disc_has_no_markers():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_circle_overrides_are_stored_in_the_unit_interval():
+    space = ProductSpace([CIRCLE, CIRCLE, CIRCLE, LINE])
+    p = space.point({0: F(5, 4), 1: F(-3, 4), 2: 1, 3: F(5, 4)})
+    assert [p.coord(a) for a in range(4)] == [F(1, 4), F(1, 4), 0, F(5, 4)]
+    assert p.ser()["overrides"] == {"0": "1/4", "1": "1/4", "2": "0/1", "3": "5/4"}
+
+
+def test_wrap1_returns_a_canonical_argument_itself():
+    for x in (F(0), F(1, 2), F(63, 64), F(10**40 - 1, 10**40), 0):
+        assert _wrap1(x) is x
+    assert _wrap1(F(5, 4)) == F(1, 4) and _wrap1(F(-3, 4)) == F(1, 4) and _wrap1(1) == 0
+
 
 def test_point_serialization_round_trip_bit_exact():
     space = _cantor_omega()
