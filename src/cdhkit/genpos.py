@@ -264,11 +264,11 @@ def wgpp_transform(points: Sequence[ProductPoint],
     omega = frozenset(a for a in idx if a != 0 and (a not in claimed or a in into_omega))
 
     pairs = {}
-    a_col = {a: [p.coord(a) for p in points] for a in idx}
     y_col = [p.coord(0) for p in points]
+    checked: set = set()
     for a in sorted(omega):
         pair = pair_family(a)
-        _check_focus(space.factor(a), pair, a_col[a], y_col, a)
+        _check_focus(space.factor(a), pair, [p.coord(a) for p in points], y_col, a, checked)
         pairs[a] = pair
 
     stage = WgppStage(omega, pairs)
@@ -288,12 +288,22 @@ def wgpp_transform(points: Sequence[ProductPoint],
     return WgppResult(stage, moved, omega, report)
 
 
-def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int):
-    """Every two distinct ys are separated by s(x, .) for every x in xs, with
-    one evaluation of `pair.s` per (x, y); raises PreconditionError if not."""
-    if factor.exact:  # canonical points: keep one y per value
+def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int, checked: set):
+    """Every two distinct ys are separated by s(x, .) for every x in xs;
+    raises PreconditionError if not.
+
+    On an exact factor the answer for one x depends only on `pair.s` and x:
+    `s` is pure, and one twist passes the same ys (column 0) to every call.
+    `checked` holds the (s, x) keys of the twist's earlier calls, which all
+    passed (a failure ends the twist), so `pair.s` is evaluated once per y
+    for each distinct key and a failure is still raised at the first
+    unfocused index.  Float factors compare the images pairwise at every x."""
+    if factor.exact:  # canonical points: one y per value, each new (s, x) once
         ys = list(dict.fromkeys(ys))
         apart = len(ys) > 1
+        s = pair.s
+        xs = [x for x in dict.fromkeys(xs) if (s, x) not in checked]
+        checked.update((s, x) for x in xs)
     else:  # tolerance equality is not transitive: compare float points pairwise
         apart = [(i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
                  if not factor.points_equal(ys[i], ys[j])]

@@ -55,7 +55,11 @@ def vscale(a, s: float):
 
 @dataclass
 class ConvenientPair:
-    """Forward maps as closures; on exact factors they keep points canonical."""
+    """Forward maps as closures; on exact factors they keep points canonical.
+
+    `s` and `t` must be pure: the same arguments give the same value, and
+    nothing they read changes.  The focus check of `genpos.wgpp_transform`
+    relies on it to evaluate each `s` once per distinct first argument."""
 
     s: Callable
     t: Callable
@@ -63,12 +67,15 @@ class ConvenientPair:
 
 def group_pair(factor: FactorSpace) -> ConvenientPair:
     """s(x,y) = x*y and t(x,y) = x*y^-1 for a group factor; exact, focused
-    on the whole factor (cancellation separates second arguments)."""
+    on the whole factor (cancellation separates second arguments).  `s` is
+    the factor's shared group operation, so every pair of one factor has
+    the same `s`.  The pair itself is built fresh on every call, so a caller
+    may reassign its fields."""
     g = factor.group
     if g is None:
         raise PreconditionError(f"factor kind {factor.kind} declares no group structure")
     return ConvenientPair(
-        s=lambda x, y: g.op(x, y),
+        s=g.op,
         t=lambda x, y: g.op(x, g.inv(y)),
     )
 

@@ -19,7 +19,8 @@ is its own key; `FactorSpace.points_equal` stays for raw values from callers.
 A product point is a root or one product stage applied to a parent point.
 A root sits at every factor's base point, or at every factor's k-th marker
 point, outside finitely many overrides.  Coordinates are evaluated on
-demand and memoized per level, so evaluation is pure and order-independent.
+demand and memoized per level (a root memoizes its base or marker
+values), so evaluation is pure and order-independent.
 """
 
 from __future__ import annotations
@@ -491,13 +492,24 @@ class ProductSpace:
 
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
         """A root at the base point outside `overrides`; an int or Fraction
-        on a circle factor is stored as its representative in [0, 1)."""
+        on a circle factor is stored as its representative in [0, 1).  An
+        index outside the product raises IndexRange, and a float on an exact
+        factor raises PreconditionError."""
         over = dict(overrides or {})
+        if over:
+            lo, hi = min(over), max(over)
+            if lo < 0 or (self.count is not None and hi >= self.count):
+                raise IndexRange(f"index {lo if lo < 0 else hi} outside product of "
+                                 f"{self.count} factors")
         for a, v in over.items():
             # exact type tests: isinstance against the Fraction ABC is slow
-            if ((type(v) is Fraction or type(v) is int) and v.numerator // v.denominator
-                    and isinstance(self.factor(a), CircleSpace)):
-                over[a] = _wrap1(v)
+            t = type(v)
+            if t is Fraction or t is int:
+                if v.numerator // v.denominator and isinstance(self.factor(a), CircleSpace):
+                    over[a] = _wrap1(v)
+            elif t is float and self.factor(a).exact:
+                raise PreconditionError(f"float {v!r} at index {a} on the exact "
+                                        f"{self.factor(a).kind} factor")
         return ProductPoint(self, None, over)
 
     # -- metric ------------------------------------------------------------
@@ -649,14 +661,20 @@ class ProductPoint:
     def coord(self, alpha: int):
         """Coordinate of the staged image; exact for exact kinds.  Evaluates
         down from the nearest ancestor holding alpha, whose staged ancestors
-        hold it too, so reads nest per distinct coordinate, not per stage."""
+        hold it too, so reads nest per distinct coordinate, not per stage.
+        A root reads its overrides first and memoizes its base or marker
+        fallbacks, so each is built once per root."""
         if alpha < 0 or (self.space.count is not None and alpha >= self.space.count):
             raise IndexRange(f"index {alpha} outside the product")
         if self.stage is None:
             if alpha in self.overrides:
                 return self.overrides[alpha]
-            f = self.space.factor(alpha)
-            return f.base_point() if self.marker is None else f.marker(self.marker)
+            v = self._cache.get(alpha)
+            if v is None:
+                f = self.space.factor(alpha)
+                v = f.base_point() if self.marker is None else f.marker(self.marker)
+                self._cache[alpha] = v
+            return v
         pending = []
         p = self
         while p.stage is not None and alpha not in p._cache:

@@ -259,7 +259,37 @@ def test_focus_check_evaluates_each_pair_image_once():
     pair.s = counted
     twist = wgpp_transform(result.points, lambda a: pair)
     n = len(result.points)
-    assert calls and len(calls) <= len(twist.omega) * n * n
+    xs = {p.coord(a) for a in twist.omega for p in result.points}
+    # one shared s: each distinct x is checked once, against the n ys
+    assert calls and len(calls) <= len(xs) * n
+    assert len(set(calls)) == len(calls)
+
+
+def _twisted_columns():
+    """Eight circle points that differ only at coordinate 0: every nonzero
+    index is twisted, and columns 3 and 5 hold 1/2 where the others hold 0."""
+    space = ProductSpace.uniform(CIRCLE, working_depth=8)
+    return [space.point({0: F(i, 8), 3: F(1, 2), 5: F(1, 2)}) for i in range(8)]
+
+
+def test_focus_memo_keys_each_check_by_the_pairs_s():
+    # columns 1 and 2 are identical; only index 2's pair merges y and y + 1/2
+    def family(a):
+        k = 2 if a == 2 else 1
+        return ConvenientPair(s=lambda x, y: _wrap1(x + k * y), t=lambda x, y: _wrap1(x - k * y))
+
+    with pytest.raises(PreconditionError, match="at index 2 is not focused"):
+        wgpp_transform(_twisted_columns(), family)
+
+
+def test_a_shared_unfocused_pair_is_refused_at_its_first_index():
+    # unfocused at x = 1/2 only, which columns 3 and 5 hold
+    def s(x, y):
+        return _wrap1(x + (2 * y if x == F(1, 2) else y))
+
+    pair = ConvenientPair(s=s, t=lambda x, y: x)
+    with pytest.raises(PreconditionError, match="at index 3 is not focused"):
+        wgpp_transform(_twisted_columns(), lambda a: pair)
 
 
 # ---------------------------------------------------------------------------

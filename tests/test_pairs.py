@@ -72,6 +72,9 @@ def test_group_pair_circle():
 
     assert pair.s(F(3, 4), F(1, 2)) == F(1, 4)
     assert pair.t(pair.s(F(1, 3), F(1, 7)), F(1, 7)) == F(1, 3)
+    # one shared s per factor, which the focus check keys its memo by; fresh pairs
+    again = group_pair(CIRCLE)
+    assert again.s is pair.s and again is not pair
 
 
 def test_group_pair_requires_group():

@@ -231,6 +231,52 @@ def test_child_of_an_evaluated_point_evaluates_one_level():
     assert all(stage.calls == {a: 1 for a in space.indices()} for stage in ancestors)
 
 
+class _MarkerShift(ProductStage):
+    """Multiplies every coordinate by its factor's first marker point."""
+
+    def __init__(self, space):
+        self.space = space
+
+    def image_coord(self, get, alpha):
+        f = self.space.factor(alpha)
+        return f.group.op(get(alpha), f.marker(1))
+
+
+@pytest.mark.parametrize("marker", [None, 3], ids=["default", "marker"])
+def test_root_fallbacks_read_as_on_a_fresh_root(marker):
+    space = ProductSpace([CANTOR, BAIRE, CIRCLE, LINE, CIRCLE, CANTOR])
+    over = {2: F(1, 3)}
+    root = ProductPoint(space, marker, over)
+    staged = root.apply_stage(_MarkerShift(space)).apply_stage(_MarkerShift(space))
+    for _ in range(3):
+        for a in space.indices():
+            f = space.factor(a)
+            expected = over.get(a, f.base_point() if marker is None else f.marker(marker))
+            assert root.coord(a) == ProductPoint(space, marker, over).coord(a) == expected
+            assert staged.coord(a) == f.group.op(f.group.op(expected, f.marker(1)), f.marker(1))
+
+
+def test_point_refuses_an_index_outside_the_product():
+    space = ProductSpace([CIRCLE, LINE])
+    for over, bad in [({7: F(1, 4)}, 7), ({2: F(0)}, 2), ({-1: F(1, 4)}, -1),
+                      ({0: F(1, 4), 1: F(1, 2), 5: F(5, 4)}, 5)]:
+        with pytest.raises(IndexRange, match=f"index {bad} outside product of 2 factors"):
+            space.point(over)
+    countable = ProductSpace.uniform(CIRCLE, working_depth=4)
+    with pytest.raises(IndexRange, match="index -1 outside"):
+        countable.point({-1: F(1, 4)})
+    assert countable.point({40: F(1, 4)}).coord(40) == F(1, 4)
+
+
+def test_point_refuses_a_float_on_an_exact_factor():
+    for factor in (CANTOR, BAIRE, CIRCLE, LINE):
+        space = ProductSpace([DiscSpace(1), factor])
+        refusal = f"float 0.25 at index 1 on the exact {factor.kind} factor"
+        with pytest.raises(PreconditionError, match=refusal):
+            space.point({0: (0.5,), 1: 0.25})
+    assert ProductSpace([DiscSpace(1)]).point({0: (0.25,)}).coord(0) == (0.25,)
+
+
 class _GatedRotation(ProductStage):
     """Rotates circle coordinate 1 by the value of coordinate 0, so every
     level of a pipeline reads a second coordinate."""
