@@ -254,6 +254,7 @@ def double_limit_defect(cert: ConvergenceCertificate, m: int, n: int, x) -> Frac
 def reverify_ledger(space, stages, entries) -> list:
     """Re-checks every recorded bound from the stages alone.
 
+    `entries` are the recorded ledger dicts, as `ledger()` writes them.
     Returns a list of per-entry verdict dicts; every entry must reproduce the
     recorded values bit-exactly.  Raises PreconditionError, before replaying
     anything, when the stage and entry counts differ.
@@ -266,8 +267,8 @@ def reverify_ledger(space, stages, entries) -> list:
         try:
             cert = cert.append(h)
             fresh = cert.entries[-1]
-            ok = fresh.ser() == recorded if isinstance(recorded, dict) else fresh == recorded
-            verdicts.append({"stage": fresh.stage, "ok": bool(ok), "method": fresh.method})
+            verdicts.append({"stage": fresh.stage, "ok": fresh.ser() == recorded,
+                             "method": fresh.method})
         except BoundViolation as e:
             verdicts.append({"stage": e.stage, "ok": False, "violation": str(e)})
             break

@@ -334,17 +334,17 @@ class PartitionPlan:
 
 
 def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
-                  omega_star: Optional[Iterable[int]] = None,
-                  block_count: Optional[int] = None) -> PartitionPlan:
+                  omega_star: Optional[Iterable[int]] = None, *,
+                  block_count: int) -> PartitionPlan:
     """Disjoint cover of the index range by blocks such that every pair of
     points disagrees inside every block, block ownership respects
     block(i) <= i, and every block meets omega* emptily or cofinally."""
     depth = space.working_depth
     idx = list(space.indices())
+    B = block_count
+    if B < 1:
+        raise PreconditionError(f"block_count must be at least 1, not {B}")
     report = check_general_position(points)
-    sizes = [len(d) for d in report.disagreements.values()] or [len(idx)]
-    feasible = min(sizes)
-    B = block_count if block_count is not None else max(1, min(4, feasible))
     for p, dis in report.disagreements.items():
         if len(dis) < B:
             raise PreconditionError(
@@ -352,20 +352,24 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
             )
 
     owner: dict = {}
-    # witnesses: walk blocks from the top, each pair claims its deepest free
-    # disagreement compatible with the ownership constraint b <= i
+    witnesses = {}
+    # witnesses: walk blocks from the top; each pair keeps a disagreement
+    # block b already owns, else claims its deepest free one compatible with
+    # the ownership constraint b <= i.  Later steps only give owners to
+    # unowned indices, so every witness stays in its block.
     for b in reversed(range(B)):
         for p, dis in report.disagreements.items():
-            if any(owner.get(a) == b for a in dis):
-                continue
-            cand = next((a for a in reversed(dis) if a not in owner and a >= b), None)
-            if cand is None:
-                raise PreconditionError(
-                    f"cannot give block {b} a disagreement witness for pair {p}"
-                )
-            owner[cand] = b
+            w = next((a for a in dis if owner.get(a) == b), None)
+            if w is None:
+                w = next((a for a in reversed(dis) if a not in owner and a >= b), None)
+                if w is None:
+                    raise PreconditionError(
+                        f"cannot give block {b} a disagreement witness for pair {p}"
+                    )
+                owner[w] = b
+            witnesses[(p, b)] = w
 
-    omega_star = sorted(set(omega_star or [])) if omega_star else []
+    omega_star = sorted(set(omega_star or ()))
     in_range = set(idx)
     star_in_range = [a for a in omega_star if a in in_range]
     star_set = set(star_in_range)
@@ -381,14 +385,6 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
             owner[a] = a % B
 
     blocks = tuple(tuple(sorted(a for a in idx if owner[a] == b)) for b in range(B))
-    witnesses = {}
-    for p, dis in report.disagreements.items():
-        dset = set(dis)
-        for b, block in enumerate(blocks):
-            w = next((a for a in block if a in dset), None)
-            if w is None:
-                raise PreconditionError(f"block {b} lost its witness for pair {p}")
-            witnesses[(p, b)] = w
     traces = tuple(tuple(a for a in block if a in star_set) for block in blocks)
     _audit_plan(blocks, traces, star_in_range, B)
     return PartitionPlan(blocks, witnesses, traces, depth)

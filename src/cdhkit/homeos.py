@@ -56,6 +56,7 @@ from .spaces import (
     FactorSpace,
     LineSpace,
     SymSeq,
+    _load_symseq,
     _wrap1,
     factor_from_descriptor,
 )
@@ -101,8 +102,9 @@ class CylinderHomeo(FactorHomeo):
     """depth-d cylinder bijection + per-source-cylinder suffix translation.
 
     table maps depth-d prefixes to depth-d prefixes (a permutation of the
-    listed set; unlisted prefixes are fixed).  masks[src] is the symbolwise
-    translation applied to the suffix of points entering through src.
+    listed set; unlisted prefixes are fixed).  masks[src], a SymSeq, is the
+    symbolwise translation applied to the suffix of points entering through
+    src.
     """
 
     def __init__(self, space, depth: int, table: dict, masks: Optional[dict] = None):
@@ -111,11 +113,7 @@ class CylinderHomeo(FactorHomeo):
         self.space = space
         self.depth = depth
         table = {tuple(k): tuple(v) for k, v in table.items() if tuple(k) != tuple(v)}
-        masks = {
-            tuple(k): (m if isinstance(m, SymSeq) else SymSeq(*m))
-            for k, m in (masks or {}).items()
-        }
-        masks = {k: m for k, m in masks.items() if m != _ZERO_MASK}
+        masks = {tuple(k): m for k, m in (masks or {}).items() if m != _ZERO_MASK}
         for k, v in table.items():
             if len(k) != depth or len(v) != depth:
                 raise ValueError("table prefixes must have the declared depth")
@@ -570,9 +568,8 @@ def homeo_from_descriptor(desc: dict) -> FactorHomeo:
         if t == "cylinder":
             space = factor_from_descriptor({"kind": desc["kind"]})
             table = {tuple(k): tuple(v) for k, v in desc["table"]}
-            masks = {
-                tuple(k): SymSeq(tuple(m["prefix"]), m["tail"]) for k, m in desc["masks"]
-            }
+            binary = desc["kind"] == "cantor"
+            masks = {tuple(k): _load_symseq(m, binary) for k, m in desc["masks"]}
             return CylinderHomeo(space, desc["depth"], table, masks)
         if t == "pl_line":
             return PLLineHomeo(
@@ -595,9 +592,11 @@ def homeo_from_descriptor(desc: dict) -> FactorHomeo:
 def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
     """A homeomorphism h with h(x) = sigma(x) exactly for every key x.
 
-    Guaranteed for the sequence kinds; the ordered kinds answer only when
-    the data respects their (cyclic) order and raise OrderViolation
-    otherwise.  Circle values are read mod 1.  Repeated sources or targets
+    Guaranteed for the sequence kinds.  The circle takes data that keeps or
+    reverses the cyclic order, so every bijection of at most three points;
+    the line takes increasing data only, because a PL line map is the
+    identity outside a bounded interval.  Other data raise OrderViolation.
+    Circle values are read mod 1.  Repeated sources or targets
     raise PreconditionError, a factor of no exact kind UnsupportedOperation.
     """
     if not isinstance(factor, (CantorSpace, BaireSpace, CircleSpace, LineSpace)):

@@ -27,6 +27,8 @@ from .rationals import pow2
 from .spaces import FactorSpace
 
 BOUNDARY_SNAP = 1e-12
+_RADIUS_BITS = 40       # chart radii are floored to multiples of 2^-40
+_FOCUS_MARGIN = 1e-12   # the least gap between focused images
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +180,18 @@ class GluedPair(ConvenientPair):
     charts: tuple = ()
 
 
-def _dyadic_floor(x: float, bits: int = 40) -> Fraction:
+def _dyadic_floor(x: float) -> Fraction:
     if x <= 0:
         return Fraction(0)
-    scaled = int(math.floor(x * (1 << bits)))
-    return Fraction(scaled, 1 << bits)
+    return Fraction(math.floor(x * (1 << _RADIUS_BITS)), 1 << _RADIUS_BITS)
 
 
-def _separation_radii(points: Sequence[tuple], boundary_gap: Callable, label: str):
-    """Rational radii <= (1/3) min(distance to other points, gap to boundary)."""
+def _separation_radii(points: Sequence[tuple], kind: str, label: str):
+    """Rational radii <= (1/3) min(distance to other points, gap to the
+    boundary of a disc)."""
     radii = {}
     for i, p in enumerate(points):
-        dmin = boundary_gap(p)
+        dmin = 1.0 - vnorm(p) if kind == "disc" else math.inf
         for j, q in enumerate(points):
             if i != j:
                 dmin = min(dmin, vnorm(vsub(p, q)))
@@ -228,21 +230,10 @@ def glue_pairs(x_desc: tuple, y_desc: tuple, points: Sequence[tuple]) -> GluedPa
         if y_kind == "disc" and vnorm(py) >= 1.0 - BOUNDARY_SNAP:
             raise PreconditionError(f"point #{idx} lies on the boundary of Y")
 
-    a_pts = _dedupe([p for p, _ in points])
-    b_pts = _dedupe([q for _, q in points])
-
-    def x_gap(p):
-        return (1.0 - vnorm(p)) if x_kind == "disc" else math.inf
-
-    def y_gap(q):
-        return (1.0 - vnorm(q)) if y_kind == "disc" else math.inf
-
-    if not points:
-        proj = lambda x, y: x
-        return GluedPair(s=proj, t=proj, charts=())
-
-    a_radii = _separation_radii(a_pts, x_gap, "X")
-    b_radii = _separation_radii(b_pts, y_gap, "Y")
+    a_pts = list(dict.fromkeys(p for p, _ in points))
+    b_pts = list(dict.fromkeys(q for _, q in points))
+    a_radii = _separation_radii(a_pts, x_kind, "X")
+    b_radii = _separation_radii(b_pts, y_kind, "Y")
 
     # Chart i*|B|+j pairs the i-th X-ball with the j-th Y-ball and uses the
     # local pair of index j; shrinking the X-radius to 2^-(i*|B|) makes the
@@ -292,14 +283,6 @@ def glue_pairs(x_desc: tuple, y_desc: tuple, points: Sequence[tuple]) -> GluedPa
     return glued
 
 
-def _dedupe(pts):
-    seen = []
-    for p in pts:
-        if not any(q == p for q in seen):
-            seen.append(p)
-    return seen
-
-
 def _audit_charts(pair: GluedPair):
     for i, c1 in enumerate(pair.charts):
         for c2 in pair.charts[i + 1:]:
@@ -311,12 +294,12 @@ def _audit_charts(pair: GluedPair):
                 )
 
 
-def _verify_focus(pair: GluedPair, a_pts, b_pts, margin: float = 1e-12):
+def _verify_focus(pair: GluedPair, a_pts, b_pts):
     for a in a_pts:
         for i, b1 in enumerate(b_pts):
             for b2 in b_pts[i + 1:]:
                 v1, v2 = pair.s(a, b1), pair.s(a, b2)
-                if vnorm(vsub(v1, v2)) <= margin:
+                if vnorm(vsub(v1, v2)) <= _FOCUS_MARGIN:
                     raise AssertionError(
                         f"focus failure at x={a}: images of {b1} and {b2} collide"
                     )

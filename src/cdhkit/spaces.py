@@ -104,6 +104,17 @@ def seq_zip(a: SymSeq, b: SymSeq, op: Callable[[int, int], int]) -> SymSeq:
     return SymSeq(tuple(op(a.at(i), b.at(i)) for i in range(n)), op(a.tail, b.tail))
 
 
+def _load_symseq(obj, binary: bool) -> SymSeq:
+    """The SymSeq a {"prefix", "tail"} object names.  A symbol that is not
+    an int (a bool included), or not 0 or 1 where `binary`, raises
+    ValueError; baire symbols and masks may be any int."""
+    prefix, tail = tuple(obj["prefix"]), obj["tail"]
+    for v in (*prefix, tail):
+        if type(v) is not int or (binary and v >> 1):
+            raise ValueError(f"{v!r} is not a {'cantor' if binary else 'baire'} symbol")
+    return SymSeq(prefix, tail)
+
+
 def bin_tuple(n: int) -> tuple:
     """Bijection from naturals to finite bit tuples (0 -> ())."""
     bits = []
@@ -239,7 +250,7 @@ class _SeqSpace(FactorSpace):
         return {"prefix": list(x.prefix), "tail": x.tail}
 
     def de_point(self, obj):
-        return SymSeq(tuple(obj["prefix"]), obj["tail"])
+        return _load_symseq(obj, self.kind == "cantor")
 
     def pick_in(self, box: CylinderOpen, salt: int) -> SymSeq:
         # trailing non-tail symbol keeps distinct salts canonically distinct
@@ -443,20 +454,15 @@ class ProductSpace:
     """
 
     def __init__(self, factors: Sequence[FactorSpace] | Callable[[int], FactorSpace],
-                 count: Optional[int] = None, working_depth: Optional[int] = None):
+                 working_depth: Optional[int] = None):
+        """A factor list gives a finite product, a function of the index a
+        countable one, which needs a working depth."""
         if callable(factors):
-            if count is None and working_depth is None:
-                raise ValueError("countable products need a working depth")
-            self._factor_fn = factors
+            self._factor_fn, self.count = factors, None
         else:
             factors = tuple(factors)
-            if count is None:
-                count = len(factors)
-            if count != len(factors):
-                raise ValueError("factor list length disagrees with count")
-            self._factor_fn = lambda a: factors[a]
-        self.count = count
-        self.working_depth = working_depth if working_depth is not None else count
+            self._factor_fn, self.count = (lambda a: factors[a]), len(factors)
+        self.working_depth = working_depth if working_depth is not None else self.count
         if self.working_depth is None:
             raise ValueError("countable products need a working depth")
         # bounds the diameter of every factor past the working depth
@@ -465,7 +471,8 @@ class ProductSpace:
     @classmethod
     def uniform(cls, factor: FactorSpace, count: Optional[int] = None,
                 working_depth: Optional[int] = None) -> "ProductSpace":
-        space = cls(lambda a: factor, count=count, working_depth=working_depth)
+        space = cls((lambda a: factor) if count is None else [factor] * count,
+                    working_depth=working_depth)
         space._tail_diameter = factor.diameter
         return space
 

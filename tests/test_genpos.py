@@ -200,6 +200,30 @@ def test_wgpp_twist_and_regrouping_keep_their_guarantees(factor, order, n, colla
         assert not factor.points_equal(twist.points[i].coord(w), twist.points[j].coord(w))
 
 
+@pytest.mark.parametrize("factor, blocks, digest", [
+    (CIRCLE, 2, "772d2dd1a40437bc2b3b133bd49d5852fbbec957f2238eef3f4fcbf68b112bd4"),
+    (CIRCLE, 3, "0f28111a4848bed8f33ff472ac17cc25ca3f493054fbf20b1243977a4a550db7"),
+    (CIRCLE, 4, "80e1c9ef13164b441078b351653be1ed13af06fec062f1bf075b7063a8f316b2"),
+    (CANTOR, 2, "772d2dd1a40437bc2b3b133bd49d5852fbbec957f2238eef3f4fcbf68b112bd4"),
+    (CANTOR, 3, "984489471342390d03ff6381f40a76766258aac3c9af44c3b72147aecc07982c"),
+    (CANTOR, 4, "80e1c9ef13164b441078b351653be1ed13af06fec062f1bf075b7063a8f316b2"),
+], ids=["circle-2", "circle-3", "circle-4", "cantor-2", "cantor-3", "cantor-4"])
+def test_block_regroup_plans_are_pinned(factor, blocks, digest):
+    # the blocks and omega* traces of a greedy twist are pinned byte for
+    # byte; every (pair, block) has one witness, inside its block, where
+    # the pair differs
+    space, result = _greedy(factor)
+    twist = wgpp_transform(result.points, lambda a: group_pair(factor))
+    plan = block_regroup(twist.points, space, omega_star=twist.omega, block_count=blocks)
+    doc = json.dumps([plan.blocks, plan.omega_star_traces])
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    pairs = check_general_position(twist.points).disagreements
+    assert sorted(plan.witnesses) == sorted((p, b) for p in pairs for b in range(blocks))
+    for ((i, j), b), w in plan.witnesses.items():
+        assert w in plan.blocks[b]
+        assert not factor.points_equal(twist.points[i].coord(w), twist.points[j].coord(w))
+
+
 def test_wgpp_refuses_a_non_injective_first_projection():
     space = ProductSpace([CIRCLE, CIRCLE, CIRCLE])
     # points 0 and 1 collide first, at coordinate 1; points 1 and 2 at coordinate 0 (5/4 = 1/4)
@@ -228,6 +252,14 @@ def test_block_regroup_refuses_more_blocks_than_disagreements():
     points = [space.point({0: F(0)}), space.point({0: F(1, 2)})]
     with pytest.raises(PreconditionError, match="fewer than 2 blocks"):
         block_regroup(points, space, block_count=2)
+
+
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_block_regroup_refuses_a_block_count_below_one(blocks):
+    space = ProductSpace([CIRCLE, CIRCLE, CIRCLE])
+    points = [space.point({0: F(0), 1: F(0)}), space.point({0: F(1, 2), 1: F(1, 2)})]
+    with pytest.raises(PreconditionError, match="block_count must be at least 1"):
+        block_regroup(points, space, block_count=blocks)
 
 
 def test_unfocused_exact_pair_is_refused():

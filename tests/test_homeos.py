@@ -455,6 +455,22 @@ def test_realize_circle_incompatible_four_points():
         realize_finite_bijection(CIRCLE, sigma)
 
 
+def test_realize_circle_takes_exactly_the_order_keeping_or_reversing_data():
+    # all 3! bijections of three points; of four points the 4 rotations and
+    # 4 reflections of the cyclic order, and none of the other 16
+    for pts, answered in (([F(0), F(1, 3), F(2, 3)], 6), ([F(0), F(1, 4), F(1, 2), F(3, 4)], 8)):
+        realized = 0
+        for image in itertools.permutations(pts):
+            sigma = dict(zip(pts, image))
+            try:
+                h = realize_finite_bijection(CIRCLE, sigma)
+            except OrderViolation:
+                continue
+            assert all(h.apply(k) == v for k, v in sigma.items())
+            realized += 1
+        assert realized == answered
+
+
 def test_realize_rejects_non_injective():
     with pytest.raises(PreconditionError):
         realize_finite_bijection(CANTOR, {
@@ -640,6 +656,9 @@ def _cyl(depth, table=(), masks=()):
     (_cyl(2, [[[0], [1]], [[1], [0]]]), "table prefixes must have the declared depth"),
     (_cyl(1, masks=[[[0, 1], {"prefix": [1], "tail": 0}]]), "mask prefixes must have the declared depth"),
     (_cyl(1, [[[0], [1]]]), "not a bijection"),
+    (_cyl(1, masks=[[[0], {"prefix": "10", "tail": 0}]]), "not a cantor symbol"),
+    (_cyl(1, masks=[[[0], {"prefix": [1, 2], "tail": 0}]]), "not a cantor symbol"),
+    ({**_cyl(1, masks=[[[0], {"prefix": [True], "tail": -2}]]), "kind": "baire"}, "not a baire symbol"),
     ({"type": "pl_line", "breaks": [["0", "0"], ["1/2", "3/4"], ["1/4", "1"]]}, "strictly increasing"),
     ({"type": "pl_line", "breaks": [["0", "1/4"], ["1", "1"]]}, "identity outside"),
     ({"type": "pl_circle", "breaks": [["0", "0"]], "orientation": 2}, "orientation must be"),
@@ -648,7 +667,8 @@ def _cyl(depth, table=(), masks=()):
      "within \\[0, 1\\)"),
     ({"type": "pl_circle", "breaks": [["0", "1/2"], ["1/2", "1/4"]], "orientation": 1},
      "lift must strictly increase"),
-], ids=["table-depth", "mask-depth", "not-bijective", "line-not-increasing", "line-ends-moved",
+], ids=["table-depth", "mask-depth", "not-bijective", "mask-str", "mask-cantor-2", "mask-bool",
+        "line-not-increasing", "line-ends-moved",
         "circle-orientation", "circle-break-at-1", "circle-breaks-unordered", "circle-lift-decreases"])
 def test_descriptors_the_constructors_refuse_raise_typed_errors(desc, message):
     with pytest.raises(PreconditionError, match=message) as info:

@@ -280,6 +280,29 @@ def test_glue_round_trip_and_focus_small_set():
                 assert vnorm(vsub(pair.s(a, b1), pair.s(a, b2))) > 1e-12
 
 
+def test_glue_charts_run_over_distinct_projections_in_first_occurrence_order():
+    # points 0 and 1 share their X projection (-0.0 == 0.0), points 1 and 2
+    # their Y projection
+    pts = [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.5), (1.0, 0.5, 0.5), (-1.0, 0.25, -0.75)]
+    pair = glue_pairs(("euclid", 2), ("euclid", 1), pts)
+    xs = [(0.0, 0.0), (1.0, 0.5), (-1.0, 0.25)]
+    ys = [(0.0,), (0.5,), (-0.75,)]
+    assert len(pair.charts) == len(xs) * len(ys)
+    assert [(ch.a_center, ch.b_center) for ch in pair.charts] == [(a, b) for a in xs for b in ys]
+    assert all(math.copysign(1.0, ch.a_center[0]) == 1.0 for ch in pair.charts[:3])
+    rng = random.Random(16)
+    queries = [((rng.uniform(-2, 2), rng.uniform(-2, 2)), (rng.uniform(-2, 2),))
+               for _ in range(200)]
+    for ch in pair.charts:
+        for _ in range(20):
+            x = tuple(c + ch.a_radius * d for c, d in zip(ch.a_center, _rand_ball(2, rng)))
+            y = tuple(c + ch.b_radius * d for c, d in zip(ch.b_center, _rand_ball(1, rng)))
+            queries.append((x, y))
+    for x, y in queries:
+        assert vnorm(vsub(pair.s(pair.t(x, y), y), x)) <= 1e-9
+        assert vnorm(vsub(pair.t(pair.s(x, y), y), x)) <= 1e-9
+
+
 def test_glue_chart_displacement_bounded_by_chart_number():
     pts = [(0.0, 0.0, 0.0), (1.0, 0.5, 0.5)]
     pair = glue_pairs(("euclid", 2), ("euclid", 1), pts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -479,6 +480,46 @@ def test_point_serialization_round_trip_bit_exact():
     for a in range(10):
         assert q.coord(a) == p.coord(a)
     assert q.ser() == obj
+
+
+def test_line_and_baire_points_round_trip_through_json():
+    space = ProductSpace([LINE, BAIRE])
+    p = space.point({0: F(-7, 3), 1: SymSeq((3, 0, 12, 2), 5)})
+    obj = p.ser()
+    assert obj["overrides"] == {"0": "-7/3", "1": {"prefix": [3, 0, 12, 2], "tail": 5}}
+    q = ProductPoint.de(space, json.loads(json.dumps(obj)))
+    assert (q.coord(0), q.coord(1)) == (F(-7, 3), SymSeq((3, 0, 12, 2), 5))
+    assert q.ser() == obj
+    # baire symbols are integers: the group adds them and negates for the inverse
+    for x in (SymSeq((0, -3), 2), SymSeq((4,), -1), BAIRE.group.inv(SymSeq((1, 5), 2))):
+        p = space.point({1: x})
+        q = ProductPoint.de(space, json.loads(json.dumps(p.ser())))
+        assert q.coord(1) == x and q.ser() == p.ser()
+
+
+@pytest.mark.parametrize("factor, value", [
+    (CANTOR, {"prefix": "10", "tail": 0}),        # string symbols
+    (BAIRE, {"prefix": [1, "2"], "tail": 0}),
+    (CANTOR, {"prefix": [1, 0], "tail": "0"}),    # a tail that is no int
+    (BAIRE, {"prefix": [1, 0], "tail": 0.0}),
+    (CANTOR, {"prefix": [True, 0], "tail": 0}),   # bools are not symbols
+    (CANTOR, {"prefix": [1, 0], "tail": True}),
+    (CANTOR, {"prefix": [1, 2], "tail": 0}),      # cantor symbols are 0 and 1
+    (CANTOR, {"prefix": [5], "tail": 0}),
+    (CANTOR, {"prefix": [0, 1], "tail": 7}),
+    (CANTOR, {"prefix": [0, -1], "tail": 0}),
+    (BAIRE, {"prefix": [False, 2], "tail": 0}),
+], ids=["cantor-str", "baire-str", "cantor-str-tail", "baire-float-tail", "cantor-bool",
+        "cantor-bool-tail", "cantor-2", "cantor-5", "cantor-tail-7", "cantor-negative",
+        "baire-bool"])
+def test_sequence_points_with_foreign_symbols_are_refused(factor, value):
+    space = ProductSpace([CIRCLE, factor])
+    obj = {"base": {"kind": "default"}, "overrides": {"1": value}}
+    with pytest.raises(PreconditionError, match="malformed point") as info:
+        ProductPoint.de(space, obj)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert ProductPoint.de(space, {**obj, "overrides": {"1": {"prefix": [1, 0], "tail": 1}}}
+                           ).coord(1) == SymSeq((1, 0), 1)
 
 
 def test_malformed_factor_descriptors_raise_typed_errors():
