@@ -14,6 +14,11 @@ Operations:
   boundary_chase           collar shrink (a self-embedding) plus a
                            first-coordinate injectivity perturbation
 
+One rule, `_agreeing`, decides which points of a column agree: exact
+values share a bucket when equal, float values are compared pairwise.  The
+collision reports, the repair's re-check of a moved column, the twist's
+lemma and focus checks and the chase's search for a clash all use it.
+
 Both the repair and the chase move points with one gated move: a product
 stage that shifts one coordinate inside a bump, scaled by a tent gate on a
 second coordinate.  It has two kinds.  `ConditionalMoveStage` is exact on
@@ -24,9 +29,9 @@ product; `FloatConditionalStage` is its float disc analogue for the chase.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .convergence import ConvergenceCertificate
@@ -58,9 +63,8 @@ F = Fraction
 
 @dataclass(frozen=True)
 class CollisionReport:
-    depth: int
-    disagreements: dict      # (i, j) -> tuple of indices where the pair differs
-    collisions: tuple        # (i, j, alpha) triples where the pair agrees
+    disagreements: dict      # (i, j) -> tuple of the blocks where the pair differs
+    collisions: tuple        # (i, j, b) triples where the pair agrees at block b
 
     @property
     def in_general_position(self) -> bool:
@@ -81,42 +85,36 @@ def check_regrouped_general_position(points: Sequence[ProductPoint],
     return _collision_report(points, plan.blocks)
 
 
-def _keyed_column(factor: FactorSpace, values) -> tuple:
-    """A column of canonical points as (same, column) for pair tests.  Circle
-    and line values become small-int ids, equal iff the values are and faster
-    to compare than Fractions; sequence values stay as they are.  So for exact
-    kinds `same` is `==`; float values keep the tolerance test `points_equal`."""
-    if isinstance(factor, (CircleSpace, LineSpace)):
-        ids: dict = {}
-        return operator.eq, [ids.setdefault(v, len(ids)) for v in values]
-    return (operator.eq if factor.exact else factor.points_equal), list(values)
+def _agreeing(factor: FactorSpace, values: Sequence) -> set:
+    """The pairs (i, j), i < j, whose values are the same point.  Exact
+    values are canonical, so a value is its own key and agreeing values
+    share a bucket; float values are compared pairwise with `points_equal`,
+    because a tolerance is not transitive."""
+    if factor.exact:
+        buckets: dict = {}
+        for i, v in enumerate(values):
+            buckets.setdefault(v, []).append(i)
+        return {p for bucket in buckets.values() for p in combinations(bucket, 2)}
+    return {(i, j) for i, j in combinations(range(len(values)), 2)
+            if factor.points_equal(values[i], values[j])}
 
 
-def _collision_report(points, blocks, cols=None) -> CollisionReport:
-    """Pairwise report over `blocks` (index tuples, numbered by position);
-    every used column is read and keyed once, unless `cols` (index ->
-    `_keyed_column` of the points) already holds it."""
+def _collision_report(points, blocks) -> CollisionReport:
+    """Pairwise report over `blocks` (index tuples, numbered by position).  A
+    pair collides at a block when it agrees at every index of it, so at an
+    empty block every pair collides.  Every used column is read once."""
     if not points:
-        return CollisionReport(0, {}, ())
+        return CollisionReport({}, ())
     space = points[0].space
-    cols = dict(cols or {})
-    for a in {a for block in blocks for a in block} - cols.keys():
-        cols[a] = _keyed_column(space.factor(a), [p.coord(a) for p in points])
-    keyed = [[cols[a] for a in block] for block in blocks]
-    dis, collisions = {}, []
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            where = []
-            for b, block in enumerate(keyed):
-                for same, col in block:
-                    if not same(col[i], col[j]):
-                        where.append(b)
-                        break
-                else:
-                    collisions.append((i, j, b))
-            dis[(i, j)] = tuple(where)
-    return CollisionReport(len(blocks), dis, tuple(collisions))
+    agree = {a: _agreeing(space.factor(a), [p.coord(a) for p in points])
+             for a in {a for block in blocks for a in block}}
+    pairs = list(combinations(range(len(points)), 2))
+    hits = [set.intersection(*(agree[a] for a in block)) if block else pairs for block in blocks]
+    collisions = sorted((i, j, b) for b, hit in enumerate(hits) for i, j in hit)
+    dis = dict.fromkeys(pairs, tuple(range(len(blocks))))
+    for i, j, b in collisions:
+        dis[(i, j)] = tuple(c for c in dis[(i, j)] if c != b)
+    return CollisionReport(dis, tuple(collisions))
 
 
 # ---------------------------------------------------------------------------
@@ -275,47 +273,33 @@ def wgpp_transform(points: Sequence[ProductPoint],
     moved = [p.apply_stage(stage) for p in points]
 
     # the lemma's two guarantees, asserted exactly on the finite set where
-    # (a in omega) != (a in dis); a column is read, and keyed, once
-    cols: dict = {}
+    # (a in omega) != (a in dis); a column is read once, if some pair needs it
+    agree: dict = {}
     for (i, j), dis in report.disagreements.items():
         for a in sorted(omega.symmetric_difference(dis)):
-            if a not in cols:
-                cols[a] = _keyed_column(space.factor(a), [p.coord(a) for p in moved])
-            same, col = cols[a]
-            if same(col[i], col[j]):
+            if a not in agree:
+                agree[a] = _agreeing(space.factor(a), [p.coord(a) for p in moved])
+            if (i, j) in agree[a]:
                 raise AssertionError(f"twist failed to separate pair {(i, j)} at {a}" if a in omega
                                      else f"twist disturbed coordinate {a} of pair {(i, j)}")
     return WgppResult(stage, moved, omega, report)
 
 
 def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int, checked: set):
-    """Every two distinct ys are separated by s(x, .) for every x in xs;
-    raises PreconditionError if not.
+    """Every two ys are separated by s(x, .) for every x in xs; raises
+    PreconditionError if not.  The ys are column 0, which the twist has
+    checked to be injective, so a merge is any agreeing pair of images.
 
-    On an exact factor the answer for one x depends only on `pair.s` and x:
-    `s` is pure, and one twist passes the same ys (column 0) to every call.
-    `checked` holds the (s, x) keys of the twist's earlier calls, which all
-    passed (a failure ends the twist), so `pair.s` is evaluated once per y
-    for each distinct key and a failure is still raised at the first
-    unfocused index.  Float factors compare the images pairwise at every x."""
-    if factor.exact:  # canonical points: one y per value, each new (s, x) once
-        ys = list(dict.fromkeys(ys))
-        apart = len(ys) > 1
-        s = pair.s
-        xs = [x for x in dict.fromkeys(xs) if (s, x) not in checked]
-        checked.update((s, x) for x in xs)
-    else:  # tolerance equality is not transitive: compare float points pairwise
-        apart = [(i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
-                 if not factor.points_equal(ys[i], ys[j])]
-    if not apart:
-        return
+    The answer for one x depends only on `pair.s` and x: `s` is pure, and one
+    twist passes the same ys to every call.  `checked` holds the (s, x) keys
+    of the twist's earlier calls, which all passed (a failure ends the
+    twist), so `pair.s` is evaluated once per y for each distinct key and a
+    failure is still raised at the first unfocused index."""
+    s = pair.s
+    xs = [x for x in dict.fromkeys(xs) if (s, x) not in checked]
+    checked.update((s, x) for x in xs)
     for x in xs:
-        images = [pair.s(x, y) for y in ys]
-        if factor.exact:
-            merged = len(set(images)) < len(ys)
-        else:
-            merged = any(factor.points_equal(images[i], images[j]) for i, j in apart)
-        if merged:
+        if _agreeing(factor, [s(x, y) for y in ys]):
             raise PreconditionError(
                 f"convenient pair at index {alpha} is not focused on the projections"
             )
@@ -553,23 +537,22 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
             )
     pts = list(points)
     idx = list(space.indices())
-    cols = {a: _keyed_column(space.factor(a), [p.coord(a) for p in pts]) for a in idx}
-    collisions = set(_collision_report(pts, [(a,) for a in idx], cols).collisions)
+    collisions = set(check_general_position(pts).collisions)
     cert = ConvergenceCertificate(space)
     history = [len(collisions)]
 
     while collisions:
         i, j, alpha = min(collisions)
-        beta = next((a for a in idx if cols[a][1][i] != cols[a][1][j]), None)
+        beta = next((a for a in idx if pts[i].coord(a) != pts[j].coord(a)), None)
         if beta is None:
             raise PreconditionError(f"points {i} and {j} are identical; repair impossible")
         stage = _build_move(space, pts, i, alpha, beta, cert)
         cert = cert.append(stage)
         pts = [p.apply_stage(stage) for p in pts]
-        # the move changes column alpha only: re-key and re-check just that
-        cols[alpha] = _keyed_column(space.factor(alpha), [p.coord(alpha) for p in pts])
+        # the move changes column alpha only: re-check just that
         left = {c for c in collisions if c[2] != alpha}
-        left.update((x, y, alpha) for x, y, _ in _collision_report(pts, [(alpha,)], cols).collisions)
+        left.update((x, y, alpha) for x, y in
+                    _agreeing(space.factor(alpha), [p.coord(alpha) for p in pts]))
         if len(left) >= len(collisions):
             raise AssertionError("a repair move failed to reduce the collision count")
         collisions = left
@@ -723,12 +706,12 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace) -> Bound
 
     step = 0
     while True:
-        clash = _collision_report(pts, [(0,)]).collisions
+        clash = _agreeing(space.factor(0), [p.coord(0) for p in pts])
         if not clash:
             break
         if step >= _CHASE_BUDGET:
             raise BudgetExceeded(f"projection repair budget {_CHASE_BUDGET} exhausted")
-        x, y, _ = clash[0]
+        x, y = min(clash)
         beta = next(
             (a for a in space.indices()
              if not space.factor(a).points_equal(pts[x].coord(a), pts[y].coord(a))),

@@ -104,12 +104,15 @@ class CylinderHomeo(FactorHomeo):
     table maps depth-d prefixes to depth-d prefixes (a permutation of the
     listed set; unlisted prefixes are fixed).  masks[src], a SymSeq, is the
     symbolwise translation applied to the suffix of points entering through
-    src.
+    src.  A depth that is not an int >= 0 (a bool included) raises
+    ValueError.
     """
 
     def __init__(self, space, depth: int, table: dict, masks: Optional[dict] = None):
         if not isinstance(space, (CantorSpace, BaireSpace)):
             raise SpaceMismatch("cylinder homeomorphisms need a sequence kind")
+        if type(depth) is not int or depth < 0:
+            raise ValueError(f"cylinder depth must be an int >= 0, not {depth!r}")
         self.space = space
         self.depth = depth
         table = {tuple(k): tuple(v) for k, v in table.items() if tuple(k) != tuple(v)}
@@ -282,13 +285,15 @@ class PLCircleHomeo(FactorHomeo):
 
     breaks = ((x_0, L(x_0)), ..., (x_{k-1}, L(x_{k-1}))) with x_0 = 0 and
     0 <= x_i < 1 strictly increasing; the closing value L(1) = L(0) + s is
-    implied, where s = +1 (orientation-preserving) or -1 (reversing).
+    implied, where s = +1 (orientation-preserving) or -1 (reversing).  An
+    orientation other than the int 1 or -1 (a bool or a float included)
+    raises ValueError.
     """
 
     def __init__(self, breaks: Iterable[tuple], orientation: int = 1):
         breaks = _as_breaks(breaks)
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+        if type(orientation) is not int or orientation not in (1, -1):
+            raise ValueError(f"orientation must be the int +1 or -1, not {orientation!r}")
         if not breaks or breaks[0][0] != 0:
             raise ValueError("circle breakpoints must start at 0")
         if not breaks[-1][0] < 1:

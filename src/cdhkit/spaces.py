@@ -14,7 +14,8 @@ are eventually-constant symbol sequences or rationals, their metric values
 are Fractions.  Disc points are float tuples compared with a tolerance.
 Exact points are canonical (a SymSeq strips trailing tail symbols, a circle
 point lies in [0, 1)), so `==` and `hash` decide point equality and a value
-is its own key; `FactorSpace.points_equal` stays for raw values from callers.
+is its own key.  `FactorSpace.points_equal` is for float values, which need
+a tolerance, and for raw values, such as a circle value outside [0, 1).
 
 A product point is a root or one product stage applied to a parent point.
 A root sits at every factor's base point, or at every factor's k-th marker
@@ -500,8 +501,8 @@ class ProductSpace:
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
         """A root at the base point outside `overrides`; an int or Fraction
         on a circle factor is stored as its representative in [0, 1).  An
-        index outside the product raises IndexRange, and a float on an exact
-        factor raises PreconditionError."""
+        index outside the product raises IndexRange; a bool, and a float on
+        an exact factor, raise PreconditionError."""
         over = dict(overrides or {})
         if over:
             lo, hi = min(over), max(over)
@@ -517,6 +518,8 @@ class ProductSpace:
             elif t is float and self.factor(a).exact:
                 raise PreconditionError(f"float {v!r} at index {a} on the exact "
                                         f"{self.factor(a).kind} factor")
+            elif t is bool:
+                raise PreconditionError(f"bool {v!r} at index {a} is not a point")
         return ProductPoint(self, None, over)
 
     # -- metric ------------------------------------------------------------

@@ -84,21 +84,46 @@ _MIXED = ProductSpace([CIRCLE, LINE, CANTOR, DiscSpace(1)])
 _MIXED_VALUES = (st.fractions(-2, 2, max_denominator=4), st.fractions(-2, 2, max_denominator=4),
                  st.builds(SymSeq, st.lists(st.integers(0, 1), max_size=2).map(tuple),
                            st.integers(0, 1)),
-                 st.sampled_from([0.0, 0.5, 0.5 + 1e-13]).map(lambda v: (v,)))
+                 # 0.5 ~ 0.5 + 9e-10 ~ 0.5 + 1.8e-9, but the ends lie 1.8e-9 apart:
+                 # tolerance equality is not transitive
+                 st.sampled_from([0.0, 0.5, 0.5 + 1e-13, 0.5 + 9e-10, 0.5 + 1.8e-9])
+                 .map(lambda v: (v,)))
 
 
-@given(st.lists(st.tuples(*_MIXED_VALUES), max_size=6))
+@given(st.lists(st.tuples(*_MIXED_VALUES), max_size=6), st.integers(1, 5),
+       st.lists(st.integers(0, 4), min_size=4, max_size=4))
 @settings(max_examples=80, deadline=None)
-def test_keyed_report_agrees_with_pairwise_points_equal(rows):
+def test_report_agrees_with_pairwise_points_equal(rows, count, owner):
     points = [_MIXED.point(dict(enumerate(r))) for r in rows]
-    report = check_general_position(points)
     pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
     equal = [[_MIXED.factor(a).points_equal(rows[i][a], rows[j][a]) for a in range(4)]
              for i, j in pairs]
-    assert report.collisions == tuple((i, j, a) for (i, j), eq in zip(pairs, equal)
-                                      for a in range(4) if eq[a])
-    assert report.disagreements == {p: tuple(a for a in range(4) if not eq[a])
-                                    for p, eq in zip(pairs, equal)}
+    drawn = tuple(tuple(a for a in range(4) if owner[a] % count == b) for b in range(count))
+    # blocks may be empty: a pair agrees at every index of an empty block
+    for blocks, report in [
+        (tuple((a,) for a in range(4)), check_general_position(points)),
+        (drawn, check_regrouped_general_position(points, PartitionPlan(drawn, {}, (), 4))),
+    ]:
+        same = [[all(eq[a] for a in block) for block in blocks] for eq in equal]
+        assert report.collisions == tuple((i, j, b) for (i, j), sm in zip(pairs, same)
+                                          for b in range(len(blocks)) if sm[b])
+        assert report.disagreements == {p: tuple(b for b in range(len(blocks)) if not sm[b])
+                                        for p, sm in zip(pairs, same)}
+
+
+def test_general_position_check_keys_sequence_values_instead_of_comparing_pairs(monkeypatch):
+    _, result = _greedy(CANTOR)
+    points = result.points
+    calls = []
+
+    def counted(self, other, _eq=SymSeq.__eq__):
+        calls.append(1)
+        return _eq(self, other)
+
+    monkeypatch.setattr(SymSeq, "__eq__", counted)
+    assert check_general_position(points).in_general_position
+    # pairwise tests would make 45 pairs x 8 indices = 360 calls
+    assert len(calls) <= len(points) * 8
 
 
 def test_report_lists_every_collision_of_hand_made_points():
@@ -115,7 +140,6 @@ def test_block_report_counts_a_block_once():
     _, points = _colliding_points()
     plan = PartitionPlan(((0, 2), (1,)), {}, (), 3)
     report = check_regrouped_general_position(points, plan)
-    assert report.depth == 2
     assert report.disagreements[(0, 1)] == (1,)
     assert report.collisions == ((0, 1, 0), (0, 3, 1), (1, 2, 1))
 
@@ -355,6 +379,11 @@ def test_repair_refuses_identical_points():
     space = ProductSpace([CIRCLE, LINE])
     with pytest.raises(PreconditionError, match="identical"):
         collision_repair_gpp([space.point({0: F(1, 4)}), space.point({0: F(5, 4)})], space)
+    # an int 1 is stored as the circle point 0, which it equals
+    with pytest.raises(PreconditionError, match="identical"):
+        collision_repair_gpp([space.point({0: 1, 1: F(1, 3)}), space.point({1: F(1, 3)})], space)
+    with pytest.raises(PreconditionError, match="bool True at index 0"):
+        space.point({0: True, 1: F(1, 3)})
 
 
 _GRID = st.integers(-16, 31).map(lambda k: F(k, 16))

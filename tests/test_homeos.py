@@ -656,20 +656,26 @@ def _cyl(depth, table=(), masks=()):
     (_cyl(2, [[[0], [1]], [[1], [0]]]), "table prefixes must have the declared depth"),
     (_cyl(1, masks=[[[0, 1], {"prefix": [1], "tail": 0}]]), "mask prefixes must have the declared depth"),
     (_cyl(1, [[[0], [1]]]), "not a bijection"),
+    (_cyl(-1), "depth must be an int >= 0"),
+    (_cyl(True), "depth must be an int >= 0"),
+    (_cyl("2"), "depth must be an int >= 0"),
     (_cyl(1, masks=[[[0], {"prefix": "10", "tail": 0}]]), "not a cantor symbol"),
     (_cyl(1, masks=[[[0], {"prefix": [1, 2], "tail": 0}]]), "not a cantor symbol"),
     ({**_cyl(1, masks=[[[0], {"prefix": [True], "tail": -2}]]), "kind": "baire"}, "not a baire symbol"),
     ({"type": "pl_line", "breaks": [["0", "0"], ["1/2", "3/4"], ["1/4", "1"]]}, "strictly increasing"),
     ({"type": "pl_line", "breaks": [["0", "1/4"], ["1", "1"]]}, "identity outside"),
     ({"type": "pl_circle", "breaks": [["0", "0"]], "orientation": 2}, "orientation must be"),
+    ({"type": "pl_circle", "breaks": [["0", "0"]], "orientation": True}, "orientation must be"),
+    ({"type": "pl_circle", "breaks": [["0", "0"]], "orientation": 1.0}, "orientation must be"),
     ({"type": "pl_circle", "breaks": [["0", "0"], ["1", "1/2"]], "orientation": 1}, "within \\[0, 1\\)"),
     ({"type": "pl_circle", "breaks": [["0", "0"], ["1/2", "1/4"], ["1/4", "1/2"]], "orientation": 1},
      "within \\[0, 1\\)"),
     ({"type": "pl_circle", "breaks": [["0", "1/2"], ["1/2", "1/4"]], "orientation": 1},
      "lift must strictly increase"),
-], ids=["table-depth", "mask-depth", "not-bijective", "mask-str", "mask-cantor-2", "mask-bool",
-        "line-not-increasing", "line-ends-moved",
-        "circle-orientation", "circle-break-at-1", "circle-breaks-unordered", "circle-lift-decreases"])
+], ids=["table-depth", "mask-depth", "not-bijective", "depth-negative", "depth-bool", "depth-str",
+        "mask-str", "mask-cantor-2", "mask-bool", "line-not-increasing", "line-ends-moved",
+        "circle-orientation", "circle-orientation-bool", "circle-orientation-float",
+        "circle-break-at-1", "circle-breaks-unordered", "circle-lift-decreases"])
 def test_descriptors_the_constructors_refuse_raise_typed_errors(desc, message):
     with pytest.raises(PreconditionError, match=message) as info:
         homeo_from_descriptor(desc)

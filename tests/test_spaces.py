@@ -278,6 +278,16 @@ def test_point_refuses_a_float_on_an_exact_factor():
     assert ProductSpace([DiscSpace(1)]).point({0: (0.25,)}).coord(0) == (0.25,)
 
 
+def test_point_refuses_a_bool():
+    # True == 1 as a value, but 1 is not a canonical circle point: a stored
+    # bool would not share a key with the 0 it equals on the circle
+    for factor in (CANTOR, BAIRE, CIRCLE, LINE, DiscSpace(1)):
+        space = ProductSpace([LINE, factor])
+        for v in (True, False):
+            with pytest.raises(PreconditionError, match=f"bool {v} at index 1"):
+                space.point({0: F(1, 3), 1: v})
+
+
 class _GatedRotation(ProductStage):
     """Rotates circle coordinate 1 by the value of coordinate 0, so every
     level of a pipeline reads a second coordinate."""
