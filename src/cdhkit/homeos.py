@@ -27,7 +27,12 @@ Maps are immutable: nothing assigns to their fields after construction.  So
 `invert()` builds a map's inverse once, keeps it, and links it back to the
 map, and h.invert().invert() is h; a PL map reads its moved arcs off its
 breaks once; and maps may share break tuples, which `sup_distance` reads as
-gaps of 0.
+gaps of 0.  For the same reason a PL map has one evaluator, `_on`, which
+reads each segment through an affine form built on first use and kept;
+`apply`, `lift_at` and the break walk of `sup_distance` all go through it.
+A composite's constructor compares only the break pairs the composition
+added, since every other pair is one its second map's constructor checked
+(see `_compose_breaks`).  `identity_for` returns one shared map per kind.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from .errors import (
 )
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
 from .spaces import (
+    BAIRE,
+    CANTOR,
     CIRCLE,
     LINE,
     CantorSpace,
@@ -219,16 +226,58 @@ def _compose_cylinder(g: CylinderHomeo, h: CylinderHomeo) -> CylinderHomeo:
 
 
 # ---------------------------------------------------------------------------
+# Piecewise-linear homeomorphisms: the shared evaluator
+# ---------------------------------------------------------------------------
+
+class _PLHomeo(FactorHomeo):
+    """A rational PL map read segment by segment: segment i runs from break
+    i to `_end(i)`, the next break or, on the circle, the closing point."""
+
+    def _on(self, i: int, t: Fraction) -> Fraction:
+        """The value at t on segment i: m*t + b from the segment's affine
+        form (m, b), built on first use and kept.  A translation segment has
+        the form (None, b) and an identity segment (None, None), which
+        returns t itself."""
+        form = self._forms[i]
+        if form is None:
+            (x0, y0), (x1, y1) = self.breaks[i], self._end(i)
+            dx, dy = x1 - x0, y1 - y0
+            if dx != dy:
+                m = dy / dx
+                form = (m, y0 - m * x0)
+            else:
+                form = (None, y0 - x0 or None)
+            self._forms[i] = form
+        m, b = form
+        if m is not None:
+            return m * t + b
+        return t if b is None else t + b
+
+
+def _pairs_to_check(n: int, added) -> Iterable[int]:
+    """The k whose consecutive pair (k, k + 1) of n breaks a PL constructor
+    compares: every one, or, given the sorted positions `added` of the
+    breaks a composite added, the pairs that hold one (see
+    `_compose_breaks`)."""
+    if added is None:
+        return range(n - 1)
+    return sorted({k for a in added for k in (a - 1, a) if 0 <= k < n - 1})
+
+
+# ---------------------------------------------------------------------------
 # Piecewise-linear homeomorphisms of the line
 # ---------------------------------------------------------------------------
 
-class PLLineHomeo(FactorHomeo):
-    """Strictly increasing rational PL map, identity outside its breakpoints."""
+class PLLineHomeo(_PLHomeo):
+    """Strictly increasing rational PL map, identity outside its breakpoints.
 
-    def __init__(self, breaks: Iterable[tuple] = ()):
+    A float or bool in a break raises ValueError."""
+
+    def __init__(self, breaks: Iterable[tuple] = (), *, _added=None):
         breaks = _as_breaks(breaks)
         self.space = LINE
-        for (x0, y0), (x1, y1) in zip(breaks, breaks[1:]):
+        for k in _pairs_to_check(len(breaks), _added):
+            (x0, y0), (x1, y1) = breaks[k], breaks[k + 1]
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("breakpoints must be strictly increasing")
         if breaks:
@@ -236,13 +285,15 @@ class PLLineHomeo(FactorHomeo):
                 raise ValueError("PL line maps must be the identity outside their breakpoints")
         self.breaks = breaks
         self._xs = [b[0] for b in breaks]
+        self._forms = [None] * len(breaks)
+
+    def _end(self, i: int) -> tuple:
+        return self.breaks[i + 1]
 
     def apply(self, t: Fraction) -> Fraction:
         if not self.breaks or t <= self.breaks[0][0] or t >= self.breaks[-1][0]:
             return t
-        i = bisect_right(self._xs, t) - 1
-        (x0, y0), (x1, y1) = self.breaks[i], self.breaks[i + 1]
-        return _on_segment(t, x0, y0, x1, y1)
+        return self._on(bisect_right(self._xs, t) - 1, t)
 
     def _inverse(self) -> "PLLineHomeo":
         return PLLineHomeo(tuple((y, x) for x, y in self.breaks))
@@ -271,26 +322,27 @@ def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
     same holds for the greatest candidate and everything above it.
     """
     g_inv = g.invert()
-    return PLLineHomeo(_compose_breaks(
+    pts, added = _compose_breaks(
         g, h, [(x, h.apply(y)) for x, y in g.breaks],
-        lambda b: (g_inv.apply(b[0]), b[1])))
+        lambda b: (g_inv.apply(b[0]), b[1]))
+    return PLLineHomeo(pts, _added=added)
 
 
 # ---------------------------------------------------------------------------
 # Piecewise-linear homeomorphisms of the circle
 # ---------------------------------------------------------------------------
 
-class PLCircleHomeo(FactorHomeo):
+class PLCircleHomeo(_PLHomeo):
     """Rational PL circle map stored as one period of its lift.
 
     breaks = ((x_0, L(x_0)), ..., (x_{k-1}, L(x_{k-1}))) with x_0 = 0 and
     0 <= x_i < 1 strictly increasing; the closing value L(1) = L(0) + s is
     implied, where s = +1 (orientation-preserving) or -1 (reversing).  An
-    orientation other than the int 1 or -1 (a bool or a float included)
-    raises ValueError.
+    orientation other than the int 1 or -1 (a bool or a float included),
+    and a float or bool in a break, raise ValueError.
     """
 
-    def __init__(self, breaks: Iterable[tuple], orientation: int = 1):
+    def __init__(self, breaks: Iterable[tuple], orientation: int = 1, *, _added=None):
         breaks = _as_breaks(breaks)
         if type(orientation) is not int or orientation not in (1, -1):
             raise ValueError(f"orientation must be the int +1 or -1, not {orientation!r}")
@@ -298,11 +350,13 @@ class PLCircleHomeo(FactorHomeo):
             raise ValueError("circle breakpoints must start at 0")
         if not breaks[-1][0] < 1:
             raise ValueError("circle breakpoints must increase within [0, 1)")
-        for (x0, _), (x1, _) in zip(breaks, breaks[1:]):
-            if not x0 < x1:
+        pairs = _pairs_to_check(len(breaks), _added)
+        for k in pairs:
+            if not breaks[k][0] < breaks[k + 1][0]:
                 raise ValueError("circle breakpoints must increase within [0, 1)")
-        ys = [y for _, y in breaks] + [breaks[0][1] + orientation]
-        for y0, y1 in zip(ys, ys[1:]):
+        ys = [(breaks[k][1], breaks[k + 1][1]) for k in pairs]
+        ys.append((breaks[-1][1], breaks[0][1] + orientation))
+        for y0, y1 in ys:
             if orientation == 1 and not y0 < y1:
                 raise ValueError("lift must strictly increase")
             if orientation == -1 and not y0 > y1:
@@ -311,22 +365,19 @@ class PLCircleHomeo(FactorHomeo):
         self.breaks = breaks
         self.orientation = orientation
         self._xs = [b[0] for b in breaks]
+        self._forms = [None] * len(breaks)
 
-    def _segment(self, frac: Fraction):
-        i = bisect_right(self._xs, frac) - 1
-        x0, y0 = self.breaks[i]
+    def _end(self, i: int) -> tuple:
         if i + 1 < len(self.breaks):
-            x1, y1 = self.breaks[i + 1]
-        else:
-            x1, y1 = Fraction(1), self.breaks[0][1] + self.orientation
-        return x0, y0, x1, y1
+            return self.breaks[i + 1]
+        return Fraction(1), self.breaks[0][1] + self.orientation
 
     def lift_at(self, t: Fraction) -> Fraction:
         n = t.numerator // t.denominator
         if not n:
-            return _on_segment(t, *self._segment(t))
-        frac = t - n
-        return _on_segment(frac, *self._segment(frac)) + n * self.orientation
+            return self._on(bisect_right(self._xs, t) - 1, t)
+        t -= n
+        return self._on(bisect_right(self._xs, t) - 1, t) + n * self.orientation
 
     def apply(self, p: Fraction) -> Fraction:
         return _wrap1(self.lift_at(p))
@@ -344,7 +395,7 @@ class PLCircleHomeo(FactorHomeo):
 
     @cached_property
     def _arcs(self) -> list:
-        return _moved_arcs(self.breaks + ((Fraction(1), self.breaks[0][1] + self.orientation),))
+        return _moved_arcs(self.breaks + (self._end(len(self.breaks) - 1),))
 
     def descriptor(self) -> dict:
         return {
@@ -370,17 +421,20 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
         n = t.numerator // t.denominator
         return t - n, b[1] - s * n
 
-    return PLCircleHomeo(_compose_breaks(
-        g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through), s)
+    pts, added = _compose_breaks(g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through)
+    return PLCircleHomeo(pts, s, _added=added)
 
 
 def _as_breaks(breaks: Iterable) -> tuple:
     """The breaks as a tuple of pairs of Fractions; a pair that already is
-    one is kept as it is, so that maps can share it."""
+    one is kept as it is, so that maps can share it.  A float or a bool
+    raises ValueError: neither is an exact value."""
     out = []
     for b in breaks:
         x, y = b
         if not (type(b) is tuple and type(x) is Fraction and type(y) is Fraction):
+            if isinstance(x, (float, bool)) or isinstance(y, (float, bool)):
+                raise ValueError(f"break {b!r} is not exact: floats and bools are refused")
             b = (Fraction(x), Fraction(y))
         out.append(b)
     return tuple(out)
@@ -402,12 +456,24 @@ def _moved_arcs(pts) -> list:
     return arcs
 
 
-def _compose_breaks(g, h, new: list, through: Callable) -> list:
-    """The break list of h after g: `new`, g's breaks with the composite's
-    values, extended by h's breaks inside g's moved arcs sent through g^-1
-    by `through`, merged with h's other breaks as they are, since g^-1 fixes
-    their abscissas.  Where two candidates share an abscissa their values
-    agree and one is kept."""
+def _compose_breaks(g, h, new: list, through: Callable) -> tuple:
+    """The break list of h after g, and the sorted positions in it of the
+    breaks it adds.  `new` holds g's breaks with the composite's values; it
+    is extended by h's breaks inside g's moved arcs sent through g^-1 by
+    `through`, and merged with h's other breaks, which are kept as they are,
+    since g^-1 fixes their abscissas.  Where two candidates share an
+    abscissa their values agree and one is kept; the rest are added.
+
+    So the composite's constructor compares only the consecutive pairs that
+    hold an added break, and still checks every pair.  Two kept breaks that
+    are adjacent in the list are adjacent in h's breaks, so h's constructor
+    has compared them, with the same values, and on the circle with the
+    composite's orientation.  For if h's breaks between them inside an arc
+    [a, b] of g were left out, then a, a break of g, would lie strictly
+    between the two, with no kept break at a, and a break at a would have
+    been added between them.  On the circle, g preserves orientation when
+    any break is kept: a reversing map fixes no segment, so its moved arc is
+    the whole circle, and s_g * s_h is s_h."""
     xs, hb = h._xs, h.breaks
     kept, start = [], 0
     for a, b in g._arcs:
@@ -417,7 +483,7 @@ def _compose_breaks(g, h, new: list, through: Callable) -> list:
         start = hi
     kept += hb[start:]
     new.sort(key=itemgetter(0))
-    pts, i = [], 0
+    pts, added, i = [], [], 0
     for p in new:
         if pts and pts[-1][0] == p[0]:
             continue
@@ -427,35 +493,28 @@ def _compose_breaks(g, h, new: list, through: Callable) -> list:
             pts.append(kept[j])
             i = j + 1
         else:
+            added.append(len(pts))
             pts.append(p)
             i = j
     pts += kept[i:]
-    return pts
-
-
-def _on_segment(t, x0, y0, x1, y1) -> Fraction:
-    """The value at t of the segment from (x0, y0) to (x1, y1): the stored
-    value at x0, an added offset on a translation segment, else interpolated."""
-    if t == x0:
-        return y0
-    dx, dy = x1 - x0, y1 - y0
-    if dx != dy:
-        return y0 + (t - x0) * dy / dx
-    return t if x0 == y0 else t + (y0 - x0)
+    return pts, added
 
 
 # ---------------------------------------------------------------------------
 # Composition and identities
 # ---------------------------------------------------------------------------
 
+_IDENTITIES = {"cantor": CylinderHomeo(CANTOR, 0, {}), "baire": CylinderHomeo(BAIRE, 0, {}),
+               "circle": PLCircleHomeo(((Fraction(0), Fraction(0)),), 1), "line": PLLineHomeo(())}
+
+
 def identity_for(factor: FactorSpace) -> FactorHomeo:
-    if isinstance(factor, (CantorSpace, BaireSpace)):
-        return CylinderHomeo(factor, 0, {})
-    if isinstance(factor, CircleSpace):
-        return PLCircleHomeo(((Fraction(0), Fraction(0)),), 1)
-    if isinstance(factor, LineSpace):
-        return PLLineHomeo(())
-    raise UnsupportedOperation(f"no identity for kind {factor.kind}")
+    """The identity of an exact factor: each kind has one, built once and
+    returned by every call."""
+    h = _IDENTITIES.get(factor.kind)
+    if h is None:
+        raise UnsupportedOperation(f"no identity for kind {factor.kind}")
+    return h
 
 
 def compose(g: FactorHomeo, h: FactorHomeo) -> FactorHomeo:
@@ -479,10 +538,10 @@ def sup_distance(f: FactorHomeo, g: FactorHomeo):
         return _cylinder_distance(f, g)
     if isinstance(f, PLLineHomeo) and isinstance(g, PLLineHomeo):
         # f - g is PL and 0 outside the breaks; the metric min(|.|, 1) caps it
-        gaps = _gaps_at_merged_breaks(f, g, f.apply, g.apply)
+        gaps = _gaps_at_merged_breaks(f, g)
         return min(max(map(abs, gaps), default=ZERO), Fraction(1))
     if isinstance(f, PLCircleHomeo) and isinstance(g, PLCircleHomeo):
-        gaps = _gaps_at_merged_breaks(f, g, f.lift_at, g.lift_at)
+        gaps = _gaps_at_merged_breaks(f, g)
         gaps.append(gaps[0] + f.orientation - g.orientation)  # at 1
         return _arc_sup(gaps)
     raise UnsupportedOperation("cannot compare these homeomorphism kinds")
@@ -510,9 +569,14 @@ def _cylinder_distance(f: CylinderHomeo, g: CylinderHomeo) -> Fraction:
     return ZERO if best is None else pow2(-best)
 
 
-def _gaps_at_merged_breaks(f, g, f_at: Callable, g_at: Callable) -> list:
+def _gaps_at_merged_breaks(f, g) -> list:
     """f - g at the sorted union of both maps' break abscissas; each map is
     evaluated only at the other's breaks, and f - g is linear in between.
+
+    The walk needs no search: a break of one map strictly between the
+    other's breaks j - 1 and j lies on the other's segment j - 1.  Past the
+    other's last break it lies on a circle map's closing segment; outside a
+    line map's breaks that map is the identity.
 
     A break both maps hold as one tuple has gap 0 and is not compared.  A
     run of such breaks is listed as one 0: f - g is 0 across the run, so the
@@ -537,26 +601,33 @@ def _gaps_at_merged_breaks(f, g, f_at: Callable, g_at: Callable) -> list:
             i += 1
             j += 1
         elif x < u:
-            gaps.append(y - g_at(x))
+            gaps.append(y - g._on(j - 1, x) if j else y - x)
             i += 1
         else:
-            gaps.append(f_at(u) - v)
+            gaps.append(f._on(i - 1, u) - v if i else u - v)
             j += 1
-    gaps.extend(y - g_at(x) for x, y in fb[i:])
-    gaps.extend(f_at(u) - v for u, v in gb[j:])
+    if isinstance(f, PLCircleHomeo):
+        gaps.extend(y - g._on(j - 1, x) for x, y in fb[i:])
+        gaps.extend(f._on(i - 1, u) - v for u, v in gb[j:])
+    else:
+        gaps.extend(y - x for x, y in fb[i:])
+        gaps.extend(u - v for u, v in gb[j:])
     return gaps
+
+
+_HALF = Fraction(1, 2)
 
 
 def _arc_sup(gaps: list) -> Fraction:
     """Largest arc distance to 0 of a function linear between consecutive
-    gaps: 1/2 when a segment crosses a half-integer, else it sits at an end."""
-    half = Fraction(1, 2)
-    for g0, g1 in zip(gaps, gaps[1:]):
-        if g0 != g1:
-            lo, hi = (g0, g1) if g0 < g1 else (g1, g0)
-            # the least half-integer above lo; lo itself is checked at the ends
-            if floor(lo - half) + 1 + half <= hi:
-                return half
+    gaps: 1/2 when a segment crosses a half-integer, else it sits at an end.
+
+    For d > 0, k(n/d) = (2n - d) // 2d is the m for which m + 1/2 is the
+    greatest half-integer up to n/d.  A segment crosses a half-integer
+    above its lower end, which the ends cover, iff its two end gaps have
+    different k; so some segment does iff the gaps do not all share one k."""
+    if len({(2 * g.numerator - g.denominator) // (2 * g.denominator) for g in gaps}) > 1:
+        return _HALF
     best = ZERO
     for g in gaps:
         if g:
@@ -585,7 +656,7 @@ def homeo_from_descriptor(desc: dict) -> FactorHomeo:
                 tuple((parse_scalar(x), parse_scalar(y)) for x, y in desc["breaks"]),
                 desc["orientation"],
             )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise PreconditionError(f"malformed homeomorphism descriptor: {e!r}") from e
     raise UnsupportedOperation(f"cannot rebuild homeomorphism of type {t!r}")
 
@@ -601,11 +672,13 @@ def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
     reverses the cyclic order, so every bijection of at most three points;
     the line takes increasing data only, because a PL line map is the
     identity outside a bounded interval.  Other data raise OrderViolation.
-    Circle values are read mod 1.  Repeated sources or targets
-    raise PreconditionError, a factor of no exact kind UnsupportedOperation.
+    Circle values are read mod 1.  Repeated sources or targets, and a point
+    not of the factor's exact kind, raise PreconditionError, a factor of no
+    exact kind UnsupportedOperation.
     """
     if not isinstance(factor, (CantorSpace, BaireSpace, CircleSpace, LineSpace)):
         raise UnsupportedOperation(f"no finite-bijection realizer for kind {factor.kind}")
+    _check_points(factor, itertools.chain(sigma, sigma.values()))
     n = len(sigma)
     if isinstance(factor, CircleSpace):
         sigma = {_wrap1(k): _wrap1(v) for k, v in sigma.items()}
@@ -620,6 +693,16 @@ def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
     if isinstance(factor, LineSpace):
         return _realize_line(sigma)
     return _realize_circle(sigma)
+
+
+def _check_points(factor: FactorSpace, points: Iterable):
+    """Refuse, with PreconditionError, a point not of the factor's exact
+    kind: a SymSeq on the sequence kinds, an int or a Fraction (a bool or a
+    float is not one) on the circle and the line."""
+    kinds = (SymSeq,) if isinstance(factor, (CantorSpace, BaireSpace)) else (int, Fraction)
+    for p in points:
+        if type(p) not in kinds:
+            raise PreconditionError(f"{p!r} is not a point of the exact {factor.kind} factor")
 
 
 def _realize_seq(factor, sigma: dict) -> CylinderHomeo:
@@ -705,9 +788,14 @@ def _circle_through(pts: list, orientation: int) -> PLCircleHomeo:
 
 def small_ball_transporter(factor: FactorSpace, center, target, delta) -> FactorHomeo:
     """h(center) = target with supp(h) inside the delta-ball around center
-    and sup-displacement below delta."""
+    and sup-displacement below delta.  A factor of no exact kind raises
+    UnsupportedOperation; then a point not of its exact kind, or a delta
+    that is not an int or a Fraction, raises PreconditionError."""
     if not factor.exact:
         raise UnsupportedOperation(f"no transporter for kind {factor.kind}")
+    _check_points(factor, (center, target))
+    if type(delta) not in (int, Fraction):
+        raise PreconditionError(f"delta {delta!r} is not exact: an int or a Fraction is needed")
     d = factor.metric(center, target)
     delta = Fraction(delta)
     if d >= delta:

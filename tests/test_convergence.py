@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -376,6 +377,37 @@ def test_exact_circle_chain_describes_the_recorded_document():
         "72e8bf3be718e50414d7e4b2aa7bd082ed771b9cfc2cb6a412e15f4efe6a9a9c")
 
 
+def _exact_line_chain(length: int) -> ConvergenceCertificate:
+    rng = random.Random(5)
+    cert = ConvergenceCertificate(LINE)
+    while cert.stage_count < length:
+        k = cert.stage_count
+        delta = pow2(-(k + 1))
+        center = F(rng.randrange(-64, 64), 64)
+        try:
+            cert = cert.append(small_ball_transporter(LINE, center, center - delta / 3, delta))
+        except BoundViolation:
+            continue
+    return cert
+
+
+def test_exact_line_and_circle_chains_keep_their_recorded_outputs():
+    # the descriptors and ledgers of both chains, with their full composites
+    # and the inverses, which every PL kernel path builds and evaluates
+    docs = []
+    for cert in (_exact_line_chain(16), _exact_circle_chain(16)):
+        total = functools.reduce(compose, cert.stages)
+        probes = [F(k, 37) for k in range(-40, 41)]
+        docs.append({**cert.describe(),
+                     "composite": total.descriptor(),
+                     "inverse": total.invert().descriptor(),
+                     "values": [str(cert.apply(x)) for x in probes],
+                     "inverse_values": [str(cert.apply_inv(x)) for x in probes]})
+    doc = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "9af025781899dbb963d290f3f768765f142029157493edba5ea06f222a0c86b8")
+
+
 def _counted_compose(monkeypatch) -> list:
     """Counts compose calls, from the certificate and from inside homeos."""
     calls = []
@@ -421,13 +453,13 @@ def test_exact_chain_builds_one_inverse_per_partial(monkeypatch):
 def test_exact_appends_touch_only_what_each_stage_moves(monkeypatch):
     stages = _exact_circle_chain(48).stages
     calls = []
-    on_segment = homeos._on_segment
+    on = homeos.PLCircleHomeo._on
 
     def counted(*args):
         calls.append(1)
-        return on_segment(*args)
+        return on(*args)
 
-    monkeypatch.setattr(homeos, "_on_segment", counted)
+    monkeypatch.setattr(homeos.PLCircleHomeo, "_on", counted)
     cert = ConvergenceCertificate(CIRCLE)
     for h in stages:
         cert = cert.append(h)

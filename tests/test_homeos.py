@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdhkit import homeos
 from cdhkit.errors import OrderViolation, PreconditionError, SpaceMismatch, UnsupportedOperation
 from cdhkit.homeos import (
     CylinderHomeo,
@@ -155,6 +157,56 @@ def test_circle_displacement_detects_interior_half_crossing():
     assert h.sup_displacement() == F(1, 2)
 
 
+def _arc_sup_in_fractions(gaps):
+    """The Fraction formula `homeos._arc_sup` replaced, kept as a reference."""
+    half = F(1, 2)
+    for g0, g1 in zip(gaps, gaps[1:]):
+        if g0 != g1:
+            lo, hi = (g0, g1) if g0 < g1 else (g1, g0)
+            if math.floor(lo - half) + 1 + half <= hi:
+                return half
+    best = F(0)
+    for g in gaps:
+        if g:
+            f = _wrap1(g)
+            best = max(best, min(f, 1 - f))
+    return best
+
+
+_gap_values = st.one_of(
+    st.integers(-4, 4).map(F),                                # integers
+    st.integers(-4, 4).map(lambda k: F(2 * k + 1, 2)),        # exact half-integers
+    st.fractions(-3, 3, max_denominator=64),
+    st.fractions(-3, 3, max_denominator=1 << 80),             # large denominators
+    st.integers(-4, 4).flatmap(                               # a hair off a half-integer
+        lambda k: st.sampled_from((F(2 * k + 1, 2) - pow2(-70), F(2 * k + 1, 2) + pow2(-70)))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_gap_values, min_size=1, max_size=8))
+def test_arc_sup_matches_the_fraction_formula(gaps):
+    assert homeos._arc_sup(gaps) == _arc_sup_in_fractions(gaps)
+
+
+@pytest.mark.parametrize("factor", [CANTOR, BAIRE, CIRCLE, LINE])
+def test_each_kind_shares_one_identity(factor):
+    e = identity_for(factor)
+    assert identity_for(factor) is e
+    h = {CANTOR: _random_cylinder_homeo(random.Random(2), 2),
+         BAIRE: CylinderHomeo(BAIRE, 1, {(0,): (4,), (4,): (0,)}),
+         CIRCLE: small_ball_transporter(CIRCLE, F(1, 3), F(3, 8), F(1, 8)),
+         LINE: small_ball_transporter(LINE, F(-2), F(-2) + F(1, 32), F(1, 16))}[factor]
+    d = h.sup_displacement()
+    # the shared identity comes out of composing, inverting and measuring as
+    # it went in
+    for m in (compose(e, h), compose(h, e), compose(h, h.invert()), e.invert()):
+        assert sup_distance(m, e) == sup_distance(e, m)
+    assert h.sup_displacement() == d
+    assert e.sup_displacement() == 0
+    assert identity_for(factor) is e
+
+
 # ---------------------------------------------------------------------------
 # circle / line PL mechanics
 # ---------------------------------------------------------------------------
@@ -204,11 +256,94 @@ def test_circle_invert_round_trips_exactly(h, ts):
         assert CIRCLE.points_equal(hi.apply(h.apply(t)), t)
 
 
+def test_segments_evaluate_through_one_kept_form():
+    h = PLCircleHomeo([(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(5, 8)),
+                       (F(3, 4), F(7, 8))], 1)
+    line = PLLineHomeo([(F(-1), F(-1)), (F(0), F(0)), (F(1), F(3, 2)), (F(2), F(2))])
+    for m in (h, line):
+        ends = list(m.breaks[1:]) + ([(F(1), m.breaks[0][1] + 1)] if m is h else [])
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(m.breaks, ends)):
+            for t in (x0, (2 * x0 + x1) / 3, x1):
+                first = m._on(i, t)
+                assert first == m._on(i, t) == y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+                if x0 == y0 and x1 == y1:
+                    assert first is t
+    assert h._on(2, F(5, 8)) == F(3, 4)  # a translation segment, by 1/8
+
+
 def test_line_pl_apply_and_invert_exact():
     h = PLLineHomeo([(F(-1), F(-1)), (F(0), F(1, 2)), (F(1), F(1))])
     assert h.apply(F(-1, 2)) == F(-1, 4)
     assert h.apply(F(2)) == F(2)
     assert h.invert().apply(h.apply(F(1, 3))) == F(1, 3)
+
+
+_QUARTERS = [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))]
+
+
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_pl_constructors_check_every_pair(at):
+    xs = [x for x, _ in _QUARTERS]
+    bad_x = xs[:]
+    bad_x[at], bad_x[at + 1] = bad_x[at + 1], bad_x[at]
+    if at:  # the circle's first break stays at 0
+        with pytest.raises(ValueError, match="within \\[0, 1\\)"):
+            PLCircleHomeo(list(zip(bad_x, xs)), 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PLLineHomeo(list(zip(bad_x, bad_x)))
+    bad_y = xs[:]
+    bad_y[at + 1] = bad_y[at]
+    with pytest.raises(ValueError, match="lift must strictly increase"):
+        PLCircleHomeo(list(zip(xs, bad_y)), 1)
+    with pytest.raises(ValueError, match="lift must strictly decrease"):
+        PLCircleHomeo(list(zip(xs, [-y for y in bad_y])), -1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PLLineHomeo(list(zip(xs, bad_y)) + [(F(1), F(1))])
+
+
+def test_circle_constructor_checks_the_closing_pair():
+    # the last lift value must stay below L(0) + 1, or above L(0) - 1 when
+    # the map reverses orientation
+    with pytest.raises(ValueError, match="lift must strictly increase"):
+        PLCircleHomeo(_QUARTERS[:-1] + [(F(3, 4), F(1))], 1)
+    with pytest.raises(ValueError, match="lift must strictly decrease"):
+        PLCircleHomeo([(x, -y) for x, y in _QUARTERS[:-1]] + [(F(3, 4), F(-1))], -1)
+
+
+@pytest.mark.parametrize("corrupt", ["x-order", "y-order"])
+@pytest.mark.parametrize("factor, centers", [(LINE, (F(0), F(1, 16))), (CIRCLE, (F(1, 4), F(5, 16)))],
+                         ids=["line", "circle"])
+def test_a_composite_checks_the_pairs_at_its_added_breaks(monkeypatch, factor, centers, corrupt):
+    g, h = (small_ball_transporter(factor, c, c + F(1, 64), F(1, 8)) for c in centers)
+    merge = homeos._compose_breaks
+
+    def corrupted(*args):
+        pts, added = merge(*args)
+        assert added and len(added) < len(pts)  # some breaks are h's own
+        # the circle's first break stays at 0, the line's stays fixed
+        a = next(a for a in added if 2 <= a < len(pts) - 1)
+        if corrupt == "x-order":
+            pts[a - 1], pts[a] = pts[a], pts[a - 1]
+        else:
+            pts[a] = (pts[a][0], pts[a + 1][1])
+        return pts, added
+
+    compose(g, h)
+    monkeypatch.setattr(homeos, "_compose_breaks", corrupted)
+    with pytest.raises(ValueError, match="increas"):
+        compose(g, h)
+
+
+@pytest.mark.parametrize("bad", [0.1, True], ids=["float", "bool"])
+def test_pl_constructors_refuse_floats_and_bools(bad):
+    with pytest.raises(ValueError, match="not exact"):
+        PLCircleHomeo([(F(0), bad)])
+    with pytest.raises(ValueError, match="not exact"):
+        PLCircleHomeo([(F(0), F(0)), (bad, F(1, 2))])
+    with pytest.raises(ValueError, match="not exact"):
+        PLLineHomeo([(bad, bad), (F(2), F(3)), (F(4), F(4))])
+    # ints are exact and read as Fractions
+    assert PLLineHomeo([(0, 0), (1, 2), (3, 3)]).breaks[1] == (F(1), F(2))
 
 
 @pytest.mark.parametrize("h", [
@@ -245,7 +380,9 @@ def _interpolated(h, t: Fraction) -> Fraction:
         x0, y0, x1, y1 = *h.breaks[i], *h.breaks[i + 1]
         return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
     n = t.numerator // t.denominator
-    x0, y0, x1, y1 = h._segment(t - n)
+    closed = h.breaks + ((F(1), h.breaks[0][1] + h.orientation),)
+    i = max(i for i, (x, _) in enumerate(h.breaks) if x <= t - n)
+    x0, y0, x1, y1 = *closed[i], *closed[i + 1]
     return y0 + (t - n - x0) * (y1 - y0) / (x1 - x0) + n * h.orientation
 
 
@@ -488,6 +625,20 @@ def test_realize_refuses_circle_duplicates_mod_1():
     assert h.apply(F(1, 4)) == F(1, 2)
 
 
+@pytest.mark.parametrize("factor, sigma", [
+    (CIRCLE, {0.25: F(1, 2)}),
+    (CIRCLE, {F(1, 4): 0.5}),
+    (LINE, {0.25: F(1, 2)}),
+    (LINE, {F(1, 4): True}),
+    (CANTOR, {(0, 1): SymSeq((1,), 0)}),
+    (BAIRE, {SymSeq((1,), 0): F(1, 2)}),
+], ids=["circle-float-source", "circle-float-target", "line-float", "line-bool",
+        "cantor-tuple", "baire-fraction"])
+def test_realize_refuses_points_of_another_kind(factor, sigma):
+    with pytest.raises(PreconditionError, match=f"exact {factor.kind} factor"):
+        realize_finite_bijection(factor, sigma)
+
+
 def test_realize_refuses_a_disc_before_reading_sigma():
     for sigma in ({(0.0,): [0.5], (0.5,): [0.0]}, None):
         with pytest.raises(UnsupportedOperation, match="no finite-bijection realizer"):
@@ -598,6 +749,21 @@ def test_transporter_keeps_its_documented_promises(case):
     assert h.sup_displacement() < delta
 
 
+@pytest.mark.parametrize("factor, center, target, delta, message", [
+    (LINE, 0.25, 0.26, F(1, 8), "exact line factor"),
+    (CIRCLE, 0.25, 0.26, F(1, 8), "exact circle factor"),
+    (CIRCLE, F(1, 4), True, F(1, 8), "exact circle factor"),
+    (CANTOR, (0, 1), SymSeq((0, 1), 0), F(1, 8), "exact cantor factor"),
+    (LINE, F(1, 4), F(1, 3), 0.5, "delta 0.5 is not exact"),
+    (CIRCLE, F(1, 4), F(1, 3), True, "delta True is not exact"),
+], ids=["line-float", "circle-float", "circle-bool", "cantor-tuple", "float-delta", "bool-delta"])
+def test_transporter_refuses_inexact_input(factor, center, target, delta, message):
+    with pytest.raises(PreconditionError, match=message):
+        small_ball_transporter(factor, center, target, delta)
+    # ints are exact
+    assert small_ball_transporter(LINE, 0, F(1, 16), 1).apply(F(0)) == F(1, 16)
+
+
 def test_transporter_disc_boundary_center_rejected():
     # transporters are exact maps: a disc is refused before any work, at its
     # boundary or not
@@ -689,7 +855,10 @@ def test_malformed_homeo_descriptors_raise_typed_errors():
                         ({**circ, "breaks": [["x", "0/1"]]}, ValueError),
                         ({**circ, "breaks": [["0/1", "1/0"]]}, ZeroDivisionError),
                         ({**circ, "orientation": -1}, ValueError),
-                        ({**circ, "breaks": 3}, TypeError)]:
+                        ({**circ, "breaks": 3}, TypeError),
+                        # JSON numbers are not scalar strings
+                        ({**circ, "breaks": [[0, 0.125]]}, AttributeError),
+                        ({**circ, "breaks": [["0", True]]}, AttributeError)]:
         with pytest.raises(PreconditionError, match="malformed") as info:
             homeo_from_descriptor(desc)
         assert isinstance(info.value.__cause__, cause)
