@@ -25,12 +25,16 @@ second coordinate.  It has two kinds.  `ConditionalMoveStage` is exact on
 circle/line data, with exact displacement and certified Lipschitz bounds,
 which is what lets repair moves ride a convergence certificate on the
 product; `FloatConditionalStage` is its float disc analogue for the chase.
+The exact move decides by comparisons whether a point is in its bump
+before it reads the gate coordinate, so a point outside the bump costs no
+read of beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -198,7 +202,7 @@ class WgppStage(ProductStage):
     def __init__(self, omega: frozenset, pairs: dict):
         if 0 in omega:
             raise PreconditionError("index 0 cannot be twisted")
-        self.omega = frozenset(omega)
+        self.omega = self.moved_indices = frozenset(omega)
         self.pairs = dict(pairs)
 
     def image_coord(self, get, alpha):
@@ -395,15 +399,20 @@ def _audit_plan(blocks, traces, star, B):
 # conditional two-coordinate moves (exact kinds)
 # ---------------------------------------------------------------------------
 
+_HALF = F(1, 2)
+
+
 def _swrap(x: F) -> F:
-    return _wrap1(x + F(1, 2)) - F(1, 2)
+    return _wrap1(x + _HALF) - _HALF
 
 
 class _GatedMove(ProductStage):
     """Moves coordinate alpha by a bump shift scaled with a tent gate on
     coordinate beta != alpha, which the move leaves alone, so the inverse
-    reads the same gate.  A kind supplies `gate(v)`, `_shift(u, w)` at gate
-    weight w and its inverse `_unshift(u, w)`."""
+    reads the same gate.  Its `moved_indices` is {alpha}.  A kind supplies
+    `_in_bump(u)`, `gate(v)`, `_shift(u, w)` at gate weight w and its
+    inverse `_unshift(u, w)`.  The map sends the bump onto itself, so both
+    directions return a u outside it before they read beta."""
 
     def __init__(self, space, alpha: int, beta: int, u_center, u_radius, shift,
                  gate_center, gate_radius):
@@ -413,18 +422,21 @@ class _GatedMove(ProductStage):
             raise PreconditionError(f"gate radius {gate_radius} is not positive")
         self.space = space
         self.alpha, self.beta = alpha, beta
+        self.moved_indices = frozenset((alpha,))
         self.u_center, self.u_radius, self.shift = u_center, u_radius, shift
         self.gate_center, self.gate_radius = gate_center, gate_radius
 
     def image_coord(self, get, a):
-        if a != self.alpha:
-            return get(a)
-        return self._shift(get(self.alpha), self.gate(get(self.beta)))
+        u = get(a)
+        if a != self.alpha or not self._in_bump(u):
+            return u
+        return self._shift(u, self.gate(get(self.beta)))
 
     def preimage_coord(self, get, a):
-        if a != self.alpha:
-            return get(a)
-        return self._unshift(get(self.alpha), self.gate(get(self.beta)))
+        u = get(a)
+        if a != self.alpha or not self._in_bump(u):
+            return u
+        return self._unshift(u, self.gate(get(self.beta)))
 
 
 _MOVE_SCALARS = ("u_center", "u_radius", "shift", "gate_center", "gate_radius")
@@ -434,20 +446,58 @@ class ConditionalMoveStage(_GatedMove):
     """The gated move on rational circle/line data, exact.
 
     u-map at gate weight w: rel -> rel + (1 - |rel|/r_u) * w * shift inside
-    the radius-r_u bump around the center, identity outside.
+    the radius-r_u bump around the center, identity outside.  An alpha or a
+    beta that is not a circle or line coordinate raises PreconditionError.
     """
 
     def __init__(self, space: ProductSpace, alpha: int, beta: int,
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
+        fu, fv = space.factor(alpha), space.factor(beta)
+        for a, f in ((alpha, fu), (beta, fv)):
+            if not isinstance(f, (CircleSpace, LineSpace)):
+                raise PreconditionError(f"a gated move needs circle or line coordinates, "
+                                        f"not the {f.kind} coordinate {a}")
         if abs(shift) >= u_radius:
             raise PreconditionError("shift must stay inside the bump radius")
-        super().__init__(space, alpha, beta, F(u_center), F(u_radius), F(shift),
-                         F(gate_center), F(gate_radius))
-        self._circle_u = isinstance(space.factor(alpha), CircleSpace)
-        self._circle_v = isinstance(space.factor(beta), CircleSpace)
+        scalars = (u_center, u_radius, shift, gate_center, gate_radius)
+        # Fractions are kept as they are: loaded and built moves pass them
+        super().__init__(space, alpha, beta, *(x if type(x) is F else F(x) for x in scalars))
+        self._circle_u = isinstance(fu, CircleSpace)
+        self._circle_v = isinstance(fv, CircleSpace)
 
     # -- scalar machinery ----------------------------------------------------
+    @cached_property
+    def _bump(self) -> tuple:
+        """(lo, hi) = c -+ r_u, with c the center, on the circle taken in
+        [0, 1).  Built on first use: a move loaded to be re-checked
+        evaluates no point."""
+        c = _wrap1(self.u_center) if self._circle_u else self.u_center
+        return c - self.u_radius, c + self.u_radius
+
+    def _in_bump(self, u) -> bool:
+        """Whether abs(self._rel(u)) < r_u, for a canonical u, by
+        comparisons only.
+
+        On the line rel = u - c, so this is lo < u < hi.  On the circle u
+        and c lie in [0, 1), so d = u - c lies in (-1, 1), and the test is
+        lo < u < hi (|d| < r_u), or u < hi - 1 (d < r_u - 1), or
+        u > lo + 1 (d > 1 - r_u).  `_swrap(d)` is d on [-1/2, 1/2), d - 1
+        above and d + 1 below it.
+        - r_u > 1/2: every |_rel(u)| <= 1/2 < r_u, and every d passes: if
+          |d| >= r_u, then d >= r_u > 1 - r_u or d <= -r_u < r_u - 1.
+        - r_u <= 1/2 and d in [-1/2, 1/2): |_rel(u)| = |d|, and neither
+          other clause holds, as r_u - 1 <= -1/2 <= d < 1/2 <= 1 - r_u.
+        - r_u <= 1/2 and d >= 1/2: |_rel(u)| = 1 - d < r_u iff
+          d > 1 - r_u; |d| < r_u <= 1/2 and d < r_u - 1 < 0 both fail.
+        - r_u <= 1/2 and d < -1/2: |_rel(u)| = d + 1 < r_u iff
+          d < r_u - 1; |d| < r_u and d > 1 - r_u >= 1/2 both fail.
+        """
+        lo, hi = self._bump
+        if lo < u < hi:
+            return True
+        return self._circle_u and (u < hi - 1 or u > lo + 1)
+
     def _rel(self, u):
         d = u - self.u_center
         return _swrap(d) if self._circle_u else d
@@ -463,15 +513,17 @@ class ConditionalMoveStage(_GatedMove):
         return 1 - dist / self.gate_radius
 
     def _shift(self, u, w: F):
-        rel = self._rel(u)
-        if abs(rel) >= self.u_radius or w == 0:
+        """Image of u in the bump at gate weight w."""
+        if w == 0:
             return u
+        rel = self._rel(u)
         return self._out(rel + (1 - abs(rel) / self.u_radius) * w * self.shift)
 
     def _unshift(self, u, w: F):
-        rel = self._rel(u)
-        if abs(rel) >= self.u_radius or w == 0:
+        """Preimage of u in the bump at gate weight w."""
+        if w == 0:
             return u
+        rel = self._rel(u)
         ws = w * self.shift
         if rel <= ws:
             back = self.u_radius * (rel - ws) / (self.u_radius + ws)
@@ -498,7 +550,7 @@ def conditional_move_from_descriptor(space: ProductSpace, desc: dict) -> Conditi
     try:
         return ConditionalMoveStage(space, desc["alpha"], desc["beta"],
                                     *(parse_scalar(desc[name]) for name in _MOVE_SCALARS))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise PreconditionError(f"malformed conditional-move descriptor: {e!r}") from e
 
 
@@ -605,7 +657,7 @@ class CollarShrinkStage(ProductStage):
 
     def __init__(self, eps: F, indices: tuple):
         self.eps = F(eps)
-        self.indices = frozenset(indices)
+        self.indices = self.moved_indices = frozenset(indices)
         self._scale = 1.0 - float(eps)
 
     def image_coord(self, get, a):
@@ -635,6 +687,11 @@ class FloatConditionalStage(_GatedMove):
             raise PreconditionError("shift must stay inside the bump radius")
         super().__init__(space, alpha, beta, tuple(u_center), float(u_radius), tuple(shift),
                          tuple(gate_center), float(gate_radius))
+
+    def _in_bump(self, u) -> bool:
+        """Always true: a point outside the bump moves by 0.0 * shift, which
+        keeps the float outputs, down to the sign of a zero, as they are."""
+        return True
 
     def gate(self, v) -> float:
         d = self.space.factor(self.beta).metric(v, self.gate_center)

@@ -63,6 +63,7 @@ from .spaces import (
     FactorSpace,
     LineSpace,
     SymSeq,
+    _check_points,
     _load_symseq,
     _wrap1,
     factor_from_descriptor,
@@ -274,7 +275,7 @@ class PLLineHomeo(_PLHomeo):
     A float or bool in a break raises ValueError."""
 
     def __init__(self, breaks: Iterable[tuple] = (), *, _added=None):
-        breaks = _as_breaks(breaks)
+        breaks = _as_breaks(breaks) if _added is None else breaks
         self.space = LINE
         for k in _pairs_to_check(len(breaks), _added):
             (x0, y0), (x1, y1) = breaks[k], breaks[k + 1]
@@ -325,7 +326,7 @@ def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
     pts, added = _compose_breaks(
         g, h, [(x, h.apply(y)) for x, y in g.breaks],
         lambda b: (g_inv.apply(b[0]), b[1]))
-    return PLLineHomeo(pts, _added=added)
+    return PLLineHomeo(tuple(pts), _added=added)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ class PLCircleHomeo(_PLHomeo):
     """
 
     def __init__(self, breaks: Iterable[tuple], orientation: int = 1, *, _added=None):
-        breaks = _as_breaks(breaks)
+        breaks = _as_breaks(breaks) if _added is None else breaks
         if type(orientation) is not int or orientation not in (1, -1):
             raise ValueError(f"orientation must be the int +1 or -1, not {orientation!r}")
         if not breaks or breaks[0][0] != 0:
@@ -422,7 +423,7 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
         return t - n, b[1] - s * n
 
     pts, added = _compose_breaks(g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through)
-    return PLCircleHomeo(pts, s, _added=added)
+    return PLCircleHomeo(tuple(pts), s, _added=added)
 
 
 def _as_breaks(breaks: Iterable) -> tuple:
@@ -458,7 +459,9 @@ def _moved_arcs(pts) -> list:
 
 def _compose_breaks(g, h, new: list, through: Callable) -> tuple:
     """The break list of h after g, and the sorted positions in it of the
-    breaks it adds.  `new` holds g's breaks with the composite's values; it
+    breaks it adds.  Each break is a pair of Fractions, one of h's or built
+    from Fractions here, so the composite's constructor skips `_as_breaks`.
+    `new` holds g's breaks with the composite's values; it
     is extended by h's breaks inside g's moved arcs sent through g^-1 by
     `through`, and merged with h's other breaks, which are kept as they are,
     since g^-1 fixes their abscissas.  Where two candidates share an
@@ -693,16 +696,6 @@ def realize_finite_bijection(factor: FactorSpace, sigma: dict) -> FactorHomeo:
     if isinstance(factor, LineSpace):
         return _realize_line(sigma)
     return _realize_circle(sigma)
-
-
-def _check_points(factor: FactorSpace, points: Iterable):
-    """Refuse, with PreconditionError, a point not of the factor's exact
-    kind: a SymSeq on the sequence kinds, an int or a Fraction (a bool or a
-    float is not one) on the circle and the line."""
-    kinds = (SymSeq,) if isinstance(factor, (CantorSpace, BaireSpace)) else (int, Fraction)
-    for p in points:
-        if type(p) not in kinds:
-            raise PreconditionError(f"{p!r} is not a point of the exact {factor.kind} factor")
 
 
 def _realize_seq(factor, sigma: dict) -> CylinderHomeo:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
 from .rationals import ZERO, format_scalar, parse_scalar, pow2
@@ -86,7 +86,8 @@ class SymSeq:
         return hash((self.prefix, self.tail))
 
     def __repr__(self):
-        body = "".join(str(s) if 0 <= s <= 9 else f"({s})" for s in self.prefix)
+        body = "".join(str(s) if type(s) is int and 0 <= s <= 9 else f"({s!r})"
+                       for s in self.prefix)
         return f"SymSeq[{body}|{self.tail}...]"
 
     def first_diff(self, other: "SymSeq") -> Optional[int]:
@@ -215,6 +216,14 @@ class FactorSpace:
     def points_equal(self, x, y) -> bool:
         return x == y
 
+    def is_point(self, x) -> bool:
+        """Whether x is a value this kind stores as a point: a SymSeq of int
+        symbols on the sequence kinds, with every symbol equal to 0 or 1 on
+        cantor; an int or a Fraction (a bool or a float is not one) on the
+        circle and the line, a circle value in [0, 1) or not; anything but a
+        bool on a disc."""
+        raise NotImplementedError
+
     def metric(self, x, y):
         raise NotImplementedError
 
@@ -237,11 +246,19 @@ class FactorSpace:
         raise UnsupportedOperation(f"no marker points for kind {self.kind}")
 
 
+_INTS = frozenset((int, bool))
+_BITS = frozenset((0, 1))
+_NUMBERS = frozenset((Fraction, int))
+
+
 class _SeqSpace(FactorSpace):
     """Shared machinery of the sequence kinds."""
 
     def base_point(self):
         return SymSeq((), 0)
+
+    def is_point(self, x) -> bool:
+        return type(x) is SymSeq and type(x.tail) in _INTS and set(map(type, x.prefix)) <= _INTS
 
     def metric(self, x: SymSeq, y: SymSeq) -> Fraction:
         j = x.first_diff(y)
@@ -272,6 +289,9 @@ class CantorSpace(_SeqSpace):
         inv=lambda a: a,
     )
 
+    def is_point(self, x) -> bool:
+        return type(x) is SymSeq and x.tail in _BITS and _BITS.issuperset(x.prefix)
+
     def basic_open(self, n: int) -> CylinderOpen:
         return CylinderOpen(bin_tuple(n))
 
@@ -300,8 +320,13 @@ def _wrap1(x: Fraction) -> Fraction:
     return x - q if q else x
 
 
+def _is_number(x) -> bool:
+    return type(x) in _NUMBERS
+
+
 class CircleSpace(FactorSpace):
     kind = "circle"
+    is_point = staticmethod(_is_number)
     group = GroupOps(
         identity=Fraction(0),
         op=lambda a, b: _wrap1(a + b),
@@ -343,6 +368,7 @@ class CircleSpace(FactorSpace):
 
 class LineSpace(FactorSpace):
     kind = "line"
+    is_point = staticmethod(_is_number)
     group = GroupOps(identity=Fraction(0), op=lambda a, b: a + b, inv=lambda a: -a)
 
     def base_point(self):
@@ -401,6 +427,9 @@ class DiscSpace(FactorSpace):
     def base_point(self):
         return (0.0,) * self.dim
 
+    def is_point(self, x) -> bool:
+        return type(x) is not bool
+
     def metric(self, x, y) -> float:
         return sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
 
@@ -420,6 +449,17 @@ CIRCLE = CircleSpace()
 LINE = LineSpace()
 
 _FACTOR_KINDS = {"cantor": CANTOR, "baire": BAIRE, "circle": CIRCLE, "line": LINE}
+
+
+def _check_points(factor: FactorSpace, points: Iterable, index: Optional[int] = None):
+    """Refuse, with PreconditionError, a point that `factor.is_point`
+    refuses; the message names the product index, if one is given."""
+    for p in points:
+        if not factor.is_point(p):
+            where = "" if index is None else f" at index {index}"
+            raise PreconditionError(f"{type(p).__name__} {p!r}{where} on the "
+                                    f"{'exact ' if factor.exact else ''}{factor.kind} "
+                                    f"factor is not one of its points")
 
 
 def factor_from_descriptor(desc: dict) -> FactorSpace:
@@ -463,6 +503,7 @@ class ProductSpace:
         else:
             factors = tuple(factors)
             self._factor_fn, self.count = (lambda a: factors[a]), len(factors)
+        self._uniform: Optional[FactorSpace] = None  # the factor of every index, by `uniform`
         self.working_depth = working_depth if working_depth is not None else self.count
         if self.working_depth is None:
             raise ValueError("countable products need a working depth")
@@ -475,6 +516,7 @@ class ProductSpace:
         space = cls((lambda a: factor) if count is None else [factor] * count,
                     working_depth=working_depth)
         space._tail_diameter = factor.diameter
+        space._uniform = factor
         return space
 
     def __eq__(self, other):
@@ -501,25 +543,26 @@ class ProductSpace:
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
         """A root at the base point outside `overrides`; an int or Fraction
         on a circle factor is stored as its representative in [0, 1).  An
-        index outside the product raises IndexRange; a bool, and a float on
-        an exact factor, raise PreconditionError."""
+        index outside the product raises IndexRange, and an override that
+        its factor's `is_point` refuses raises PreconditionError.  A product
+        built by `uniform` tests all the overrides in one pass."""
         over = dict(overrides or {})
         if over:
             lo, hi = min(over), max(over)
             if lo < 0 or (self.count is not None and hi >= self.count):
                 raise IndexRange(f"index {lo if lo < 0 else hi} outside product of "
                                  f"{self.count} factors")
-        for a, v in over.items():
-            # exact type tests: isinstance against the Fraction ABC is slow
-            t = type(v)
-            if t is Fraction or t is int:
-                if v.numerator // v.denominator and isinstance(self.factor(a), CircleSpace):
-                    over[a] = _wrap1(v)
-            elif t is float and self.factor(a).exact:
-                raise PreconditionError(f"float {v!r} at index {a} on the exact "
-                                        f"{self.factor(a).kind} factor")
-            elif t is bool:
-                raise PreconditionError(f"bool {v!r} at index {a} is not a point")
+            f = self._uniform
+            if f is not None and all(map(f.is_point, over.values())):
+                if isinstance(f, CircleSpace):
+                    over.update({a: _wrap1(v) for a, v in over.items()
+                                 if v.numerator // v.denominator})
+            else:
+                for a, v in over.items():
+                    f = self._factor_fn(a)
+                    _check_points(f, (v,), a)
+                    if isinstance(f, CircleSpace):
+                        over[a] = _wrap1(v)
         return ProductPoint(self, None, over)
 
     # -- metric ------------------------------------------------------------
@@ -579,10 +622,17 @@ class ProductStage:
     `get` is a callable alpha -> factor point giving the input point's
     coordinates; a stage may consult several of them (not just alpha).
 
+    `moved_indices` is a frozenset that holds every index the stage may
+    move: both the stage and its inverse leave each coordinate outside it
+    unchanged, so `ProductPoint.coord` does not call them there.  None, the
+    default, means that the stage may move any index.
+
     A stage that can ride a convergence certificate also certifies its
     d*-displacement and a Lipschitz bound of its inverse; the others raise
     UnsupportedOperation there.
     """
+
+    moved_indices: Optional[frozenset] = None
 
     def image_coord(self, get: Callable[[int], object], alpha: int):
         """Coordinate alpha of the image; canonical where `get` gives canonical points."""
@@ -612,6 +662,7 @@ class ProductStage:
 class _InverseStage(ProductStage):
     def __init__(self, stage: ProductStage):
         self.stage = stage
+        self.moved_indices = stage.moved_indices
 
     def image_coord(self, get, alpha):
         return self.stage.preimage_coord(get, alpha)
@@ -631,6 +682,7 @@ class CoordwiseStage(ProductStage):
 
     def __init__(self, maps: dict):
         self.maps = dict(maps)
+        self.moved_indices = frozenset(self.maps)
 
     def image_coord(self, get, alpha):
         h = self.maps.get(alpha)
@@ -660,10 +712,12 @@ class ProductPoint:
     __slots__ = ("space", "marker", "overrides", "parent", "stage", "_cache")
 
     def __init__(self, space: ProductSpace, marker: Optional[int], overrides: dict):
-        """Takes canonical overrides as they are; `ProductSpace.point` canonicalizes."""
+        """Keeps `overrides`, canonical, as it is: `ProductSpace.point`
+        canonicalizes, a staged point shares its parent's, and no point
+        changes them."""
         self.space = space
         self.marker = marker
-        self.overrides = dict(overrides)
+        self.overrides = overrides
         self.parent: Optional[ProductPoint] = None
         self.stage: Optional[ProductStage] = None
         self._cache: dict = {}
@@ -672,27 +726,36 @@ class ProductPoint:
         """Coordinate of the staged image; exact for exact kinds.  Evaluates
         down from the nearest ancestor holding alpha, whose staged ancestors
         hold it too, so reads nest per distinct coordinate, not per stage.
-        A root reads its overrides first and memoizes its base or marker
-        fallbacks, so each is built once per root."""
+        On the way down only a stage whose `moved_indices` holds alpha (or
+        is None) is called; every other level takes its parent's value.
+        Each level on the path caches alpha, so the nesting holds.  A root
+        reads its overrides first and memoizes its base or marker
+        fallbacks, so each is built once per root.  A cached index and an
+        override are in range, so a read of one returns before the range
+        test."""
+        if alpha in self._cache:
+            return self._cache[alpha]
+        if self.stage is None and alpha in self.overrides:
+            return self.overrides[alpha]
         if alpha < 0 or (self.space.count is not None and alpha >= self.space.count):
             raise IndexRange(f"index {alpha} outside the product")
         if self.stage is None:
-            if alpha in self.overrides:
-                return self.overrides[alpha]
-            v = self._cache.get(alpha)
-            if v is None:
-                f = self.space.factor(alpha)
-                v = f.base_point() if self.marker is None else f.marker(self.marker)
-                self._cache[alpha] = v
+            f = self.space.factor(alpha)
+            v = f.base_point() if self.marker is None else f.marker(self.marker)
+            self._cache[alpha] = v
             return v
         pending = []
         p = self
         while p.stage is not None and alpha not in p._cache:
             pending.append(p)
             p = p.parent
+        v = p._cache[alpha] if p.stage is not None else p.coord(alpha)
         for q in reversed(pending):
-            q._cache[alpha] = q.stage.image_coord(q.parent.coord, alpha)
-        return self._cache[alpha]
+            moved = q.stage.moved_indices
+            if moved is None or alpha in moved:
+                v = q.stage.image_coord(q.parent.coord, alpha)
+            q._cache[alpha] = v
+        return v
 
     def apply_stage(self, stage: ProductStage) -> "ProductPoint":
         p = ProductPoint(self.space, self.marker, self.overrides)

@@ -42,6 +42,7 @@ from cdhkit.spaces import (
     DiscSpace,
     ProductPoint,
     ProductSpace,
+    ProductStage,
     SymSeq,
     _wrap1,
 )
@@ -676,3 +677,123 @@ def test_stages_send_canonical_circle_points_to_canonical_points(inputs):
     for stage in stages:
         for image in (point.apply_stage(stage), point.apply_stage(stage.inverse())):
             assert all(0 <= image.coord(a) < 1 for a in range(3)), stage.descriptor()
+
+
+# ---------------------------------------------------------------------------
+# moved indices and the exact move's bump test
+# ---------------------------------------------------------------------------
+
+_CLCL = ProductSpace([CIRCLE, LINE, CIRCLE, LINE])
+
+
+class _RotateByLine(ProductStage):
+    """Rotates circle coordinate 2 by line coordinate 3.  It declares no
+    moved indices, so every level of a pipeline calls it."""
+
+    def image_coord(self, get, alpha):
+        return _wrap1(get(2) + get(3)) if alpha == 2 else get(alpha)
+
+    def preimage_coord(self, get, alpha):
+        return _wrap1(get(2) - get(3)) if alpha == 2 else get(alpha)
+
+
+@st.composite
+def _mixed_stage(draw):
+    kind = draw(st.sampled_from(["move", "coordwise", "twist", "rotate"]))
+    if kind == "move":
+        alpha, beta = draw(st.permutations(range(4)))[:2]
+        r_u = draw(st.integers(1, 80).map(lambda k: F(k, 64)))
+        stage = ConditionalMoveStage(_CLCL, alpha, beta, draw(_UNIT), r_u,
+                                     r_u * draw(_INSIDE), draw(_UNIT), draw(_RADIUS))
+    elif kind == "coordwise":
+        c, t = draw(_UNIT), draw(_UNIT)
+        stage = CoordwiseStage({
+            0: small_ball_transporter(CIRCLE, c, t, CIRCLE.metric(c, t) + F(1, 8)),
+            3: small_ball_transporter(LINE, c, t, abs(c - t) + F(1, 8))})
+    elif kind == "twist":
+        stage = WgppStage(frozenset({1, 2}), {1: group_pair(LINE), 2: group_pair(CIRCLE)})
+    else:
+        stage = _RotateByLine()
+    return stage.inverse() if draw(st.booleans()) else stage
+
+
+@given(st.lists(_UNIT, min_size=4, max_size=4), st.lists(_mixed_stage(), max_size=12),
+       st.permutations(range(4)))
+@settings(max_examples=200, deadline=None)
+def test_coord_equals_a_replay_that_calls_every_stage(coords, stages, order):
+    point = _CLCL.point(dict(enumerate(coords)))
+    values = list(point.overrides[a] for a in range(4))
+    for stage in stages:
+        point = point.apply_stage(stage)
+        values = [stage.image_coord(values.__getitem__, a) for a in range(4)]
+    assert [point.coord(a) for a in order] == [values[a] for a in order]
+
+
+def test_stages_declare_the_indices_they_move():
+    move = ConditionalMoveStage(_CLCL, 2, 1, 0, F(1, 4), F(1, 8), 0, F(1, 4))
+    twist = WgppStage(frozenset({1, 3}), {1: group_pair(LINE), 3: group_pair(LINE)})
+    maps = CoordwiseStage({0: small_ball_transporter(CIRCLE, F(0), F(1, 32), F(1, 8))})
+    shrink = CollarShrinkStage(F(1, 16), (0, 2))
+    for stage, moved in [(move, {2}), (twist, {1, 3}), (maps, {0}), (shrink, {0, 2}),
+                         (_RotateByLine(), None)]:
+        assert stage.moved_indices == moved
+        assert stage.inverse().moved_indices == moved
+
+
+_EDGES = [F(k, 16) for k in range(16)] + [F(-1, 8), F(5, 4), F(33, 16)]
+_RADII = [F(1, 16), F(1, 8), F(1, 4), F(3, 8), F(7, 16), F(1, 2), F(9, 16), F(3, 4), F(1),
+          F(3, 2)]
+
+
+@pytest.mark.parametrize("factor", [CIRCLE, LINE], ids=["circle", "line"])
+def test_the_comparison_bump_test_equals_the_distance_test(factor):
+    # the centers include bumps that cross 0 and centers a loaded descriptor
+    # may carry outside [0, 1); u runs over a grid holding every c -+ r
+    space = ProductSpace([factor, LINE])
+    us = [F(k, 32) for k in range(32)]
+    if factor is LINE:
+        us += [F(k, 32) for k in range(-80, 0)] + [F(k, 32) for k in range(32, 112)]
+    for c in _EDGES:
+        for r in _RADII:
+            move = ConditionalMoveStage(space, 0, 1, c, r, r / 2, 0, F(1, 4))
+            for u in us:
+                assert move._in_bump(u) == (abs(move._rel(u)) < r), (c, r, u)
+            for edge in (c - r, c + r):
+                u = _wrap1(edge) if factor is CIRCLE else edge
+                assert not move._in_bump(u) or r > F(1, 2), (c, r, u)
+
+
+@pytest.mark.parametrize("factors", [(CIRCLE, LINE), (LINE, CIRCLE)], ids=["circle", "line"])
+def test_a_point_outside_the_bump_never_reads_the_gate(factors):
+    space = ProductSpace(factors)
+    move = ConditionalMoveStage(space, 0, 1, F(1, 2), F(1, 8), F(1, 16), 0, F(1, 4))
+
+    def reading(u):
+        def get(a):
+            if a == 1:
+                raise AssertionError("the gate coordinate was read")
+            return u
+        return get
+
+    for u in (F(0), F(3, 8), F(5, 8), F(7, 8)):
+        for stage in (move, move.inverse()):
+            assert stage.image_coord(reading(u), 0) == u
+    with pytest.raises(AssertionError, match="gate coordinate was read"):
+        move.image_coord(reading(F(1, 2)), 0)
+
+
+def test_gated_moves_refuse_sequence_coordinates():
+    space = ProductSpace([CANTOR, CIRCLE, LINE, BAIRE])
+    for alpha, beta, kind in [(0, 1, "cantor"), (1, 0, "cantor"), (2, 3, "baire")]:
+        with pytest.raises(PreconditionError, match=f"not the {kind} coordinate"):
+            ConditionalMoveStage(space, alpha, beta, 0, F(1, 4), F(1, 8), 0, F(1, 4))
+    assert ConditionalMoveStage(space, 1, 2, 0, F(1, 4), F(1, 8), 0, F(1, 4)).moved_indices == {1}
+
+
+def test_the_move_loader_refuses_a_number_in_a_scalar_slot():
+    space = ProductSpace([CIRCLE, LINE])
+    desc = ConditionalMoveStage(space, 0, 1, 0, F(1, 4), F(1, 8), 0, F(1, 4)).descriptor()
+    for name in ("u_radius", "shift", "gate_center"):
+        with pytest.raises(PreconditionError, match="malformed") as info:
+            conditional_move_from_descriptor(space, {**desc, name: 0.25})
+        assert isinstance(info.value.__cause__, AttributeError)

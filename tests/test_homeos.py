@@ -632,8 +632,9 @@ def test_realize_refuses_circle_duplicates_mod_1():
     (LINE, {F(1, 4): True}),
     (CANTOR, {(0, 1): SymSeq((1,), 0)}),
     (BAIRE, {SymSeq((1,), 0): F(1, 2)}),
+    (CANTOR, {SymSeq((1,), 0): SymSeq((2,), 0)}),
 ], ids=["circle-float-source", "circle-float-target", "line-float", "line-bool",
-        "cantor-tuple", "baire-fraction"])
+        "cantor-tuple", "baire-fraction", "cantor-symbol-2"])
 def test_realize_refuses_points_of_another_kind(factor, sigma):
     with pytest.raises(PreconditionError, match=f"exact {factor.kind} factor"):
         realize_finite_bijection(factor, sigma)

@@ -288,6 +288,28 @@ def test_point_refuses_a_bool():
                 space.point({0: F(1, 3), 1: v})
 
 
+@pytest.mark.parametrize("factor, value, kind", [
+    (CANTOR, 1, "int"),
+    (CANTOR, F(1, 2), "Fraction"),
+    (BAIRE, (1, 2), "tuple"),
+    (LINE, "1/2", "str"),
+    (CIRCLE, SymSeq((1,), 0), "SymSeq"),
+    (CANTOR, SymSeq((2,), 0), "SymSeq"),      # cantor symbols are 0 and 1
+    (CANTOR, SymSeq((1,), -1), "SymSeq"),
+    (BAIRE, SymSeq((0.5,), 0), "SymSeq"),     # baire symbols are ints
+    (BAIRE, SymSeq(("1", 2), 0), "SymSeq"),
+], ids=["cantor-int", "cantor-fraction", "baire-tuple", "line-str", "circle-symseq",
+        "cantor-symbol-2", "cantor-tail-minus-1", "baire-float-symbol", "baire-str-symbol"])
+def test_point_refuses_an_override_of_another_kind(factor, value, kind):
+    space = ProductSpace([LINE, factor])
+    with pytest.raises(PreconditionError,
+                       match=f"{kind} .* at index 1 on the exact {factor.kind} factor"):
+        space.point({0: F(1, 3), 1: value})
+    # each kind's own points pass
+    good = {CANTOR: SymSeq((1, 0), 1), BAIRE: SymSeq((-4, 7), 2), CIRCLE: 3, LINE: F(-5, 2)}
+    assert space.point({1: good[factor]}).coord(1) == (0 if factor is CIRCLE else good[factor])
+
+
 class _GatedRotation(ProductStage):
     """Rotates circle coordinate 1 by the value of coordinate 0, so every
     level of a pipeline reads a second coordinate."""
