@@ -301,13 +301,16 @@ def test_point_refuses_a_bool():
 ], ids=["cantor-int", "cantor-fraction", "baire-tuple", "line-str", "circle-symseq",
         "cantor-symbol-2", "cantor-tail-minus-1", "baire-float-symbol", "baire-str-symbol"])
 def test_point_refuses_an_override_of_another_kind(factor, value, kind):
-    space = ProductSpace([LINE, factor])
-    with pytest.raises(PreconditionError,
-                       match=f"{kind} .* at index 1 on the exact {factor.kind} factor"):
-        space.point({0: F(1, 3), 1: value})
-    # each kind's own points pass
     good = {CANTOR: SymSeq((1, 0), 1), BAIRE: SymSeq((-4, 7), 2), CIRCLE: 3, LINE: F(-5, 2)}
-    assert space.point({1: good[factor]}).coord(1) == (0 if factor is CIRCLE else good[factor])
+    # a mixed product tests override by override, a uniform one in one pass
+    for space, first in [(ProductSpace([LINE, factor]), F(1, 3)),
+                         (ProductSpace.uniform(factor, working_depth=4), good[factor])]:
+        with pytest.raises(PreconditionError,
+                           match=f"{kind} .* at index 1 on the exact {factor.kind} factor"):
+            space.point({0: first, 1: value})
+        # each kind's own points pass
+        p = space.point({0: first, 1: good[factor]})
+        assert p.coord(1) == (0 if factor is CIRCLE else good[factor])
 
 
 class _GatedRotation(ProductStage):
@@ -496,6 +499,8 @@ def test_circle_overrides_are_stored_in_the_unit_interval():
     p = space.point({0: F(5, 4), 1: F(-3, 4), 2: 1, 3: F(5, 4)})
     assert [p.coord(a) for a in range(4)] == [F(1, 4), F(1, 4), 0, F(5, 4)]
     assert p.ser()["overrides"] == {"0": "1/4", "1": "1/4", "2": "0/1", "3": "5/4"}
+    q = ProductSpace.uniform(CIRCLE, count=4).point({0: F(5, 4), 1: F(-3, 4), 2: 1, 3: F(1, 3)})
+    assert [q.coord(a) for a in range(4)] == [F(1, 4), F(1, 4), 0, F(1, 3)]
 
 
 def test_wrap1_returns_a_canonical_argument_itself():

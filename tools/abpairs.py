@@ -10,9 +10,10 @@ run uses its own checkout's library and benchmark code.  Writes
 `BENCH_<workload>.json` (or FILE): every pair's end-to-end metrics, each
 side's median and interquartile range per metric, the number of pairs the
 head wins per metric, and each side's `git rev-parse HEAD` with a flag for
-uncommitted changes.  A metric is better lower unless the head checkout's
-`BENCHMARK.json` says otherwise.  Quartiles are those of
-`statistics.quantiles` (exclusive method).
+uncommitted changes; a checkout is named by its directory's name, not its
+path.  A metric is better lower unless the head checkout's `BENCHMARK.json`
+says otherwise.  Quartiles are those of `statistics.quantiles` (exclusive
+method).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def revision(root: Path) -> dict:
     def git(*args):
         return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
                               text=True).stdout.strip()
-    return {"path": str(root), "rev": git("rev-parse", "HEAD") or None,
+    return {"dir": root.name, "rev": git("rev-parse", "HEAD") or None,
             "dirty": bool(git("status", "--porcelain"))}
 
 
