@@ -106,14 +106,24 @@ def seq_zip(a: SymSeq, b: SymSeq, op: Callable[[int, int], int]) -> SymSeq:
     return SymSeq(tuple(op(a.at(i), b.at(i)) for i in range(n)), op(a.tail, b.tail))
 
 
+_INT = frozenset((int,))
+_BITS = frozenset((0, 1))
+
+
+def _are_symbols(symbols: tuple, binary: bool) -> bool:
+    """Whether each of `symbols` is a sequence symbol: an int (a bool is not
+    one), and 0 or 1 where `binary`; baire symbols and masks may be any
+    int.  The types are tested first, so an unhashable value is refused."""
+    return _INT.issuperset(map(type, symbols)) and (not binary or _BITS.issuperset(symbols))
+
+
 def _load_symseq(obj, binary: bool) -> SymSeq:
-    """The SymSeq a {"prefix", "tail"} object names.  A symbol that is not
-    an int (a bool included), or not 0 or 1 where `binary`, raises
-    ValueError; baire symbols and masks may be any int."""
+    """The SymSeq a {"prefix", "tail"} object names.  A symbol that
+    `_are_symbols` refuses raises ValueError."""
     prefix, tail = tuple(obj["prefix"]), obj["tail"]
-    for v in (*prefix, tail):
-        if type(v) is not int or (binary and v >> 1):
-            raise ValueError(f"{v!r} is not a {'cantor' if binary else 'baire'} symbol")
+    if not _are_symbols((*prefix, tail), binary):
+        bad = next(v for v in (*prefix, tail) if not _are_symbols((v,), binary))
+        raise ValueError(f"{bad!r} is not a {'cantor' if binary else 'baire'} symbol")
     return SymSeq(prefix, tail)
 
 
@@ -217,11 +227,10 @@ class FactorSpace:
         return x == y
 
     def is_point(self, x) -> bool:
-        """Whether x is a value this kind stores as a point: a SymSeq of int
-        symbols on the sequence kinds, with every symbol equal to 0 or 1 on
-        cantor; an int or a Fraction (a bool or a float is not one) on the
-        circle and the line, a circle value in [0, 1) or not; anything but a
-        bool on a disc."""
+        """Whether x is a value this kind stores as a point: a SymSeq of
+        symbols `_are_symbols` accepts on the sequence kinds; an int or a
+        Fraction (a bool or a float is not one) on the circle and the line,
+        a circle value in [0, 1) or not; anything but a bool on a disc."""
         raise NotImplementedError
 
     def metric(self, x, y):
@@ -246,19 +255,19 @@ class FactorSpace:
         raise UnsupportedOperation(f"no marker points for kind {self.kind}")
 
 
-_INTS = frozenset((int, bool))
-_BITS = frozenset((0, 1))
 _NUMBERS = frozenset((Fraction, int))
 
 
 class _SeqSpace(FactorSpace):
     """Shared machinery of the sequence kinds."""
 
+    binary = False  # whether the symbols are 0 and 1
+
     def base_point(self):
         return SymSeq((), 0)
 
     def is_point(self, x) -> bool:
-        return type(x) is SymSeq and type(x.tail) in _INTS and set(map(type, x.prefix)) <= _INTS
+        return type(x) is SymSeq and _are_symbols((*x.prefix, x.tail), self.binary)
 
     def metric(self, x: SymSeq, y: SymSeq) -> Fraction:
         j = x.first_diff(y)
@@ -268,7 +277,7 @@ class _SeqSpace(FactorSpace):
         return {"prefix": list(x.prefix), "tail": x.tail}
 
     def de_point(self, obj):
-        return _load_symseq(obj, self.kind == "cantor")
+        return _load_symseq(obj, self.binary)
 
     def pick_in(self, box: CylinderOpen, salt: int) -> SymSeq:
         # trailing non-tail symbol keeps distinct salts canonically distinct
@@ -283,14 +292,12 @@ class _SeqSpace(FactorSpace):
 
 class CantorSpace(_SeqSpace):
     kind = "cantor"
+    binary = True
     group = GroupOps(
         identity=SymSeq((), 0),
         op=lambda a, b: seq_zip(a, b, lambda u, v: u ^ v),
         inv=lambda a: a,
     )
-
-    def is_point(self, x) -> bool:
-        return type(x) is SymSeq and x.tail in _BITS and _BITS.issuperset(x.prefix)
 
     def basic_open(self, n: int) -> CylinderOpen:
         return CylinderOpen(bin_tuple(n))
@@ -503,7 +510,6 @@ class ProductSpace:
         else:
             factors = tuple(factors)
             self._factor_fn, self.count = (lambda a: factors[a]), len(factors)
-        self._uniform: Optional[FactorSpace] = None  # the factor of every index, by `uniform`
         self.working_depth = working_depth if working_depth is not None else self.count
         if self.working_depth is None:
             raise ValueError("countable products need a working depth")
@@ -516,7 +522,6 @@ class ProductSpace:
         space = cls((lambda a: factor) if count is None else [factor] * count,
                     working_depth=working_depth)
         space._tail_diameter = factor.diameter
-        space._uniform = factor
         return space
 
     def __eq__(self, other):
@@ -544,25 +549,19 @@ class ProductSpace:
         """A root at the base point outside `overrides`; an int or Fraction
         on a circle factor is stored as its representative in [0, 1).  An
         index outside the product raises IndexRange, and an override that
-        its factor's `is_point` refuses raises PreconditionError.  A product
-        built by `uniform` tests all the overrides in one pass."""
+        its factor's `is_point` refuses raises PreconditionError."""
         over = dict(overrides or {})
         if over:
             lo, hi = min(over), max(over)
             if lo < 0 or (self.count is not None and hi >= self.count):
                 raise IndexRange(f"index {lo if lo < 0 else hi} outside product of "
                                  f"{self.count} factors")
-            f = self._uniform
-            if f is not None and all(map(f.is_point, over.values())):
-                if isinstance(f, CircleSpace):
-                    over.update({a: _wrap1(v) for a, v in over.items()
-                                 if v.numerator // v.denominator})
-            else:
-                for a, v in over.items():
-                    f = self._factor_fn(a)
+            for a, v in over.items():
+                f = self._factor_fn(a)
+                if not f.is_point(v):
                     _check_points(f, (v,), a)
-                    if isinstance(f, CircleSpace):
-                        over[a] = _wrap1(v)
+                if isinstance(f, CircleSpace):
+                    over[a] = _wrap1(v)
         return ProductPoint(self, None, over)
 
     # -- metric ------------------------------------------------------------

@@ -298,11 +298,19 @@ def test_point_refuses_a_bool():
     (CANTOR, SymSeq((1,), -1), "SymSeq"),
     (BAIRE, SymSeq((0.5,), 0), "SymSeq"),     # baire symbols are ints
     (BAIRE, SymSeq(("1", 2), 0), "SymSeq"),
+    (CANTOR, SymSeq((1.0,), 0), "SymSeq"),    # a float, a bool or a Fraction equal
+    (CANTOR, SymSeq((F(1),), 0), "SymSeq"),   # to a symbol is not one
+    (CANTOR, SymSeq((0,), 1.0), "SymSeq"),
+    (BAIRE, SymSeq((True,), 0), "SymSeq"),
+    (BAIRE, SymSeq((3,), True), "SymSeq"),
+    (CANTOR, SymSeq(([1],), 0), "SymSeq"),    # an unhashable symbol
 ], ids=["cantor-int", "cantor-fraction", "baire-tuple", "line-str", "circle-symseq",
-        "cantor-symbol-2", "cantor-tail-minus-1", "baire-float-symbol", "baire-str-symbol"])
+        "cantor-symbol-2", "cantor-tail-minus-1", "baire-float-symbol", "baire-str-symbol",
+        "cantor-float-symbol", "cantor-fraction-symbol", "cantor-float-tail",
+        "baire-bool-symbol", "baire-bool-tail", "cantor-list-symbol"])
 def test_point_refuses_an_override_of_another_kind(factor, value, kind):
     good = {CANTOR: SymSeq((1, 0), 1), BAIRE: SymSeq((-4, 7), 2), CIRCLE: 3, LINE: F(-5, 2)}
-    # a mixed product tests override by override, a uniform one in one pass
+    # on a mixed and on a uniform product
     for space, first in [(ProductSpace([LINE, factor]), F(1, 3)),
                          (ProductSpace.uniform(factor, working_depth=4), good[factor])]:
         with pytest.raises(PreconditionError,
@@ -557,6 +565,29 @@ def test_sequence_points_with_foreign_symbols_are_refused(factor, value):
     assert isinstance(info.value.__cause__, ValueError)
     assert ProductPoint.de(space, {**obj, "overrides": {"1": {"prefix": [1, 0], "tail": 1}}}
                            ).coord(1) == SymSeq((1, 0), 1)
+
+
+_SYMBOLS = st.sampled_from([0, 1, 2, -1, True, False, 1.0, 0.0, F(1), "1", None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([CANTOR, BAIRE]), st.lists(_SYMBOLS, max_size=4), _SYMBOLS)
+def test_a_sequence_point_is_stored_exactly_when_its_serialization_loads(factor, prefix, tail):
+    # one symbol rule: an override is accepted iff the loader takes it back
+    x = SymSeq(tuple(prefix), tail)
+    try:
+        loaded = factor.de_point(factor.ser_point(x))
+    except ValueError:
+        loaded = None
+    assert factor.is_point(x) == (loaded is not None)
+    space = ProductSpace([LINE, factor])
+    if loaded is None:
+        with pytest.raises(PreconditionError):
+            space.point({1: x})
+    else:
+        p = space.point({1: x})
+        q = ProductPoint.de(space, json.loads(json.dumps(p.ser())))
+        assert loaded == x and q.coord(1) == x and q.ser() == p.ser()
 
 
 def test_malformed_factor_descriptors_raise_typed_errors():

@@ -1,15 +1,15 @@
 """Alternating A/B runs of one benchmark workload on two checkouts.
 
     python3 tools/abpairs.py --base DIR --head DIR --workload W --pairs N \
-        --seconds S --seed K [--out FILE]
+        --seconds S --seed K
 
 Runs `DIR/cdhbench/run.py --trace 0` on the base and the head checkout in
 turn, N pairs of them, the base first in even pairs and the head first in
 odd ones, so that a slow spell of the host falls on both sides alike.  Each
 run uses its own checkout's library and benchmark code.  Writes
-`BENCH_<workload>.json` (or FILE): every pair's end-to-end metrics, each
-side's median and interquartile range per metric, the number of pairs the
-head wins per metric, and each side's `git rev-parse HEAD` with a flag for
+`BENCH_<workload>.json`: every pair's end-to-end metrics, each side's
+median and interquartile range per metric, the number of pairs the head
+wins per metric, and each side's `git rev-parse HEAD` with a flag for
 uncommitted changes; a checkout is named by its directory's name, not its
 path.  A metric is better lower unless the head checkout's `BENCHMARK.json`
 says otherwise.  Quartiles are those of `statistics.quantiles` (exclusive
@@ -43,10 +43,8 @@ def revision(root: Path) -> dict:
 
 
 def directions(root: Path) -> dict:
-    spec = root / "BENCHMARK.json"
-    if not spec.is_file():
-        return {}
-    return {m["name"]: m["better"] for m in json.loads(spec.read_text())["end_to_end"]}
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def side_stats(values: list) -> dict:
@@ -80,7 +78,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--out", type=Path, help="output file (default BENCH_<workload>.json)")
     args = ap.parse_args(argv)
     base, head = args.base.resolve(), args.head.resolve()
     for root in (base, head):
@@ -109,8 +106,7 @@ def main(argv=None) -> int:
         "summary": summarize(pairs, directions(head)),
         "pairs": pairs,
     }
-    out = args.out or Path(f"BENCH_{args.workload}.json")
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    Path(f"BENCH_{args.workload}.json").write_text(json.dumps(doc, indent=1) + "\n")
     for name, s in doc["summary"].items():
         change = "n/a" if s["change"] is None else f"{s['change']:+.1%}"
         print(f"{name:14s} base {s['base']['median']:.5g} (iqr {s['base']['iqr']:.3g})  "
