@@ -110,19 +110,21 @@ _INT = frozenset((int,))
 _BITS = frozenset((0, 1))
 
 
-def _are_symbols(symbols: tuple, binary: bool) -> bool:
-    """Whether each of `symbols` is a sequence symbol: an int (a bool is not
-    one), and 0 or 1 where `binary`; baire symbols and masks may be any
-    int.  The types are tested first, so an unhashable value is refused."""
-    return _INT.issuperset(map(type, symbols)) and (not binary or _BITS.issuperset(symbols))
+def _are_symbols(prefix: tuple, tail, binary: bool) -> bool:
+    """Whether the tail and each symbol of the prefix are sequence symbols:
+    ints (a bool is not one), and 0 or 1 where `binary`; baire symbols and
+    masks may be any int.  The types are tested first, so an unhashable
+    value is refused."""
+    return (type(tail) is int and _INT.issuperset(map(type, prefix))
+            and (not binary or (tail in _BITS and _BITS.issuperset(prefix))))
 
 
 def _load_symseq(obj, binary: bool) -> SymSeq:
     """The SymSeq a {"prefix", "tail"} object names.  A symbol that
     `_are_symbols` refuses raises ValueError."""
     prefix, tail = tuple(obj["prefix"]), obj["tail"]
-    if not _are_symbols((*prefix, tail), binary):
-        bad = next(v for v in (*prefix, tail) if not _are_symbols((v,), binary))
+    if not _are_symbols(prefix, tail, binary):
+        bad = next(v for v in (*prefix, tail) if not _are_symbols((), v, binary))
         raise ValueError(f"{bad!r} is not a {'cantor' if binary else 'baire'} symbol")
     return SymSeq(prefix, tail)
 
@@ -267,7 +269,7 @@ class _SeqSpace(FactorSpace):
         return SymSeq((), 0)
 
     def is_point(self, x) -> bool:
-        return type(x) is SymSeq and _are_symbols((*x.prefix, x.tail), self.binary)
+        return type(x) is SymSeq and _are_symbols(x.prefix, x.tail, self.binary)
 
     def metric(self, x: SymSeq, y: SymSeq) -> Fraction:
         j = x.first_diff(y)
@@ -556,8 +558,9 @@ class ProductSpace:
             if lo < 0 or (self.count is not None and hi >= self.count):
                 raise IndexRange(f"index {lo if lo < 0 else hi} outside product of "
                                  f"{self.count} factors")
+            factor = self._factor_fn
             for a, v in over.items():
-                f = self._factor_fn(a)
+                f = factor(a)
                 if not f.is_point(v):
                     _check_points(f, (v,), a)
                 if isinstance(f, CircleSpace):
