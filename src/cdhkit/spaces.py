@@ -563,7 +563,7 @@ class ProductSpace:
                 f = factor(a)
                 if not f.is_point(v):
                     _check_points(f, (v,), a)
-                if isinstance(f, CircleSpace):
+                if isinstance(f, CircleSpace) and v.numerator // v.denominator:
                     over[a] = _wrap1(v)
         return ProductPoint(self, None, over)
 
