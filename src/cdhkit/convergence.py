@@ -257,8 +257,11 @@ def reverify_ledger(space, stages, entries) -> list:
     `entries` are the recorded ledger dicts, as `ledger()` writes them.
     Returns a list of per-entry verdict dicts; every entry must reproduce the
     recorded values bit-exactly.  Raises PreconditionError, before replaying
-    anything, when the stage and entry counts differ.
+    anything, when stages or entries are not lists or tuples or their counts differ.
     """
+    if not isinstance(stages, (list, tuple)) or not isinstance(entries, (list, tuple)):
+        raise PreconditionError(f"stages and ledger entries must be lists, not "
+                                f"{type(stages).__name__} and {type(entries).__name__}")
     if len(stages) != len(entries):
         raise PreconditionError(f"{len(stages)} stages but {len(entries)} ledger entries")
     cert = ConvergenceCertificate(space)

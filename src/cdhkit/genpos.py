@@ -195,28 +195,27 @@ def _pick_avoiding(factor, box, avoid):
 # ---------------------------------------------------------------------------
 
 class WgppStage(ProductStage):
-    """Coordinate-wise twist: s_a(x(a), x(0)) on the listed indices, identity
-    elsewhere.  Index 0 is never listed, so the inverse can read the same
-    second argument."""
+    """Coordinate-wise twist x(a) -> s_a(x(a), x(0)) at each a in omega, its
+    `moved_indices`.  An omega that holds 0 (the inverse reads x(0) too) or
+    an index without a pair raises PreconditionError."""
 
     def __init__(self, omega: frozenset, pairs: dict):
-        if 0 in omega:
-            raise PreconditionError("index 0 cannot be twisted")
-        self.omega = self.moved_indices = frozenset(omega)
+        self.moved_indices = frozenset(omega)
         self.pairs = dict(pairs)
+        if 0 in self.moved_indices:
+            raise PreconditionError("index 0 cannot be twisted")
+        missing = self.moved_indices.difference(self.pairs)
+        if missing:
+            raise PreconditionError(f"no pair for twisted indices {sorted(missing)}")
 
     def image_coord(self, get, alpha):
-        if alpha in self.omega:
-            return self.pairs[alpha].s(get(alpha), get(0))
-        return get(alpha)
+        return self.pairs[alpha].s(get(alpha), get(0))
 
     def preimage_coord(self, get, alpha):
-        if alpha in self.omega:
-            return self.pairs[alpha].t(get(alpha), get(0))
-        return get(alpha)
+        return self.pairs[alpha].t(get(alpha), get(0))
 
     def descriptor(self):
-        return {"stage": "wgpp-twist", "omega": sorted(self.omega)}
+        return {"stage": "wgpp-twist", "omega": sorted(self.moved_indices)}
 
 
 @dataclass
@@ -410,9 +409,9 @@ class _GatedMove(ProductStage):
     """Moves coordinate alpha by a bump shift scaled with a tent gate on
     coordinate beta != alpha, which the move leaves alone, so the inverse
     reads the same gate.  Its `moved_indices` is {alpha}.  A kind supplies
-    `_in_bump(u)`, `gate(v)`, `_shift(u, w)` at gate weight w and its
-    inverse `_unshift(u, w)`.  The map sends the bump onto itself, so both
-    directions return a u outside it before they read beta."""
+    `gate(v)`, `_shift(u, w)` at gate weight w, its inverse `_unshift(u, w)`
+    and may narrow `_in_bump(u)`.  The map sends the bump onto itself, so
+    both directions return a u outside it before they read beta."""
 
     def __init__(self, space, alpha: int, beta: int, u_center, u_radius, shift,
                  gate_center, gate_radius):
@@ -426,15 +425,20 @@ class _GatedMove(ProductStage):
         self.u_center, self.u_radius, self.shift = u_center, u_radius, shift
         self.gate_center, self.gate_radius = gate_center, gate_radius
 
+    def _in_bump(self, u) -> bool:
+        """Every u: the float kind moves a u outside its bump by 0.0 * shift,
+        which keeps its outputs, down to the sign of a zero, as they are."""
+        return True
+
     def image_coord(self, get, a):
         u = get(a)
-        if a != self.alpha or not self._in_bump(u):
+        if not self._in_bump(u):
             return u
         return self._shift(u, self.gate(get(self.beta)))
 
     def preimage_coord(self, get, a):
         u = get(a)
-        if a != self.alpha or not self._in_bump(u):
+        if not self._in_bump(u):
             return u
         return self._unshift(u, self.gate(get(self.beta)))
 
@@ -447,12 +451,15 @@ class ConditionalMoveStage(_GatedMove):
 
     u-map at gate weight w: rel -> rel + (1 - |rel|/r_u) * w * shift inside
     the radius-r_u bump around the center, identity outside.  An alpha or a
-    beta that is not a circle or line coordinate raises PreconditionError.
+    beta that is not an int (a bool is not one), or not a circle or line
+    coordinate, raises PreconditionError.
     """
 
     def __init__(self, space: ProductSpace, alpha: int, beta: int,
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
+        if type(alpha) is not int or type(beta) is not int:
+            raise PreconditionError(f"move coordinates {alpha!r}, {beta!r} are not both ints")
         fu, fv = space.factor(alpha), space.factor(beta)
         for a, f in ((alpha, fu), (beta, fv)):
             if not isinstance(f, (CircleSpace, LineSpace)):
@@ -657,24 +664,18 @@ class CollarShrinkStage(ProductStage):
 
     def __init__(self, eps: F, indices: tuple):
         self.eps = F(eps)
-        self.indices = self.moved_indices = frozenset(indices)
+        self.moved_indices = frozenset(indices)
         self._scale = 1.0 - float(eps)
 
     def image_coord(self, get, a):
-        x = get(a)
-        if a in self.indices:
-            return tuple(c * self._scale for c in x)
-        return x
+        return tuple(c * self._scale for c in get(a))
 
     def preimage_coord(self, get, a):
-        x = get(a)
-        if a in self.indices:
-            return tuple(c / self._scale for c in x)
-        return x
+        return tuple(c / self._scale for c in get(a))
 
     def descriptor(self):
         return {"stage": "collar-shrink", "eps": format_scalar(self.eps),
-                "indices": sorted(self.indices)}
+                "indices": sorted(self.moved_indices)}
 
 
 class FloatConditionalStage(_GatedMove):
@@ -688,21 +689,16 @@ class FloatConditionalStage(_GatedMove):
         super().__init__(space, alpha, beta, tuple(u_center), float(u_radius), tuple(shift),
                          tuple(gate_center), float(gate_radius))
 
-    def _in_bump(self, u) -> bool:
-        """Always true: a point outside the bump moves by 0.0 * shift, which
-        keeps the float outputs, down to the sign of a zero, as they are."""
-        return True
-
     def gate(self, v) -> float:
         d = self.space.factor(self.beta).metric(v, self.gate_center)
         return max(0.0, 1.0 - d / self.gate_radius)
 
-    def _bump(self, u) -> float:
+    def _weight(self, u) -> float:
         d = self.space.factor(self.alpha).metric(u, self.u_center)
         return max(0.0, 1.0 - d / self.u_radius)
 
     def _shift(self, u, gate: float):
-        w = gate * self._bump(u)
+        w = gate * self._weight(u)
         return tuple(c + w * s for c, s in zip(u, self.shift))
 
     def _unshift(self, y, gate: float):
@@ -711,7 +707,7 @@ class FloatConditionalStage(_GatedMove):
         metric = self.space.factor(self.alpha).metric
         x = y
         for _ in range(200):
-            w = gate * self._bump(x)
+            w = gate * self._weight(x)
             nxt = tuple(b - w * s for b, s in zip(y, self.shift))
             if metric(nxt, x) < 1e-15:
                 return nxt

@@ -232,7 +232,7 @@ class FactorSpace:
         """Whether x is a value this kind stores as a point: a SymSeq of
         symbols `_are_symbols` accepts on the sequence kinds; an int or a
         Fraction (a bool or a float is not one) on the circle and the line,
-        a circle value in [0, 1) or not; anything but a bool on a disc."""
+        a circle value in [0, 1) or not; a tuple of `dim` floats on a disc."""
         raise NotImplementedError
 
     def metric(self, x, y):
@@ -437,7 +437,7 @@ class DiscSpace(FactorSpace):
         return (0.0,) * self.dim
 
     def is_point(self, x) -> bool:
-        return type(x) is not bool
+        return type(x) is tuple and len(x) == self.dim and all(type(c) is float for c in x)
 
     def metric(self, x, y) -> float:
         return sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
@@ -449,7 +449,10 @@ class DiscSpace(FactorSpace):
         return [float(c) for c in x]
 
     def de_point(self, obj):
-        return tuple(float(c) for c in obj)
+        x = tuple(float(c) for c in obj)
+        if len(x) != self.dim:
+            raise ValueError(f"a disc({self.dim}) point has {self.dim} coordinates, not {len(x)}")
+        return x
 
 
 CANTOR = CantorSpace()
@@ -550,21 +553,19 @@ class ProductSpace:
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
         """A root at the base point outside `overrides`; an int or Fraction
         on a circle factor is stored as its representative in [0, 1).  An
-        index outside the product raises IndexRange, and an override that
-        its factor's `is_point` refuses raises PreconditionError."""
+        index that is not an int of the product (a bool is not one) raises
+        IndexRange, and an override that its factor's `is_point` refuses
+        raises PreconditionError."""
         over = dict(overrides or {})
-        if over:
-            lo, hi = min(over), max(over)
-            if lo < 0 or (self.count is not None and hi >= self.count):
-                raise IndexRange(f"index {lo if lo < 0 else hi} outside product of "
-                                 f"{self.count} factors")
-            factor = self._factor_fn
-            for a, v in over.items():
-                f = factor(a)
-                if not f.is_point(v):
-                    _check_points(f, (v,), a)
-                if isinstance(f, CircleSpace) and v.numerator // v.denominator:
-                    over[a] = _wrap1(v)
+        count, factor = self.count, self._factor_fn
+        for a, v in over.items():
+            if type(a) is not int or a < 0 or (count is not None and a >= count):
+                raise IndexRange(f"index {a!r} outside product of {count} factors")
+            f = factor(a)
+            if not f.is_point(v):
+                _check_points(f, (v,), a)
+            if isinstance(f, CircleSpace) and v.numerator // v.denominator:
+                over[a] = _wrap1(v)
         return ProductPoint(self, None, over)
 
     # -- metric ------------------------------------------------------------
@@ -624,17 +625,17 @@ class ProductStage:
     `get` is a callable alpha -> factor point giving the input point's
     coordinates; a stage may consult several of them (not just alpha).
 
-    `moved_indices` is a frozenset that holds every index the stage may
-    move: both the stage and its inverse leave each coordinate outside it
-    unchanged, so `ProductPoint.coord` does not call them there.  None, the
-    default, means that the stage may move any index.
+    `moved_indices`, a finite frozenset that every stage sets, holds each
+    index that the stage or its inverse may move.  `image_coord` and
+    `preimage_coord` are defined only at its indices, and
+    `ProductPoint.coord` calls them nowhere else.
 
     A stage that can ride a convergence certificate also certifies its
     d*-displacement and a Lipschitz bound of its inverse; the others raise
     UnsupportedOperation there.
     """
 
-    moved_indices: Optional[frozenset] = None
+    moved_indices: frozenset
 
     def image_coord(self, get: Callable[[int], object], alpha: int):
         """Coordinate alpha of the image; canonical where `get` gives canonical points."""
@@ -680,19 +681,17 @@ class _InverseStage(ProductStage):
 
 
 class CoordwiseStage(ProductStage):
-    """Applies one factor homeomorphism per listed index, identity elsewhere."""
+    """Applies one factor homeomorphism at each index it maps."""
 
     def __init__(self, maps: dict):
         self.maps = dict(maps)
         self.moved_indices = frozenset(self.maps)
 
     def image_coord(self, get, alpha):
-        h = self.maps.get(alpha)
-        x = get(alpha)
-        return h.apply(x) if h is not None else x
+        return self.maps[alpha].apply(get(alpha))
 
-    def inverse(self) -> "CoordwiseStage":
-        return CoordwiseStage({a: h.invert() for a, h in self.maps.items()})
+    def preimage_coord(self, get, alpha):
+        return self.maps[alpha].invert().apply(get(alpha))
 
     def descriptor(self):
         return {
@@ -728,8 +727,8 @@ class ProductPoint:
         """Coordinate of the staged image; exact for exact kinds.  Evaluates
         down from the nearest ancestor holding alpha, whose staged ancestors
         hold it too, so reads nest per distinct coordinate, not per stage.
-        On the way down only a stage whose `moved_indices` holds alpha (or
-        is None) is called; every other level takes its parent's value.
+        On the way down a stage is called exactly when its `moved_indices`
+        holds alpha; every other level takes its parent's value.
         Each level on the path caches alpha, so the nesting holds.  A root
         reads its overrides first and memoizes its base or marker
         fallbacks, so each is built once per root.  A cached index and an
@@ -753,8 +752,7 @@ class ProductPoint:
             p = p.parent
         v = p._cache[alpha] if p.stage is not None else p.coord(alpha)
         for q in reversed(pending):
-            moved = q.stage.moved_indices
-            if moved is None or alpha in moved:
+            if alpha in q.stage.moved_indices:
                 v = q.stage.image_coord(q.parent.coord, alpha)
             q._cache[alpha] = v
         return v

@@ -282,6 +282,17 @@ def test_reverify_refuses_a_ledger_of_another_length():
     assert [v["ok"] for v in reverify_ledger(CIRCLE, cert.stages, ledger)] == [True] * 4
 
 
+def test_reverify_refuses_stages_or_entries_that_are_not_lists():
+    cert = _exact_circle_chain(2)
+    ledger = cert.ledger()
+    for stages, entries, names in [(cert.stages, 2, "tuple and int"),
+                                   (cert.stages, None, "tuple and NoneType"),
+                                   (None, ledger, "NoneType and list"),
+                                   (cert.stages, {"0": ledger[0]}, "tuple and dict")]:
+        with pytest.raises(PreconditionError, match=f"must be lists, not {names}"):
+            reverify_ledger(CIRCLE, stages, entries)
+
+
 # ---------------------------------------------------------------------------
 # ledger methods: lipschitz (product stages), exact-isometry
 # ---------------------------------------------------------------------------

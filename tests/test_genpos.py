@@ -484,11 +484,14 @@ def test_malformed_conditional_move_descriptors_raise_typed_errors():
     desc = ConditionalMoveStage(space, 1, 0, 0, F(1, 4), F(1, 8), 0, F(1, 4)).descriptor()
     missing = {k: v for k, v in desc.items() if k != "u_radius"}
     for bad, cause in [(missing, KeyError), ({**desc, "shift": "x"}, ValueError),
-                       ({**desc, "shift": "1/0"}, ZeroDivisionError),
-                       ({**desc, "alpha": "1"}, TypeError)]:
+                       ({**desc, "shift": "1/0"}, ZeroDivisionError)]:
         with pytest.raises(PreconditionError, match="malformed") as info:
             conditional_move_from_descriptor(space, bad)
         assert isinstance(info.value.__cause__, cause)
+    # "alpha": true would load as coordinate 1 and be written back as true
+    for name, value in [("alpha", "1"), ("alpha", True), ("beta", False), ("beta", 0.0)]:
+        with pytest.raises(PreconditionError, match="are not both ints"):
+            conditional_move_from_descriptor(space, {**desc, name: value})
     with pytest.raises(IndexRange):  # CdhErrors pass unchanged
         conditional_move_from_descriptor(space, {**desc, "alpha": 2})
 
@@ -687,14 +690,18 @@ _CLCL = ProductSpace([CIRCLE, LINE, CIRCLE, LINE])
 
 
 class _RotateByLine(ProductStage):
-    """Rotates circle coordinate 2 by line coordinate 3.  It declares no
-    moved indices, so every level of a pipeline calls it."""
+    """Rotates circle coordinate 2 by line coordinate 3, and raises when it
+    is read at another coordinate."""
+
+    moved_indices = frozenset({2})
 
     def image_coord(self, get, alpha):
-        return _wrap1(get(2) + get(3)) if alpha == 2 else get(alpha)
+        assert alpha == 2, f"read at coordinate {alpha}, outside its moved set"
+        return _wrap1(get(2) + get(3))
 
     def preimage_coord(self, get, alpha):
-        return _wrap1(get(2) - get(3)) if alpha == 2 else get(alpha)
+        assert alpha == 2, f"read at coordinate {alpha}, outside its moved set"
+        return _wrap1(get(2) - get(3))
 
 
 @st.composite
@@ -725,7 +732,8 @@ def test_coord_equals_a_replay_that_calls_every_stage(coords, stages, order):
     values = list(point.overrides[a] for a in range(4))
     for stage in stages:
         point = point.apply_stage(stage)
-        values = [stage.image_coord(values.__getitem__, a) for a in range(4)]
+        values = [stage.image_coord(values.__getitem__, a) if a in stage.moved_indices
+                  else values[a] for a in range(4)]
     assert [point.coord(a) for a in order] == [values[a] for a in order]
 
 
@@ -734,10 +742,20 @@ def test_stages_declare_the_indices_they_move():
     twist = WgppStage(frozenset({1, 3}), {1: group_pair(LINE), 3: group_pair(LINE)})
     maps = CoordwiseStage({0: small_ball_transporter(CIRCLE, F(0), F(1, 32), F(1, 8))})
     shrink = CollarShrinkStage(F(1, 16), (0, 2))
+    discs = ProductSpace([DiscSpace(2), DiscSpace(1)])
+    float_move = FloatConditionalStage(discs, 0, 1, (0.0, 0.0), 0.25, (0.01, 0.0), (0.0,), 0.25)
     for stage, moved in [(move, {2}), (twist, {1, 3}), (maps, {0}), (shrink, {0, 2}),
-                         (_RotateByLine(), None)]:
+                         (float_move, {0})]:
         assert stage.moved_indices == moved
         assert stage.inverse().moved_indices == moved
+        assert stage.inverse().inverse() is stage
+
+
+def test_a_twist_refuses_an_index_without_a_pair():
+    with pytest.raises(PreconditionError, match=r"no pair for twisted indices \[2, 3\]"):
+        WgppStage(frozenset({1, 2, 3}), {1: group_pair(LINE)})
+    with pytest.raises(PreconditionError, match="index 0 cannot be twisted"):
+        WgppStage(frozenset({0}), {0: group_pair(LINE)})
 
 
 _EDGES = [F(k, 16) for k in range(16)] + [F(-1, 8), F(5, 4), F(33, 16)]

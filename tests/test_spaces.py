@@ -166,7 +166,10 @@ def test_eval_coordinate_override_lookup():
 
 
 class _XorStage(ProductStage):
-    """Hand-built oracle stage: xor every coordinate by a fixed factor point."""
+    """Hand-built oracle stage: xor each coordinate of `_cantor_omega`'s
+    default working depth by a fixed factor point."""
+
+    moved_indices = frozenset(range(16))
 
     def __init__(self, c):
         self.c = c
@@ -237,6 +240,7 @@ class _MarkerShift(ProductStage):
 
     def __init__(self, space):
         self.space = space
+        self.moved_indices = frozenset(space.indices())
 
     def image_coord(self, get, alpha):
         f = self.space.factor(alpha)
@@ -259,13 +263,17 @@ def test_root_fallbacks_read_as_on_a_fresh_root(marker):
 
 def test_point_refuses_an_index_outside_the_product():
     space = ProductSpace([CIRCLE, LINE])
-    for over, bad in [({7: F(1, 4)}, 7), ({2: F(0)}, 2), ({-1: F(1, 4)}, -1),
-                      ({0: F(1, 4), 1: F(1, 2), 5: F(5, 4)}, 5)]:
-        with pytest.raises(IndexRange, match=f"index {bad} outside product of 2 factors"):
+    # an index is an int: True == 1 but would serialize as the key "True"
+    for over, bad in [({7: F(1, 4)}, "7"), ({2: F(0)}, "2"), ({-1: F(1, 4)}, "-1"),
+                      ({0: F(1, 4), 1: F(1, 2), 5: F(5, 4)}, "5"), ({True: F(1, 4)}, "True"),
+                      ({0.0: F(1, 4)}, "0.0"), ({"1": F(1, 4)}, "'1'"),
+                      ({F(0): F(0)}, "Fraction")]:
+        with pytest.raises(IndexRange, match=f"index {bad}.* outside product of 2 factors"):
             space.point(over)
     countable = ProductSpace.uniform(CIRCLE, working_depth=4)
-    with pytest.raises(IndexRange, match="index -1 outside"):
-        countable.point({-1: F(1, 4)})
+    for bad in (-1, False, 2.0):
+        with pytest.raises(IndexRange, match=f"index {bad} outside"):
+            countable.point({bad: F(1, 4)})
     assert countable.point({40: F(1, 4)}).coord(40) == F(1, 4)
 
 
@@ -276,6 +284,20 @@ def test_point_refuses_a_float_on_an_exact_factor():
         with pytest.raises(PreconditionError, match=refusal):
             space.point({0: (0.5,), 1: 0.25})
     assert ProductSpace([DiscSpace(1)]).point({0: (0.25,)}).coord(0) == (0.25,)
+
+
+def test_a_disc_point_is_a_tuple_of_dim_floats():
+    space = ProductSpace([DiscSpace(2), DiscSpace(2)])
+    for value, kind in [("x", "str"), ((0.5,), "tuple"), ((0.5, 0.0, 0.0), "tuple"),
+                        ([0.5, 0.0], "list"), ((0.5, 0), "tuple"), ((0.5, True), "tuple")]:
+        with pytest.raises(PreconditionError, match=f"{kind} .* at index 1 on the disc factor"):
+            space.point({0: (0.0, 0.0), 1: value})
+    p = space.point({1: (0.5, -0.25)})
+    assert ProductPoint.de(space, json.loads(json.dumps(p.ser()))).coord(1) == (0.5, -0.25)
+    for bad in ([0.5], [0.5, 0.0, 0.0]):
+        with pytest.raises(PreconditionError, match="malformed point") as info:
+            ProductPoint.de(space, {"base": {"kind": "default"}, "overrides": {"1": bad}})
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_point_refuses_a_bool():
@@ -325,11 +347,13 @@ class _GatedRotation(ProductStage):
     """Rotates circle coordinate 1 by the value of coordinate 0, so every
     level of a pipeline reads a second coordinate."""
 
+    moved_indices = frozenset({1})
+
     def image_coord(self, get, alpha):
-        return CIRCLE.group.op(get(1), get(0)) if alpha == 1 else get(alpha)
+        return CIRCLE.group.op(get(1), get(0))
 
     def preimage_coord(self, get, alpha):
-        return CIRCLE.group.op(get(1), CIRCLE.group.inv(get(0))) if alpha == 1 else get(alpha)
+        return CIRCLE.group.op(get(1), CIRCLE.group.inv(get(0)))
 
 
 @pytest.mark.parametrize("stage", [
