@@ -94,6 +94,12 @@ class ConvergenceCertificate:
     def last_index(self) -> int:
         return len(self.stages) - 1
 
+    def displacement_room(self) -> Fraction:
+        """2^-(k-1) / max(1, lip_inv) for the next stage k: a product stage
+        that moves no further passes conditions (1) and (2), whose values are
+        its displacement and lip_inv times it.  Stage 0 is exempt."""
+        return pow2(-(self.stage_count - 1)) / max(Fraction(1), self._lip_inv)
+
     def chain_table_depth(self) -> int:
         d = 0
         for h in self.stages:

@@ -27,7 +27,11 @@ which is what lets repair moves ride a convergence certificate on the
 product; `FloatConditionalStage` is its float disc analogue for the chase.
 The exact move decides by comparisons whether a point is in its bump
 before it reads the gate coordinate, so a point outside the bump costs no
-read of beta.
+read of beta.  `_gated_move` builds each move, `_gate_index` picks its gate.
+
+The collision reports, the repair, the chase and the regrouping refuse
+points of more than one product, or of another product than the one they
+are given, with SpaceMismatch.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .convergence import ConvergenceCertificate
 from .errors import (
     BudgetExceeded,
     PreconditionError,
+    SpaceMismatch,
     UnsupportedOperation,
 )
 from .pairs import ConvenientPair, vnorm
@@ -103,13 +108,22 @@ def _agreeing(factor: FactorSpace, values: Sequence) -> set:
             if factor.points_equal(values[i], values[j])}
 
 
+def _check_space(points, space) -> None:
+    """Raise SpaceMismatch unless every point lives in `space`."""
+    for i, p in enumerate(points):
+        if p.space is not space and p.space != space:
+            raise SpaceMismatch(f"point {i} lives in another product")
+
+
 def _collision_report(points, blocks) -> CollisionReport:
     """Pairwise report over `blocks` (index tuples, numbered by position).  A
     pair collides at a block when it agrees at every index of it, so at an
-    empty block every pair collides.  Every used column is read once."""
+    empty block every pair collides.  Every used column is read once.
+    Points of more than one product raise SpaceMismatch."""
     if not points:
         return CollisionReport({}, ())
     space = points[0].space
+    _check_space(points, space)
     agree = {a: _agreeing(space.factor(a), [p.coord(a) for p in points])
              for a in {a for block in blocks for a in block}}
     pairs = list(combinations(range(len(points)), 2))
@@ -331,6 +345,7 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
     B = block_count
     if B < 1:
         raise PreconditionError(f"block_count must be at least 1, not {B}")
+    _check_space(points, space)
     report = check_general_position(points)
     for p, dis in report.disagreements.items():
         if len(dis) < B:
@@ -411,10 +426,15 @@ class _GatedMove(ProductStage):
     reads the same gate.  Its `moved_indices` is {alpha}.  A kind supplies
     `gate(v)`, `_shift(u, w)` at gate weight w, its inverse `_unshift(u, w)`
     and may narrow `_in_bump(u)`.  The map sends the bump onto itself, so
-    both directions return a u outside it before they read beta."""
+    both directions return a u outside it before they read beta.  An alpha
+    or a beta that is not an int (a bool is not one) raises
+    PreconditionError, and one outside the product IndexRange."""
 
     def __init__(self, space, alpha: int, beta: int, u_center, u_radius, shift,
                  gate_center, gate_radius):
+        if type(alpha) is not int or type(beta) is not int:
+            raise PreconditionError(f"move coordinates {alpha!r}, {beta!r} are not both ints")
+        self._u_factor, self._gate_factor = space.factor(alpha), space.factor(beta)
         if alpha == beta:
             raise PreconditionError(f"a move of coordinate {alpha} cannot be gated on itself")
         if not gate_radius > 0:
@@ -451,27 +471,23 @@ class ConditionalMoveStage(_GatedMove):
 
     u-map at gate weight w: rel -> rel + (1 - |rel|/r_u) * w * shift inside
     the radius-r_u bump around the center, identity outside.  An alpha or a
-    beta that is not an int (a bool is not one), or not a circle or line
-    coordinate, raises PreconditionError.
+    beta that is not a circle or line coordinate raises PreconditionError.
     """
 
     def __init__(self, space: ProductSpace, alpha: int, beta: int,
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
-        if type(alpha) is not int or type(beta) is not int:
-            raise PreconditionError(f"move coordinates {alpha!r}, {beta!r} are not both ints")
-        fu, fv = space.factor(alpha), space.factor(beta)
-        for a, f in ((alpha, fu), (beta, fv)):
-            if not isinstance(f, (CircleSpace, LineSpace)):
-                raise PreconditionError(f"a gated move needs circle or line coordinates, "
-                                        f"not the {f.kind} coordinate {a}")
-        if abs(shift) >= u_radius:
-            raise PreconditionError("shift must stay inside the bump radius")
         scalars = (u_center, u_radius, shift, gate_center, gate_radius)
         # Fractions are kept as they are: loaded and built moves pass them
         super().__init__(space, alpha, beta, *(x if type(x) is F else F(x) for x in scalars))
-        self._circle_u = isinstance(fu, CircleSpace)
-        self._circle_v = isinstance(fv, CircleSpace)
+        for a, f in ((alpha, self._u_factor), (beta, self._gate_factor)):
+            if not isinstance(f, (CircleSpace, LineSpace)):
+                raise PreconditionError(f"a gated move needs circle or line coordinates, "
+                                        f"not the {f.kind} coordinate {a}")
+        if abs(self.shift) >= self.u_radius:
+            raise PreconditionError("shift must stay inside the bump radius")
+        self._circle_u = isinstance(self._u_factor, CircleSpace)
+        self._circle_v = isinstance(self._gate_factor, CircleSpace)
 
     # -- scalar machinery ----------------------------------------------------
     @cached_property
@@ -595,17 +611,14 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
                 f"repair moves are implemented for circle/line factors, not {f.kind}"
             )
     pts = list(points)
-    idx = list(space.indices())
+    _check_space(pts, space)
     collisions = set(check_general_position(pts).collisions)
     cert = ConvergenceCertificate(space)
     history = [len(collisions)]
 
     while collisions:
         i, j, alpha = min(collisions)
-        beta = next((a for a in idx if pts[i].coord(a) != pts[j].coord(a)), None)
-        if beta is None:
-            raise PreconditionError(f"points {i} and {j} are identical; repair impossible")
-        stage = _build_move(space, pts, i, alpha, beta, cert)
+        stage = _build_move(space, pts, i, alpha, _gate_index(space, pts, i, j), cert)
         cert = cert.append(stage)
         pts = [p.apply_stage(stage) for p in pts]
         # the move changes column alpha only: re-check just that
@@ -622,28 +635,34 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
 
 
 def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
-    """Stage k = cert.stage_count: moves point i's coordinate alpha, gated on
-    beta, by a power of two at most min(r_u/2, cap * 2^alpha), where
-    cap = min(2^-k, 2^-(k-1)/lip_inv).  Conditions (1) and (2) of the
-    certificate read 2^-alpha |shift| <= 2^-(k-1) and
-    lip_inv 2^-alpha |shift| <= 2^-(k-1); both hold at the cap and for every
-    smaller shift, so snapping down to a power of two keeps them sound.  The
-    power of two keeps dyadic data dyadic instead of passing on the
-    denominator of lip_inv.
+    """Repair's stage k: clearance cap 1/2 and, as shift, the largest power of
+    two at most min(r_u/2, 2^alpha min(2^-k, room)): its displacement
+    2^-alpha |shift| fits the certificate's `displacement_room`.  A power of
+    two keeps dyadic data dyadic, free of lip_inv's denominator."""
+    room = min(pow2(-cert.stage_count), cert.displacement_room()) * pow2(alpha)
+    return _gated_move(ConditionalMoveStage, space, pts, i, alpha, beta, F(1, 2),
+                       lambda r_u: floor_pow2(min(r_u / 2, room)))
 
-    The radii r_u and r_v come from `_clearance` with cap 1/2, so the bump
-    leaves out every alpha-different point and the gate every beta-different
-    one.  The target u_c + shift is fresh: every other value of coordinate
-    alpha lies at distance 0 or at least 2 r_u from u_c, and
-    0 < |shift| <= r_u/2."""
-    u_c = pts[i].coord(alpha)
-    g_c = pts[i].coord(beta)
-    r_u = _clearance(space.factor(alpha), (p.coord(alpha) for p in pts), u_c, F(1, 2))
-    r_v = _clearance(space.factor(beta), (p.coord(beta) for p in pts), g_c, F(1, 2))
-    k = cert.stage_count
-    cap = min(pow2(-k), pow2(-(k - 1)) / cert._lip_inv) if k >= 1 else F(1)
-    shift = floor_pow2(min(r_u / 2, cap * pow2(alpha)))
-    return ConditionalMoveStage(space, alpha, beta, u_c, r_u, shift, g_c, r_v)
+
+def _gate_index(space, pts, i, j) -> int:
+    """The first index at which points i and j disagree, by `_agreeing`;
+    identical points raise PreconditionError."""
+    for a in space.indices():
+        if not _agreeing(space.factor(a), (pts[i].coord(a), pts[j].coord(a))):
+            return a
+    raise PreconditionError(f"points {i} and {j} are identical")
+
+
+def _gated_move(kind, space, pts, i, alpha, beta, cap, shift_of) -> _GatedMove:
+    """The `kind` move of point i's alpha value u_c by `shift_of(r_u)`, gated
+    on its beta value g_c.  Radii from `_clearance` at `cap` leave every
+    other alpha or beta value outside the bump or the gate, so only points
+    agreeing with point i at both move.  If 0 < |shift| <= r_u/2, they alone
+    hold its new value: other alpha values lie at least 2 r_u from u_c."""
+    u_c, g_c = pts[i].coord(alpha), pts[i].coord(beta)
+    r_u = _clearance(space.factor(alpha), (p.coord(alpha) for p in pts), u_c, cap)
+    r_v = _clearance(space.factor(beta), (p.coord(beta) for p in pts), g_c, cap)
+    return kind(space, alpha, beta, u_c, r_u, shift_of(r_u), g_c, r_v)
 
 
 def _clearance(factor, values, center, cap):
@@ -660,10 +679,16 @@ def _clearance(factor, values, center, cap):
 class CollarShrinkStage(ProductStage):
     """x -> (1 - eps) x on every listed disc coordinate: a self-embedding of
     the product (exactly invertible on its image), pulling the set off the
-    pseudoboundary."""
+    pseudoboundary.  An eps that is not a Fraction in (0, 1), or an index
+    that is not an int >= 0 (a bool is not one), raises PreconditionError."""
 
     def __init__(self, eps: F, indices: tuple):
-        self.eps = F(eps)
+        if not (isinstance(eps, F) and 0 < eps < 1):
+            raise PreconditionError(f"collar width {eps!r} is not a Fraction in (0, 1)")
+        bad = [a for a in indices if type(a) is not int or a < 0]
+        if bad:
+            raise PreconditionError(f"collar indices {bad!r} are not ints >= 0")
+        self.eps = eps
         self.moved_indices = frozenset(indices)
         self._scale = 1.0 - float(eps)
 
@@ -684,17 +709,17 @@ class FloatConditionalStage(_GatedMove):
 
     def __init__(self, space, alpha: int, beta: int, u_center, u_radius: float,
                  shift, gate_center, gate_radius: float):
-        if not vnorm(shift) < u_radius:
-            raise PreconditionError("shift must stay inside the bump radius")
         super().__init__(space, alpha, beta, tuple(u_center), float(u_radius), tuple(shift),
                          tuple(gate_center), float(gate_radius))
+        if not vnorm(self.shift) < self.u_radius:
+            raise PreconditionError("shift must stay inside the bump radius")
 
     def gate(self, v) -> float:
-        d = self.space.factor(self.beta).metric(v, self.gate_center)
+        d = self._gate_factor.metric(v, self.gate_center)
         return max(0.0, 1.0 - d / self.gate_radius)
 
     def _weight(self, u) -> float:
-        d = self.space.factor(self.alpha).metric(u, self.u_center)
+        d = self._u_factor.metric(u, self.u_center)
         return max(0.0, 1.0 - d / self.u_radius)
 
     def _shift(self, u, gate: float):
@@ -704,12 +729,11 @@ class FloatConditionalStage(_GatedMove):
     def _unshift(self, y, gate: float):
         """The x with x + gate * bump(x) * shift = y, by fixed-point iteration
         from y; stops when a step moves less than 1e-15, or after 200 steps."""
-        metric = self.space.factor(self.alpha).metric
         x = y
         for _ in range(200):
             w = gate * self._weight(x)
             nxt = tuple(b - w * s for b, s in zip(y, self.shift))
-            if metric(nxt, x) < 1e-15:
+            if self._u_factor.metric(nxt, x) < 1e-15:
                 return nxt
             x = nxt
         return x
@@ -744,6 +768,7 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace) -> Bound
         if not isinstance(space.factor(a), DiscSpace):
             raise UnsupportedOperation("boundary chase expects disc factors")
     pts = list(points)
+    _check_space(pts, space)
     stages: list[ProductStage] = []
 
     def interior(p):
@@ -765,21 +790,10 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace) -> Bound
         if step >= _CHASE_BUDGET:
             raise BudgetExceeded(f"projection repair budget {_CHASE_BUDGET} exhausted")
         x, y = min(clash)
-        beta = next(
-            (a for a in space.indices()
-             if not space.factor(a).points_equal(pts[x].coord(a), pts[y].coord(a))),
-            None,
-        )
-        if beta is None:
-            raise PreconditionError(f"points {x} and {y} are identical")
         u_c = pts[x].coord(0)
-        g_c = pts[x].coord(beta)
-        r_u = _clearance(space.factor(0), (p.coord(0) for p in pts), u_c, 0.25)
-        r_v = _clearance(space.factor(beta), (p.coord(beta) for p in pts), g_c, 0.25)
-        margin = 1.0 - vnorm(u_c)
-        shift_len = min(r_u / 2, margin / 4, 2.0 ** (-step - 3))
-        shift = (shift_len,) + (0.0,) * (len(u_c) - 1)
-        stage = FloatConditionalStage(space, 0, beta, u_c, r_u, shift, g_c, r_v)
+        room = min((1.0 - vnorm(u_c)) / 4, 2.0 ** (-step - 3))
+        stage = _gated_move(FloatConditionalStage, space, pts, x, 0, _gate_index(space, pts, x, y),
+                            0.25, lambda r_u: (min(r_u / 2, room),) + (0.0,) * (len(u_c) - 1))
         stages.append(stage)
         pts = [p.apply_stage(stage) for p in pts]
         step += 1

@@ -419,13 +419,17 @@ def _dyadic(n: int) -> Fraction:
 
 
 class DiscSpace(FactorSpace):
-    """Closed unit ball of R^m.  Diameter 2: the flagged metric exception."""
+    """Closed unit ball of R^m.  Diameter 2: the flagged metric exception.
+    A dimension that is not an int (a bool is not one) raises TypeError,
+    and one below 1 ValueError."""
 
     kind = "disc"
     exact = False
     diameter = Fraction(2)
 
     def __init__(self, dim: int):
+        if type(dim) is not int:
+            raise TypeError(f"disc dimension {dim!r} is not an int")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
@@ -485,8 +489,6 @@ def factor_from_descriptor(desc: dict) -> FactorSpace:
         if kind == "disc":
             if "dim" not in desc:
                 raise PreconditionError("a disc descriptor needs its 'dim'")
-            if type(desc["dim"]) is not int:
-                raise TypeError(f"disc dimension {desc['dim']!r} is not an int")
             return DiscSpace(desc["dim"])
     except (KeyError, TypeError, ValueError) as e:
         raise PreconditionError(f"malformed factor descriptor: {e!r}") from e
@@ -700,6 +702,14 @@ class CoordwiseStage(ProductStage):
         }
 
 
+def _index_key(key) -> int:
+    """The index that an override key of `ProductPoint.ser()` names; any
+    other key raises ValueError."""
+    if type(key) is str and key.isascii() and key.isdigit() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"override key {key!r} is not an index as ser() writes it")
+
+
 class ProductPoint:
     """A root (a base plus finitely many overrides) or one stage applied to
     a parent.  A root with `marker` None sits at every factor's base point
@@ -784,7 +794,9 @@ class ProductPoint:
     @staticmethod
     def de(space: ProductSpace, obj: dict) -> "ProductPoint":
         """Reads `ser()` output back; a document that cannot be read raises
-        PreconditionError with the cause chained."""
+        PreconditionError with the cause chained.  An override key must be
+        an index as `ser()` writes it, a decimal numeral with no sign, no
+        leading zero and nothing around it."""
         try:
             base = obj["base"]
             if base["kind"] == "default":
@@ -795,9 +807,10 @@ class ProductPoint:
                     raise ValueError(f"marker index {marker!r} is not a non-negative int")
             else:
                 raise ValueError(f"unknown base kind {base['kind']!r}")
-            overrides = {
-                int(a): space.factor(int(a)).de_point(v) for a, v in obj["overrides"].items()
-            }
+            overrides = {}
+            for key, v in obj["overrides"].items():
+                a = _index_key(key)
+                overrides[a] = space.factor(a).de_point(v)
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise PreconditionError(f"malformed point: {e!r}") from e
         return ProductPoint(space, marker, overrides)

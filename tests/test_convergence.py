@@ -597,3 +597,22 @@ def test_append_refuses_a_stage_on_another_space(space, first, stage):
 def test_append_takes_a_stage_on_an_equal_space():
     cert = ConvergenceCertificate(ProductSpace([CIRCLE, LINE])).append(_MOVE)
     assert cert.stages == (_MOVE,)
+
+
+@pytest.mark.parametrize("first_shift, condition", [(F(0), 1), (F(1, 4), 2)],
+                         ids=["lip-1", "lip-above-1"])
+def test_a_product_stage_may_fill_the_certificate_room_and_no_more(first_shift, condition):
+    space = ProductSpace([LINE, LINE])
+    cert = ConvergenceCertificate(space)
+    assert cert.displacement_room() == 2  # stage 0 is exempt: the room binds nothing
+    cert = cert.append(ConditionalMoveStage(space, 0, 1, 0, F(1, 2), first_shift, 0, F(1, 8)))
+    room = cert.displacement_room()
+
+    def move(displacement):  # alpha = 1 halves the shift
+        return ConditionalMoveStage(space, 1, 0, 0, F(4), 2 * displacement, 0, F(1))
+
+    entry = cert.append(move(room)).entries[-1]
+    assert entry.cond1_value == room and max(entry.cond1_value, entry.cond2_value) == 1
+    with pytest.raises(BoundViolation) as info:
+        cert.append(move(room + F(1, 1 << 40)))
+    assert info.value.condition == condition

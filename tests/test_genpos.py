@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdhkit.convergence import ConvergenceCertificate, reverify_ledger
-from cdhkit.errors import IndexRange, PreconditionError, UnsupportedOperation
+from cdhkit.errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
 from cdhkit.genpos import (
     CollarShrinkStage,
     ConditionalMoveStage,
@@ -29,6 +29,8 @@ from cdhkit.genpos import (
     greedy_dense_gp,
     wgpp_transform,
     _build_move,
+    _gate_index,
+    _gated_move,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
@@ -815,3 +817,79 @@ def test_the_move_loader_refuses_a_number_in_a_scalar_slot():
         with pytest.raises(PreconditionError, match="malformed") as info:
             conditional_move_from_descriptor(space, {**desc, name: 0.25})
         assert isinstance(info.value.__cause__, AttributeError)
+
+
+_EIGHTHS = st.integers(0, 15).map(lambda k: F(k, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_built_move_fixes_the_points_it_leaves_out_and_gives_point_i_a_fresh_value(data):
+    kinds = data.draw(st.lists(st.sampled_from([CIRCLE, LINE]), min_size=2, max_size=4))
+    space = ProductSpace(kinds)
+    rows = data.draw(st.lists(st.tuples(*[_EIGHTHS] * len(kinds)), min_size=1, max_size=7))
+    pts = [space.point(dict(enumerate(r))) for r in rows]
+    i = data.draw(st.integers(0, len(pts) - 1))
+    alpha, beta = data.draw(st.permutations(range(len(kinds))))[:2]
+    cap = data.draw(st.sampled_from([F(1, 2), F(1, 4), F(1, 16)]))
+    t = data.draw(st.sampled_from([F(1, 2), F(-1, 2), F(3, 8), F(-1, 4), F(1, 64)]))
+    stage = _gated_move(ConditionalMoveStage, space, pts, i, alpha, beta, cap, lambda r_u: t * r_u)
+    moved = [p.apply_stage(stage) for p in pts]
+    u_c, g_c, new = pts[i].coord(alpha), pts[i].coord(beta), moved[i].coord(alpha)
+    for p, q in zip(pts, moved):
+        # only a point agreeing with point i at alpha and at beta moves, and
+        # every such point moves with it
+        twin = p.coord(alpha) == u_c and p.coord(beta) == g_c
+        assert all(q.coord(a) == p.coord(a) for a in space.indices() if a != alpha or not twin)
+        assert (q.coord(alpha) == new) == twin
+
+
+def test_the_gate_is_the_first_index_where_the_points_disagree():
+    space = ProductSpace([CIRCLE, LINE, DiscSpace(1), DiscSpace(1)])
+    p = space.point({0: F(1, 4), 2: (0.5,), 3: (0.5,)})
+    # the circle values are one point, and the disc values at 2 agree within tolerance
+    q = space.point({0: F(5, 4), 2: (0.5 + 1e-12,), 3: (0.25,)})
+    assert _gate_index(space, [p, q], 0, 1) == 3
+    with pytest.raises(PreconditionError, match="points 1 and 0 are identical"):
+        _gate_index(space, [p, p], 1, 0)
+
+
+def test_a_float_gated_move_refuses_coordinates_that_are_not_ints_of_the_product():
+    discs = ProductSpace([DiscSpace(2), DiscSpace(1)])
+    args = ((0.0, 0.0), 0.25, (0.01, 0.0), (0.0,), 0.25)
+    for alpha, beta in [("x", 1), (True, 1), (0, False), (0, 1.0)]:
+        with pytest.raises(PreconditionError, match="are not both ints"):
+            FloatConditionalStage(discs, alpha, beta, *args)
+    for alpha, beta in [(0, 2), (-1, 0)]:
+        with pytest.raises(IndexRange):
+            FloatConditionalStage(discs, alpha, beta, *args)
+
+
+@pytest.mark.parametrize("eps, indices", [
+    (1, (0,)), (2, (0,)), (0.1, (0,)), (F(0), (0,)), (F(1), (0,)), (F(-1, 16), (0,)),
+    ("1/16", (0,)), (F(1, 16), (0, "a")), (F(1, 16), (True,)), (F(1, 16), (0, -1)),
+    (F(1, 16), (1.0,)),
+])
+def test_a_collar_shrink_refuses_a_width_or_an_index_it_cannot_use(eps, indices):
+    with pytest.raises(PreconditionError, match="collar"):
+        CollarShrinkStage(eps, indices)
+
+
+def test_operations_refuse_points_of_another_product():
+    space = ProductSpace([CIRCLE, LINE])
+    other = ProductSpace([LINE] * 3)
+    pts = [space.point({0: F(1, 4), 1: F(1, 2)}), space.point({0: F(1, 4), 1: F(3, 4)})]
+    with pytest.raises(SpaceMismatch):
+        collision_repair_gpp(pts, other)
+    with pytest.raises(SpaceMismatch):
+        block_regroup(pts, other, block_count=1)
+    for mixed in ([pts[0], other.point()], [other.point(), pts[0]]):
+        with pytest.raises(SpaceMismatch):
+            check_general_position(mixed)
+    # an equal product built apart is the same product
+    same = ProductSpace([CIRCLE, LINE])
+    assert collision_repair_gpp(pts, same).moves == 1
+    assert block_regroup(pts, same, block_count=1).blocks == ((0, 1),)
+    discs = ProductSpace([DiscSpace(1), DiscSpace(1)])
+    with pytest.raises(SpaceMismatch):
+        boundary_chase([discs.point()], ProductSpace([DiscSpace(1)] * 3))

@@ -649,3 +649,24 @@ def test_malformed_points_raise_typed_errors():
         assert isinstance(info.value.__cause__, cause)
     with pytest.raises(IndexRange):  # CdhErrors pass unchanged
         ProductPoint.de(circles, {**obj, "overrides": {"2": "1/4"}})
+
+
+def test_point_loader_reads_only_the_index_keys_ser_writes():
+    space = ProductSpace([LINE] * 12)
+    obj = {"base": {"kind": "default"}, "overrides": {"10": "1/4", "0": "-1/2"}}
+    assert ProductPoint.de(space, obj).ser() == obj
+    # "1_0" would load as index 10, and "+1" with "1" as one override
+    for overrides in [{"1_0": "1/4"}, {"+1": "1/4", "1": "1/2"}, {"01": "1/4"}, {" 1": "1/4"},
+                      {"1 ": "1/4"}, {"-0": "1/4"}, {"\uff11": "1/4"}, {"": "1/4"}, {1: "1/4"}]:
+        with pytest.raises(PreconditionError, match="malformed point") as info:
+            ProductPoint.de(space, {**obj, "overrides": overrides})
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("dim, error", [(True, TypeError), (False, TypeError), (2.0, TypeError),
+                                        ("2", TypeError), (0, ValueError), (-1, ValueError)])
+def test_disc_refuses_a_dimension_that_is_not_an_int_of_at_least_one(dim, error):
+    with pytest.raises(error):
+        DiscSpace(dim)
+    with pytest.raises(PreconditionError, match="malformed factor descriptor"):
+        factor_from_descriptor({"kind": "disc", "dim": dim})

@@ -79,6 +79,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, not {args.pairs}")
     base, head = args.base.resolve(), args.head.resolve()
     for root in (base, head):
         if not (root / "cdhbench" / "run.py").is_file():
