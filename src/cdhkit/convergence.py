@@ -32,7 +32,7 @@ from typing import Optional
 from .errors import BoundViolation, PreconditionError, SpaceMismatch, UnsupportedOperation
 from .homeos import CylinderHomeo, FactorHomeo, compose, identity_for, sup_distance
 from .rationals import ZERO, bound_exponent, format_scalar, pow2
-from .spaces import ProductSpace, ProductStage
+from .spaces import ProductStage
 
 _MATERIALIZE_CAP = 1 << 16
 _LIP_BITS = 32
@@ -248,13 +248,9 @@ def _capped(mat: FactorHomeo) -> FactorHomeo:
 
 
 def double_limit_defect(cert: ConvergenceCertificate, m: int, n: int, x) -> Fraction:
-    """d(H_m^-1(H_n(x)), x), the quantity the double-limit estimate bounds."""
-    y = cert.partial(x, n)
-    z = cert.partial_inv(y, m)
-    space = cert.space
-    if isinstance(space, ProductSpace):
-        return space.metric_exact(z, x)
-    return space.metric(z, x)
+    """d(H_m^-1(H_n(x)), x), the quantity the double-limit estimate bounds;
+    the certificate soundness tests read it."""
+    return cert.space.metric(cert.partial_inv(cert.partial(x, n), m), x)
 
 
 def reverify_ledger(space, stages, entries) -> list:

@@ -27,7 +27,8 @@ which is what lets repair moves ride a convergence certificate on the
 product; `FloatConditionalStage` is its float disc analogue for the chase.
 The exact move decides by comparisons whether a point is in its bump
 before it reads the gate coordinate, so a point outside the bump costs no
-read of beta.  `_gated_move` builds each move, `_gate_index` picks its gate.
+read of beta.  `_gated_move` builds each move.  Repair gates it at the
+pair's first index outside its collision index, the chase at `_gate_index`.
 
 The collision reports, the repair, the chase and the regrouping refuse
 points of more than one product, or of another product than the one they
@@ -46,7 +47,6 @@ from .convergence import ConvergenceCertificate
 from .errors import (
     BudgetExceeded,
     PreconditionError,
-    SpaceMismatch,
     UnsupportedOperation,
 )
 from .pairs import ConvenientPair, vnorm
@@ -59,6 +59,8 @@ from .spaces import (
     ProductPoint,
     ProductSpace,
     ProductStage,
+    _check_space,
+    _is_number,
     _wrap1,
     nat_tuple,
 )
@@ -106,13 +108,6 @@ def _agreeing(factor: FactorSpace, values: Sequence) -> set:
         return {p for bucket in buckets.values() for p in combinations(bucket, 2)}
     return {(i, j) for i, j in combinations(range(len(values)), 2)
             if factor.points_equal(values[i], values[j])}
-
-
-def _check_space(points, space) -> None:
-    """Raise SpaceMismatch unless every point lives in `space`."""
-    for i, p in enumerate(points):
-        if p.space is not space and p.space != space:
-            raise SpaceMismatch(f"point {i} lives in another product")
 
 
 def _collision_report(points, blocks) -> CollisionReport:
@@ -428,13 +423,19 @@ class _GatedMove(ProductStage):
     and may narrow `_in_bump(u)`.  The map sends the bump onto itself, so
     both directions return a u outside it before they read beta.  An alpha
     or a beta that is not an int (a bool is not one) raises
-    PreconditionError, and one outside the product IndexRange."""
+    PreconditionError, one outside the product IndexRange, and one whose
+    factor is of none of the kind's `factor_classes` PreconditionError."""
 
-    def __init__(self, space, alpha: int, beta: int, u_center, u_radius, shift,
-                 gate_center, gate_radius):
+    def __init__(self, space, factor_classes: tuple, alpha: int, beta: int, u_center,
+                 u_radius, shift, gate_center, gate_radius):
         if type(alpha) is not int or type(beta) is not int:
             raise PreconditionError(f"move coordinates {alpha!r}, {beta!r} are not both ints")
         self._u_factor, self._gate_factor = space.factor(alpha), space.factor(beta)
+        for a, f in ((alpha, self._u_factor), (beta, self._gate_factor)):
+            if not isinstance(f, factor_classes):
+                kinds = " or ".join(c.kind for c in factor_classes)
+                raise PreconditionError(f"a {type(self).__name__} needs {kinds} coordinates, "
+                                        f"not the {f.kind} coordinate {a}")
         if alpha == beta:
             raise PreconditionError(f"a move of coordinate {alpha} cannot be gated on itself")
         if not gate_radius > 0:
@@ -470,24 +471,33 @@ class ConditionalMoveStage(_GatedMove):
     """The gated move on rational circle/line data, exact.
 
     u-map at gate weight w: rel -> rel + (1 - |rel|/r_u) * w * shift inside
-    the radius-r_u bump around the center, identity outside.  An alpha or a
-    beta that is not a circle or line coordinate raises PreconditionError.
+    the radius-r_u bump around the center, identity outside.  Its
+    coordinates are circle or line coordinates.  A scalar that is not an int
+    or a Fraction (a bool or a float is not one) raises PreconditionError,
+    and so does data its inverse or its Lipschitz bound does not hold for: a
+    circle bump radius above 1/2, whose bump wraps past the antipode, or a
+    line gate radius above 1, past the cap of the line metric.
     """
 
     def __init__(self, space: ProductSpace, alpha: int, beta: int,
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
         scalars = (u_center, u_radius, shift, gate_center, gate_radius)
+        bad = [x for x in scalars if not _is_number(x)]
+        if bad:
+            raise PreconditionError(f"move scalar {bad[0]!r} is not exact: "
+                                    f"an int or a Fraction is needed")
         # Fractions are kept as they are: loaded and built moves pass them
-        super().__init__(space, alpha, beta, *(x if type(x) is F else F(x) for x in scalars))
-        for a, f in ((alpha, self._u_factor), (beta, self._gate_factor)):
-            if not isinstance(f, (CircleSpace, LineSpace)):
-                raise PreconditionError(f"a gated move needs circle or line coordinates, "
-                                        f"not the {f.kind} coordinate {a}")
+        super().__init__(space, (CircleSpace, LineSpace), alpha, beta,
+                         *(x if type(x) is F else F(x) for x in scalars))
         if abs(self.shift) >= self.u_radius:
             raise PreconditionError("shift must stay inside the bump radius")
         self._circle_u = isinstance(self._u_factor, CircleSpace)
         self._circle_v = isinstance(self._gate_factor, CircleSpace)
+        if self._circle_u and self.u_radius > _HALF:
+            raise PreconditionError(f"circle bump radius {self.u_radius} is above 1/2")
+        if not self._circle_v and self.gate_radius > 1:
+            raise PreconditionError(f"line gate radius {self.gate_radius} is above 1")
 
     # -- scalar machinery ----------------------------------------------------
     @cached_property
@@ -503,18 +513,16 @@ class ConditionalMoveStage(_GatedMove):
         comparisons only.
 
         On the line rel = u - c, so this is lo < u < hi.  On the circle u
-        and c lie in [0, 1), so d = u - c lies in (-1, 1), and the test is
-        lo < u < hi (|d| < r_u), or u < hi - 1 (d < r_u - 1), or
-        u > lo + 1 (d > 1 - r_u).  `_swrap(d)` is d on [-1/2, 1/2), d - 1
-        above and d + 1 below it.
-        - r_u > 1/2: every |_rel(u)| <= 1/2 < r_u, and every d passes: if
-          |d| >= r_u, then d >= r_u > 1 - r_u or d <= -r_u < r_u - 1.
-        - r_u <= 1/2 and d in [-1/2, 1/2): |_rel(u)| = |d|, and neither
-          other clause holds, as r_u - 1 <= -1/2 <= d < 1/2 <= 1 - r_u.
-        - r_u <= 1/2 and d >= 1/2: |_rel(u)| = 1 - d < r_u iff
-          d > 1 - r_u; |d| < r_u <= 1/2 and d < r_u - 1 < 0 both fail.
-        - r_u <= 1/2 and d < -1/2: |_rel(u)| = d + 1 < r_u iff
-          d < r_u - 1; |d| < r_u and d > 1 - r_u >= 1/2 both fail.
+        and c lie in [0, 1), so d = u - c lies in (-1, 1), r_u <= 1/2, and
+        the test is lo < u < hi (|d| < r_u), or u < hi - 1 (d < r_u - 1),
+        or u > lo + 1 (d > 1 - r_u).  `_swrap(d)` is d on [-1/2, 1/2),
+        d - 1 above and d + 1 below it.
+        - d in [-1/2, 1/2): |_rel(u)| = |d|, and neither other clause
+          holds, as r_u - 1 <= -1/2 <= d < 1/2 <= 1 - r_u.
+        - d >= 1/2: |_rel(u)| = 1 - d < r_u iff d > 1 - r_u; |d| < r_u <=
+          1/2 and d < r_u - 1 < 0 both fail.
+        - d < -1/2: |_rel(u)| = d + 1 < r_u iff d < r_u - 1; |d| < r_u and
+          d > 1 - r_u >= 1/2 both fail.
         """
         lo, hi = self._bump
         if lo < u < hi:
@@ -618,7 +626,11 @@ def collision_repair_gpp(points: Sequence[ProductPoint], space: ProductSpace) ->
 
     while collisions:
         i, j, alpha = min(collisions)
-        stage = _build_move(space, pts, i, alpha, _gate_index(space, pts, i, j), cert)
+        # the gate is the first index where the pair disagrees
+        beta = next((a for a in space.indices() if (i, j, a) not in collisions), None)
+        if beta is None:
+            raise PreconditionError(f"points {i} and {j} are identical")
+        stage = _build_move(space, pts, i, alpha, beta, cert)
         cert = cert.append(stage)
         pts = [p.apply_stage(stage) for p in pts]
         # the move changes column alpha only: re-check just that
@@ -705,12 +717,13 @@ class CollarShrinkStage(ProductStage):
 
 class FloatConditionalStage(_GatedMove):
     """The gated move on disc data: shift coordinate alpha by a tent bump
-    gated on coordinate beta.  Float path, tolerance semantics."""
+    gated on coordinate beta.  Float path, tolerance semantics.  Its
+    coordinates are disc coordinates."""
 
     def __init__(self, space, alpha: int, beta: int, u_center, u_radius: float,
                  shift, gate_center, gate_radius: float):
-        super().__init__(space, alpha, beta, tuple(u_center), float(u_radius), tuple(shift),
-                         tuple(gate_center), float(gate_radius))
+        super().__init__(space, (DiscSpace,), alpha, beta, tuple(u_center), float(u_radius),
+                         tuple(shift), tuple(gate_center), float(gate_radius))
         if not vnorm(self.shift) < self.u_radius:
             raise PreconditionError("shift must stay inside the bump radius")
 

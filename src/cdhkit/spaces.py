@@ -1,7 +1,7 @@
 """Factor spaces, product spaces and lazily evaluated product points.
 
 Factor kinds and their standardized admissible complete metrics (diameter
-at most 1, except the disc, which is flagged):
+at most 1, except the disc's):
 
   cantor   bit sequences,        d(x,y) = 2^-min{i : x_i != y_i}
   baire    integer sequences,    same formula
@@ -16,6 +16,9 @@ Exact points are canonical (a SymSeq strips trailing tail symbols, a circle
 point lies in [0, 1)), so `==` and `hash` decide point equality and a value
 is its own key.  `FactorSpace.points_equal` is for float values, which need
 a tolerance, and for raw values, such as a circle value outside [0, 1).
+
+Every certified product bound is stated in d* = sum_a 2^-a d_a, which
+`ProductSpace.metric` returns exactly on finite products of exact factors.
 
 A product point is a root or one product stage applied to a parent point.
 A root sits at every factor's base point, or at every factor's k-th marker
@@ -205,7 +208,6 @@ class FactorSpace:
 
     kind: str = "?"
     exact: bool = True
-    diameter: Fraction = Fraction(1)
     group: Optional[GroupOps] = None
     tolerance: float = FLOAT_TOLERANCE
 
@@ -419,13 +421,12 @@ def _dyadic(n: int) -> Fraction:
 
 
 class DiscSpace(FactorSpace):
-    """Closed unit ball of R^m.  Diameter 2: the flagged metric exception.
+    """Closed unit ball of R^m, whose Euclidean metric has diameter 2.
     A dimension that is not an int (a bool is not one) raises TypeError,
     and one below 1 ValueError."""
 
     kind = "disc"
     exact = False
-    diameter = Fraction(2)
 
     def __init__(self, dim: int):
         if type(dim) is not int:
@@ -478,6 +479,13 @@ def _check_points(factor: FactorSpace, points: Iterable, index: Optional[int] = 
                                     f"factor is not one of its points")
 
 
+def _check_space(points, space) -> None:
+    """Raise SpaceMismatch unless every point lives in `space`."""
+    for i, p in enumerate(points):
+        if p.space is not space and p.space != space:
+            raise SpaceMismatch(f"point {i} lives in another product")
+
+
 def factor_from_descriptor(desc: dict) -> FactorSpace:
     """The factor a descriptor names.  A kind that names none raises
     UnsupportedOperation, and a descriptor that cannot be read raises
@@ -504,8 +512,8 @@ class ProductSpace:
 
         d*(x, y) = sum_a 2^-a d_a(x(a), y(a)).
 
-    Countable products carry a working depth: the index range every
-    exhaustive check runs over.
+    Countable products carry a working depth: the index range `indices()`
+    that every exhaustive check runs over.
     """
 
     def __init__(self, factors: Sequence[FactorSpace] | Callable[[int], FactorSpace],
@@ -520,16 +528,12 @@ class ProductSpace:
         self.working_depth = working_depth if working_depth is not None else self.count
         if self.working_depth is None:
             raise ValueError("countable products need a working depth")
-        # bounds the diameter of every factor past the working depth
-        self._tail_diameter = DiscSpace.diameter
 
     @classmethod
     def uniform(cls, factor: FactorSpace, count: Optional[int] = None,
                 working_depth: Optional[int] = None) -> "ProductSpace":
-        space = cls((lambda a: factor) if count is None else [factor] * count,
-                    working_depth=working_depth)
-        space._tail_diameter = factor.diameter
-        return space
+        return cls((lambda a: factor) if count is None else [factor] * count,
+                   working_depth=working_depth)
 
     def __eq__(self, other):
         if not isinstance(other, ProductSpace):
@@ -546,11 +550,10 @@ class ProductSpace:
             raise IndexRange(f"index {alpha} outside product of {self.count} factors")
         return self._factor_fn(alpha)
 
-    def indices(self, depth: Optional[int] = None) -> range:
-        d = self.working_depth if depth is None else depth
-        if self.count is not None:
-            d = min(d, self.count)
-        return range(d)
+    def indices(self) -> range:
+        if self.count is None:
+            return range(self.working_depth)
+        return range(min(self.working_depth, self.count))
 
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
         """A root at the base point outside `overrides`; an int or Fraction
@@ -571,43 +574,15 @@ class ProductSpace:
         return ProductPoint(self, None, over)
 
     # -- metric ------------------------------------------------------------
-    def distance(self, x: "ProductPoint", y: "ProductPoint", depth: Optional[int] = None
-                 ) -> tuple[Fraction, Fraction]:
-        """Certified interval [lower, upper] containing d*(x, y).
-
-        The truncation tail past index M contributes at most
-        sum_{a>=M} 2^-a diam_a, which is 2^-(M-1) for diameter-1 factors.
-        A countable product bounds diam_a by the largest diameter any factor
-        kind declares, or by the factor's own when built by `uniform`.  A
-        float metric value is widened by the factor's tolerance (lower end >= 0).
-        """
-        if x.space is not self and x.space != self:
-            raise SpaceMismatch("x lives in a different product")
-        if y.space is not self and y.space != self:
-            raise SpaceMismatch("y lives in a different product")
-        idx = self.indices(depth)
-        lo = hi = ZERO
-        for a in idx:
-            f = self.factor(a)
-            d = Fraction(f.metric(x.coord(a), y.coord(a)))  # exact value of a float estimate
-            tol = ZERO if f.exact else Fraction(f.tolerance)
-            lo += pow2(-a) * max(ZERO, d - tol)
-            hi += pow2(-a) * (d + tol)
-        tail = ZERO
-        m = len(idx)
-        if self.count is not None:
-            for a in range(m, self.count):
-                tail += pow2(-a) * self.factor(a).diameter
-        else:
-            tail = pow2(-(m - 1)) * self._tail_diameter
-        return lo, hi + tail
-
-    def metric_exact(self, x: "ProductPoint", y: "ProductPoint") -> Fraction:
-        """Exact d* for finite products of exact factors."""
+    def metric(self, x: "ProductPoint", y: "ProductPoint") -> Fraction:
+        """Exact d*(x, y), summed over every index of a finite product of
+        exact factors; a countable or float product raises
+        UnsupportedOperation, and a point of another product SpaceMismatch."""
         if self.count is None or not all(self.factor(a).exact for a in range(self.count)):
-            raise UnsupportedOperation("exact product metric needs finitely many exact factors")
-        lo, hi = self.distance(x, y, depth=self.count)
-        return lo
+            raise UnsupportedOperation("the product metric needs finitely many exact factors")
+        _check_space((x, y), self)
+        return sum((pow2(-a) * self.factor(a).metric(x.coord(a), y.coord(a))
+                    for a in range(self.count)), ZERO)
 
     def descriptor(self) -> dict:
         return {
@@ -683,10 +658,14 @@ class _InverseStage(ProductStage):
 
 
 class CoordwiseStage(ProductStage):
-    """Applies one factor homeomorphism at each index it maps."""
+    """Applies one factor homeomorphism at each index it maps.  A key that
+    is not an int >= 0 (a bool is not one) raises PreconditionError."""
 
     def __init__(self, maps: dict):
         self.maps = dict(maps)
+        bad = [a for a in self.maps if type(a) is not int or a < 0]
+        if bad:
+            raise PreconditionError(f"coordinatewise indices {bad!r} are not ints >= 0")
         self.moved_indices = frozenset(self.maps)
 
     def image_coord(self, get, alpha):

@@ -28,13 +28,14 @@ from cdhkit.genpos import (
     conditional_move_from_descriptor,
     greedy_dense_gp,
     wgpp_transform,
+    _MOVE_SCALARS,
     _build_move,
     _gate_index,
     _gated_move,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
-from cdhkit.rationals import floor_pow2, parse_scalar
+from cdhkit.rationals import floor_pow2, format_scalar, parse_scalar
 from cdhkit.spaces import (
     BAIRE,
     CANTOR,
@@ -481,6 +482,94 @@ def test_gated_moves_refuse_a_gate_they_cannot_invert_or_certify():
             FloatConditionalStage(discs, 0, 1, (0.0, 0.0), u_radius, shift, (0.0,), 0.25)
 
 
+def test_gated_moves_refuse_data_outside_their_proofs():
+    # a circle bump past 1/2 wraps past the antipode: its "inverse" sent the
+    # image 14/25 of 9/20 to 7/15; a line gate past 1 outgrows the capped
+    # line metric: lip_backward_bound() read 4 where a pair gives about 6.23
+    bad = [(ProductSpace([CIRCLE, LINE]), (0, 1, F(0), F(1), F(1, 5), F(0), F(1, 4)),
+            "circle bump radius 1 is above 1/2"),
+           (ProductSpace([LINE] * 6), (0, 5, F(0), F(1, 2), F(1, 4), F(0), F(8)),
+            "line gate radius 8 is above 1")]
+    for space, args, match in bad:
+        with pytest.raises(PreconditionError, match=match):
+            ConditionalMoveStage(space, *args)
+        desc = {"stage": "conditional-move", "alpha": args[0], "beta": args[1],
+                **{name: format_scalar(x) for name, x in zip(_MOVE_SCALARS, args[2:])}}
+        with pytest.raises(PreconditionError, match=match):
+            conditional_move_from_descriptor(space, desc)
+    # the widest data the proofs cover still builds
+    for space, args in [(ProductSpace([CIRCLE, LINE]), (0, 1, 0, F(1, 2), F(1, 4), 0, 1)),
+                        (ProductSpace([LINE, CIRCLE]), (0, 1, 0, F(3), F(1, 4), 0, F(3)))]:
+        ConditionalMoveStage(space, *args)
+
+
+@pytest.mark.parametrize("scalar", [0.1, True, False, "1/4", None, 1.0])
+def test_an_exact_gated_move_takes_only_int_or_fraction_scalars(scalar):
+    space = ProductSpace([CIRCLE, LINE])
+    args = [F(1, 2), F(1, 4), F(1, 8), F(0), F(1, 4)]
+    for k in range(len(args)):
+        with pytest.raises(PreconditionError, match="is not exact"):
+            ConditionalMoveStage(space, 0, 1, *args[:k], scalar, *args[k + 1:])
+
+
+def test_a_float_gated_move_refuses_coordinates_that_are_not_disc_coordinates():
+    args = ((0.0,), 0.25, (0.01,), (0.0,), 0.25)
+    for factors in [(CIRCLE, DiscSpace(1)), (DiscSpace(1), LINE)]:
+        with pytest.raises(PreconditionError, match="needs disc coordinates"):
+            FloatConditionalStage(ProductSpace(factors), 0, 1, *args)
+    with pytest.raises(PreconditionError, match="needs circle or line coordinates"):
+        ConditionalMoveStage(ProductSpace([DiscSpace(1), LINE]), 0, 1, 0, F(1, 4), 0, 0, F(1, 4))
+
+
+_OFFSET = st.integers(-80, 80).map(lambda k: F(k, 64))   # in radii, from a center
+_STEP = st.one_of(st.integers(-16, 16).map(lambda k: F(k, 256)),
+                  st.integers(-160, 160).map(lambda k: F(k, 64)))   # in radii
+
+
+@st.composite
+def _accepted_move_and_pairs(draw):
+    """An exact move of a product of three circle or line factors, with
+    radii up to the widest its constructor accepts (a circle bump 1/2, a
+    line gate 1) and wider elsewhere, and pairs of points near its bump and
+    gate.  The second point steps off the first at one index, by a nudge or
+    a stride of some radii: d* sums over the indices, so a Lipschitz bound
+    that holds for such pairs holds for all."""
+    kinds = draw(st.lists(st.sampled_from([CIRCLE, LINE]), min_size=3, max_size=3))
+    space = ProductSpace(kinds)
+    alpha, beta, other = draw(st.permutations(range(3)))
+    u_cap = F(1, 2) if kinds[alpha] is CIRCLE else F(2)
+    v_cap = F(2) if kinds[beta] is CIRCLE else F(1)
+    r_u = u_cap * draw(st.integers(1, 64)) / 64
+    r_v = v_cap * draw(st.integers(1, 64)) / 64
+    u_c, g_c = draw(_OFFSET), draw(_OFFSET)
+    move = ConditionalMoveStage(space, alpha, beta, u_c, r_u, r_u * draw(_INSIDE), g_c, r_v)
+    radius = {alpha: r_u, beta: r_v, other: F(1, 2)}
+    pairs = []
+    for _ in range(draw(st.integers(1, 15))):
+        x = {alpha: u_c + r_u * draw(_OFFSET), beta: g_c + r_v * draw(_OFFSET),
+             other: draw(_UNIT)}
+        a = draw(st.sampled_from(range(3)))
+        y = {**x, a: x[a] + radius[a] * draw(_STEP)}
+        pairs.append((space.point(x), space.point(y)))
+    return space, move, pairs
+
+
+@given(_accepted_move_and_pairs())
+@settings(max_examples=300, deadline=None)
+def test_an_accepted_move_keeps_its_certified_bounds_in_the_product_metric(inputs):
+    space, move, pairs = inputs
+    inverse = move.inverse()
+    disp, lip = move.sup_displacement(), move.lip_backward_bound()
+    for x, y in pairs:
+        for p in (x, y):
+            image = p.apply_stage(move)
+            back = image.apply_stage(inverse)
+            assert [back.coord(a) for a in range(3)] == [p.coord(a) for a in range(3)]
+            assert space.metric(image, p) <= disp
+        pulled = space.metric(x.apply_stage(inverse), y.apply_stage(inverse))
+        assert pulled <= lip * space.metric(x, y)
+
+
 def test_malformed_conditional_move_descriptors_raise_typed_errors():
     space = ProductSpace([CIRCLE, LINE])
     desc = ConditionalMoveStage(space, 1, 0, 0, F(1, 4), F(1, 8), 0, F(1, 4)).descriptor()
@@ -712,6 +801,11 @@ def _mixed_stage(draw):
     if kind == "move":
         alpha, beta = draw(st.permutations(range(4)))[:2]
         r_u = draw(st.integers(1, 80).map(lambda k: F(k, 64)))
+        if _CLCL.factor(alpha) is CIRCLE and r_u > F(1, 2):
+            # a circle bump this wide is refused; the line keeps the wide radii
+            with pytest.raises(PreconditionError, match="circle bump radius"):
+                ConditionalMoveStage(_CLCL, alpha, beta, 0, r_u, 0, 0, F(1, 4))
+            r_u /= 4
         stage = ConditionalMoveStage(_CLCL, alpha, beta, draw(_UNIT), r_u,
                                      r_u * draw(_INSIDE), draw(_UNIT), draw(_RADIUS))
     elif kind == "coordwise":
@@ -775,12 +869,17 @@ def test_the_comparison_bump_test_equals_the_distance_test(factor):
         us += [F(k, 32) for k in range(-80, 0)] + [F(k, 32) for k in range(32, 112)]
     for c in _EDGES:
         for r in _RADII:
+            if factor is CIRCLE and r > F(1, 2):
+                # the bump would wrap past the antipode; the line keeps the wide radii
+                with pytest.raises(PreconditionError, match="circle bump radius"):
+                    ConditionalMoveStage(space, 0, 1, c, r, r / 2, 0, F(1, 4))
+                continue
             move = ConditionalMoveStage(space, 0, 1, c, r, r / 2, 0, F(1, 4))
             for u in us:
                 assert move._in_bump(u) == (abs(move._rel(u)) < r), (c, r, u)
             for edge in (c - r, c + r):
                 u = _wrap1(edge) if factor is CIRCLE else edge
-                assert not move._in_bump(u) or r > F(1, 2), (c, r, u)
+                assert not move._in_bump(u), (c, r, u)
 
 
 @pytest.mark.parametrize("factors", [(CIRCLE, LINE), (LINE, CIRCLE)], ids=["circle", "line"])

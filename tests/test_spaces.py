@@ -356,6 +356,13 @@ class _GatedRotation(ProductStage):
         return CIRCLE.group.op(get(1), CIRCLE.group.inv(get(0)))
 
 
+@pytest.mark.parametrize("key", ["x", -1, True, 1.0, None, (0,)])
+def test_a_coordwise_stage_refuses_a_key_that_is_not_an_index(key):
+    h = PLCircleHomeo([(F(0), F(1, 7))])
+    with pytest.raises(PreconditionError, match="coordinatewise indices .* are not ints >= 0"):
+        CoordwiseStage({0: h, key: h})
+
+
 @pytest.mark.parametrize("stage", [
     CoordwiseStage({0: PLCircleHomeo([(F(0), F(1, 7))]), 2: PLCircleHomeo([(F(0), F(2, 5))])}),
     _GatedRotation(),
@@ -384,85 +391,46 @@ def test_round_trip_through_2000_stages(stage):
 # product metric
 # ---------------------------------------------------------------------------
 
-def test_distance_identical_points():
-    space = _cantor_omega()
-    p = space.point()
-    lo, hi = space.distance(p, p, depth=10)
-    assert lo == 0
-    assert hi == pow2(-9)  # 2^-(M-1) with M=10
-
-
 def test_distance_hand_summed_series():
-    # two points in cantor^omega differing exactly at indices 0 (bit 0) and 2 (bit 1)
-    space = _cantor_omega()
+    # two points of cantor^8 differing exactly at indices 0 (bit 0) and 2 (bit 1)
+    space = ProductSpace.uniform(CANTOR, count=8)
     x = space.point({0: SymSeq((1,), 0), 2: SymSeq((0, 1), 0)})
     y = space.point()
-    lo, hi = space.distance(x, y, depth=8)
     # hand sum: 2^-0 * 2^-0  +  2^-2 * 2^-1  = 1 + 1/8
-    expected = F(1) + F(1, 8)
-    assert lo == expected
-    assert lo <= expected <= hi
+    assert space.metric(x, y) == F(1) + F(1, 8)
+    assert space.metric(x, x) == 0
 
 
-def test_distance_truncation_bound():
-    space = _cantor_omega(depth=32)
-    x = space.point({20: SymSeq((1,), 0)})
-    y = space.point()
-    lo, hi = space.distance(x, y, depth=4)
-    assert lo == 0
-    assert hi == pow2(-3)
-
-
-def test_distance_tail_bound_covers_larger_later_factors():
-    # circle, circle, then disc(1) (diameter 2) from index 2 on; only index 0
-    # is evaluated, so the tail must allow for the discs' diameter
-    space = ProductSpace(lambda a: CIRCLE if a < 2 else DiscSpace(1), working_depth=1)
-    x = space.point({1: F(0), **{a: (-1.0,) for a in range(2, 5)}})
-    y = space.point({1: F(1, 2), **{a: (1.0,) for a in range(2, 5)}})
-    lo, hi = space.distance(x, y)
-    assert lo == 0
-    # the first five terms alone: 2^-1 * 1/2 + (2^-2 + 2^-3 + 2^-4) * 2
-    assert hi >= F(9, 8)
-
-
-def test_distance_nesting_refinement():
-    space = _cantor_omega(depth=32)
-    x = space.point({1: SymSeq((1, 1), 0), 9: SymSeq((0, 0, 1), 0)})
-    y = space.point({1: SymSeq((1, 0), 0)})
-    prev = None
-    for depth in (2, 4, 8, 16, 32):
-        lo, hi = space.distance(x, y, depth=depth)
-        if prev is not None:
-            plo, phi = prev
-            assert plo <= lo and hi <= phi
-        prev = (lo, hi)
+def test_metric_sums_every_factor_past_the_working_depth():
+    space = ProductSpace.uniform(CANTOR, count=8, working_depth=2)
+    x = space.point({7: SymSeq((1,), 0)})
+    assert space.metric(x, space.point()) == pow2(-7)
 
 
 def test_distance_space_mismatch():
     a = ProductSpace.uniform(CANTOR, count=2)
     b = ProductSpace.uniform(CANTOR, count=3)
-    with pytest.raises(SpaceMismatch):
-        a.distance(a.point(), b.point())
+    with pytest.raises(SpaceMismatch, match="point 1 lives in another product"):
+        a.metric(a.point(), b.point())
+    with pytest.raises(SpaceMismatch, match="point 0 lives in another product"):
+        a.metric(b.point(), a.point())
 
 
 def test_finite_product_exact_metric():
     space = ProductSpace(factors=[CANTOR, CIRCLE])
     x = space.point({0: SymSeq((1,), 0), 1: F(1, 4)})
     y = space.point()
-    assert space.metric_exact(x, y) == F(1) + F(1, 2) * F(1, 4)
+    assert space.metric(x, y) == F(1) + F(1, 2) * F(1, 4)
 
 
-def test_distance_of_float_factors_carries_their_tolerance():
+def test_metric_refuses_a_float_or_a_countable_product():
     disc = DiscSpace(2)
     space = ProductSpace([disc, disc])
-    x = space.point({0: (0.1, 0.2), 1: (0.3, 0.0)})
-    y = space.point({0: (0.4, -0.2), 1: (0.3, 0.0)})
-    lo, hi = space.distance(x, y)
-    tol = F(disc.tolerance)
-    estimate = F(disc.metric((0.1, 0.2), (0.4, -0.2)))
-    assert lo == estimate - tol < hi == estimate + tol + tol / 2
-    with pytest.raises(UnsupportedOperation):
-        space.metric_exact(x, y)
+    with pytest.raises(UnsupportedOperation, match="finitely many exact factors"):
+        space.metric(space.point(), space.point())
+    countable = _cantor_omega()
+    with pytest.raises(UnsupportedOperation, match="finitely many exact factors"):
+        countable.metric(countable.point(), countable.point())
 
 
 # ---------------------------------------------------------------------------
