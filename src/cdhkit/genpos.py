@@ -59,8 +59,8 @@ from .spaces import (
     ProductPoint,
     ProductSpace,
     ProductStage,
+    _NUMBERS,
     _check_space,
-    _is_number,
     _wrap1,
     nat_tuple,
 )
@@ -483,9 +483,9 @@ class ConditionalMoveStage(_GatedMove):
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
         scalars = (u_center, u_radius, shift, gate_center, gate_radius)
-        bad = [x for x in scalars if not _is_number(x)]
-        if bad:
-            raise PreconditionError(f"move scalar {bad[0]!r} is not exact: "
+        if not _NUMBERS.issuperset(map(type, scalars)):
+            bad = next(x for x in scalars if type(x) not in _NUMBERS)
+            raise PreconditionError(f"move scalar {bad!r} is not exact: "
                                     f"an int or a Fraction is needed")
         # Fractions are kept as they are: loaded and built moves pass them
         super().__init__(space, (CircleSpace, LineSpace), alpha, beta,

@@ -540,7 +540,9 @@ class ProductSpace:
             return NotImplemented
         if self.count != other.count or self.working_depth != other.working_depth:
             return False
-        return all(self.factor(a) == other.factor(a) for a in self.indices())
+        # a finite product compares every factor, past its working depth too
+        idx = self.indices() if self.count is None else range(self.count)
+        return all(self.factor(a) == other.factor(a) for a in idx)
 
     def __hash__(self):
         return hash((self.count, self.working_depth))

@@ -414,6 +414,12 @@ def test_distance_space_mismatch():
         a.metric(a.point(), b.point())
     with pytest.raises(SpaceMismatch, match="point 0 lives in another product"):
         a.metric(b.point(), a.point())
+    # products that differ only past their working depth are different products
+    c = ProductSpace([CIRCLE, LINE], working_depth=1)
+    d = ProductSpace([CIRCLE, CIRCLE], working_depth=1)
+    assert c != d
+    with pytest.raises(SpaceMismatch, match="point 0 lives in another product"):
+        c.metric(d.point({1: F(3, 4)}), c.point())
 
 
 def test_finite_product_exact_metric():
