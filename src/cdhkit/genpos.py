@@ -59,7 +59,6 @@ from .spaces import (
     ProductPoint,
     ProductSpace,
     ProductStage,
-    _NUMBERS,
     _check_space,
     _wrap1,
     nat_tuple,
@@ -431,11 +430,12 @@ class _GatedMove(ProductStage):
         if type(alpha) is not int or type(beta) is not int:
             raise PreconditionError(f"move coordinates {alpha!r}, {beta!r} are not both ints")
         self._u_factor, self._gate_factor = space.factor(alpha), space.factor(beta)
-        for a, f in ((alpha, self._u_factor), (beta, self._gate_factor)):
-            if not isinstance(f, factor_classes):
-                kinds = " or ".join(c.kind for c in factor_classes)
-                raise PreconditionError(f"a {type(self).__name__} needs {kinds} coordinates, "
-                                        f"not the {f.kind} coordinate {a}")
+        if not (isinstance(self._u_factor, factor_classes)
+                and isinstance(self._gate_factor, factor_classes)):
+            a = beta if isinstance(self._u_factor, factor_classes) else alpha
+            kinds = " or ".join(c.kind for c in factor_classes)
+            raise PreconditionError(f"a {type(self).__name__} needs {kinds} coordinates, "
+                                    f"not the {space.factor(a).kind} coordinate {a}")
         if alpha == beta:
             raise PreconditionError(f"a move of coordinate {alpha} cannot be gated on itself")
         if not gate_radius > 0:
@@ -467,6 +467,14 @@ class _GatedMove(ProductStage):
 _MOVE_SCALARS = ("u_center", "u_radius", "shift", "gate_center", "gate_radius")
 
 
+def _int_scalar(x) -> F:
+    """An int move scalar (a bool is not one) as a Fraction; a value of any
+    other type raises PreconditionError."""
+    if type(x) is not int:
+        raise PreconditionError(f"move scalar {x!r} is not exact: an int or a Fraction is needed")
+    return F(x)
+
+
 class ConditionalMoveStage(_GatedMove):
     """The gated move on rational circle/line data, exact.
 
@@ -483,21 +491,19 @@ class ConditionalMoveStage(_GatedMove):
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
         scalars = (u_center, u_radius, shift, gate_center, gate_radius)
-        if not _NUMBERS.issuperset(map(type, scalars)):
-            bad = next(x for x in scalars if type(x) not in _NUMBERS)
-            raise PreconditionError(f"move scalar {bad!r} is not exact: "
-                                    f"an int or a Fraction is needed")
         # Fractions are kept as they are: loaded and built moves pass them
         super().__init__(space, (CircleSpace, LineSpace), alpha, beta,
-                         *(x if type(x) is F else F(x) for x in scalars))
+                         *(x if type(x) is F else _int_scalar(x) for x in scalars))
         if abs(self.shift) >= self.u_radius:
             raise PreconditionError("shift must stay inside the bump radius")
         self._circle_u = isinstance(self._u_factor, CircleSpace)
         self._circle_v = isinstance(self._gate_factor, CircleSpace)
-        if self._circle_u and self.u_radius > _HALF:
-            raise PreconditionError(f"circle bump radius {self.u_radius} is above 1/2")
-        if not self._circle_v and self.gate_radius > 1:
-            raise PreconditionError(f"line gate radius {self.gate_radius} is above 1")
+        r, g = self.u_radius, self.gate_radius
+        # r > 1/2 and g > 1 in integers, which spares a move two Fraction comparisons
+        if self._circle_u and 2 * r.numerator > r.denominator:
+            raise PreconditionError(f"circle bump radius {r} is above 1/2")
+        if not self._circle_v and g.numerator > g.denominator:
+            raise PreconditionError(f"line gate radius {g} is above 1")
 
     # -- scalar machinery ----------------------------------------------------
     @cached_property
