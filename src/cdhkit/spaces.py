@@ -512,22 +512,24 @@ class ProductSpace:
 
         d*(x, y) = sum_a 2^-a d_a(x(a), y(a)).
 
-    Countable products carry a working depth: the index range `indices()`
-    that every exhaustive check runs over.
+    Its working depth is the length of `indices()`, the index range that
+    every exhaustive check runs over; `factor` alone decides which indices
+    are in the product.
     """
 
     def __init__(self, factors: Sequence[FactorSpace] | Callable[[int], FactorSpace],
                  working_depth: Optional[int] = None):
-        """A factor list gives a finite product, a function of the index a
-        countable one, which needs a working depth."""
+        """A factor list gives a finite product, whose working depth is its
+        count; a function of the index a countable one, which needs a
+        working depth.  A missing or an extra depth raises ValueError."""
         if callable(factors):
             self._factor_fn, self.count = factors, None
         else:
             factors = tuple(factors)
             self._factor_fn, self.count = (lambda a: factors[a]), len(factors)
-        self.working_depth = working_depth if working_depth is not None else self.count
-        if self.working_depth is None:
-            raise ValueError("countable products need a working depth")
+        if (working_depth is None) == (self.count is None):
+            raise ValueError("a countable product needs a working depth, a finite one takes none")
+        self.working_depth = self.count if working_depth is None else working_depth
 
     @classmethod
     def uniform(cls, factor: FactorSpace, count: Optional[int] = None,
@@ -538,11 +540,7 @@ class ProductSpace:
     def __eq__(self, other):
         if not isinstance(other, ProductSpace):
             return NotImplemented
-        if self.count != other.count or self.working_depth != other.working_depth:
-            return False
-        # a finite product compares every factor, past its working depth too
-        idx = self.indices() if self.count is None else range(self.count)
-        return all(self.factor(a) == other.factor(a) for a in idx)
+        return self.descriptor() == other.descriptor()
 
     def __hash__(self):
         return hash((self.count, self.working_depth))
@@ -553,9 +551,8 @@ class ProductSpace:
         return self._factor_fn(alpha)
 
     def indices(self) -> range:
-        if self.count is None:
-            return range(self.working_depth)
-        return range(min(self.working_depth, self.count))
+        """The first `working_depth` indices: all of a finite product's."""
+        return range(self.working_depth)
 
     def point(self, overrides: Optional[dict] = None) -> "ProductPoint":
         """A root at the base point outside `overrides`; an int or Fraction
@@ -564,11 +561,10 @@ class ProductSpace:
         IndexRange, and an override that its factor's `is_point` refuses
         raises PreconditionError."""
         over = dict(overrides or {})
-        count, factor = self.count, self._factor_fn
         for a, v in over.items():
-            if type(a) is not int or a < 0 or (count is not None and a >= count):
-                raise IndexRange(f"index {a!r} outside product of {count} factors")
-            f = factor(a)
+            if type(a) is not int:
+                raise IndexRange(f"index {a!r} outside product of {self.count} factors")
+            f = self.factor(a)
             if not f.is_point(v):
                 _check_points(f, (v,), a)
             if isinstance(f, CircleSpace) and v.numerator // v.denominator:
@@ -580,11 +576,11 @@ class ProductSpace:
         """Exact d*(x, y), summed over every index of a finite product of
         exact factors; a countable or float product raises
         UnsupportedOperation, and a point of another product SpaceMismatch."""
-        if self.count is None or not all(self.factor(a).exact for a in range(self.count)):
+        if self.count is None or not all(self.factor(a).exact for a in self.indices()):
             raise UnsupportedOperation("the product metric needs finitely many exact factors")
         _check_space((x, y), self)
         return sum((pow2(-a) * self.factor(a).metric(x.coord(a), y.coord(a))
-                    for a in range(self.count)), ZERO)
+                    for a in self.indices()), ZERO)
 
     def descriptor(self) -> dict:
         return {
@@ -722,15 +718,13 @@ class ProductPoint:
         holds alpha; every other level takes its parent's value.
         Each level on the path caches alpha, so the nesting holds.  A root
         reads its overrides first and memoizes its base or marker
-        fallbacks, so each is built once per root.  A cached index and an
-        override are in range, so a read of one returns before the range
-        test."""
+        fallbacks, so each is built once per root.  An index outside the
+        product is in no cache and no override, so its read walks down to
+        the root, where `ProductSpace.factor` raises IndexRange."""
         if alpha in self._cache:
             return self._cache[alpha]
         if self.stage is None and alpha in self.overrides:
             return self.overrides[alpha]
-        if alpha < 0 or (self.space.count is not None and alpha >= self.space.count):
-            raise IndexRange(f"index {alpha} outside the product")
         if self.stage is None:
             f = self.space.factor(alpha)
             v = f.base_point() if self.marker is None else f.marker(self.marker)

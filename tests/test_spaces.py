@@ -401,10 +401,20 @@ def test_distance_hand_summed_series():
     assert space.metric(x, x) == 0
 
 
-def test_metric_sums_every_factor_past_the_working_depth():
-    space = ProductSpace.uniform(CANTOR, count=8, working_depth=2)
+def test_a_finite_product_takes_no_working_depth():
+    for depth in (1, 2, 8):
+        with pytest.raises(ValueError, match="a finite one takes none"):
+            ProductSpace.uniform(CANTOR, count=8, working_depth=depth)
+    with pytest.raises(ValueError, match="a finite one takes none"):
+        ProductSpace([CIRCLE, LINE], working_depth=1)
+    # its working depth is its count, so the metric and the descriptor
+    # cover every factor
+    space = ProductSpace.uniform(CANTOR, count=8)
+    assert space.indices() == range(8)
     x = space.point({7: SymSeq((1,), 0)})
     assert space.metric(x, space.point()) == pow2(-7)
+    assert ProductSpace([CIRCLE, LINE]).descriptor() == {
+        "count": 2, "working_depth": 2, "factors": [{"kind": "circle"}, {"kind": "line"}]}
 
 
 def test_distance_space_mismatch():
@@ -414,9 +424,7 @@ def test_distance_space_mismatch():
         a.metric(a.point(), b.point())
     with pytest.raises(SpaceMismatch, match="point 0 lives in another product"):
         a.metric(b.point(), a.point())
-    # products that differ only past their working depth are different products
-    c = ProductSpace([CIRCLE, LINE], working_depth=1)
-    d = ProductSpace([CIRCLE, CIRCLE], working_depth=1)
+    c, d = ProductSpace([CIRCLE, LINE]), ProductSpace([CIRCLE, CIRCLE])
     assert c != d
     with pytest.raises(SpaceMismatch, match="point 0 lives in another product"):
         c.metric(d.point({1: F(3, 4)}), c.point())
