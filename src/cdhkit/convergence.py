@@ -196,15 +196,18 @@ class ConvergenceCertificate:
         return pow2(-(self.last_index - 1))
 
     def limit_eval(self, x, eps) -> EvalResult:
+        """The limit at x within eps; an eps <= 0 raises PreconditionError,
+        and a certificate with no stages returns x with error 0."""
         return self._limit(self.partial, x, eps)
 
     def limit_inv_eval(self, x, eps) -> EvalResult:
+        """As `limit_eval`, for the inverse of the limit."""
         return self._limit(self.partial_inv, x, eps)
 
     def _limit(self, partial, x, eps) -> EvalResult:
+        N = bound_exponent(Fraction(eps)) + 1
         if self.stage_count == 0:
             return EvalResult(x, ZERO, None)
-        N = bound_exponent(Fraction(eps)) + 1
         if N <= self.last_index:
             return EvalResult(partial(x, N), pow2(-(N - 1)), self.tail_residual())
         return EvalResult(partial(x, self.last_index), ZERO, self.tail_residual())

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import PreconditionError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -43,9 +45,10 @@ def parse_scalar(s: str) -> Fraction:
 
 
 def bound_exponent(eps: Fraction) -> int:
-    """Smallest N >= 0 with 2**(-N) < eps (eps > 0)."""
+    """Smallest N >= 0 with 2**(-N) < eps; an eps <= 0 raises
+    PreconditionError."""
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise PreconditionError(f"eps must be positive, not {eps}")
     n = 0
     value = ONE
     while value >= eps:

@@ -521,7 +521,9 @@ class ProductSpace:
                  working_depth: Optional[int] = None):
         """A factor list gives a finite product, whose working depth is its
         count; a function of the index a countable one, which needs a
-        working depth.  A missing or an extra depth raises ValueError."""
+        working depth.  A missing or an extra depth raises ValueError, a
+        depth that is not an int (a bool is not one) TypeError, and one
+        below 1 ValueError."""
         if callable(factors):
             self._factor_fn, self.count = factors, None
         else:
@@ -529,7 +531,13 @@ class ProductSpace:
             self._factor_fn, self.count = (lambda a: factors[a]), len(factors)
         if (working_depth is None) == (self.count is None):
             raise ValueError("a countable product needs a working depth, a finite one takes none")
-        self.working_depth = self.count if working_depth is None else working_depth
+        if working_depth is None:
+            working_depth = self.count
+        elif type(working_depth) is not int:
+            raise TypeError(f"working depth {working_depth!r} is not an int")
+        elif working_depth < 1:
+            raise ValueError(f"working depth {working_depth} is below 1")
+        self.working_depth = working_depth
 
     @classmethod
     def uniform(cls, factor: FactorSpace, count: Optional[int] = None,

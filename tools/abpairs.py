@@ -11,9 +11,16 @@ run uses its own checkout's library and benchmark code.  Writes
 median and interquartile range per metric, the number of pairs the head
 wins per metric, and each side's `git rev-parse HEAD` with a flag for
 uncommitted changes; a checkout is named by its directory's name, not its
-path.  A metric is better lower unless the head checkout's `BENCHMARK.json`
-says otherwise.  Quartiles are those of `statistics.quantiles` (exclusive
-method).
+path.  A metric's direction and its bound, a fraction of the base median,
+are those of the head checkout's `BENCHMARK.json`.  Quartiles are those of
+`statistics.quantiles` (exclusive method).
+
+Each metric gets one no-regression verdict:
+  worse       the head's median is worse than the base's by more than the
+              bound;
+  unresolved  not worse, but the base's interquartile range exceeds the
+              bound, and not every head run beats every base run;
+  ok          neither.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ def revision(root: Path) -> dict:
             "dirty": bool(git("status", "--porcelain"))}
 
 
-def directions(root: Path) -> dict:
+def metric_specs(root: Path) -> dict:
+    """Each end-to-end metric's entry in `root`'s BENCHMARK.json, by name."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def side_stats(values: list) -> dict:
@@ -52,20 +60,30 @@ def side_stats(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, specs: dict) -> dict:
+    """Both sides' statistics and the verdict of every metric `specs` names."""
     out = {}
-    for name in pairs[0]["base"]["metrics"]:
+    for name, spec in specs.items():
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         head = [p["head"]["metrics"][name]["value"] for p in pairs]
-        lower = better.get(name, "lower") == "lower"
+        sign = 1 if spec["better"] == "lower" else -1
         b, h = side_stats(base), side_stats(head)
+        room = spec["bound"] * abs(b["median"])
+        if sign * (h["median"] - b["median"]) > room:
+            verdict = "worse"
+        elif b["iqr"] > room and max(sign * y for y in head) >= min(sign * x for x in base):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         out[name] = {
-            "better": "lower" if lower else "higher",
+            "better": spec["better"],
+            "bound": spec["bound"],
             "base": b,
             "head": h,
             "change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
-            "head_wins": sum((y < x) if lower else (y > x) for x, y in zip(base, head)),
+            "head_wins": sum(sign * y < sign * x for x, y in zip(base, head)),
             "beyond_base_iqr": abs(h["median"] - b["median"]) > b["iqr"],
+            "verdict": verdict,
         }
     return out
 
@@ -105,7 +123,7 @@ def main(argv=None) -> int:
         "pairs_run": args.pairs,
         "base": revision(base),
         "head": revision(head),
-        "summary": summarize(pairs, directions(head)),
+        "summary": summarize(pairs, metric_specs(head)),
         "pairs": pairs,
     }
     Path(f"BENCH_{args.workload}.json").write_text(json.dumps(doc, indent=1) + "\n")
@@ -113,7 +131,7 @@ def main(argv=None) -> int:
         change = "n/a" if s["change"] is None else f"{s['change']:+.1%}"
         print(f"{name:14s} base {s['base']['median']:.5g} (iqr {s['base']['iqr']:.3g})  "
               f"head {s['head']['median']:.5g}  {change}  head wins {s['head_wins']}/{len(pairs)}"
-              f"{'  beyond base iqr' if s['beyond_base_iqr'] else ''}")
+              f"{'  beyond base iqr' if s['beyond_base_iqr'] else ''}  {s['verdict']}")
     return 0
 
 
