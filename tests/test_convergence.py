@@ -186,6 +186,25 @@ def test_limit_inv_eval_single_stage():
     assert res.error_bound == 0
 
 
+def test_an_empty_certificate_evaluates_its_limit_as_the_identity():
+    cert = ConvergenceCertificate(CANTOR)
+    assert cert.tail_residual() is None
+    x = SymSeq((1, 0, 1), 0)
+    for evaluate in (cert.limit_eval, cert.limit_inv_eval):
+        res = evaluate(x, F(1, 10))
+        assert (res.value, res.error_bound, res.tail_residual) == (x, 0, None)
+
+
+@pytest.mark.parametrize("eps", [0, -1, F(-1, 8), 0.0])
+def test_limit_eval_refuses_an_eps_that_is_not_positive(eps):
+    empty = ConvergenceCertificate(CANTOR)
+    cert = _valid_certificate(random.Random(4), 6)
+    for c in (empty, cert):
+        for evaluate in (c.limit_eval, c.limit_inv_eval):
+            with pytest.raises(PreconditionError, match="eps must be positive"):
+                evaluate(SymSeq((1,), 0), eps)
+
+
 def test_limit_round_trip_bound():
     rng = random.Random(5)
     cert = _valid_certificate(rng, 12)

@@ -533,23 +533,39 @@ def _accepted_move_and_pairs(draw):
     line gate 1) and wider elsewhere, and pairs of points near its bump and
     gate.  The second point steps off the first at one index, by a nudge or
     a stride of some radii: d* sums over the indices, so a Lipschitz bound
-    that holds for such pairs holds for all."""
+    that holds for such pairs holds for all.
+
+    Half the moves are targeted at the line gate's cap: a line gate at
+    least 3/4 of its cap wide, two indices past the bump, and pairs that
+    stride past 1 off the gate center, with the first point at the image of
+    the bump center.  A line gate wider than 1 fails there, where the
+    capped line metric sees less of the stride than the gate weight does."""
     kinds = draw(st.lists(st.sampled_from([CIRCLE, LINE]), min_size=3, max_size=3))
+    targeted = draw(st.booleans())
+    if targeted:
+        alpha, beta, other = 0, 2, 1
+        kinds[beta] = LINE
+    else:
+        alpha, beta, other = draw(st.permutations(range(3)))
     space = ProductSpace(kinds)
-    alpha, beta, other = draw(st.permutations(range(3)))
     u_cap = F(1, 2) if kinds[alpha] is CIRCLE else F(2)
     v_cap = F(2) if kinds[beta] is CIRCLE else F(1)
     r_u = u_cap * draw(st.integers(1, 64)) / 64
-    r_v = v_cap * draw(st.integers(1, 64)) / 64
-    u_c, g_c = draw(_OFFSET), draw(_OFFSET)
-    move = ConditionalMoveStage(space, alpha, beta, u_c, r_u, r_u * draw(_INSIDE), g_c, r_v)
+    r_v = v_cap * draw(st.integers(48 if targeted else 1, 64)) / 64
+    u_c, g_c, shift = draw(_OFFSET), draw(_OFFSET), r_u * draw(_INSIDE)
+    move = ConditionalMoveStage(space, alpha, beta, u_c, r_u, shift, g_c, r_v)
     radius = {alpha: r_u, beta: r_v, other: F(1, 2)}
     pairs = []
     for _ in range(draw(st.integers(1, 15))):
-        x = {alpha: u_c + r_u * draw(_OFFSET), beta: g_c + r_v * draw(_OFFSET),
-             other: draw(_UNIT)}
-        a = draw(st.sampled_from(range(3)))
-        y = {**x, a: x[a] + radius[a] * draw(_STEP)}
+        if targeted:
+            x = {alpha: u_c + shift, beta: g_c, other: draw(_UNIT)}
+            stride = 1 + r_v * draw(st.integers(1, 64)) / 64
+            y = {**x, beta: g_c + draw(st.sampled_from([stride, -stride]))}
+        else:
+            x = {alpha: u_c + r_u * draw(_OFFSET), beta: g_c + r_v * draw(_OFFSET),
+                 other: draw(_UNIT)}
+            a = draw(st.sampled_from(range(3)))
+            y = {**x, a: x[a] + radius[a] * draw(_STEP)}
         pairs.append((space.point(x), space.point(y)))
     return space, move, pairs
 

@@ -292,6 +292,7 @@ def test_a_disc_point_is_a_tuple_of_dim_floats():
                         ([0.5, 0.0], "list"), ((0.5, 0), "tuple"), ((0.5, True), "tuple")]:
         with pytest.raises(PreconditionError, match=f"{kind} .* at index 1 on the disc factor"):
             space.point({0: (0.0, 0.0), 1: value})
+    assert space.point().coord(0) == (0.0, 0.0)
     p = space.point({1: (0.5, -0.25)})
     assert ProductPoint.de(space, json.loads(json.dumps(p.ser()))).coord(1) == (0.5, -0.25)
     for bad in ([0.5], [0.5, 0.0, 0.0]):
@@ -363,6 +364,13 @@ def test_a_coordwise_stage_refuses_a_key_that_is_not_an_index(key):
         CoordwiseStage({0: h, key: h})
 
 
+def test_a_coordwise_stage_and_its_inverse_describe_their_indices():
+    h = PLCircleHomeo([(F(0), F(1, 7))])
+    stage = CoordwiseStage({2: h, 0: h})
+    assert stage.descriptor() == {"stage": "coordwise", "indices": [0, 2]}
+    assert stage.inverse().descriptor() == {"stage": "inverse", "of": stage.descriptor()}
+
+
 @pytest.mark.parametrize("stage", [
     CoordwiseStage({0: PLCircleHomeo([(F(0), F(1, 7))]), 2: PLCircleHomeo([(F(0), F(2, 5))])}),
     _GatedRotation(),
@@ -417,6 +425,24 @@ def test_a_finite_product_takes_no_working_depth():
         "count": 2, "working_depth": 2, "factors": [{"kind": "circle"}, {"kind": "line"}]}
 
 
+@pytest.mark.parametrize("depth, error, refusal", [
+    (None, ValueError, "a countable product needs a working depth"),
+    (0, ValueError, "working depth 0 is below 1"),
+    (-1, ValueError, "working depth -1 is below 1"),
+    (True, TypeError, "working depth True is not an int"),
+    (2.5, TypeError, "working depth 2.5 is not an int"),
+    (4.0, TypeError, "working depth 4.0 is not an int"),
+    ("4", TypeError, "working depth '4' is not an int"),
+])
+def test_a_countable_product_needs_an_int_working_depth_of_at_least_1(depth, error, refusal):
+    with pytest.raises(error, match=refusal):
+        ProductSpace.uniform(CIRCLE, working_depth=depth)
+    space = ProductSpace.uniform(CIRCLE, working_depth=1)
+    assert space.indices() == range(1)
+    assert space.descriptor() == {"count": None, "working_depth": 1,
+                                  "factors": [{"kind": "circle"}]}
+
+
 def test_distance_space_mismatch():
     a = ProductSpace.uniform(CANTOR, count=2)
     b = ProductSpace.uniform(CANTOR, count=3)
@@ -426,6 +452,10 @@ def test_distance_space_mismatch():
         a.metric(b.point(), a.point())
     c, d = ProductSpace([CIRCLE, LINE]), ProductSpace([CIRCLE, CIRCLE])
     assert c != d
+    for one, twin in [(c, ProductSpace([CIRCLE, LINE])),
+                      (ProductSpace.uniform(CIRCLE, working_depth=4),
+                       ProductSpace(lambda a: CIRCLE, working_depth=4))]:
+        assert one == twin and hash(one) == hash(twin)
     with pytest.raises(SpaceMismatch, match="point 0 lives in another product"):
         c.metric(d.point({1: F(3, 4)}), c.point())
 
