@@ -192,8 +192,12 @@ def test_eval_coordinate_through_xor_pipeline():
 
 def test_eval_coordinate_index_error():
     space = ProductSpace.uniform(CANTOR, count=3)
-    with pytest.raises(IndexRange):
-        space.point().coord(3)
+    # the stage lists index 3 as moved: the read still reaches the root
+    staged = space.point({0: SymSeq((1,), 0)}).apply_stage(_XorStage(SymSeq((1,), 0)))
+    for p in (space.point(), staged):
+        for alpha in (3, -1):
+            with pytest.raises(IndexRange, match=f"index {alpha} outside product of 3 factors"):
+                p.coord(alpha)
 
 
 def test_pipeline_round_trip_via_inverse_stage():
