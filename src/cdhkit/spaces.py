@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
+from operator import add, xor
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
@@ -50,6 +51,12 @@ class SymSeq:
 
     Canonical form strips trailing prefix symbols equal to the tail, so two
     SymSeq are equal as sequences iff their fields are equal.
+
+    The ops read whole prefixes, not one symbol at a time: `take(n)` is the
+    first n symbols, the prefix cut or padded with the tail, and () when
+    n <= 0; `first_diff` is the first position where two sequences differ,
+    None when they are equal; `seq_zip(a, b, op)` applies `op` position by
+    position, to both prefixes padded to the longer one and to the tails.
     """
 
     __slots__ = ("prefix", "tail")
@@ -73,7 +80,7 @@ class SymSeq:
         return len(self.prefix)
 
     def take(self, n: int) -> tuple:
-        return tuple(self.at(i) for i in range(n))
+        return _pad(self, n)[:n] if n > 0 else ()  # a slice end below 0 drops symbols
 
     def drop(self, n: int) -> "SymSeq":
         return SymSeq(self.prefix[n:], self.tail)
@@ -95,18 +102,23 @@ class SymSeq:
 
     def first_diff(self, other: "SymSeq") -> Optional[int]:
         """First index where the sequences differ, None if equal."""
-        n = max(self.stab, other.stab)
-        for i in range(n):
-            if self.at(i) != other.at(i):
-                return i
-        if self.tail != other.tail:
-            return n
-        return None
+        n = max(len(self.prefix), len(other.prefix))
+        a, b = _pad(self, n), _pad(other, n)
+        if a != b:
+            for i, (u, v) in enumerate(zip(a, b)):
+                if u != v:
+                    return i
+        return n if self.tail != other.tail else None
+
+
+def _pad(x: SymSeq, n: int) -> tuple:
+    """x's prefix padded with its tail to length n, if it is shorter."""
+    return x.prefix + (x.tail,) * (n - len(x.prefix))
 
 
 def seq_zip(a: SymSeq, b: SymSeq, op: Callable[[int, int], int]) -> SymSeq:
-    n = max(a.stab, b.stab)
-    return SymSeq(tuple(op(a.at(i), b.at(i)) for i in range(n)), op(a.tail, b.tail))
+    n = max(len(a.prefix), len(b.prefix))
+    return SymSeq(tuple(map(op, _pad(a, n), _pad(b, n))), op(a.tail, b.tail))
 
 
 _INT = frozenset((int,))
@@ -299,7 +311,7 @@ class CantorSpace(_SeqSpace):
     binary = True
     group = GroupOps(
         identity=SymSeq((), 0),
-        op=lambda a, b: seq_zip(a, b, lambda u, v: u ^ v),
+        op=lambda a, b: seq_zip(a, b, xor),
         inv=lambda a: a,
     )
 
@@ -314,7 +326,7 @@ class BaireSpace(_SeqSpace):
     kind = "baire"
     group = GroupOps(
         identity=SymSeq((), 0),
-        op=lambda a, b: seq_zip(a, b, lambda u, v: u + v),
+        op=lambda a, b: seq_zip(a, b, add),
         inv=lambda a: seq_zip(SymSeq((), 0), a, lambda _, v: -v),
     )
 
@@ -554,8 +566,11 @@ class ProductSpace:
         return hash((self.count, self.working_depth))
 
     def factor(self, alpha: int) -> FactorSpace:
-        if alpha < 0 or (self.count is not None and alpha >= self.count):
-            raise IndexRange(f"index {alpha} outside product of {self.count} factors")
+        """The factor at index alpha.  An alpha that is not an int of the
+        product (a bool is not one) raises IndexRange."""
+        if (type(alpha) is not int or alpha < 0
+                or (self.count is not None and alpha >= self.count)):
+            raise IndexRange(f"index {alpha!r} outside product of {self.count} factors")
         return self._factor_fn(alpha)
 
     def indices(self) -> range:
@@ -570,8 +585,6 @@ class ProductSpace:
         raises PreconditionError."""
         over = dict(overrides or {})
         for a, v in over.items():
-            if type(a) is not int:
-                raise IndexRange(f"index {a!r} outside product of {self.count} factors")
             f = self.factor(a)
             if not f.is_point(v):
                 _check_points(f, (v,), a)
@@ -728,7 +741,9 @@ class ProductPoint:
         reads its overrides first and memoizes its base or marker
         fallbacks, so each is built once per root.  An index outside the
         product is in no cache and no override, so its read walks down to
-        the root, where `ProductSpace.factor` raises IndexRange."""
+        the root, where `ProductSpace.factor` raises IndexRange.  The reads
+        above it test no type: a non-int equal to a cached or overridden
+        index, such as 1.0 or True, reads that index."""
         if alpha in self._cache:
             return self._cache[alpha]
         if self.stage is None and alpha in self.overrides:

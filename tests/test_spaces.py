@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from operator import add, xor
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from cdhkit.spaces import (
     _wrap1,
     factor_from_descriptor,
     nat_tuple,
+    seq_zip,
 )
 
 F = Fraction
@@ -49,12 +52,67 @@ def test_symseq_first_diff():
     assert a.first_diff(b) == 1
     assert a.first_diff(a) is None
     assert SymSeq((), 0).first_diff(SymSeq((), 1)) == 0
+    # one prefix, two tails
+    assert SymSeq((2,), 0).first_diff(SymSeq((2,), 1)) == 1
 
 
 def test_symseq_indexing():
     s = SymSeq((5, 3), tail=2)
     assert [s.at(i) for i in range(4)] == [5, 3, 2, 2]
+    assert [s.take(n) for n in (-3, -1, 0, 1, 2, 4)] == [(), (), (), (5,), (5, 3), (5, 3, 2, 2)]
     assert s.drop(1) == SymSeq((3,), 2)
+
+
+# per-symbol references: the kernel's bodies as they read before it worked
+# on whole prefixes
+
+def _take_ref(x, n):
+    return tuple(x.at(i) for i in range(n))
+
+
+def _first_diff_ref(x, y):
+    n = max(x.stab, y.stab)
+    for i in range(n):
+        if x.at(i) != y.at(i):
+            return i
+    return n if x.tail != y.tail else None
+
+
+def _zip_ref(x, y, op):
+    n = max(x.stab, y.stab)
+    return SymSeq(tuple(op(x.at(i), y.at(i)) for i in range(n)), op(x.tail, y.tail))
+
+
+@st.composite
+def _seq_pairs(draw):
+    """A sequence factor and two of its points: unrelated, sharing a stem
+    (prefixes of different lengths), or on one prefix with their own tails."""
+    factor = draw(st.sampled_from([CANTOR, BAIRE]))
+    symbols = st.integers(0, 1) if factor is CANTOR else st.integers(-3, 3)
+    words = st.lists(symbols, max_size=5).map(tuple)
+    stem, mode = draw(words), draw(st.sampled_from(["apart", "stem", "tails"]))
+    x = SymSeq(stem + draw(words), draw(symbols))
+    if mode == "apart":
+        y = SymSeq(draw(words), draw(symbols))
+    elif mode == "stem":
+        y = SymSeq(stem + draw(words), draw(symbols))
+    else:
+        y = SymSeq(x.prefix, draw(symbols))
+    return factor, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seq_pairs())
+def test_the_sequence_kernel_matches_a_per_symbol_reference(case):
+    factor, x, y = case
+    for n in range(-2, max(x.stab, y.stab) + 4):
+        assert x.take(n) == _take_ref(x, n) and type(x.take(n)) is tuple
+    assert x.first_diff(y) == _first_diff_ref(x, y)
+    assert y.first_diff(x) == _first_diff_ref(y, x)
+    op = xor if factor is CANTOR else add
+    assert seq_zip(x, y, op) == factor.group.op(x, y) == _zip_ref(x, y, op)
+    if factor is BAIRE:
+        assert BAIRE.group.inv(x) == _zip_ref(SymSeq((), 0), x, lambda _, v: -v)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +321,19 @@ def test_root_fallbacks_read_as_on_a_fresh_root(marker):
             expected = over.get(a, f.base_point() if marker is None else f.marker(marker))
             assert root.coord(a) == ProductPoint(space, marker, over).coord(a) == expected
             assert staged.coord(a) == f.group.op(f.group.op(expected, f.marker(1)), f.marker(1))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.5, 1.0, True, False, "1", None, F(1)], ids=repr)
+def test_factor_refuses_an_index_that_is_not_an_int(bad):
+    for space in (ProductSpace([CIRCLE, LINE]), ProductSpace.uniform(CIRCLE, working_depth=4)):
+        with pytest.raises(IndexRange, match=re.escape(f"index {bad!r} outside product")):
+            space.factor(bad)
+    # a read that no cache or override answers reaches `factor`; 1.0, True
+    # and Fraction(1) equal the overridden index 1 and read it
+    p = ProductSpace.uniform(CIRCLE, working_depth=4).point({1: F(1, 3)})
+    if bad != 1:
+        with pytest.raises(IndexRange, match="outside product"):
+            p.coord(bad)
 
 
 def test_point_refuses_an_index_outside_the_product():

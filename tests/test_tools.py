@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,15 @@ def test_abpairs_refuses_fewer_than_one_pair(pairs, tmp_path, capsys):
     assert "--pairs must be at least 1" in capsys.readouterr().err
 
 
+def _summary(better, base, head, tmp_path):
+    spec = {"end_to_end": [{"name": "t_s", "unit": "s", "better": better, "bound": 0.2}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    abpairs = _load("abpairs")
+    pairs = [{"base": {"metrics": {"t_s": {"value": x}}}, "head": {"metrics": {"t_s": {"value": y}}}}
+             for x, y in zip(base, head)]
+    return abpairs.summarize(pairs, abpairs.metric_specs(tmp_path))["t_s"]
+
+
 @pytest.mark.parametrize("better, base, head, verdict", [
     # the head's median is 30% worse, past the bound of 20%
     ("lower", [1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "worse"),
@@ -41,11 +52,41 @@ def test_abpairs_refuses_fewer_than_one_pair(pairs, tmp_path, capsys):
     ("lower", [0.99, 1.0, 1.0, 1.01], [1.1, 1.1, 1.1, 1.1], "ok"),
 ])
 def test_abpairs_states_one_verdict_per_metric(better, base, head, verdict, tmp_path):
-    spec = {"end_to_end": [{"name": "t_s", "unit": "s", "better": better, "bound": 0.2}]}
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
-    abpairs = _load("abpairs")
-    pairs = [{"base": {"metrics": {"t_s": {"value": x}}}, "head": {"metrics": {"t_s": {"value": y}}}}
-             for x, y in zip(base, head)]
-    summary = abpairs.summarize(pairs, abpairs.metric_specs(tmp_path))["t_s"]
+    summary = _summary(better, base, head, tmp_path)
     assert summary["verdict"] == verdict
     assert (summary["better"], summary["bound"]) == (better, 0.2)
+
+
+_SPREAD = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+
+@pytest.mark.parametrize("better, base, head, gain", [
+    # nine wins at half the base's time and a tie: a gain
+    ("lower", [1.0] * 10, [0.5] * 9 + [1.0], True),
+    ("higher", [1.0] * 10, [1.5] * 10, True),
+    # eight wins and two ties: too few wins, however far the medians are apart
+    ("lower", [1.0] * 10, [0.5] * 8 + [1.0] * 2, False),
+    # eight wins and two losses
+    ("lower", [1.0] * 10, [0.5] * 8 + [1.5] * 2, False),
+    # every pair won, but by less than the base's interquartile range
+    ("lower", _SPREAD, [x - 0.05 for x in _SPREAD], False),
+    # far beyond the spread, in the worse direction
+    ("higher", [1.0] * 10, [0.5] * 10, False),
+])
+def test_abpairs_flags_a_gain(better, base, head, gain, tmp_path):
+    assert _summary(better, base, head, tmp_path)["gain"] is gain
+
+
+def test_classtimes_names_the_class_at_each_rank():
+    root = _TOOLS.parent
+    out = subprocess.run([sys.executable, str(_TOOLS / "classtimes.py"), "--root", str(root),
+                          "--workload", "repair", "--seed", "1", "--rounds", "1"],
+                         check=True, capture_output=True, text=True).stdout.splitlines()
+    assert out[0].startswith("# repair seed=1: 1 rounds, 5 jobs")
+    classes = {line.split()[0]: line.split()[1:] for line in out[2:5]}
+    assert sorted(classes) == ["repair-6", "repair-7", "repair-8"]
+    assert [cells[0] for cells in classes.values()] == ["1", "2", "2"]
+    ranks = [line.split(":")[0].split() for line in out[5:]]
+    assert [(op, q) for op, q, _ in ranks] == [(op, q) for op in ("build", "verify", "eval")
+                                              for q in ("p50", "p75")]
+    assert all(label in classes for _, _, label in ranks)

@@ -21,6 +21,11 @@ Each metric gets one no-regression verdict:
   unresolved  not worse, but the base's interquartile range exceeds the
               bound, and not every head run beats every base run;
   ok          neither.
+
+Each metric also gets a `gain` flag, true when the head wins at least nine
+in ten of the pairs (a tie counts for neither side), and its median beats
+the base's, in the metric's better direction, by more than the base's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -75,15 +80,17 @@ def summarize(pairs: list, specs: dict) -> dict:
             verdict = "unresolved"
         else:
             verdict = "ok"
+        wins = sum(sign * y < sign * x for x, y in zip(base, head))
         out[name] = {
             "better": spec["better"],
             "bound": spec["bound"],
             "base": b,
             "head": h,
             "change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
-            "head_wins": sum(sign * y < sign * x for x, y in zip(base, head)),
+            "head_wins": wins,
             "beyond_base_iqr": abs(h["median"] - b["median"]) > b["iqr"],
             "verdict": verdict,
+            "gain": 10 * wins >= 9 * len(pairs) and sign * (b["median"] - h["median"]) > b["iqr"],
         }
     return out
 
@@ -131,7 +138,8 @@ def main(argv=None) -> int:
         change = "n/a" if s["change"] is None else f"{s['change']:+.1%}"
         print(f"{name:14s} base {s['base']['median']:.5g} (iqr {s['base']['iqr']:.3g})  "
               f"head {s['head']['median']:.5g}  {change}  head wins {s['head_wins']}/{len(pairs)}"
-              f"{'  beyond base iqr' if s['beyond_base_iqr'] else ''}  {s['verdict']}")
+              f"{'  beyond base iqr' if s['beyond_base_iqr'] else ''}  {s['verdict']}"
+              f"  {'gain' if s['gain'] else 'no gain'}")
     return 0
 
 
