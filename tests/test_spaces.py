@@ -63,8 +63,7 @@ def test_symseq_indexing():
     assert s.drop(1) == SymSeq((3,), 2)
 
 
-# per-symbol references: the kernel's bodies as they read before it worked
-# on whole prefixes
+# per-symbol references, read through `at()`, for the whole-prefix kernel
 
 def _take_ref(x, n):
     return tuple(x.at(i) for i in range(n))
