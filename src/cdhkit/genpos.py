@@ -27,7 +27,8 @@ which is what lets repair moves ride a convergence certificate on the
 product; `FloatConditionalStage` is its float disc analogue for the chase.
 The exact move decides by comparisons whether a point is in its bump
 before it reads the gate coordinate, so a point outside the bump costs no
-read of beta.  `_gated_move` builds each move.  Repair gates it at the
+read of beta, and whether the gate coordinate is in its gate before it
+computes the tent weight.  `_gated_move` builds each move.  Repair gates it at the
 pair's first index outside its collision index, the chase at `_gate_index`.
 
 The collision reports, the repair, the chase and the regrouping refuse
@@ -414,6 +415,40 @@ def _swrap(x: F) -> F:
     return _wrap1(x + _HALF) - _HALF
 
 
+def _ball(c: F, r: F, circle: bool) -> tuple:
+    """(lo, hi, hi - 1, lo + 1) with (lo, hi) = c -+ r, for `_in_ball`; on
+    the circle c is taken in [0, 1)."""
+    if circle:
+        c = _wrap1(c)
+    lo, hi = c - r, c + r
+    return lo, hi, hi - 1, lo + 1
+
+
+def _in_ball(u, ball: tuple, circle: bool) -> bool:
+    """Whether a canonical u lies in the open ball `_ball(c, r, circle)`
+    describes, by comparisons only: on the line |u - c| < r, on the circle
+    |_swrap(u - c)| < r.
+
+    On the line this is lo < u < hi.  On the circle u and c lie in [0, 1),
+    so d = u - c lies in (-1, 1), and the test is lo < u < hi (|d| < r), or
+    u < hi - 1 (d < r - 1), or u > lo + 1 (d > 1 - r).  `_swrap(d)` is d
+    on [-1/2, 1/2), d - 1 above and d + 1 below it.  For r <= 1/2:
+    - d in [-1/2, 1/2): |_swrap(d)| = |d|, and neither other clause holds,
+      as r - 1 <= -1/2 <= d < 1/2 <= 1 - r.
+    - d >= 1/2: |_swrap(d)| = 1 - d < r iff d > 1 - r; |d| < r <= 1/2 and
+      d < r - 1 < 0 both fail.
+    - d < -1/2: |_swrap(d)| = d + 1 < r iff d < r - 1; |d| < r and
+      d > 1 - r >= 1/2 both fail.
+    So r = 1/2 holds every u but the antipode c + 1/2.  For r > 1/2 the
+    ball is the whole circle, as |_swrap(d)| <= 1/2 < r, and the test holds
+    every u: |d| < r, or d >= r > 1 - r, or d <= -r < r - 1.
+    """
+    lo, hi, hi_1, lo_1 = ball
+    if lo < u < hi:
+        return True
+    return circle and (u < hi_1 or u > lo_1)
+
+
 class _GatedMove(ProductStage):
     """Moves coordinate alpha by a bump shift scaled with a tent gate on
     coordinate beta != alpha, which the move leaves alone, so the inverse
@@ -508,32 +543,19 @@ class ConditionalMoveStage(_GatedMove):
     # -- scalar machinery ----------------------------------------------------
     @cached_property
     def _bump(self) -> tuple:
-        """(lo, hi) = c -+ r_u, with c the center, on the circle taken in
-        [0, 1).  Built on first use: a move loaded to be re-checked
-        evaluates no point."""
-        c = _wrap1(self.u_center) if self._circle_u else self.u_center
-        return c - self.u_radius, c + self.u_radius
+        """`_ball` of the bump.  Built on first use: a move loaded to be
+        re-checked evaluates no point."""
+        return _ball(self.u_center, self.u_radius, self._circle_u)
+
+    @cached_property
+    def _gate_ball(self) -> tuple:
+        """`_ball` of the gate, built on first use like `_bump`."""
+        return _ball(self.gate_center, self.gate_radius, self._circle_v)
 
     def _in_bump(self, u) -> bool:
         """Whether abs(self._rel(u)) < r_u, for a canonical u, by
-        comparisons only.
-
-        On the line rel = u - c, so this is lo < u < hi.  On the circle u
-        and c lie in [0, 1), so d = u - c lies in (-1, 1), r_u <= 1/2, and
-        the test is lo < u < hi (|d| < r_u), or u < hi - 1 (d < r_u - 1),
-        or u > lo + 1 (d > 1 - r_u).  `_swrap(d)` is d on [-1/2, 1/2),
-        d - 1 above and d + 1 below it.
-        - d in [-1/2, 1/2): |_rel(u)| = |d|, and neither other clause
-          holds, as r_u - 1 <= -1/2 <= d < 1/2 <= 1 - r_u.
-        - d >= 1/2: |_rel(u)| = 1 - d < r_u iff d > 1 - r_u; |d| < r_u <=
-          1/2 and d < r_u - 1 < 0 both fail.
-        - d < -1/2: |_rel(u)| = d + 1 < r_u iff d < r_u - 1; |d| < r_u and
-          d > 1 - r_u >= 1/2 both fail.
-        """
-        lo, hi = self._bump
-        if lo < u < hi:
-            return True
-        return self._circle_u and (u < hi - 1 or u > lo + 1)
+        comparisons only (`_in_ball`)."""
+        return _in_ball(u, self._bump, self._circle_u)
 
     def _rel(self, u):
         d = u - self.u_center
@@ -543,10 +565,13 @@ class ConditionalMoveStage(_GatedMove):
         return _wrap1(self.u_center + u) if self._circle_u else self.u_center + u
 
     def gate(self, v) -> F:
+        """The tent weight 1 - dist(v, gate center) / r_v of a canonical v,
+        and ZERO, decided by comparisons alone (`_in_ball`), outside the
+        gate, where dist >= r_v."""
+        if not _in_ball(v, self._gate_ball, self._circle_v):
+            return ZERO
         d = v - self.gate_center
         dist = abs(_swrap(d)) if self._circle_v else abs(d)
-        if dist >= self.gate_radius:
-            return ZERO
         return 1 - dist / self.gate_radius
 
     def _shift(self, u, w: F):
@@ -573,9 +598,13 @@ class ConditionalMoveStage(_GatedMove):
         return pow2(-self.alpha) * abs(self.shift)
 
     def lip_backward_bound(self) -> F:
-        m = 1 - abs(self.shift) / self.u_radius
-        cross = (abs(self.shift) / m) / self.gate_radius * pow2(self.beta - self.alpha)
-        return max(F(1), 1 / m) + cross
+        """k + |s| k / r_v 2^(beta - alpha), k = r_u / (r_u - |s|): the
+        inverse's slope bound 1/m in u, m = 1 - |s|/r_u the least slope of
+        the bump, plus its gate cross term (|s|/m) / r_v weighted by
+        2^(beta - alpha).  |s| < r_u, so 1/m >= 1 needs no max with 1."""
+        s = abs(self.shift)
+        k = self.u_radius / (self.u_radius - s)
+        return k + s * k / self.gate_radius * pow2(self.beta - self.alpha)
 
     def descriptor(self):
         return {"stage": "conditional-move", "alpha": self.alpha, "beta": self.beta,
@@ -686,8 +715,30 @@ def _gated_move(kind, space, pts, i, alpha, beta, cap, shift_of) -> _GatedMove:
 def _clearance(factor, values, center, cap):
     """Half the least of `cap` and the nonzero distances from `center` to
     `values`: the open ball of twice this radius about `center` holds no
-    value but those equal to it."""
+    value but those equal to it.  On a circle or a line factor only
+    `_neighbours` are measured, so there `values` and `center` must be
+    canonical, as point coordinates are; a disc factor measures every value."""
+    if not isinstance(factor, DiscSpace):
+        values = _neighbours(values, center, isinstance(factor, CircleSpace))
     return min([cap] + [d for d in (factor.metric(v, center) for v in values) if d > 0]) / 2
+
+
+def _neighbours(values, center, circle: bool) -> list:
+    """The least value above `center` and the greatest below it, those that
+    exist, found by comparisons: every other value is at least as far from
+    `center` as one of them.  On the circle, with every value in [0, 1),
+    they are the cyclic successor and predecessor, wrapping past 0 when one
+    side is empty: a value's forward arc from `center` is no shorter than
+    the successor's, and its backward arc no shorter than the predecessor's."""
+    above, below = [], []
+    for v in values:
+        if v > center:
+            above.append(v)
+        elif v < center:
+            below.append(v)
+    if circle and not (above and below):
+        above = below = above or below
+    return ([min(above)] if above else []) + ([max(below)] if below else [])
 
 
 # ---------------------------------------------------------------------------

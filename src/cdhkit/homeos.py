@@ -545,7 +545,9 @@ def sup_distance(f: FactorHomeo, g: FactorHomeo):
         return min(max(map(abs, gaps), default=ZERO), Fraction(1))
     if isinstance(f, PLCircleHomeo) and isinstance(g, PLCircleHomeo):
         gaps = _gaps_at_merged_breaks(f, g)
-        gaps.append(gaps[0] + f.orientation - g.orientation)  # at 1
+        # at 1; equal orientations leave gaps[0] as it is
+        gaps.append(gaps[0] if f.orientation == g.orientation
+                    else gaps[0] + f.orientation - g.orientation)
         return _arc_sup(gaps)
     raise UnsupportedOperation("cannot compare these homeomorphism kinds")
 

@@ -36,7 +36,7 @@ from operator import add, xor
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
-from .rationals import ZERO, format_scalar, parse_scalar, pow2
+from .rationals import ONE, ZERO, format_scalar, parse_scalar, pow2
 
 FLOAT_TOLERANCE = 1e-9
 _LINE_LEVEL_CAP = 1 << 16  # the deepest level of a line basic open
@@ -398,7 +398,7 @@ class LineSpace(FactorSpace):
         return Fraction(0)
 
     def metric(self, x: Fraction, y: Fraction) -> Fraction:
-        return min(abs(x - y), Fraction(1))
+        return min(abs(x - y), ONE)
 
     def ser_point(self, x):
         return format_scalar(x)

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdhkit.convergence import ConvergenceCertificate, reverify_ledger
@@ -30,12 +30,14 @@ from cdhkit.genpos import (
     wgpp_transform,
     _MOVE_SCALARS,
     _build_move,
+    _clearance,
     _gate_index,
     _gated_move,
+    _in_ball,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
-from cdhkit.rationals import floor_pow2, format_scalar, parse_scalar
+from cdhkit.rationals import floor_pow2, format_scalar, parse_scalar, pow2
 from cdhkit.spaces import (
     BAIRE,
     CANTOR,
@@ -896,6 +898,100 @@ def test_the_comparison_bump_test_equals_the_distance_test(factor):
             for edge in (c - r, c + r):
                 u = _wrap1(edge) if factor is CIRCLE else edge
                 assert not move._in_bump(u), (c, r, u)
+
+
+def _arc_distance(factor, v, c):
+    """The distance the gate's tent reads: the arc length on the circle, the
+    uncapped |v - c| on the line."""
+    if factor is CIRCLE:
+        f = _wrap1(v - c)
+        return min(f, 1 - f)
+    return abs(v - c)
+
+
+@pytest.mark.parametrize("factor", [CIRCLE, LINE], ids=["circle", "line"])
+def test_the_comparison_gate_test_equals_the_distance_test(factor):
+    # circle gates below, at and above 1/2, up to the 2 the move-bounds
+    # property draws; line gates up to their cap of 1
+    space = ProductSpace([LINE, factor])
+    vs = [F(k, 32) for k in range(32)]
+    if factor is LINE:
+        vs += [F(k, 32) for k in range(-80, 0)] + [F(k, 32) for k in range(32, 112)]
+    for c in _EDGES:
+        for r in _RADII + [F(2)]:
+            if factor is LINE and r > 1:
+                with pytest.raises(PreconditionError, match="line gate radius"):
+                    ConditionalMoveStage(space, 0, 1, 0, F(1, 4), F(1, 8), c, r)
+                continue
+            move = ConditionalMoveStage(space, 0, 1, 0, F(1, 4), F(1, 8), c, r)
+            edges = [_wrap1(e) if factor is CIRCLE else e for e in (c - r, c + r)]
+            for v in vs + edges:
+                dist = _arc_distance(factor, v, c)
+                assert _in_ball(v, move._gate_ball, factor is CIRCLE) == (dist < r), (c, r, v)
+                assert move.gate(v) == max(F(0), 1 - dist / r), (c, r, v)
+                assert type(move.gate(v)) is F
+
+
+_SIXTY_FOURTHS = st.integers(0, 63).map(lambda k: F(k, 64))
+_LINE_SIXTEENTHS = st.integers(-40, 40).map(lambda k: F(k, 16))
+
+
+@st.composite
+def _clearance_column(draw):
+    """A circle or line column of canonical values about a center: values
+    on both sides of it, on one side only (on the circle the neighbours
+    then wrap past 0), or none but copies of the center."""
+    factor = draw(st.sampled_from([CIRCLE, LINE]))
+    grid = _SIXTY_FOURTHS if factor is CIRCLE else _LINE_SIXTEENTHS
+    center = draw(grid)
+    values = draw(st.lists(grid, max_size=9))
+    side = draw(st.sampled_from(["both", "above", "below", "none"]))
+    if side != "both":
+        values = [v for v in values if side == "above" and v > center
+                  or side == "below" and v < center]
+    values = draw(st.permutations(values + [center] * draw(st.integers(0, 3))))
+    cap = draw(st.sampled_from([F(1, 2), F(1, 4), F(1, 16)]))
+    return factor, values, center, cap
+
+
+@given(_clearance_column())
+@example((CIRCLE, [F(1, 64), F(30, 64), F(60, 64)], F(60, 64), F(1, 2)))
+@example((CIRCLE, [F(40, 64), F(2, 64), F(60, 64)], F(2, 64), F(1, 2)))
+@example((CIRCLE, [F(0), F(0)], F(0), F(1, 4)))
+@example((LINE, [F(-1, 16), F(3), F(1, 8), F(-7, 4)], F(1, 8), F(1, 16)))
+@settings(max_examples=400, deadline=None)
+def test_the_clearance_measures_two_neighbours_and_equals_the_brute_force_minimum(column):
+    factor, values, center, cap = column
+    brute = min([cap] + [d for d in (factor.metric(v, center) for v in values) if d > 0]) / 2
+    calls = []
+
+    class Counting(type(factor)):
+        def metric(self, x, y):
+            calls.append(x)
+            return super().metric(x, y)
+
+    assert _clearance(Counting(), (v for v in values), center, cap) == brute
+    assert len(calls) <= 2
+
+
+def test_the_closed_form_backward_bound_equals_the_old_expression():
+    space = ProductSpace([CIRCLE, LINE, CIRCLE])
+    accepted = 0
+    for alpha, beta in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)]:
+        for r_u in _RADII:
+            for t in (F(0), F(1, 64), F(1, 2), F(-3, 4), F(15, 16), F(1)):
+                for r_v in _RADII + [F(2)]:
+                    try:
+                        move = ConditionalMoveStage(space, alpha, beta, F(1, 3), r_u, t * r_u,
+                                                    F(5, 4), r_v)
+                    except PreconditionError:
+                        continue
+                    s = abs(move.shift)
+                    m = 1 - s / r_u
+                    old = max(F(1), 1 / m) + (s / m) / r_v * pow2(beta - alpha)
+                    assert move.lip_backward_bound() == old, (alpha, beta, r_u, t, r_v)
+                    accepted += 1
+    assert accepted > 400
 
 
 @pytest.mark.parametrize("factors", [(CIRCLE, LINE), (LINE, CIRCLE)], ids=["circle", "line"])
