@@ -8,14 +8,18 @@ limit:
   (1)  sup_x d(h_{i+1}(x), x)              <= 2^-i
   (2)  sup_x d(H_{i+1}^-1(x), H_i^-1(x))   <= 2^-i
 
-h_0 is exempt: the first stage may be anything.  Appending verifies both
-bounds before extending: factor stages exactly, product-space stages
-through certified Lipschitz bounds.  Every ledger value is a Fraction.
+Both conditions share one bound.  h_0 is exempt: the first stage may be
+anything.  Appending verifies both conditions before extending: factor
+stages exactly, product-space stages through certified Lipschitz bounds.
+Each ledger row is {stage, bound, cond1_value, cond2_value, method}, with
+stage k's bound 2^-(k-1) and, on the exempt row, no bound and no
+condition-(2) value.  Every ledger value is a Fraction.
 
 On the exact path a certificate keeps the inverse partial H_n^-1, not H_n:
 condition (2) compares two inverse partials, and H_{n+1}^-1 = H_n^-1 o
 h_{n+1}^-1 differs from H_n^-1 only where h_{n+1} moves, which is all a PL
-composition has to touch.
+composition has to touch.  The exempt append of a factor map keeps
+H_0^-1 = h_0^-1, so every later exact append starts from a kept partial.
 
 Limit evaluation truncates at the stage N where the geometric tail
 2^-(N-1) drops below the requested precision; the returned value always
@@ -30,8 +34,8 @@ from math import ceil
 from typing import Optional
 
 from .errors import BoundViolation, PreconditionError, SpaceMismatch, UnsupportedOperation
-from .homeos import CylinderHomeo, FactorHomeo, compose, identity_for, sup_distance
-from .rationals import ZERO, bound_exponent, format_scalar, pow2
+from .homeos import CylinderHomeo, FactorHomeo, compose, sup_distance
+from .rationals import ONE, ZERO, bound_exponent, format_scalar, pow2
 from .spaces import ProductStage
 
 _MATERIALIZE_CAP = 1 << 16
@@ -40,12 +44,13 @@ _LIP_BITS = 32
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """Ledger row for one appended stage."""
+    """Ledger row for one appended stage.  Conditions (1) and (2) share one
+    `bound`, 2^-(stage-1), which is None on the exempt row 0; `ser` writes
+    the row {stage, bound, cond1_value, cond2_value, method}."""
 
     stage: int
-    cond1_bound: Optional[Fraction]
+    bound: Optional[Fraction]
     cond1_value: Optional[Fraction]
-    cond2_bound: Optional[Fraction]
     cond2_value: Optional[Fraction]
     method: str  # exact | exact-isometry | lipschitz | exempt
 
@@ -55,9 +60,8 @@ class BoundEntry:
 
         return {
             "stage": self.stage,
-            "cond1_bound": s(self.cond1_bound),
+            "bound": s(self.bound),
             "cond1_value": s(self.cond1_value),
-            "cond2_bound": s(self.cond2_bound),
             "cond2_value": s(self.cond2_value),
             "method": self.method,
         }
@@ -82,7 +86,7 @@ class ConvergenceCertificate:
         self.space = space
         self.stages: tuple = ()
         self.entries: tuple = ()
-        self._lip_inv = Fraction(1)  # certified, rounded-up Lipschitz bound for H_n^-1
+        self._lip_inv = ONE  # certified, rounded-up Lipschitz bound for H_n^-1
         self._mat = None  # (H_m^-1, m): the last inverse partial an append built
 
     # -- bookkeeping ---------------------------------------------------------
@@ -98,26 +102,26 @@ class ConvergenceCertificate:
         """2^-(k-1) / max(1, lip_inv) for the next stage k: a product stage
         that moves no further passes conditions (1) and (2), whose values are
         its displacement and lip_inv times it.  Stage 0 is exempt."""
-        return pow2(-(self.stage_count - 1)) / max(Fraction(1), self._lip_inv)
-
-    def chain_table_depth(self) -> int:
-        d = 0
-        for h in self.stages:
-            if isinstance(h, CylinderHomeo):
-                d = max(d, h.depth)
-        return d
+        return pow2(-(self.stage_count - 1)) / max(ONE, self._lip_inv)
 
     # -- application ----------------------------------------------------------
     def partial(self, x, upto: int):
-        """H_upto(x) = (h_upto o ... o h_0)(x); exact for exact stages."""
-        for h in self.stages[: upto + 1]:
+        """H_upto(x) = (h_upto o ... o h_0)(x), exact for exact stages; x at
+        upto -1, and PreconditionError for an upto not an int in -1..last_index."""
+        for h in self._prefix(upto):
             x = h.apply(x)
         return x
 
     def partial_inv(self, x, upto: int):
-        for h in reversed(self.stages[: upto + 1]):
+        """H_upto^-1(x), with `partial`'s refusals."""
+        for h in reversed(self._prefix(upto)):
             x = (h.inverse() if isinstance(h, ProductStage) else h.invert()).apply(x)
         return x
+
+    def _prefix(self, upto: int) -> tuple:
+        if type(upto) is not int or not -1 <= upto <= self.last_index:
+            raise PreconditionError(f"upto must be an int in -1..{self.last_index}, not {upto!r}")
+        return self.stages[: upto + 1]
 
     def apply(self, x):
         return self.partial(x, self.last_index)
@@ -137,7 +141,9 @@ class ConvergenceCertificate:
             lip = _round_up(lip * h.lip_backward_bound())
         nxt = None
         if k == 0:
-            entry = BoundEntry(0, None, c1, None, None, "exempt")
+            entry = BoundEntry(0, None, c1, None, "exempt")
+            if isinstance(h, FactorHomeo):
+                nxt = h.invert()  # H_0^-1, where every exact append starts
         else:
             bound = pow2(-(k - 1))
             if c1 > bound:
@@ -145,7 +151,7 @@ class ConvergenceCertificate:
             c2, method, nxt = self._cond_values(h, c1)
             if c2 > bound:
                 raise BoundViolation(stage=k, condition=2, bound=bound, value=c2)
-            entry = BoundEntry(k, bound, c1, bound, c2, method)
+            entry = BoundEntry(k, bound, c1, c2, method)
         cert = ConvergenceCertificate(self.space)
         cert.stages = self.stages + (h,)
         cert.entries = self.entries + (entry,)
@@ -159,7 +165,7 @@ class ConvergenceCertificate:
         if isinstance(h, ProductStage):
             return self._lip_inv * c1, "lipschitz", None
         if isinstance(h, CylinderHomeo):
-            t = self.chain_table_depth()
+            t = max(s.depth for s in self.stages)  # all CylinderHomeos: one space
             if c1 <= pow2(-t):
                 # every moved pair stays inside one depth-t cylinder, where the
                 # chain inverse acts as an isometry: the conjugate displacement
@@ -177,15 +183,10 @@ class ConvergenceCertificate:
 
     def _materialize(self) -> FactorHomeo:
         """H_n^-1: the inverses of stages m+1..n composed under H_m^-1, the
-        last inverse partial an append built; from stage 0 when no append
-        has built one."""
-        if self._mat is None:
-            acc, m = identity_for(self.stages[0].space if self.stages else self.space), -1
-        else:
-            acc, m = self._mat
+        last inverse partial an append kept; the exempt append keeps H_0^-1."""
+        acc, m = self._mat
         for h in self.stages[m + 1:]:
             acc = _capped(compose(h.invert(), acc))
-        self._mat = (acc, self.last_index)
         return _capped(acc)
 
     # -- limit evaluation -------------------------------------------------------

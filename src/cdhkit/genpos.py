@@ -51,8 +51,9 @@ from .errors import (
     UnsupportedOperation,
 )
 from .pairs import ConvenientPair, vnorm
-from .rationals import ZERO, floor_pow2, format_scalar, parse_scalar, pow2
+from .rationals import HALF, ZERO, floor_pow2, format_scalar, parse_scalar, pow2
 from .spaces import (
+    FLOAT_TOLERANCE,
     CircleSpace,
     DiscSpace,
     FactorSpace,
@@ -408,11 +409,8 @@ def _audit_plan(blocks, traces, star, B):
 # conditional two-coordinate moves (exact kinds)
 # ---------------------------------------------------------------------------
 
-_HALF = F(1, 2)
-
-
 def _swrap(x: F) -> F:
-    return _wrap1(x + _HALF) - _HALF
+    return _wrap1(x + HALF) - HALF
 
 
 def _ball(c: F, r: F, circle: bool) -> tuple:
@@ -687,7 +685,7 @@ def _build_move(space, pts, i, alpha, beta, cert) -> ConditionalMoveStage:
     2^-alpha |shift| fits the certificate's `displacement_room`.  A power of
     two keeps dyadic data dyadic, free of lip_inv's denominator."""
     room = min(pow2(-cert.stage_count), cert.displacement_room()) * pow2(alpha)
-    return _gated_move(ConditionalMoveStage, space, pts, i, alpha, beta, F(1, 2),
+    return _gated_move(ConditionalMoveStage, space, pts, i, alpha, beta, HALF,
                        lambda r_u: floor_pow2(min(r_u / 2, room)))
 
 
@@ -842,10 +840,7 @@ def boundary_chase(points: Sequence[ProductPoint], space: ProductSpace) -> Bound
     stages: list[ProductStage] = []
 
     def interior(p):
-        return all(
-            vnorm(p.coord(a)) < 1.0 - float(space.factor(a).tolerance)
-            for a in space.indices()
-        )
+        return all(vnorm(p.coord(a)) < 1.0 - FLOAT_TOLERANCE for a in space.indices())
 
     if not all(interior(p) for p in pts):
         shrink = CollarShrinkStage(_CHASE_EPS, tuple(space.indices()))

@@ -51,7 +51,7 @@ from .errors import (
     SpaceMismatch,
     UnsupportedOperation,
 )
-from .rationals import ZERO, format_scalar, parse_scalar, pow2
+from .rationals import HALF, ONE, ZERO, format_scalar, parse_scalar, pow2
 from .spaces import (
     BAIRE,
     CANTOR,
@@ -63,6 +63,7 @@ from .spaces import (
     FactorSpace,
     LineSpace,
     SymSeq,
+    _are_symbols,
     _check_points,
     _load_symseq,
     _wrap1,
@@ -371,7 +372,7 @@ class PLCircleHomeo(_PLHomeo):
     def _end(self, i: int) -> tuple:
         if i + 1 < len(self.breaks):
             return self.breaks[i + 1]
-        return Fraction(1), self.breaks[0][1] + self.orientation
+        return ONE, self.breaks[0][1] + self.orientation
 
     def lift_at(self, t: Fraction) -> Fraction:
         n = t.numerator // t.denominator
@@ -542,7 +543,7 @@ def sup_distance(f: FactorHomeo, g: FactorHomeo):
     if isinstance(f, PLLineHomeo) and isinstance(g, PLLineHomeo):
         # f - g is PL and 0 outside the breaks; the metric min(|.|, 1) caps it
         gaps = _gaps_at_merged_breaks(f, g)
-        return min(max(map(abs, gaps), default=ZERO), Fraction(1))
+        return min(max(map(abs, gaps), default=ZERO), ONE)
     if isinstance(f, PLCircleHomeo) and isinstance(g, PLCircleHomeo):
         gaps = _gaps_at_merged_breaks(f, g)
         # at 1; equal orientations leave gaps[0] as it is
@@ -620,9 +621,6 @@ def _gaps_at_merged_breaks(f, g) -> list:
     return gaps
 
 
-_HALF = Fraction(1, 2)
-
-
 def _arc_sup(gaps: list) -> Fraction:
     """Largest arc distance to 0 of a function linear between consecutive
     gaps: 1/2 when a segment crosses a half-integer, else it sits at an end.
@@ -632,7 +630,7 @@ def _arc_sup(gaps: list) -> Fraction:
     above its lower end, which the ends cover, iff its two end gaps have
     different k; so some segment does iff the gaps do not all share one k."""
     if len({(2 * g.numerator - g.denominator) // (2 * g.denominator) for g in gaps}) > 1:
-        return _HALF
+        return HALF
     best = ZERO
     for g in gaps:
         if g:
@@ -648,9 +646,12 @@ def homeo_from_descriptor(desc: dict) -> FactorHomeo:
         t = desc["type"]
         if t == "cylinder":
             space = factor_from_descriptor({"kind": desc["kind"]})
-            table = {tuple(k): tuple(v) for k, v in desc["table"]}
             binary = desc["kind"] == "cantor"
+            table = {tuple(k): tuple(v) for k, v in desc["table"]}
             masks = {tuple(k): _load_symseq(m, binary) for k, m in desc["masks"]}
+            for p in (*table, *table.values(), *masks):
+                if not _are_symbols(p, 0, binary):
+                    raise ValueError(f"{list(p)} is not a {desc['kind']} symbol prefix")
             return CylinderHomeo(space, desc["depth"], table, masks)
         if t == "pl_line":
             return PLLineHomeo(
@@ -802,11 +803,11 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
         # first difference, which sits inside the open ball
         return _realize_seq(factor, {center: target, target: center})
     if isinstance(factor, CircleSpace):
-        if d == Fraction(1, 2):
+        if d == HALF:
             # the anchors center -+ r would coincide; as d < delta, the ball
             # is the whole circle, and the rotation by 1/2 stays inside it
             return _realize_circle({center: target})
-        r = (d + min(delta, Fraction(1, 2))) / 2
+        r = (d + min(delta, HALF)) / 2
         return _realize_circle({center - r: center - r, center: target, center + r: center + r})
     if isinstance(factor, LineSpace):
         # the metric caps at 1, so a gap of delta or more means delta > 1:

@@ -14,6 +14,7 @@ from .errors import PreconditionError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def pow2(n: int) -> Fraction:

@@ -221,7 +221,6 @@ class FactorSpace:
     kind: str = "?"
     exact: bool = True
     group: Optional[GroupOps] = None
-    tolerance: float = FLOAT_TOLERANCE
 
     def descriptor(self) -> dict:
         return {"kind": self.kind}
@@ -460,7 +459,7 @@ class DiscSpace(FactorSpace):
         return sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
 
     def points_equal(self, x, y):
-        return self.metric(x, y) <= self.tolerance
+        return self.metric(x, y) <= FLOAT_TOLERANCE
 
     def ser_point(self, x):
         return [float(c) for c in x]

@@ -35,7 +35,7 @@ from cdhkit.homeos import (
     small_ball_transporter,
 )
 from cdhkit.pairs import group_pair
-from cdhkit.rationals import pow2
+from cdhkit.rationals import parse_scalar, pow2
 from cdhkit.spaces import (
     CANTOR,
     CIRCLE,
@@ -97,7 +97,7 @@ def test_append_accepts_exact_equality_bound():
     assert h.sup_displacement() == pow2(-3)
     cert2 = cert.append(h)
     entry = cert2.entries[-1]
-    assert entry.cond1_value == entry.cond1_bound == pow2(-3)
+    assert entry.cond1_value == entry.bound == pow2(-3)
 
 
 def test_append_rejects_bound_violation_with_witness():
@@ -227,6 +227,26 @@ def test_monotone_refinement():
     assert CANTOR.metric(coarse.value, fine.value) <= coarse.error_bound
 
 
+@pytest.mark.parametrize("upto", [-3, -2, 3, 4, True, False, 1.0, None])
+def test_partials_refuse_an_upto_outside_the_stages(upto):
+    cert = _valid_certificate(random.Random(4), 3)
+    for partial in (cert.partial, cert.partial_inv):
+        with pytest.raises(PreconditionError, match=r"upto must be an int in -1\.\.2"):
+            partial(SymSeq((1, 0, 1), 0), upto)
+
+
+def test_partials_take_every_upto_from_minus_one_to_the_last_stage():
+    cert = _valid_certificate(random.Random(4), 3)
+    x = SymSeq((1, 0, 1), 0)
+    assert cert.partial(x, -1) == cert.partial_inv(x, -1) == x
+    assert ConvergenceCertificate(CANTOR).partial(x, -1) == x
+    for upto in range(3):
+        y = cert.partial(x, upto)
+        assert y == cert.stages[upto].apply(cert.partial(x, upto - 1))
+        assert cert.partial_inv(y, upto) == x
+    assert cert.partial(x, 2) == cert.apply(x)
+
+
 # ---------------------------------------------------------------------------
 # chain inequalities
 # ---------------------------------------------------------------------------
@@ -351,7 +371,7 @@ def test_ledger_lipschitz_entries_of_a_product_repair():
         assert entry.cond1_value == pow2(-stage.alpha) * abs(stage.shift)
         if k > 0:
             assert entry.cond2_value == lip * entry.cond1_value
-            assert entry.cond1_value <= entry.cond1_bound == pow2(-(k - 1))
+            assert entry.cond1_value <= entry.bound == pow2(-(k - 1))
         lip *= stage.lip_backward_bound()
     desc = json.loads(json.dumps(cert.describe()))
     rebuilt = ProductSpace([factor_from_descriptor(f) for f in desc["space"]["factors"]])
@@ -374,6 +394,51 @@ def test_ledger_exact_isometry_below_the_chain_depth():
     stages = [homeo_from_descriptor(d) for d in desc["stages"]]
     verdicts = reverify_ledger(factor_from_descriptor(desc["space"]), stages, desc["ledger"])
     assert [v["ok"] for v in verdicts] == [True, True]
+
+
+_LEDGER_KEYS = ["stage", "bound", "cond1_value", "cond2_value", "method"]
+
+
+def _ledger_certificate(which: str):
+    if which == "circle":
+        return CIRCLE, _exact_circle_chain(6)
+    if which == "cantor":
+        h0 = CylinderHomeo(CANTOR, 3, {(0, 0, 0): (1, 1, 1), (1, 1, 1): (0, 0, 0)})
+        h1 = CylinderHomeo(CANTOR, 5, {(0, 1, 0, 1, 0): (0, 1, 0, 1, 1),
+                                       (0, 1, 0, 1, 1): (0, 1, 0, 1, 0)})
+        h2 = CylinderHomeo(CANTOR, 4, {(1, 0, 0, 0): (1, 0, 0, 1), (1, 0, 0, 1): (1, 0, 0, 0)})
+        cert = ConvergenceCertificate(CANTOR).append(h0).append(h1).append(h2)
+        assert [e.method for e in cert.entries] == ["exempt", "exact-isometry", "exact"]
+        return CANTOR, cert
+    space, result = _circle_line_repair()
+    return space, result.certificate
+
+
+def _edited(key: str, value):
+    if key == "method":
+        return "exact" if value != "exact" else "lipschitz"
+    return "1/3" if value != "1/3" else "1/5"
+
+
+@pytest.mark.parametrize("which", ["circle", "cantor", "repair"])
+def test_ledger_rows_state_one_bound_and_reverify_every_field(which):
+    space, cert = _ledger_certificate(which)
+    ledger = json.loads(json.dumps(cert.describe()))["ledger"]
+    assert len(ledger) >= 2
+    assert all(list(row) == _LEDGER_KEYS for row in ledger)
+    assert ledger[0]["bound"] is None and ledger[0]["cond2_value"] is None
+    assert ledger[0]["method"] == "exempt"
+    for k, row in enumerate(ledger[1:], start=1):
+        bound = parse_scalar(row["bound"])
+        assert bound == pow2(-(k - 1)) == cert.entries[k].bound
+        assert max(parse_scalar(row["cond1_value"]), parse_scalar(row["cond2_value"])) <= bound
+    assert all(v["ok"] for v in reverify_ledger(space, cert.stages, ledger))
+    for k, row in enumerate(ledger):
+        for key in _LEDGER_KEYS[1:]:
+            edited = [dict(r) for r in ledger]
+            edited[k][key] = _edited(key, row[key])
+            verdicts = reverify_ledger(space, cert.stages, edited)
+            assert [v["ok"] for v in verdicts] == [i != k for i in range(len(ledger))], (k, key)
 
 
 def _exact_circle_chain(length: int) -> ConvergenceCertificate:
@@ -404,7 +469,7 @@ def test_exact_entries_match_a_composition_from_stage_zero():
 def test_exact_circle_chain_describes_the_recorded_document():
     doc = json.dumps(_exact_circle_chain(12).describe())
     assert hashlib.sha256(doc.encode()).hexdigest() == (
-        "72e8bf3be718e50414d7e4b2aa7bd082ed771b9cfc2cb6a412e15f4efe6a9a9c")
+        "6a9a9ea579aac5e7beb5fc4ff113d36fd00db19edc800fc4ea2ba38a2e2c5f24")
 
 
 def _exact_line_chain(length: int) -> ConvergenceCertificate:
@@ -435,7 +500,7 @@ def test_exact_line_and_circle_chains_keep_their_recorded_outputs():
                      "inverse_values": [str(cert.apply_inv(x)) for x in probes]})
     doc = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
-        "9af025781899dbb963d290f3f768765f142029157493edba5ea06f222a0c86b8")
+        "58fdb6e3f869adad9a894ca3319652acd22552275ad6407af0a4d2523b8891bb")
 
 
 def _counted_compose(monkeypatch) -> list:
@@ -458,7 +523,8 @@ def test_exact_chain_composes_each_partial_once(monkeypatch):
     for h in stages:
         cert = cert.append(h)
     assert [e.method for e in cert.entries[1:]] == ["exact"] * 11
-    # H_0 once, then H_{n+1} = h o H_n per append and no conjugate
+    # H_0^-1 is stage 0's own inverse, so no composition; then
+    # H_{n+1}^-1 = H_n^-1 o h^-1 once per append and no conjugate
     assert len(calls) <= len(stages)
 
 
@@ -476,7 +542,8 @@ def test_exact_chain_builds_one_inverse_per_partial(monkeypatch):
     for h in stages:
         cert = cert.append(h)
     assert [e.method for e in cert.entries[1:]] == ["exact"] * 11
-    # the identity, H_0, then H_{n+1} once per append
+    # only stage inverses build circle maps, each once and kept on its stage;
+    # H_0^-1 is stage 0's, and no identity partial is built
     assert len(calls) <= len(stages) + 1
 
 

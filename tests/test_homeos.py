@@ -849,6 +849,20 @@ def test_descriptors_the_constructors_refuse_raise_typed_errors(desc, message):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("kind, bad", [("cantor", 2), ("cantor", True), ("cantor", 0.5),
+                                       ("baire", 0.5), ("baire", True), ("baire", "1")])
+def test_cylinder_prefixes_holding_non_symbols_are_refused(kind, bad):
+    # table keys and values and mask keys are read by the symbol rule
+    for desc in (_cyl(1, [[[0], [bad]], [[bad], [0]]]), _cyl(1, [[[bad], [1]], [[1], [bad]]]),
+                 _cyl(1, masks=[[[bad], {"prefix": [1], "tail": 0}]])):
+        with pytest.raises(PreconditionError, match=f"not a {kind} symbol prefix") as info:
+            homeo_from_descriptor({**desc, "kind": kind})
+        assert isinstance(info.value.__cause__, ValueError)
+    good = {**_cyl(1, [[[0], [1]], [[1], [0]]]), "kind": kind}
+    h = homeo_from_descriptor(good)
+    assert h.descriptor() == good and h.apply(SymSeq((0, 1), 0)) == SymSeq((1, 1), 0)
+
+
 def test_malformed_homeo_descriptors_raise_typed_errors():
     circ = PLCircleHomeo([(F(0), F(1, 8)), (F(1, 2), F(5, 8))], 1).descriptor()
     for desc, cause in [({"type": "pl_line"}, KeyError),
