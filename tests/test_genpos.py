@@ -40,9 +40,9 @@ from cdhkit.pairs import ConvenientPair, group_pair, vnorm
 from cdhkit.rationals import floor_pow2, format_scalar, parse_scalar, pow2
 from cdhkit.spaces import (
     BAIRE,
-    FLOAT_TOLERANCE,
     CANTOR,
     CIRCLE,
+    FLOAT_TOLERANCE,
     LINE,
     CoordwiseStage,
     DiscSpace,
