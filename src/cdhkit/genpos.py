@@ -207,13 +207,17 @@ def _pick_avoiding(factor, box, avoid):
 class WgppStage(ProductStage):
     """Coordinate-wise twist x(a) -> s_a(x(a), x(0)) at each a in omega, its
     `moved_indices`.  An omega that holds 0 (the inverse reads x(0) too) or
-    an index without a pair raises PreconditionError."""
+    any other index that is not an int >= 1 (a bool is not one), or an index
+    without a pair, raises PreconditionError."""
 
     def __init__(self, omega: frozenset, pairs: dict):
         self.moved_indices = frozenset(omega)
         self.pairs = dict(pairs)
         if 0 in self.moved_indices:
             raise PreconditionError("index 0 cannot be twisted")
+        bad = [a for a in self.moved_indices if type(a) is not int or a < 1]
+        if bad:
+            raise PreconditionError(f"twisted indices {bad!r} are not ints >= 1")
         missing = self.moved_indices.difference(self.pairs)
         if missing:
             raise PreconditionError(f"no pair for twisted indices {sorted(missing)}")

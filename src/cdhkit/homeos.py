@@ -65,6 +65,7 @@ from .spaces import (
     SymSeq,
     _are_symbols,
     _check_points,
+    _is_number,
     _load_symseq,
     _wrap1,
     factor_from_descriptor,
@@ -429,14 +430,15 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
 
 def _as_breaks(breaks: Iterable) -> tuple:
     """The breaks as a tuple of pairs of Fractions; a pair that already is
-    one is kept as it is, so that maps can share it.  A float or a bool
-    raises ValueError: neither is an exact value."""
+    one is kept as it is, so that maps can share it.  A value that is not an
+    int or a Fraction (a bool, a float, a str or a Decimal) raises
+    ValueError, as `ProductSpace.point` refuses it on an exact factor."""
     out = []
     for b in breaks:
         x, y = b
         if not (type(b) is tuple and type(x) is Fraction and type(y) is Fraction):
-            if isinstance(x, (float, bool)) or isinstance(y, (float, bool)):
-                raise ValueError(f"break {b!r} is not exact: floats and bools are refused")
+            if not (_is_number(x) and _is_number(y)):
+                raise ValueError(f"break {b!r} is not exact: an int or a Fraction is needed")
             b = (Fraction(x), Fraction(y))
         out.append(b)
     return tuple(out)

@@ -1,4 +1,4 @@
-"""Factor spaces, product spaces and lazily evaluated product points.
+"""Factor spaces, product spaces and product points.
 
 Factor kinds and their standardized admissible complete metrics (diameter
 at most 1, except the disc's):
@@ -22,9 +22,11 @@ Every certified product bound is stated in d* = sum_a 2^-a d_a, which
 
 A product point is a root or one product stage applied to a parent point.
 A root sits at every factor's base point, or at every factor's k-th marker
-point, outside finitely many overrides.  Coordinates are evaluated on
-demand and memoized per level (a root memoizes its base or marker
-values), so evaluation is pure and order-independent.
+point, outside finitely many overrides.  A point holds its overrides, the
+coordinates its stages moved and the base or marker values read so far.
+Applying a stage evaluates it at once, exactly at its moved indices and
+once at each, even where nothing reads the value later, so reads call no
+stage.
 """
 
 from __future__ import annotations
@@ -615,7 +617,7 @@ class ProductSpace:
 # ---------------------------------------------------------------------------
 
 class ProductStage:
-    """An invertible map of the product, evaluated coordinate-wise on demand.
+    """An invertible map of the product, evaluated coordinate-wise.
 
     `get` is a callable alpha -> factor point giving the input point's
     coordinates; a stage may consult several of them (not just alpha).
@@ -623,7 +625,8 @@ class ProductStage:
     `moved_indices`, a finite frozenset that every stage sets, holds each
     index that the stage or its inverse may move.  `image_coord` and
     `preimage_coord` are defined only at its indices, and
-    `ProductPoint.coord` calls them nowhere else.
+    `ProductPoint.apply_stage` calls `image_coord` exactly at its
+    `moved_indices`, once each.
 
     A stage that can ride a convergence certificate also certifies its
     d*-displacement and a Lipschitz bound of its inverse; the others raise
@@ -708,66 +711,53 @@ def _index_key(key) -> int:
 
 
 class ProductPoint:
-    """A root (a base plus finitely many overrides) or one stage applied to
-    a parent.  A root with `marker` None sits at every factor's base point
-    outside its overrides, one with `marker` k at every factor's k-th marker
-    point; staged points keep their root's marker and overrides.
+    """A root or the image of a point under one product stage.  A root with
+    `marker` None sits at every factor's base point outside its overrides,
+    one with `marker` k at every factor's k-th marker point; staged points
+    keep their root's marker and overrides and count their stages.
 
-    Immutable; coordinate evaluation is memoized and pure, so concurrent
-    reads are safe and evaluation order never matters.
+    A point holds its coordinates in a dict.  `apply_stage` copies the
+    parent's and evaluates the stage once at each of its `moved_indices`,
+    even one that nothing reads later; any other coordinate is the root's
+    base or marker value, which `coord` builds on first read and keeps.
+    Reads call no stage, and points are immutable in value.
     """
 
-    __slots__ = ("space", "marker", "overrides", "parent", "stage", "_cache")
+    __slots__ = ("space", "marker", "overrides", "stage_count", "_coords")
 
     def __init__(self, space: ProductSpace, marker: Optional[int], overrides: dict):
-        """Keeps `overrides`, canonical, as it is: `ProductSpace.point`
-        canonicalizes, a staged point shares its parent's, and no point
-        changes them."""
+        """A root.  Keeps `overrides`, canonical, as it is:
+        `ProductSpace.point` canonicalizes, a staged point shares its
+        root's, and no point changes them."""
         self.space = space
         self.marker = marker
         self.overrides = overrides
-        self.parent: Optional[ProductPoint] = None
-        self.stage: Optional[ProductStage] = None
-        self._cache: dict = {}
+        self.stage_count = 0
+        self._coords = dict(overrides)
 
     def coord(self, alpha: int):
-        """Coordinate of the staged image; exact for exact kinds.  Evaluates
-        down from the nearest ancestor holding alpha, whose staged ancestors
-        hold it too, so reads nest per distinct coordinate, not per stage.
-        On the way down a stage is called exactly when its `moved_indices`
-        holds alpha; every other level takes its parent's value.
-        Each level on the path caches alpha, so the nesting holds.  A root
-        reads its overrides first and memoizes its base or marker
-        fallbacks, so each is built once per root.  An index outside the
-        product is in no cache and no override, so its read walks down to
-        the root, where `ProductSpace.factor` raises IndexRange.  The reads
-        above it test no type: a non-int equal to a cached or overridden
-        index, such as 1.0 or True, reads that index."""
-        if alpha in self._cache:
-            return self._cache[alpha]
-        if self.stage is None and alpha in self.overrides:
-            return self.overrides[alpha]
-        if self.stage is None:
+        """Coordinate alpha; exact for exact kinds.  An index that the point
+        does not hold is its root's base or marker value: an index outside
+        the product makes `ProductSpace.factor` raise IndexRange there.  The
+        read tests no type first, so a non-int equal to a held index, such
+        as 1.0 or True, reads that index."""
+        try:
+            return self._coords[alpha]
+        except KeyError:
             f = self.space.factor(alpha)
             v = f.base_point() if self.marker is None else f.marker(self.marker)
-            self._cache[alpha] = v
+            self._coords[alpha] = v
             return v
-        pending = []
-        p = self
-        while p.stage is not None and alpha not in p._cache:
-            pending.append(p)
-            p = p.parent
-        v = p._cache[alpha] if p.stage is not None else p.coord(alpha)
-        for q in reversed(pending):
-            if alpha in q.stage.moved_indices:
-                v = q.stage.image_coord(q.parent.coord, alpha)
-            q._cache[alpha] = v
-        return v
 
     def apply_stage(self, stage: ProductStage) -> "ProductPoint":
-        p = ProductPoint(self.space, self.marker, self.overrides)
-        p.parent = self
-        p.stage = stage
+        """The image under `stage`, whose `image_coord` is called here,
+        exactly once at each of its `moved_indices`; a stage that reads an
+        index outside the product raises IndexRange here."""
+        moved = {a: stage.image_coord(self.coord, a) for a in stage.moved_indices}
+        p = object.__new__(ProductPoint)
+        p.space, p.marker, p.overrides = self.space, self.marker, self.overrides
+        p.stage_count = self.stage_count + 1
+        p._coords = {**self._coords, **moved}
         return p
 
     def support(self) -> tuple:
@@ -777,7 +767,7 @@ class ProductPoint:
         """Serializes base + overrides; a staged point records its coordinates
         on the evaluated range, a faithful copy when its stages act there."""
         over = self.overrides
-        if self.stage is not None:
+        if self.stage_count:
             over = {a: self.coord(a) for a in self.space.indices()}
         return {
             "base": ({"kind": "default"} if self.marker is None
@@ -813,7 +803,4 @@ class ProductPoint:
         return ProductPoint(space, marker, overrides)
 
     def __repr__(self):
-        stages, p = 0, self
-        while p.stage is not None:
-            stages, p = stages + 1, p.parent
-        return f"ProductPoint(support={self.support()}, stages={stages})"
+        return f"ProductPoint(support={self.support()}, stages={self.stage_count})"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -310,22 +311,39 @@ def test_unfocused_float_pair_is_refused():
         wgpp_transform(points, lambda a: pair)
 
 
-def test_focus_check_evaluates_each_pair_image_once():
-    _, result = _greedy(CIRCLE)
+def test_focus_check_evaluates_each_pair_image_once(monkeypatch):
+    space, result = _greedy(CIRCLE)
     pair = group_pair(CIRCLE)
-    s, calls = pair.s, []
+    s, focus, images, staging = pair.s, [], [], []
 
     def counted(x, y):
-        calls.append((x, y))
+        (images if staging else focus).append((x, y))
         return s(x, y)
 
+    image_coord = WgppStage.image_coord
+
+    def staged(stage, get, alpha):
+        staging.append(alpha)
+        try:
+            return image_coord(stage, get, alpha)
+        finally:
+            staging.pop()
+
+    monkeypatch.setattr(WgppStage, "image_coord", staged)
     pair.s = counted
     twist = wgpp_transform(result.points, lambda a: pair)
     n = len(result.points)
     xs = {p.coord(a) for a in twist.omega for p in result.points}
-    # one shared s: each distinct x is checked once, against the n ys
-    assert calls and len(calls) <= len(xs) * n
-    assert len(set(calls)) == len(calls)
+    # the focus check shares one s: each distinct x is checked once, against the n ys
+    assert focus and len(focus) <= len(xs) * n
+    assert len(set(focus)) == len(focus)
+    # the twist stage: one image per twisted coordinate of each point, made
+    # as the stage is applied, and none on a read
+    assert len(images) == len(twist.omega) * n
+    for p in twist.points:
+        for a in space.indices():
+            p.coord(a)
+    assert len(images) == len(twist.omega) * n
 
 
 def _twisted_columns():
@@ -871,6 +889,14 @@ def test_a_twist_refuses_an_index_without_a_pair():
         WgppStage(frozenset({1, 2, 3}), {1: group_pair(LINE)})
     with pytest.raises(PreconditionError, match="index 0 cannot be twisted"):
         WgppStage(frozenset({0}), {0: group_pair(LINE)})
+
+
+@pytest.mark.parametrize("bad", ["x", -1, 1.0, True], ids=repr)
+def test_a_twist_refuses_an_index_that_is_not_an_int_of_at_least_1(bad):
+    # True would twist coordinate 1 while the descriptor wrote [true]
+    refusal = re.escape(f"twisted indices [{bad!r}] are not ints >= 1")
+    with pytest.raises(PreconditionError, match=refusal):
+        WgppStage(frozenset({bad}), {bad: group_pair(LINE)})
 
 
 _EDGES = [F(k, 16) for k in range(16)] + [F(-1, 8), F(5, 4), F(33, 16)]

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,17 @@ def test_pl_constructors_refuse_floats_and_bools(bad):
         PLLineHomeo([(bad, bad), (F(2), F(3)), (F(4), F(4))])
     # ints are exact and read as Fractions
     assert PLLineHomeo([(0, 0), (1, 2), (3, 3)]).breaks[1] == (F(1), F(2))
+
+
+@pytest.mark.parametrize("bad", ["1/2", Decimal("0.5")], ids=["str", "decimal"])
+def test_pl_constructors_take_only_ints_and_fractions(bad):
+    with pytest.raises(ValueError, match="not exact: an int or a Fraction is needed"):
+        PLLineHomeo([(0, 0), (bad, F(3, 4)), (1, 1)])
+    with pytest.raises(ValueError, match="not exact: an int or a Fraction is needed"):
+        PLCircleHomeo([(F(0), bad)])
+    # a loaded map parses its strings before it builds the map
+    h = PLLineHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+    assert homeo_from_descriptor(h.descriptor()).breaks == h.breaks
 
 
 @pytest.mark.parametrize("h", [

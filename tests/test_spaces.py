@@ -249,8 +249,13 @@ def test_eval_coordinate_through_xor_pipeline():
 
 def test_eval_coordinate_index_error():
     space = ProductSpace.uniform(CANTOR, count=3)
-    # the stage lists index 3 as moved: the read still reaches the root
-    staged = space.point({0: SymSeq((1,), 0)}).apply_stage(_XorStage(SymSeq((1,), 0)))
+    root = space.point({0: SymSeq((1,), 0)})
+    # the stage lists index 3 as moved: applying it reads index 3 of the root
+    with pytest.raises(IndexRange, match="index 3 outside product of 3 factors"):
+        root.apply_stage(_XorStage(SymSeq((1,), 0)))
+    inside = _XorStage(SymSeq((1,), 0))
+    inside.moved_indices = frozenset(space.indices())
+    staged = root.apply_stage(inside)
     for p in (space.point(), staged):
         for alpha in (3, -1):
             with pytest.raises(IndexRange, match=f"index {alpha} outside product of 3 factors"):
@@ -281,19 +286,24 @@ class _CountingStage(_XorStage):
 
 def test_child_of_an_evaluated_point_evaluates_one_level():
     space = _cantor_omega(depth=6)
+    once = {a: 1 for a in _XorStage.moved_indices}
     ancestors = [_CountingStage(SymSeq((k % 2, 1), 0)) for k in range(5)]
     p = space.point({1: SymSeq((1,), 0)})
     for stage in ancestors:
         p = p.apply_stage(stage)
-    for a in space.indices():
-        p.coord(a)
+    # each stage ran once at each of its moved indices as it was applied,
+    # also at indices 6-15, which nothing reads
+    assert all(stage.calls == once for stage in ancestors)
     child_stage = _CountingStage(SymSeq((0, 0, 1), 0))
     child = p.apply_stage(child_stage)
+    assert child_stage.calls == once
+    # reads call no stage
     for _ in range(2):
         for a in space.indices():
+            p.coord(a)
             child.coord(a)
-    assert child_stage.calls == {a: 1 for a in space.indices()}
-    assert all(stage.calls == {a: 1 for a in space.indices()} for stage in ancestors)
+    assert child_stage.calls == once
+    assert all(stage.calls == once for stage in ancestors)
 
 
 class _MarkerShift(ProductStage):
@@ -455,7 +465,6 @@ def test_round_trip_through_2000_stages(stage):
     p = start
     for _ in range(2000):
         p = p.apply_stage(stage)
-    # coordinate 1 first: its levels read coordinate 0 before it is cached
     forward = [p.coord(a) for a in (1, 0, 2)]
     if isinstance(stage, CoordwiseStage):
         expected = [F(1, 3), F(2001 % 7, 7), F(1, 2)]

@@ -1,21 +1,21 @@
-"""Unscaled times of each job class of one benchmark workload.
+"""Times of each job class of one benchmark workload.
 
     python3 tools/classtimes.py --root DIR --workload W --seed K --rounds N
 
 Runs one warm-up job, then every job of rounds 0 .. N-1 under seed K of
 workload W in `DIR/cdhbench/workloads.py`, against the library in
-`DIR/src`, in order, as `cdhbench/run.py` does: build, verify and eval,
-each timed with `perf_counter` and checked outside the timed region.  A
-failed operation, and one skipped after a failed build, counts as +inf.
+`DIR/src`, through `measure`, `run_job` and `op_times` of
+`DIR/cdhbench/run.py`, as an untraced benchmark run does: build, verify
+and eval, each timed and scaled to the reference kernel, and checked
+outside the timed region.  A failed operation, and one skipped after a
+failed build, counts as +inf.
 
 Prints each job class (a job's label) with its job count and its median
 build, verify and eval seconds.  Then, for each operation, it names the
 class of the job at the nearest-rank p50 and p75 of all jobs, as
 `run.py` ranks them, with that job's place among its class and the classes
 of the jobs ranked just below and above it.  A rank next to a job of
-another class sits on the edge of its class.  The times are wall seconds,
-not scaled to a reference kernel as `run.py` scales them, so a rank may
-fall on another job than it does there.  Nothing under `cdhbench/` is
+another class sits on the edge of its class.  Nothing under `cdhbench/` is
 changed.
 """
 
@@ -26,39 +26,9 @@ import math
 import statistics
 import sys
 from pathlib import Path
-from time import perf_counter
 
 OPS = ("build", "verify", "eval")
 RANKS = (("p50", 0.5), ("p75", 0.75))
-
-
-def job_times(wl, job) -> dict:
-    """Seconds of each operation of one job; +inf where it failed or was
-    skipped."""
-    times = dict.fromkeys(OPS, math.inf)
-    inputs = wl.prepare(job)
-    out = None
-    steps = (
-        ("build", lambda: wl.build(job, inputs), lambda v: wl.check_build(job, inputs, v)),
-        ("verify", lambda: wl.verify(job, inputs, out),
-         lambda v: wl.check_verify(job, inputs, out, v)),
-        ("eval", lambda: wl.evaluate(job, inputs, out),
-         lambda v: wl.check_eval(job, inputs, out, v)),
-    )
-    for kind, fn, check in steps:
-        start = perf_counter()
-        try:
-            value = fn()
-            seconds = perf_counter() - start
-            check(value)
-        except Exception:  # a failed operation is counted, never fatal
-            if kind == "build":
-                break
-            continue
-        times[kind] = seconds
-        if kind == "build":
-            out = value
-    return times
 
 
 def rank_lines(rows: list) -> list:
@@ -94,17 +64,20 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "cdhbench")]
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # as cdhbench/run.py: some values pass the default limit
+    import run
     import workloads
 
     if args.workload not in workloads.WORKLOADS:
         sys.exit(f"unknown workload {args.workload!r}: one of {', '.join(workloads.WORKLOADS)}")
     wl = workloads.WORKLOADS[args.workload]
-    job_times(wl, wl.warmup())
-    rows = [(job.label, job_times(wl, job))
-            for index in range(args.rounds) for job in wl.round(args.seed, index)]
+    run.run_job(wl, wl.warmup())
+    results = [r for index in range(args.rounds)
+               for r in run.measure(wl, wl.round(args.seed, index))[0]]
+    by_op = {op: run.op_times(results, op) for op in OPS}
+    rows = [(r.label, {op: by_op[op][k] for op in OPS}) for k, r in enumerate(results)]
 
     print(f"# {args.workload} seed={args.seed}: {args.rounds} rounds, {len(rows)} jobs, "
-          f"median unscaled seconds per class")
+          f"median scaled seconds per class")
     print(f"{'class':12s} {'jobs':>4s}" + "".join(f" {op:>10s}" for op in OPS))
     for label in sorted({label for label, _ in rows}):
         mine = [times for name, times in rows if name == label]
