@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
+from numbers import Real
 from typing import Optional
 
 from .errors import BoundViolation, PreconditionError, SpaceMismatch, UnsupportedOperation
@@ -131,7 +132,13 @@ class ConvergenceCertificate:
 
     # -- appending with verification -------------------------------------------
     def append(self, h) -> "ConvergenceCertificate":
+        """The certificate extended by h, once both conditions are verified;
+        a violated one raises BoundViolation, and an h that is neither a
+        FactorHomeo nor a ProductStage PreconditionError."""
         k = self.stage_count  # index of the new stage
+        if not isinstance(h, (FactorHomeo, ProductStage)):
+            raise PreconditionError(f"stage {k} is a {type(h).__name__}, not a FactorHomeo "
+                                    f"or a ProductStage")
         c1 = h.sup_displacement()
         space = getattr(h, "space", None)
         if space is not self.space and space != self.space:
@@ -197,8 +204,10 @@ class ConvergenceCertificate:
         return pow2(-(self.last_index - 1))
 
     def limit_eval(self, x, eps) -> EvalResult:
-        """The limit at x within eps; an eps <= 0 raises PreconditionError,
-        and a certificate with no stages returns x with error 0."""
+        """The limit at x within eps; an eps that is a bool, not a real
+        number, a float that is not finite, or <= 0 raises
+        PreconditionError, and a certificate with no stages returns x with
+        error 0."""
         return self._limit(self.partial, x, eps)
 
     def limit_inv_eval(self, x, eps) -> EvalResult:
@@ -206,6 +215,9 @@ class ConvergenceCertificate:
         return self._limit(self.partial_inv, x, eps)
 
     def _limit(self, partial, x, eps) -> EvalResult:
+        if isinstance(eps, bool) or not isinstance(eps, Real) or (
+                isinstance(eps, float) and not isfinite(eps)):
+            raise PreconditionError(f"eps must be a finite real number, not {eps!r}")
         N = bound_exponent(Fraction(eps)) + 1
         if self.stage_count == 0:
             return EvalResult(x, ZERO, None)

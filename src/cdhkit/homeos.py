@@ -28,11 +28,18 @@ Maps are immutable: nothing assigns to their fields after construction.  So
 map, and h.invert().invert() is h; a PL map reads its moved arcs off its
 breaks once; and maps may share break tuples, which `sup_distance` reads as
 gaps of 0.  For the same reason a PL map has one evaluator, `_on`, which
-reads each segment through an affine form built on first use and kept;
-`apply`, `lift_at` and the break walk of `sup_distance` all go through it.
-A composite's constructor compares only the break pairs the composition
-added, since every other pair is one its second map's constructor checked
-(see `_compose_breaks`).  `identity_for` returns one shared map per kind.
+reads each segment through an integer form built on first use and kept, and
+builds each value as one Fraction; `apply`, `lift_at` and the break walk of
+`sup_distance` all go through it, and `_arc_sup` reads the walk's gaps on
+integers too.  A composite's constructor compares only the break pairs the
+composition added, since every other pair is one its second map's
+constructor checked (see `_compose_breaks`).  `identity_for` returns one
+shared map per kind.
+
+`small_ball_transporter` builds a circle bump directly, from its three
+anchors and 0, when its support lies inside (0, 1); a support that reaches
+0, and the half turn, go through the generic realizer `_realize_circle`,
+which pins the lift.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import floor, gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -237,23 +244,29 @@ class _PLHomeo(FactorHomeo):
     i to `_end(i)`, the next break or, on the circle, the closing point."""
 
     def _on(self, i: int, t: Fraction) -> Fraction:
-        """The value at t on segment i: m*t + b from the segment's affine
-        form (m, b), built on first use and kept.  A translation segment has
-        the form (None, b) and an identity segment (None, None), which
-        returns t itself."""
+        """The value at t, an int or a Fraction, on segment i, read from the
+        segment's form, built on first use and kept.  A sloped segment has
+        the integer form (a, b, c) of m*t + e = (a*t + b)/c, so for t = p/q
+        its value is the one Fraction (a*p + b*q)/(c*q), built with one gcd.
+        A translation segment has the form (None, e, None) and an identity
+        segment (None, None, None), which returns t itself."""
         form = self._forms[i]
         if form is None:
             (x0, y0), (x1, y1) = self.breaks[i], self._end(i)
             dx, dy = x1 - x0, y1 - y0
             if dx != dy:
                 m = dy / dx
-                form = (m, y0 - m * x0)
+                e = y0 - m * x0
+                g = gcd(m.denominator, e.denominator)
+                form = (m.numerator * (e.denominator // g), e.numerator * (m.denominator // g),
+                        m.denominator // g * e.denominator)
             else:
-                form = (None, y0 - x0 or None)
+                form = (None, y0 - x0 or None, None)
             self._forms[i] = form
-        m, b = form
-        if m is not None:
-            return m * t + b
+        a, b, c = form
+        if a is not None:
+            q = t.denominator
+            return Fraction(a * t.numerator + b * q, c * q)
         return t if b is None else t + b
 
 
@@ -523,8 +536,17 @@ def identity_for(factor: FactorSpace) -> FactorHomeo:
     return h
 
 
+def _check_maps(*maps) -> None:
+    """Refuse, with PreconditionError, an argument that is not a map."""
+    for m in maps:
+        if not isinstance(m, FactorHomeo):
+            raise PreconditionError(f"a {type(m).__name__} is not a FactorHomeo")
+
+
 def compose(g: FactorHomeo, h: FactorHomeo) -> FactorHomeo:
-    """The map x -> h(g(x)) (h after g)."""
+    """The map x -> h(g(x)) (h after g); an argument that is not a
+    FactorHomeo raises PreconditionError."""
+    _check_maps(g, h)
     if g.space != h.space:
         raise SpaceMismatch(f"cannot compose {g.space.kind} with {h.space.kind}")
     if isinstance(g, CylinderHomeo) and isinstance(h, CylinderHomeo):
@@ -537,7 +559,9 @@ def compose(g: FactorHomeo, h: FactorHomeo) -> FactorHomeo:
 
 
 def sup_distance(f: FactorHomeo, g: FactorHomeo):
-    """sup_x d(f(x), g(x)) for two exact maps of one factor."""
+    """sup_x d(f(x), g(x)) for two exact maps of one factor; an argument
+    that is not a FactorHomeo raises PreconditionError."""
+    _check_maps(f, g)
     if f.space != g.space:
         raise SpaceMismatch(f"cannot compare {f.space.kind} with {g.space.kind}")
     if isinstance(f, CylinderHomeo) and isinstance(g, CylinderHomeo):
@@ -630,15 +654,22 @@ def _arc_sup(gaps: list) -> Fraction:
     For d > 0, k(n/d) = (2n - d) // 2d is the m for which m + 1/2 is the
     greatest half-integer up to n/d.  A segment crosses a half-integer
     above its lower end, which the ends cover, iff its two end gaps have
-    different k; so some segment does iff the gaps do not all share one k."""
+    different k; so some segment does iff the gaps do not all share one k.
+
+    Otherwise the arc distance of n/d is a/d, a = min(n mod d, d - n mod d),
+    and the largest is found by comparing a*d' with a'*d on integers; it is
+    built as a Fraction once, at the end."""
     if len({(2 * g.numerator - g.denominator) // (2 * g.denominator) for g in gaps}) > 1:
         return HALF
-    best = ZERO
+    best_a, best_d = 0, 1
     for g in gaps:
-        if g:
-            f = _wrap1(g)
-            best = max(best, min(f, 1 - f))
-    return best
+        d = g.denominator
+        a = g.numerator % d
+        if 2 * a > d:
+            a = d - a
+        if a * best_d > best_a * d:
+            best_a, best_d = a, d
+    return Fraction(best_a, best_d) if best_a else ZERO
 
 
 def homeo_from_descriptor(desc: dict) -> FactorHomeo:
@@ -788,7 +819,14 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
     """h(center) = target with supp(h) inside the delta-ball around center
     and sup-displacement below delta.  A factor of no exact kind raises
     UnsupportedOperation; then a point not of its exact kind, or a delta
-    that is not an int or a Fraction, raises PreconditionError."""
+    that is not an int or a Fraction, raises PreconditionError.
+
+    On the circle, with c and t the center and the target mod 1 at distance
+    d, h is the bump fixing c -+ r, r = (d + min(delta, 1/2))/2, and sending
+    c to t.  When [c - r, c + r] lies inside (0, 1) it is built directly as
+    the map through (0, 0), (c - r, c - r), (c, t) and (c + r, c + r);
+    otherwise, and for the half turn at d = 1/2, `_realize_circle` builds it
+    and pins its lift."""
     if not factor.exact:
         raise UnsupportedOperation(f"no transporter for kind {factor.kind}")
     _check_points(factor, (center, target))
@@ -798,7 +836,7 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
     delta = Fraction(delta)
     if d >= delta:
         raise PreconditionError(f"target at distance {d} is outside the {delta}-ball")
-    if factor.points_equal(center, target):
+    if d == 0:
         return identity_for(factor)
     if isinstance(factor, (CantorSpace, BaireSpace)):
         # the two-point swap realizer moves only the cylinder around their
@@ -810,6 +848,11 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
             # is the whole circle, and the rotation by 1/2 stays inside it
             return _realize_circle({center: target})
         r = (d + min(delta, HALF)) / 2
+        c, t = _wrap1(center), _wrap1(target)
+        lo, hi = c - r, c + r
+        if 0 < lo and hi < 1:
+            # t = c + e with |e| <= d < r: the bump through its anchors and 0
+            return PLCircleHomeo(((ZERO, ZERO), (lo, lo), (c, t), (hi, hi)))
         return _realize_circle({center - r: center - r, center: target, center + r: center + r})
     if isinstance(factor, LineSpace):
         # the metric caps at 1, so a gap of delta or more means delta > 1:
