@@ -205,6 +205,20 @@ def test_limit_eval_refuses_an_eps_that_is_not_positive(eps):
                 evaluate(SymSeq((1,), 0), eps)
 
 
+@pytest.mark.parametrize("eps", ["x", None, float("inf"), float("-inf"), float("nan"), True, False,
+                                 [F(1, 8)]],
+                         ids=["str", "none", "inf", "-inf", "nan", "true", "false", "list"])
+def test_limit_eval_refuses_an_eps_that_is_not_a_finite_number(eps):
+    empty = ConvergenceCertificate(CANTOR)
+    cert = _valid_certificate(random.Random(4), 6)
+    for c in (empty, cert):
+        for evaluate in (c.limit_eval, c.limit_inv_eval):
+            with pytest.raises(PreconditionError, match="eps must be a finite real number"):
+                evaluate(SymSeq((1,), 0), eps)
+            # a positive float is read as the Fraction it is
+            assert evaluate(SymSeq((1,), 0), 0.125) == evaluate(SymSeq((1,), 0), F(1, 8))
+
+
 def test_limit_round_trip_bound():
     rng = random.Random(5)
     cert = _valid_certificate(rng, 12)
@@ -679,6 +693,19 @@ def test_append_refuses_a_stage_on_another_space(space, first, stage):
         ConvergenceCertificate(space).append(stage)
     with pytest.raises(SpaceMismatch):
         ConvergenceCertificate(space).append(first).append(stage)
+
+
+@pytest.mark.parametrize("bad", [None, "h", F(1, 16), (F(0), F(1, 16))],
+                         ids=["none", "str", "fraction", "tuple"])
+def test_append_and_reverify_refuse_a_stage_that_is_not_a_map(bad):
+    with pytest.raises(PreconditionError, match="stage 0 is a .* not a FactorHomeo or a ProductStage"):
+        ConvergenceCertificate(CIRCLE).append(bad)
+    cert = _exact_circle_chain(2)
+    with pytest.raises(PreconditionError, match="stage 2 is a .* not a FactorHomeo or a ProductStage"):
+        cert.append(bad)
+    ledger = cert.ledger()
+    with pytest.raises(PreconditionError, match="stage 1 is a .* not a FactorHomeo or a ProductStage"):
+        reverify_ledger(CIRCLE, [cert.stages[0], bad], ledger)
 
 
 def test_append_takes_a_stage_on_an_equal_space():

@@ -10,7 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdhkit import homeos
@@ -257,19 +257,37 @@ def test_circle_invert_round_trips_exactly(h, ts):
         assert CIRCLE.points_equal(hi.apply(h.apply(t)), t)
 
 
-def test_segments_evaluate_through_one_kept_form():
-    h = PLCircleHomeo([(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(5, 8)),
-                       (F(3, 4), F(7, 8))], 1)
-    line = PLLineHomeo([(F(-1), F(-1)), (F(0), F(0)), (F(1), F(3, 2)), (F(2), F(2))])
-    for m in (h, line):
-        ends = list(m.breaks[1:]) + ([(F(1), m.breaks[0][1] + 1)] if m is h else [])
-        for i, ((x0, y0), (x1, y1)) in enumerate(zip(m.breaks, ends)):
-            for t in (x0, (2 * x0 + x1) / 3, x1):
-                first = m._on(i, t)
-                assert first == m._on(i, t) == y0 + (t - x0) * (y1 - y0) / (x1 - x0)
-                if x0 == y0 and x1 == y1:
-                    assert first is t
-    assert h._on(2, F(5, 8)) == F(3, 4)  # a translation segment, by 1/8
+@st.composite
+def _line_maps(draw) -> PLLineHomeo:
+    """PL line maps with two to six breaks; a value drawn as its own
+    abscissa may leave a segment fixed."""
+    xs = sorted(set(draw(st.lists(st.fractions(-4, 4, max_denominator=64), min_size=2, max_size=6))))
+    assume(len(xs) >= 2)
+    inner = st.fractions(xs[0], xs[-1], max_denominator=1 << 20).filter(lambda y: xs[0] < y < xs[-1])
+    ys = sorted(draw(st.one_of(st.just(x), inner)) for x in xs[1:-1])
+    assume(len(set(ys)) == len(ys))
+    return PLLineHomeo(list(zip(xs, [xs[0], *ys, xs[-1]])))
+
+
+_SEGMENT_POINTS = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=1 << 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_circle_maps(), _line_maps()), st.lists(_SEGMENT_POINTS, max_size=4))
+@example(PLCircleHomeo([(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(5, 8)), (F(3, 4), F(7, 8))], 1),
+         [])  # identity, sloped and translation segments
+@example(PLLineHomeo([(F(-1), F(-1)), (F(0), F(0)), (F(1), F(3, 2)), (F(2), F(2))]), [F(1, 2), 3])
+def test_segments_evaluate_through_one_kept_form(m, ts):
+    ends = list(m.breaks[1:])
+    if isinstance(m, PLCircleHomeo):
+        ends.append((F(1), m.breaks[0][1] + m.orientation))
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(m.breaks, ends)):
+        # Fraction and int t, on the segment and off it
+        for t in [x0, (2 * x0 + x1) / 3, x1, math.floor(x0), *ts]:
+            first = m._on(i, t)
+            assert first == m._on(i, t) == y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+            if x0 == y0 and x1 == y1:
+                assert first is t
 
 
 def test_line_pl_apply_and_invert_exact():
@@ -356,6 +374,14 @@ def test_pl_constructors_take_only_ints_and_fractions(bad):
     # a loaded map parses its strings before it builds the map
     h = PLLineHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
     assert homeo_from_descriptor(h.descriptor()).breaks == h.breaks
+
+
+@pytest.mark.parametrize("op", [compose, sup_distance])
+def test_compose_and_sup_distance_refuse_an_argument_that_is_not_a_map(op):
+    h = small_ball_transporter(CIRCLE, F(1, 3), F(3, 8), F(1, 8))
+    for args in ((h, None), (None, h), (h, h.breaks), (F(1, 2), h)):
+        with pytest.raises(PreconditionError, match="is not a FactorHomeo"):
+            op(*args)
 
 
 @pytest.mark.parametrize("h", [
@@ -704,6 +730,53 @@ def test_transporter_with_a_ball_wider_than_the_metric():
     assert h.apply(F(0)) == F(5)
     assert h.sup_displacement() == 1
     assert all(h.apply(x) == x for x in (F(-6), F(-10), F(6), F(10)))
+
+
+@st.composite
+def _circle_transporter_args(draw):
+    """(center, target, delta) of a circle transporter: delta below and
+    above 1/2, the half turn, centers and targets outside [0, 1), and
+    supports [c - r, c + r] that touch 0 from above (c - r = 0) or from
+    below (c + r = 1)."""
+    delta = draw(st.fractions(F(1, 64), F(1), max_denominator=64))
+    cap = min(delta, F(1, 2))
+    if delta > F(1, 2) and draw(st.booleans()):
+        d = F(1, 2)
+    else:
+        d = cap * draw(st.fractions(0, 1, max_denominator=32).filter(lambda u: 0 < u < 1))
+    r = (d + cap) / 2
+    c = draw(st.one_of(st.sampled_from((r, 1 - r)),
+                       st.fractions(0, 1, max_denominator=128).filter(lambda v: v < 1)))
+    sign = draw(st.sampled_from((1, -1)))
+    return c + draw(st.integers(-2, 2)), c + sign * d + draw(st.integers(-2, 2)), delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circle_transporter_args())
+def test_circle_transporter_is_the_realized_bump_through_its_anchors(args):
+    center, target, delta = args
+    d = CIRCLE.metric(center, target)
+    if d == F(1, 2):
+        ref = homeos._realize_circle({center: target})
+    else:
+        r = (d + min(delta, F(1, 2))) / 2
+        ref = homeos._realize_circle({center - r: center - r, center: target, center + r: center + r})
+    h = small_ball_transporter(CIRCLE, center, target, delta)
+    assert (h.breaks, h.orientation) == (ref.breaks, ref.orientation)
+
+
+@pytest.mark.parametrize("turns", [-2, 0, 1])
+def test_circle_transporter_realizes_only_a_support_that_reaches_0(monkeypatch, turns):
+    calls = []
+    realize = homeos._realize_circle
+    monkeypatch.setattr(homeos, "_realize_circle", lambda sigma: calls.append(sigma) or realize(sigma))
+    # d = 1/24 and r = 1/12: the support [1/4, 5/12] lies inside (0, 1)
+    h = small_ball_transporter(CIRCLE, F(1, 3) + turns, F(3, 8) - turns, F(1, 8))
+    assert not calls
+    assert h.breaks == ((0, 0), (F(1, 4), F(1, 4)), (F(1, 3), F(3, 8)), (F(5, 12), F(5, 12)))
+    # d = 1/32 and r = 5/64: the support reaches below 0
+    small_ball_transporter(CIRCLE, F(1, 32) + turns, F(1, 16), F(1, 8))
+    assert len(calls) == 1
 
 
 def test_transporter_rejects_target_outside_ball():

@@ -90,3 +90,17 @@ def test_classtimes_names_the_class_at_each_rank():
     assert [(op, q) for op, q, _ in ranks] == [(op, q) for op in ("build", "verify", "eval")
                                               for q in ("p50", "p75")]
     assert all(label in classes for _, _, label in ranks)
+
+
+def test_outhash_defaults_to_seed_1_and_hashes_each_seed():
+    root = _TOOLS.parent
+
+    def hashes(*argv):
+        out = subprocess.run([sys.executable, str(_TOOLS / "outhash.py"), "--root", str(root), *argv],
+                             check=True, capture_output=True, text=True).stdout
+        return dict(line.split() for line in out.splitlines())
+
+    default, one, two = hashes(), hashes("--seed", "1"), hashes("--seed", "2")
+    assert default == one
+    assert sorted(one) == sorted(two) == ["chain", "repair", "twist"]
+    assert all(one[w] != two[w] for w in one)
