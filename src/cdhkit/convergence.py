@@ -20,6 +20,8 @@ condition (2) compares two inverse partials, and H_{n+1}^-1 = H_n^-1 o
 h_{n+1}^-1 differs from H_n^-1 only where h_{n+1} moves, which is all a PL
 composition has to touch.  The exempt append of a factor map keeps
 H_0^-1 = h_0^-1, so every later exact append starts from a kept partial.
+`partial_inv` reads H_m^-1(x) from the kept partial H_m^-1 in one
+evaluation, and walks the stage inverses only at any other `upto`.
 
 Limit evaluation truncates at the stage N where the geometric tail
 2^-(N-1) drops below the requested precision; the returned value always
@@ -114,8 +116,12 @@ class ConvergenceCertificate:
         return x
 
     def partial_inv(self, x, upto: int):
-        """H_upto^-1(x), with `partial`'s refusals."""
-        for h in reversed(self._prefix(upto)):
+        """H_upto^-1(x), with `partial`'s refusals; read from the kept
+        inverse partial when it is H_upto^-1, else stage by stage."""
+        stages = self._prefix(upto)
+        if self._mat is not None and self._mat[1] == upto:
+            return self._mat[0].apply(x)
+        for h in reversed(stages):
             x = (h.inverse() if isinstance(h, ProductStage) else h.invert()).apply(x)
         return x
 

@@ -121,19 +121,28 @@ class CylinderHomeo(FactorHomeo):
     table maps depth-d prefixes to depth-d prefixes (a permutation of the
     listed set; unlisted prefixes are fixed).  masks[src], a SymSeq, is the
     symbolwise translation applied to the suffix of points entering through
-    src.  A depth that is not an int >= 0 (a bool included) raises
-    ValueError.
+    src.  A depth that is not an int >= 0 (a bool included), a table or
+    mask prefix holding a symbol that is not one of the kind's, and a mask
+    that is not a SymSeq of the kind's symbols raise ValueError.  The maps
+    built here from valid maps or checked points pass `_checked` to skip the
+    symbol checks.
     """
 
-    def __init__(self, space, depth: int, table: dict, masks: Optional[dict] = None):
+    def __init__(self, space, depth: int, table: dict, masks: Optional[dict] = None, *,
+                 _checked: bool = False):
         if not isinstance(space, (CantorSpace, BaireSpace)):
             raise SpaceMismatch("cylinder homeomorphisms need a sequence kind")
         if type(depth) is not int or depth < 0:
             raise ValueError(f"cylinder depth must be an int >= 0, not {depth!r}")
         self.space = space
         self.depth = depth
-        table = {tuple(k): tuple(v) for k, v in table.items() if tuple(k) != tuple(v)}
-        masks = {tuple(k): m for k, m in (masks or {}).items() if m != _ZERO_MASK}
+        masks = masks or {}
+        if not _checked:
+            table = {tuple(k): tuple(v) for k, v in table.items()}
+            masks = {tuple(k): m for k, m in masks.items()}
+            _check_cylinder_data(space, table, masks)
+        table = {k: v for k, v in table.items() if k != v}
+        masks = {k: m for k, m in masks.items() if m != _ZERO_MASK}
         for k, v in table.items():
             if len(k) != depth or len(v) != depth:
                 raise ValueError("table prefixes must have the declared depth")
@@ -159,7 +168,7 @@ class CylinderHomeo(FactorHomeo):
         inv = self.space.group.inv
         inv_table = {v: k for k, v in self.table.items()}
         inv_masks = {self.table.get(src, src): inv(m) for src, m in self.masks.items()}
-        return CylinderHomeo(self.space, self.depth, inv_table, inv_masks)
+        return CylinderHomeo(self.space, self.depth, inv_table, inv_masks, _checked=True)
 
     # -- structure ------------------------------------------------------------
     def lift(self, depth: int) -> "CylinderHomeo":
@@ -171,7 +180,7 @@ class CylinderHomeo(FactorHomeo):
             raise ValueError("can only lift to a greater depth")
         touched = set(self.table) | set(self.masks)
         if not touched:
-            return CylinderHomeo(self.space, depth, {})
+            return CylinderHomeo(self.space, depth, {}, _checked=True)
         if not isinstance(self.space, CantorSpace):
             raise UnsupportedOperation(
                 "lifting enumerates all cylinder extensions; only the binary "
@@ -194,7 +203,7 @@ class CylinderHomeo(FactorHomeo):
                     table[src] = dst
                 if rest != _ZERO_MASK:
                     masks[src] = rest
-        return CylinderHomeo(self.space, depth, table, masks)
+        return CylinderHomeo(self.space, depth, table, masks, _checked=True)
 
     def descriptor(self) -> dict:
         return {
@@ -232,7 +241,18 @@ def _compose_cylinder(g: CylinderHomeo, h: CylinderHomeo) -> CylinderHomeo:
             table[c] = dst
         if m != _ZERO_MASK:
             masks[c] = m
-    return CylinderHomeo(g.space, depth, table, masks)
+    return CylinderHomeo(g.space, depth, table, masks, _checked=True)
+
+
+def _check_cylinder_data(space, table: dict, masks: dict) -> None:
+    """Refuse, with ValueError, a table or mask prefix that holds a symbol
+    not of `space`'s kind, and a mask that is not one of its points."""
+    for p in (*table, *table.values(), *masks):
+        if not _are_symbols(p, 0, space.binary):
+            raise ValueError(f"{list(p)} is not a {space.kind} symbol prefix")
+    for m in masks.values():
+        if not space.is_point(m):
+            raise ValueError(f"mask {m!r} is not a {space.kind} sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -241,33 +261,62 @@ def _compose_cylinder(g: CylinderHomeo, h: CylinderHomeo) -> CylinderHomeo:
 
 class _PLHomeo(FactorHomeo):
     """A rational PL map read segment by segment: segment i runs from break
-    i to `_end(i)`, the next break or, on the circle, the closing point."""
+    i to `_end(i)`, the next break or, on the circle, the closing point.
 
-    def _on(self, i: int, t: Fraction) -> Fraction:
-        """The value at t, an int or a Fraction, on segment i, read from the
-        segment's form, built on first use and kept.  A sloped segment has
-        the integer form (a, b, c) of m*t + e = (a*t + b)/c, so for t = p/q
-        its value is the one Fraction (a*p + b*q)/(c*q), built with one gcd.
-        A translation segment has the form (None, e, None) and an identity
-        segment (None, None, None), which returns t itself."""
+    Every evaluation reads integers.  `_seg` finds a segment by comparing
+    p * x_d with x_n * q for t = p/q and each abscissa x = x_n/x_d, and
+    `_form` gives the segment's integer form, so a value is one Fraction,
+    built at the end, or a pair of ints that nothing reduces."""
+
+    def _seg(self, p: int, q: int) -> int:
+        """bisect_right over the break abscissas at t = p/q, minus 1: the
+        last segment starting at or below t, -1 below every break."""
+        xs = self._xs
+        lo, hi = 0, len(xs)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            x = xs[mid]
+            if p * x.denominator < x.numerator * q:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo - 1
+
+    def _form(self, i: int) -> tuple:
+        """Segment i's integer form (a, b, c), built on first use and kept:
+        the segment is m*t + e = (a*t + b)/c, so at t = p/q its value is
+        (a*p + b*q)/(c*q).  An identity segment has the shared form
+        `_IDENTITY_FORM`."""
         form = self._forms[i]
         if form is None:
             (x0, y0), (x1, y1) = self.breaks[i], self._end(i)
-            dx, dy = x1 - x0, y1 - y0
-            if dx != dy:
-                m = dy / dx
-                e = y0 - m * x0
-                g = gcd(m.denominator, e.denominator)
-                form = (m.numerator * (e.denominator // g), e.numerator * (m.denominator // g),
-                        m.denominator // g * e.denominator)
-            else:
-                form = (None, y0 - x0 or None, None)
+            m = (y1 - y0) / (x1 - x0)
+            e = y0 - m * x0
+            g = gcd(m.denominator, e.denominator)
+            form = (m.numerator * (e.denominator // g), e.numerator * (m.denominator // g),
+                    m.denominator // g * e.denominator)
+            if form == _IDENTITY_FORM:
+                form = _IDENTITY_FORM
             self._forms[i] = form
+        return form
+
+    def _at(self, i: int, p: int, q: int) -> tuple:
+        """The value at p/q on segment i as an unreduced pair (n, d), d > 0."""
+        a, b, c = self._form(i)
+        return a * p + b * q, c * q
+
+    def _on(self, i: int, t: Fraction) -> Fraction:
+        """The value at t, an int or a Fraction, on segment i, as one
+        Fraction; t itself on an identity segment."""
+        form = self._form(i)
+        if form is _IDENTITY_FORM:
+            return t
         a, b, c = form
-        if a is not None:
-            q = t.denominator
-            return Fraction(a * t.numerator + b * q, c * q)
-        return t if b is None else t + b
+        q = t.denominator
+        return Fraction(a * t.numerator + b * q, c * q)
+
+
+_IDENTITY_FORM = (1, 0, 1)
 
 
 def _pairs_to_check(n: int, added) -> Iterable[int]:
@@ -307,9 +356,10 @@ class PLLineHomeo(_PLHomeo):
         return self.breaks[i + 1]
 
     def apply(self, t: Fraction) -> Fraction:
-        if not self.breaks or t <= self.breaks[0][0] or t >= self.breaks[-1][0]:
+        i = self._seg(t.numerator, t.denominator)
+        if i < 0 or i == len(self.breaks) - 1:
             return t
-        return self._on(bisect_right(self._xs, t) - 1, t)
+        return self._on(i, t)
 
     def _inverse(self) -> "PLLineHomeo":
         return PLLineHomeo(tuple((y, x) for x, y in self.breaks))
@@ -389,14 +439,27 @@ class PLCircleHomeo(_PLHomeo):
         return ONE, self.breaks[0][1] + self.orientation
 
     def lift_at(self, t: Fraction) -> Fraction:
-        n = t.numerator // t.denominator
+        """L(t) = L(t - n) + s*n, n = floor(t), s the orientation."""
+        q = t.denominator
+        n, p = divmod(t.numerator, q)
+        i = self._seg(p, q)
         if not n:
-            return self._on(bisect_right(self._xs, t) - 1, t)
-        t -= n
-        return self._on(bisect_right(self._xs, t) - 1, t) + n * self.orientation
+            return self._on(i, t)
+        a, d = self._at(i, p, q)
+        return Fraction(a + n * self.orientation * d, d)
 
-    def apply(self, p: Fraction) -> Fraction:
-        return _wrap1(self.lift_at(p))
+    def apply(self, t: Fraction) -> Fraction:
+        """L(t) mod 1; t itself where it lies in [0, 1) on an identity
+        segment."""
+        q = t.denominator
+        p = t.numerator % q
+        i = self._seg(p, q)
+        form = self._form(i)
+        if form is _IDENTITY_FORM:
+            return t if p == t.numerator else Fraction(p, q)
+        a, b, c = form
+        d = c * q
+        return Fraction((a * p + b * q) % d, d)
 
     def _inverse(self) -> "PLCircleHomeo":
         """Each break (x, y) lies on the inverse lift as (y - n, x - s*n),
@@ -433,9 +496,11 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
     g_inv = g.invert()
 
     def through(b):
-        t = g_inv.lift_at(b[0])
-        n = t.numerator // t.denominator
-        return t - n, b[1] - s * n
+        u = b[0]  # in [0, 1)
+        p, q = u.numerator, u.denominator
+        a, d = g_inv._at(g_inv._seg(p, q), p, q)
+        n = a // d
+        return Fraction(a - n * d, d), b[1] - s * n
 
     pts, added = _compose_breaks(g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through)
     return PLCircleHomeo(tuple(pts), s, _added=added)
@@ -568,13 +633,13 @@ def sup_distance(f: FactorHomeo, g: FactorHomeo):
         return _cylinder_distance(f, g)
     if isinstance(f, PLLineHomeo) and isinstance(g, PLLineHomeo):
         # f - g is PL and 0 outside the breaks; the metric min(|.|, 1) caps it
-        gaps = _gaps_at_merged_breaks(f, g)
-        return min(max(map(abs, gaps), default=ZERO), ONE)
+        return _line_sup(_gaps_at_merged_breaks(f, g))
     if isinstance(f, PLCircleHomeo) and isinstance(g, PLCircleHomeo):
         gaps = _gaps_at_merged_breaks(f, g)
         # at 1; equal orientations leave gaps[0] as it is
+        n, d = gaps[0]
         gaps.append(gaps[0] if f.orientation == g.orientation
-                    else gaps[0] + f.orientation - g.orientation)
+                    else (n + (f.orientation - g.orientation) * d, d))
         return _arc_sup(gaps)
     raise UnsupportedOperation("cannot compare these homeomorphism kinds")
 
@@ -602,8 +667,9 @@ def _cylinder_distance(f: CylinderHomeo, g: CylinderHomeo) -> Fraction:
 
 
 def _gaps_at_merged_breaks(f, g) -> list:
-    """f - g at the sorted union of both maps' break abscissas; each map is
-    evaluated only at the other's breaks, and f - g is linear in between.
+    """f - g at the sorted union of both maps' break abscissas, each gap an
+    unreduced pair (n, d) of ints with d > 0; each map is evaluated only at
+    the other's breaks, and f - g is linear in between.
 
     The walk needs no search: a break of one map strictly between the
     other's breaks j - 1 and j lies on the other's segment j - 1.  Past the
@@ -621,50 +687,72 @@ def _gaps_at_merged_breaks(f, g) -> list:
         p, q = fb[i], gb[j]
         if p is q:
             if not run:
-                gaps.append(ZERO)
+                gaps.append((0, 1))
                 run = True
             i += 1
             j += 1
             continue
         run = False
         (x, y), (u, v) = p, q
-        if x == u:
-            gaps.append(y - v)
+        xn, xd, un, ud = x.numerator, x.denominator, u.numerator, u.denominator
+        if xn == un and xd == ud:
+            gaps.append(_minus(y.numerator, y.denominator, v.numerator, v.denominator))
             i += 1
             j += 1
-        elif x < u:
-            gaps.append(y - g._on(j - 1, x) if j else y - x)
+        elif xn * ud < un * xd:
+            gaps.append(_minus(y.numerator, y.denominator, *(g._at(j - 1, xn, xd) if j else (xn, xd))))
             i += 1
         else:
-            gaps.append(f._on(i - 1, u) - v if i else u - v)
+            gaps.append(_minus(*(f._at(i - 1, un, ud) if i else (un, ud)), v.numerator, v.denominator))
             j += 1
     if isinstance(f, PLCircleHomeo):
-        gaps.extend(y - g._on(j - 1, x) for x, y in fb[i:])
-        gaps.extend(f._on(i - 1, u) - v for u, v in gb[j:])
+        gaps.extend(_minus(y.numerator, y.denominator, *g._at(j - 1, x.numerator, x.denominator))
+                    for x, y in fb[i:])
+        gaps.extend(_minus(*f._at(i - 1, u.numerator, u.denominator), v.numerator, v.denominator)
+                    for u, v in gb[j:])
     else:
-        gaps.extend(y - x for x, y in fb[i:])
-        gaps.extend(u - v for u, v in gb[j:])
+        gaps.extend(_minus(y.numerator, y.denominator, x.numerator, x.denominator) for x, y in fb[i:])
+        gaps.extend(_minus(u.numerator, u.denominator, v.numerator, v.denominator) for u, v in gb[j:])
     return gaps
+
+
+def _minus(a: int, b: int, c: int, d: int) -> tuple:
+    """a/b - c/d, for b, d > 0, as the unreduced pair (a*d - c*b, b*d)."""
+    return a * d - c * b, b * d
+
+
+def _line_sup(gaps: list) -> Fraction:
+    """min(max |n/d|, 1) over the gap pairs, found on integers."""
+    best_n, best_d = 0, 1
+    for n, d in gaps:
+        n = abs(n)
+        if n * best_d > best_n * d:
+            best_n, best_d = n, d
+    if best_n >= best_d:
+        return ONE
+    return Fraction(best_n, best_d) if best_n else ZERO
 
 
 def _arc_sup(gaps: list) -> Fraction:
     """Largest arc distance to 0 of a function linear between consecutive
-    gaps: 1/2 when a segment crosses a half-integer, else it sits at an end.
+    gaps, each an unreduced pair (n, d) with d > 0: 1/2 when a segment
+    crosses a half-integer, else it sits at an end.
 
-    For d > 0, k(n/d) = (2n - d) // 2d is the m for which m + 1/2 is the
-    greatest half-integer up to n/d.  A segment crosses a half-integer
-    above its lower end, which the ends cover, iff its two end gaps have
-    different k; so some segment does iff the gaps do not all share one k.
+    Both steps read n/d through floor division and the remainder mod d,
+    which scale with the pair, so a pair need not be reduced.  For d > 0,
+    k(n/d) = (2n - d) // 2d is the m for which m + 1/2 is the greatest
+    half-integer up to n/d.  A segment crosses a half-integer above its
+    lower end, which the ends cover, iff its two end gaps have different k;
+    so some segment does iff the gaps do not all share one k.
 
     Otherwise the arc distance of n/d is a/d, a = min(n mod d, d - n mod d),
     and the largest is found by comparing a*d' with a'*d on integers; it is
     built as a Fraction once, at the end."""
-    if len({(2 * g.numerator - g.denominator) // (2 * g.denominator) for g in gaps}) > 1:
+    if len({(2 * n - d) // (2 * d) for n, d in gaps}) > 1:
         return HALF
     best_a, best_d = 0, 1
-    for g in gaps:
-        d = g.denominator
-        a = g.numerator % d
+    for n, d in gaps:
+        a = n % d
         if 2 * a > d:
             a = d - a
         if a * best_d > best_a * d:
@@ -682,9 +770,6 @@ def homeo_from_descriptor(desc: dict) -> FactorHomeo:
             binary = desc["kind"] == "cantor"
             table = {tuple(k): tuple(v) for k, v in desc["table"]}
             masks = {tuple(k): _load_symseq(m, binary) for k, m in desc["masks"]}
-            for p in (*table, *table.values(), *masks):
-                if not _are_symbols(p, 0, binary):
-                    raise ValueError(f"{list(p)} is not a {desc['kind']} symbol prefix")
             return CylinderHomeo(space, desc["depth"], table, masks)
         if t == "pl_line":
             return PLLineHomeo(
@@ -755,7 +840,7 @@ def _realize_seq(factor, sigma: dict) -> CylinderHomeo:
     for s, d in zip(unmatched_src, unmatched_dst):
         if s != d:
             table[s] = d
-    return CylinderHomeo(factor, depth, table, masks)
+    return CylinderHomeo(factor, depth, table, masks, _checked=True)
 
 
 def _realize_line(sigma: dict) -> PLLineHomeo:

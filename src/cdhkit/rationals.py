@@ -50,9 +50,5 @@ def bound_exponent(eps: Fraction) -> int:
     PreconditionError."""
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, not {eps}")
-    n = 0
-    value = ONE
-    while value >= eps:
-        value /= 2
-        n += 1
-    return n
+    # 2^-N < p/q iff 2^N > q/p iff 2^N > q // p, as 2^N is an int
+    return (eps.denominator // eps.numerator).bit_length()

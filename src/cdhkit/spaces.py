@@ -340,8 +340,27 @@ class BaireSpace(_SeqSpace):
 
 def _wrap1(x: Fraction) -> Fraction:
     """The representative of x mod 1 in [0, 1); x itself if it is one."""
-    q = x.numerator // x.denominator
-    return x - q if q else x
+    n, d = x.numerator, x.denominator
+    return x if 0 <= n < d else Fraction(n % d, d)
+
+
+def _circle_op(a: Fraction, b: Fraction) -> Fraction:
+    """a + b mod 1, read off the numerators and denominators."""
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    d = q * s
+    return Fraction((p * s + r * q) % d, d)
+
+
+def _circle_inv(a: Fraction) -> Fraction:
+    """-a mod 1."""
+    d = a.denominator
+    return Fraction(-a.numerator % d, d)
+
+
+def _circle_gap(x: Fraction, y: Fraction) -> tuple:
+    """x - y mod 1 as an unreduced pair (n, d), 0 <= n < d."""
+    d = x.denominator * y.denominator
+    return (x.numerator * y.denominator - y.numerator * x.denominator) % d, d
 
 
 def _is_number(x) -> bool:
@@ -353,19 +372,19 @@ class CircleSpace(FactorSpace):
     is_point = staticmethod(_is_number)
     group = GroupOps(
         identity=Fraction(0),
-        op=lambda a, b: _wrap1(a + b),
-        inv=lambda a: _wrap1(-a),
+        op=_circle_op,
+        inv=_circle_inv,
     )
 
     def base_point(self):
         return Fraction(0)
 
     def metric(self, x: Fraction, y: Fraction) -> Fraction:
-        f = _wrap1(x - y)
-        return min(f, 1 - f)
+        n, d = _circle_gap(x, y)
+        return Fraction(min(n, d - n), d)
 
     def points_equal(self, x, y):
-        return _wrap1(x - y) == 0
+        return _circle_gap(x, y)[0] == 0
 
     def ser_point(self, x):
         return format_scalar(x)

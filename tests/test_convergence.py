@@ -42,7 +42,9 @@ from cdhkit.spaces import (
     LINE,
     CoordwiseStage,
     DiscSpace,
+    ProductPoint,
     ProductSpace,
+    ProductStage,
     SymSeq,
     factor_from_descriptor,
 )
@@ -259,6 +261,55 @@ def test_partials_take_every_upto_from_minus_one_to_the_last_stage():
         assert y == cert.stages[upto].apply(cert.partial(x, upto - 1))
         assert cert.partial_inv(y, upto) == x
     assert cert.partial(x, 2) == cert.apply(x)
+
+
+def _inverse_walk(cert, x, upto):
+    """H_upto^-1(x) through every stage inverse, from h_upto down to h_0."""
+    for h in reversed(cert.stages[: upto + 1]):
+        x = (h.inverse() if isinstance(h, ProductStage) else h.invert()).apply(x)
+    return x
+
+
+def _inverse_case(name):
+    """A certificate, points to invert at, and which inverse partial it
+    keeps: H_last^-1, an older one, or none."""
+    rng = random.Random(8)
+    cantor = [_random_seq(rng) for _ in range(4)]
+    if name == "circle":
+        return _exact_circle_chain(12), [F(0), F(1, 3), F(17, 64), F(-5, 4), F(63, 64)], "kept"
+    if name == "line":
+        return _exact_line_chain(12), [F(0), F(-1, 3), F(17, 64), F(5, 4), F(-63, 64)], "kept"
+    if name == "cantor":
+        return _alternating_cantor_chain(12), cantor, "kept"
+    if name == "cantor-isometry-last":
+        return _alternating_cantor_chain(13), cantor, "older"
+    space, repair = _circle_line_repair()
+    xs = [space.point({0: F(1, 3), 1: F(-2, 5)}), space.point({0: F(1, 2), 1: F(1, 2)})]
+    return repair.certificate, xs, "none"
+
+
+@pytest.mark.parametrize("name", ["circle", "line", "cantor", "cantor-isometry-last", "product"])
+def test_inverse_partials_equal_the_stage_walk_at_every_upto(name):
+    cert, xs, mat = _inverse_case(name)
+    last = cert.last_index
+    assert mat == ("none" if cert._mat is None else "kept" if cert._mat[1] == last else "older")
+
+    def value(p):
+        # product points compare by their coordinates
+        return tuple(p.coord(a) for a in range(p.space.count)) if isinstance(p, ProductPoint) else p
+
+    for x in xs:
+        walks = [value(_inverse_walk(cert, x, upto)) for upto in range(-1, last + 1)]
+        for upto in range(-1, last + 1):
+            assert value(cert.partial_inv(x, upto)) == walks[upto + 1], (name, upto)
+        assert value(cert.apply_inv(x)) == walks[-1]
+        for j in range(-2, last + 1):
+            # eps = 2^-j cuts off at stage N = max(1, j + 2), or at the last one
+            cut = min(max(1, j + 2), last)
+            assert value(cert.limit_inv_eval(x, pow2(-j)).value) == walks[cut + 1], (name, j)
+        for upto in (-2, last + 1, True, 1.0):
+            with pytest.raises(PreconditionError, match="upto must be an int"):
+                cert.partial_inv(x, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +616,24 @@ def test_exact_chain_builds_one_inverse_per_partial(monkeypatch):
 def test_exact_appends_touch_only_what_each_stage_moves(monkeypatch):
     stages = _exact_circle_chain(48).stages
     calls = []
-    on = homeos.PLCircleHomeo._on
 
-    def counted(*args):
-        calls.append(1)
-        return on(*args)
+    def counting(evaluate):
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+        return counted
 
-    monkeypatch.setattr(homeos.PLCircleHomeo, "_on", counted)
+    # the two segment evaluators: `_at` for the merged-break walk and the
+    # composite's breaks, `_on` for `lift_at` inside [0, 1)
+    for name in ("_at", "_on"):
+        monkeypatch.setattr(homeos.PLCircleHomeo, name, counting(getattr(homeos.PLCircleHomeo, name)))
     cert = ConvergenceCertificate(CIRCLE)
     for h in stages:
         cert = cert.append(h)
     assert [e.method for e in cert.entries[1:]] == ["exact"] * 47
     # H_n^-1 holds about 3n breaks, but a stage moves only the few inside
     # its support: a bounded number of evaluations per append, not O(n)
-    assert len(calls) <= 12 * len(stages)
+    assert 0 < len(calls) <= 12 * len(stages)
 
 
 def _alternating_cantor_chain(length: int) -> ConvergenceCertificate:

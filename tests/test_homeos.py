@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -185,9 +186,11 @@ _gap_values = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_gap_values, min_size=1, max_size=8))
+@given(st.lists(st.tuples(_gap_values, st.integers(1, 1 << 40)), min_size=1, max_size=8))
 def test_arc_sup_matches_the_fraction_formula(gaps):
-    assert homeos._arc_sup(gaps) == _arc_sup_in_fractions(gaps)
+    # `_arc_sup` reads unreduced pairs: each gap n/d is passed as (k*n, k*d)
+    pairs = [(k * g.numerator, k * g.denominator) for g, k in gaps]
+    assert homeos._arc_sup(pairs) == _arc_sup_in_fractions([g for g, _ in gaps])
 
 
 @pytest.mark.parametrize("factor", [CANTOR, BAIRE, CIRCLE, LINE])
@@ -286,8 +289,39 @@ def test_segments_evaluate_through_one_kept_form(m, ts):
         for t in [x0, (2 * x0 + x1) / 3, x1, math.floor(x0), *ts]:
             first = m._on(i, t)
             assert first == m._on(i, t) == y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+            n, d = m._at(i, t.numerator, t.denominator)
+            assert d > 0 and F(n, d) == first
             if x0 == y0 and x1 == y1:
                 assert first is t
+
+
+def _segment_ends(m) -> list:
+    ends = list(m.breaks[1:])
+    if isinstance(m, PLCircleHomeo):
+        ends.append((F(1), m.breaks[0][1] + m.orientation))
+    return list(zip(m.breaks, ends))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_circle_maps(), _line_maps()),
+       st.lists(st.one_of(_SEGMENT_POINTS, st.fractions(-5, 5, max_denominator=1 << 80)), max_size=6))
+def test_segment_search_and_apply_match_the_fraction_formulas(m, ts):
+    xs = [x for x, _ in m.breaks]
+    segments = _segment_ends(m)
+    for t in [*xs, *(x - F(1, 1 << 70) for x in xs), *ts]:
+        r = t - math.floor(t) if isinstance(m, PLCircleHomeo) else t
+        i = bisect.bisect_right(xs, r) - 1
+        assert m._seg(r.numerator, r.denominator) == i
+        if isinstance(m, PLCircleHomeo):
+            (x0, y0), (x1, y1) = segments[i]
+            lift = y0 + (r - x0) * (y1 - y0) / (x1 - x0) + math.floor(t) * m.orientation
+            assert m.lift_at(t) == lift
+            assert m.apply(t) == lift - math.floor(lift)
+        elif 0 <= i < len(segments):
+            (x0, y0), (x1, y1) = segments[i]
+            assert m.apply(t) == y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+        else:
+            assert m.apply(t) is t
 
 
 def test_line_pl_apply_and_invert_exact():
@@ -946,6 +980,43 @@ def test_cylinder_prefixes_holding_non_symbols_are_refused(kind, bad):
     good = {**_cyl(1, [[[0], [1]], [[1], [0]]]), "kind": kind}
     h = homeo_from_descriptor(good)
     assert h.descriptor() == good and h.apply(SymSeq((0, 1), 0)) == SymSeq((1, 1), 0)
+
+
+@pytest.mark.parametrize("space, table, masks, message", [
+    (CANTOR, {(2,): (0,), (0,): (2,)}, {}, "not a cantor symbol prefix"),
+    (CANTOR, {(0,): (1,), (1,): (0,)}, {(2,): SymSeq((1,), 0)}, "not a cantor symbol prefix"),
+    (CANTOR, {(True,): (0,), (0,): (True,)}, {}, "not a cantor symbol prefix"),
+    (CANTOR, {(0,): (1,), (1,): (0,)}, {(0,): "ab"}, "is not a cantor sequence"),
+    (CANTOR, {}, {(0,): SymSeq((2,), 0)}, "is not a cantor sequence"),
+    (CANTOR, {}, {(0,): (1, 0)}, "is not a cantor sequence"),
+    (BAIRE, {(0.5,): (1,), (1,): (0.5,)}, {}, "not a baire symbol prefix"),
+    (BAIRE, {}, {(0,): [3]}, "is not a baire sequence"),
+], ids=["table-2", "mask-key-2", "table-bool", "mask-str", "mask-symbol-2", "mask-tuple",
+        "baire-table-float", "baire-mask-list"])
+def test_cylinder_constructor_refuses_symbols_and_masks_not_of_its_kind(space, table, masks, message):
+    with pytest.raises(ValueError, match=message):
+        CylinderHomeo(space, 1, table, masks)
+
+
+def test_cylinder_constructor_takes_any_int_baire_mask_and_identity_entries():
+    h = CylinderHomeo(BAIRE, 1, {(3,): (3,)}, {(0,): SymSeq((-2, 5), -1)})
+    assert h.table == {} and h.apply(SymSeq((0, 1), 0)) == SymSeq((0, -1, 5), -1)
+
+
+def test_maps_built_from_valid_maps_skip_the_symbol_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("symbols checked again")
+
+    g = CylinderHomeo(CANTOR, 1, {(0,): (1,), (1,): (0,)}, {(0,): SymSeq((1,), 0)})
+    h = CylinderHomeo(CANTOR, 2, {(0, 0): (0, 1), (0, 1): (0, 0)})
+    a, b = SymSeq((0, 1, 1), 0), SymSeq((1, 0), 1)
+    monkeypatch.setattr(homeos, "_check_cylinder_data", refuse)
+    gh = compose(g, h)
+    assert gh.apply(a) == h.apply(g.apply(a))
+    assert g.lift(3).apply(a) == g.apply(a) and g.invert().apply(g.apply(a)) == a
+    assert realize_finite_bijection(CANTOR, {a: b, b: a}).apply(a) == b
+    with pytest.raises(AssertionError, match="checked again"):
+        CylinderHomeo(CANTOR, 1, {(0,): (1,), (1,): (0,)})
 
 
 def test_malformed_homeo_descriptors_raise_typed_errors():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from operator import add, xor
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from cdhkit.errors import IndexRange, PreconditionError, SpaceMismatch, UnsupportedOperation
 from cdhkit.homeos import PLCircleHomeo
-from cdhkit.rationals import floor_pow2, pow2
+from cdhkit.rationals import bound_exponent, floor_pow2, pow2
 from cdhkit.spaces import (
     BAIRE,
     CANTOR,
@@ -178,6 +179,30 @@ def test_floor_pow2_brackets_its_argument(x):
     p = floor_pow2(x)
     assert p <= x < 2 * p
     assert p in (pow2(n) for n in range(-110, 110))
+
+
+def _bound_exponent_by_halving(eps):
+    """The halving loop `bound_exponent` replaced, kept as a reference."""
+    n, value = 0, F(1)
+    while value >= eps:
+        value /= 2
+        n += 1
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(0, 4, max_denominator=1 << 80), st.integers(1, 9),
+                 st.integers(-90, 3).map(pow2)).filter(lambda eps: eps > 0))
+def test_bound_exponent_matches_the_halving_loop(eps):
+    n = bound_exponent(eps)
+    assert n == _bound_exponent_by_halving(eps)
+    assert pow2(-n) < eps and (n == 0 or pow2(-(n - 1)) >= eps)
+
+
+@pytest.mark.parametrize("eps", [F(0), 0, F(-1, 3), -2])
+def test_bound_exponent_refuses_an_eps_not_positive(eps):
+    with pytest.raises(PreconditionError, match="eps must be positive"):
+        bound_exponent(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +659,33 @@ def test_wrap1_returns_a_canonical_argument_itself():
     for x in (F(0), F(1, 2), F(63, 64), F(10**40 - 1, 10**40), 0):
         assert _wrap1(x) is x
     assert _wrap1(F(5, 4)) == F(1, 4) and _wrap1(F(-3, 4)) == F(1, 4) and _wrap1(1) == 0
+
+
+def _wrap_in_fractions(x):
+    """x mod 1 by the Fraction formula the integer circle kernels replaced,
+    kept as a reference."""
+    return F(x) - math.floor(x)
+
+
+# raw values: ints, values outside [0, 1), negatives, denominators up to 2^80
+_raw_circle_values = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(-5, 5, max_denominator=64),
+    st.fractions(-5, 5, max_denominator=1 << 80),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_circle_values, _raw_circle_values)
+def test_circle_kernels_match_their_fraction_formulas(x, y):
+    f = _wrap_in_fractions(F(x) - F(y))
+    assert CIRCLE.group.op(x, y) == _wrap_in_fractions(F(x) + F(y))
+    assert CIRCLE.group.inv(x) == _wrap_in_fractions(-F(x))
+    assert CIRCLE.metric(x, y) == min(f, 1 - f)
+    assert CIRCLE.points_equal(x, y) is (f == 0)
+    assert _wrap1(x) == _wrap_in_fractions(x)
+    # a value and its shift by whole turns are one point
+    assert CIRCLE.points_equal(x, x + 3) and CIRCLE.points_equal(x - 2, x)
 
 
 def test_point_serialization_round_trip_bit_exact():

@@ -92,6 +92,31 @@ def test_classtimes_names_the_class_at_each_rank():
     assert all(label in classes for _, _, label in ranks)
 
 
+def test_classtimes_compares_a_checkout_with_itself_in_one_pair():
+    root = str(_TOOLS.parent)
+    out = subprocess.run([sys.executable, str(_TOOLS / "classtimes.py"), "--root", root,
+                          "--base", root, "--pairs", "1", "--workload", "repair", "--seed", "1",
+                          "--rounds", "1"], check=True, capture_output=True, text=True).stdout.splitlines()
+    assert out[0].startswith("# repair seed=1: 1 pairs of 1 rounds")
+    assert out[1].split()[2:] == [word for op in ("build", "verify", "eval")
+                                  for word in (op, "base", op, "head", "ratio")]
+    rows = [line.split() for line in out[2:]]
+    assert [row[0] for row in rows] == ["repair-6", "repair-7", "repair-8"]
+    for label, base_jobs, head_jobs, *cells in rows:
+        assert base_jobs == head_jobs == ("1" if label == "repair-6" else "2")
+        for base, head, ratio in zip(cells[::3], cells[1::3], cells[2::3]):
+            assert float(base) > 0 and float(head) > 0
+            assert float(ratio) == pytest.approx(float(head) / float(base), rel=0.01)
+
+
+def test_classtimes_refuses_fewer_than_one_pair(capsys):
+    with pytest.raises(SystemExit) as info:
+        _load("classtimes").main(["--root", ".", "--base", ".", "--pairs", "0", "--workload", "repair",
+                                  "--seed", "1", "--rounds", "1"])
+    assert info.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
 def test_outhash_defaults_to_seed_1_and_hashes_each_seed():
     root = _TOOLS.parent
 

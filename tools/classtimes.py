@@ -1,6 +1,8 @@
 """Times of each job class of one benchmark workload.
 
     python3 tools/classtimes.py --root DIR --workload W --seed K --rounds N
+    python3 tools/classtimes.py --root DIR --base DIR --pairs P \
+        --workload W --seed K --rounds N
 
 Runs one warm-up job, then every job of rounds 0 .. N-1 under seed K of
 workload W in `DIR/cdhbench/workloads.py`, against the library in
@@ -17,13 +19,22 @@ class of the job at the nearest-rank p50 and p75 of all jobs, as
 of the jobs ranked just below and above it.  A rank next to a job of
 another class sits on the edge of its class.  Nothing under `cdhbench/` is
 changed.
+
+With `--base`, the base checkout and the `--root` checkout (the head) are
+timed in turn, P pairs of runs, the base first in even pairs and the head
+first in odd ones.  Each run is a subprocess of its own, since both
+checkouts import `cdhkit`.  It prints each class's job count per side and,
+for build, verify and eval, the base's and the head's median over all the
+pairs' jobs and their ratio, head over base.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,40 +60,95 @@ def rank_lines(rows: list) -> list:
     return lines
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--root", type=Path, required=True, help="checkout whose src/ and cdhbench/ run")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--rounds", type=int, required=True)
-    args = ap.parse_args(argv)
-    if args.rounds < 1:
-        ap.error(f"--rounds must be at least 1, not {args.rounds}")
-    root = args.root.resolve()
-    if not (root / "src" / "cdhkit").is_dir() or not (root / "cdhbench" / "workloads.py").is_file():
-        sys.exit(f"{root} holds no src/cdhkit or cdhbench/workloads.py")
+def job_rows(root: Path, workload: str, seed: int, rounds: int) -> list:
+    """(label, {op: scaled seconds}) for every job of the rounds, timed in
+    this process against `root`'s library and benchmark code."""
     sys.path[:0] = [str(root / "src"), str(root / "cdhbench")]
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # as cdhbench/run.py: some values pass the default limit
     import run
     import workloads
 
-    if args.workload not in workloads.WORKLOADS:
-        sys.exit(f"unknown workload {args.workload!r}: one of {', '.join(workloads.WORKLOADS)}")
-    wl = workloads.WORKLOADS[args.workload]
+    if workload not in workloads.WORKLOADS:
+        sys.exit(f"unknown workload {workload!r}: one of {', '.join(workloads.WORKLOADS)}")
+    wl = workloads.WORKLOADS[workload]
     run.run_job(wl, wl.warmup())
-    results = [r for index in range(args.rounds)
-               for r in run.measure(wl, wl.round(args.seed, index))[0]]
+    results = [r for index in range(rounds) for r in run.measure(wl, wl.round(seed, index))[0]]
     by_op = {op: run.op_times(results, op) for op in OPS}
-    rows = [(r.label, {op: by_op[op][k] for op in OPS}) for k, r in enumerate(results)]
+    return [(r.label, {op: by_op[op][k] for op in OPS}) for k, r in enumerate(results)]
+
+
+def class_medians(rows: list) -> dict:
+    """{label: (job count, {op: median seconds})} of `rows`."""
+    out = {}
+    for label in sorted({label for label, _ in rows}):
+        mine = [times for name, times in rows if name == label]
+        out[label] = (len(mine), {op: statistics.median(t[op] for t in mine) for op in OPS})
+    return out
+
+
+def child_rows(root: Path, args) -> list:
+    """`job_rows` of `root`, run in a subprocess of this script."""
+    cmd = [sys.executable, __file__, "--root", str(root), "--workload", args.workload,
+           "--seed", str(args.seed), "--rounds", str(args.rounds), "--rows"]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+    return [tuple(row) for row in json.loads(out)]
+
+
+def compare(base: Path, head: Path, args) -> None:
+    rows = {"base": [], "head": []}
+    for i in range(args.pairs):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            rows[side] += child_rows(base if side == "base" else head, args)
+    med = {side: class_medians(rows[side]) for side in rows}
+    print(f"# {args.workload} seed={args.seed}: {args.pairs} pairs of {args.rounds} rounds, "
+          f"base {base.name}, head {head.name}; median scaled seconds per class")
+    print(f"{'class':12s} {'jobs':>9s}" + "".join(
+        f" {op + ' base':>12s} {op + ' head':>12s} {'ratio':>6s}" for op in OPS))
+    for label in sorted(set(med["base"]) | set(med["head"])):
+        (nb, b), (nh, h) = (med[side].get(label, (0, None)) for side in ("base", "head"))
+        cells = "".join(
+            f" {'-':>12s} {'-':>12s} {'-':>6s}" if b is None or h is None
+            else f" {b[op]:12.6f} {h[op]:12.6f} {h[op] / b[op] if b[op] else math.nan:6.3f}"
+            for op in OPS)
+        print(f"{label:12s} {nb:4d} {nh:4d}{cells}")
+
+
+def _checkout(root: Path) -> Path:
+    root = root.resolve()
+    if not (root / "src" / "cdhkit").is_dir() or not (root / "cdhbench" / "workloads.py").is_file():
+        sys.exit(f"{root} holds no src/cdhkit or cdhbench/workloads.py")
+    return root
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", type=Path, required=True, help="checkout whose src/ and cdhbench/ run")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--rounds", type=int, required=True)
+    ap.add_argument("--base", type=Path, help="a second checkout, timed in turn with --root")
+    ap.add_argument("--pairs", type=int, default=1, help="pairs of runs with --base")
+    ap.add_argument("--rows", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error(f"--rounds must be at least 1, not {args.rounds}")
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, not {args.pairs}")
+    root = _checkout(args.root)
+    if args.base is not None:
+        compare(_checkout(args.base), root, args)
+        return 0
+    rows = job_rows(root, args.workload, args.seed, args.rounds)
+    if args.rows:
+        print(json.dumps(rows))
+        return 0
 
     print(f"# {args.workload} seed={args.seed}: {args.rounds} rounds, {len(rows)} jobs, "
           f"median scaled seconds per class")
     print(f"{'class':12s} {'jobs':>4s}" + "".join(f" {op:>10s}" for op in OPS))
-    for label in sorted({label for label, _ in rows}):
-        mine = [times for name, times in rows if name == label]
-        cells = "".join(f" {statistics.median(t[op] for t in mine):10.5f}" for op in OPS)
-        print(f"{label:12s} {len(mine):4d}{cells}")
+    for label, (count, times) in class_medians(rows).items():
+        print(f"{label:12s} {count:4d}" + "".join(f" {times[op]:10.5f}" for op in OPS))
     print("\n".join(rank_lines(rows)))
     return 0
 
