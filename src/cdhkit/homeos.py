@@ -27,11 +27,14 @@ Maps are immutable: nothing assigns to their fields after construction.  So
 `invert()` builds a map's inverse once, keeps it, and links it back to the
 map, and h.invert().invert() is h; a PL map reads its moved arcs off its
 breaks once; and maps may share break tuples, which `sup_distance` reads as
-gaps of 0.  For the same reason a PL map has one evaluator, `_on`, which
-reads each segment through an integer form built on first use and kept, and
-builds each value as one Fraction; `apply`, `lift_at` and the break walk of
-`sup_distance` all go through it, and `_arc_sup` reads the walk's gaps on
-integers too.  A composite's constructor compares only the break pairs the
+gaps of 0.  For the same reason a PL map reads each segment through an
+integer form, built on first use and kept.  Evaluation runs on numerators
+and denominators: the segment search compares p * x_d with x_n * q, and
+`apply`, `lift_at` and the composite's new breaks build at most one
+Fraction per returned value, with a circle value wrapped by `%`.  The break
+walk of `sup_distance` gives its gaps as unreduced integer pairs, which
+`_arc_sup` and the line cap read without building a Fraction until the
+result.  A composite's constructor compares only the break pairs the
 composition added, since every other pair is one its second map's
 constructor checked (see `_compose_breaks`).  `identity_for` returns one
 shared map per kind.

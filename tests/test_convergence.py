@@ -275,14 +275,21 @@ def _inverse_case(name):
     keeps: H_last^-1, an older one, or none."""
     rng = random.Random(8)
     cantor = [_random_seq(rng) for _ in range(4)]
+
+    def moved(cert):
+        # points inside each cylinder some stage moves
+        return cantor + [SymSeq(c, 1) for h in cert.stages for c in h.table]
+
     if name == "circle":
         return _exact_circle_chain(12), [F(0), F(1, 3), F(17, 64), F(-5, 4), F(63, 64)], "kept"
     if name == "line":
         return _exact_line_chain(12), [F(0), F(-1, 3), F(17, 64), F(5, 4), F(-63, 64)], "kept"
     if name == "cantor":
-        return _alternating_cantor_chain(12), cantor, "kept"
+        cert = _alternating_cantor_chain(12)
+        return cert, moved(cert), "kept"
     if name == "cantor-isometry-last":
-        return _alternating_cantor_chain(13), cantor, "older"
+        cert = _alternating_cantor_chain(13)
+        return cert, moved(cert), "older"
     space, repair = _circle_line_repair()
     xs = [space.point({0: F(1, 3), 1: F(-2, 5)}), space.point({0: F(1, 2), 1: F(1, 2)})]
     return repair.certificate, xs, "none"

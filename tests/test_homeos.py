@@ -324,6 +324,24 @@ def test_segment_search_and_apply_match_the_fraction_formulas(m, ts):
             assert m.apply(t) is t
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(_circle_maps(), _circle_maps()), st.tuples(_line_maps(), _line_maps())),
+       st.integers(-3, 3))
+def test_sup_distance_matches_the_fraction_formula_at_merged_breaks(maps, shift):
+    f, g = maps
+    xs = sorted({x for x, _ in f.breaks} | {x for x, _ in g.breaks})
+    if isinstance(f, PLCircleHomeo):
+        # the lift of g moved by whole turns is the same circle map
+        g = PLCircleHomeo([(x, y + shift) for x, y in g.breaks], g.orientation)
+        want = _arc_sup_in_fractions([f.lift_at(x) - g.lift_at(x) for x in xs + [F(1)]])
+    else:
+        # stretched by 2^shift, so that gaps pass the cap of 1
+        g = PLLineHomeo([(x * pow2(shift), y * pow2(shift)) for x, y in g.breaks])
+        xs = sorted(set(xs) | {x for x, _ in g.breaks})
+        want = min(max((abs(f.apply(x) - g.apply(x)) for x in xs), default=F(0)), F(1))
+    assert sup_distance(f, g) == sup_distance(g, f) == want
+
+
 def test_line_pl_apply_and_invert_exact():
     h = PLLineHomeo([(F(-1), F(-1)), (F(0), F(1, 2)), (F(1), F(1))])
     assert h.apply(F(-1, 2)) == F(-1, 4)
