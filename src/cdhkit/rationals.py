@@ -51,4 +51,5 @@ def bound_exponent(eps: Fraction) -> int:
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, not {eps}")
     # 2^-N < p/q iff 2^N > q/p iff 2^N > q // p, as 2^N is an int
-    return (eps.denominator // eps.numerator).bit_length()
+    p, q = eps.as_integer_ratio()
+    return (q // p).bit_length()

@@ -197,6 +197,8 @@ def test_bound_exponent_matches_the_halving_loop(eps):
     n = bound_exponent(eps)
     assert n == _bound_exponent_by_halving(eps)
     assert pow2(-n) < eps and (n == 0 or pow2(-(n - 1)) >= eps)
+    # a float eps is read at its exact binary value
+    assert bound_exponent(float(eps)) == _bound_exponent_by_halving(F(float(eps)))
 
 
 @pytest.mark.parametrize("eps", [F(0), 0, F(-1, 3), -2])
