@@ -39,10 +39,10 @@ composition added, since every other pair is one its second map's
 constructor checked (see `_compose_breaks`).  `identity_for` returns one
 shared map per kind.
 
-`small_ball_transporter` builds a circle bump directly, from its three
-anchors and 0, when its support lies inside (0, 1); a support that reaches
-0, and the half turn, go through the generic realizer `_realize_circle`,
-which pins the lift.
+Transporters, realizers and inverses build circle maps in `_circle_through`
+from anchors (x, L(x)) whose fixed points read L(x) = x, so a fixed part does
+too and `_arcs` and `compose` keep to the support; so does a composite of maps
+whose lift displacements sum to less than 1.
 """
 
 from __future__ import annotations
@@ -859,43 +859,40 @@ def _realize_line(sigma: dict) -> PLLineHomeo:
 
 def _realize_circle(sigma: dict) -> PLCircleHomeo:
     items = sorted((_wrap1(k), _wrap1(v)) for k, v in sigma.items())
-    try:
-        return _circle_increasing(items)
-    except OrderViolation:
-        pass
-    # try the orientation-reversing reading: reflect the targets first
-    reflected = [(x, _wrap1(-y)) for x, y in items]
-    base = _circle_increasing(reflected)
-    reflection = PLCircleHomeo(((Fraction(0), Fraction(0)),), -1)
-    return _compose_pl_circle(base, reflection)
-
-
-def _circle_increasing(items) -> PLCircleHomeo:
-    """Orientation-preserving PL map through cyclically ordered pairs."""
     if len(items) == 1:
-        (x, y) = items[0]
-        return PLCircleHomeo(((Fraction(0), _wrap1(y - x)),), 1)
-    lifts = [items[0][1]]
+        return PLCircleHomeo(((ZERO, _wrap1(items[0][1] - items[0][0])),), 1)
+    try:
+        return _circle_monotone(items, 1)
+    except OrderViolation:
+        return _circle_monotone(items, -1)
+
+
+def _circle_monotone(items: list, s: int) -> PLCircleHomeo:
+    """The PL map through pairs with distinct targets, sorted by source in
+    [0, 1), whose lift increases (s = 1) or decreases (s = -1), else
+    OrderViolation.  The first lift is x0 + ((y0 - x0 + 1/2) mod 1) - 1/2 and
+    each next one the nearest in direction s; then whole turns pin L(x) = x
+    at a fixed pair, and for s = 1 at all: x < x' < x + 1 gives x < L(x') < x + 1."""
+    x0, y0 = items[0]
+    lifts = [x0 + (y0 - x0 + HALF) % 1 - HALF]
     for _, y in items[1:]:
-        w = _wrap1(y - lifts[-1])
-        if w == 0:
-            raise OrderViolation("duplicate target on the circle", witness=y)
-        lifts.append(lifts[-1] + w)
-    if lifts[-1] >= lifts[0] + 1:
-        raise OrderViolation(
-            "cyclic order of targets is incompatible with an orientation-preserving map",
-            witness=items,
-        )
-    return _circle_through([(x, y) for (x, _), y in zip(items, lifts)], 1)
+        lifts.append(lifts[-1] + s * _wrap1(s * (y - lifts[-1])))
+    if s * (lifts[-1] - lifts[0]) >= 1:
+        raise OrderViolation(f"cyclic order of targets is not {'kept' if s == 1 else 'reversed'}",
+                             witness=items)
+    k = next((x - v for (x, y), v in zip(items, lifts) if x == y), 0)
+    return _circle_through([(x, v + k) for (x, _), v in zip(items, lifts)], s)
 
 
 def _circle_through(pts: list, orientation: int) -> PLCircleHomeo:
-    """PL circle map through (x, lift) pairs sorted in [0, 1); fills in 0 on the wrap segment."""
+    """The PL circle map through (x, L(x)) anchors sorted in [0, 1), and
+    through 0 on the wrap segment.  When the lift increases and the first
+    and last anchors are fixed, that segment is the identity and L(0) = 0
+    is not interpolated."""
     if pts[0][0] != 0:
-        x_prev, y_prev = pts[-1][0] - 1, pts[-1][1] - orientation
-        x_next, y_next = pts[0]
-        v0 = y_prev + (0 - x_prev) * (y_next - y_prev) / (x_next - x_prev)
-        pts = [(Fraction(0), v0)] + pts
+        (x0, y0), (x1, y1) = pts[-1], pts[0]
+        fixed = orientation == 1 and x0 == y0 and x1 == y1
+        pts = [(ZERO, ZERO if fixed else y1 - x1 * (y1 - y0 + orientation) / (x1 - x0 + 1))] + pts
     return PLCircleHomeo(pts, orientation)
 
 
@@ -911,10 +908,9 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
 
     On the circle, with c and t the center and the target mod 1 at distance
     d, h is the bump fixing c -+ r, r = (d + min(delta, 1/2))/2, and sending
-    c to t.  When [c - r, c + r] lies inside (0, 1) it is built directly as
-    the map through (0, 0), (c - r, c - r), (c, t) and (c + r, c + r);
-    otherwise, and for the half turn at d = 1/2, `_realize_circle` builds it
-    and pins its lift."""
+    c to t: the map through (c - r, c - r), (c, t) and (c + r, c + r), each
+    anchor turned into [0, 1) and t lifted the short way from c, so L(x) = x
+    off the support.  The half turn, d = 1/2, is the rotation by 1/2."""
     if not factor.exact:
         raise UnsupportedOperation(f"no transporter for kind {factor.kind}")
     _check_points(factor, (center, target))
@@ -934,14 +930,16 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
         if d == HALF:
             # the anchors center -+ r would coincide; as d < delta, the ball
             # is the whole circle, and the rotation by 1/2 stays inside it
-            return _realize_circle({center: target})
+            return PLCircleHomeo(((ZERO, HALF),))
         r = (d + min(delta, HALF)) / 2
         c, t = _wrap1(center), _wrap1(target)
         lo, hi = c - r, c + r
-        if 0 < lo and hi < 1:
-            # t = c + e with |e| <= d < r: the bump through its anchors and 0
-            return PLCircleHomeo(((ZERO, ZERO), (lo, lo), (c, t), (hi, hi)))
-        return _realize_circle({center - r: center - r, center: target, center + r: center + r})
+        # t = c + e with |e| <= d < r, so t past hi or below lo is a turn off
+        if lo < 0:
+            return _circle_through([(c, t - 1 if t > hi else t), (hi, hi), (lo + 1, lo + 1)], 1)
+        if hi >= 1:
+            return _circle_through([(hi - 1, hi - 1), (lo, lo), (c, t + 1 if t < lo else t)], 1)
+        return _circle_through([(lo, lo), (c, t), (hi, hi)], 1)
     if isinstance(factor, LineSpace):
         # the metric caps at 1, so a gap of delta or more means delta > 1:
         # the ball is the whole line, and any bump wider than the gap fits

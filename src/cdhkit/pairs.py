@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, UnsupportedOperation
 from .rationals import pow2
 from .spaces import FactorSpace
 
@@ -213,7 +213,8 @@ def glue_pairs(x_desc: tuple, y_desc: tuple, points: Sequence[tuple]) -> GluedPa
     ball per grid pair, with disjoint closures.  Mixed pairs (x from one
     point, y from another) then always meet a chart, which is what the
     focus property needs.  Outside every chart both maps return their
-    first argument unchanged (the projection), bit-for-bit.
+    first argument unchanged (the projection), bit-for-bit.  Chart radii
+    shrink as 2^-(i*|B|), so on 7 or more points focus may fail: UnsupportedOperation.
     """
     x_kind, m = x_desc
     y_kind, n = y_desc
@@ -279,7 +280,7 @@ def glue_pairs(x_desc: tuple, y_desc: tuple, points: Sequence[tuple]) -> GluedPa
         charts=charts,
     )
     _audit_charts(glued)
-    _verify_focus(glued, a_pts, b_pts)
+    _verify_focus(glued, a_pts, b_pts, len(points))
     return glued
 
 
@@ -294,12 +295,13 @@ def _audit_charts(pair: GluedPair):
                 )
 
 
-def _verify_focus(pair: GluedPair, a_pts, b_pts):
+def _verify_focus(pair: GluedPair, a_pts, b_pts, count: int):
     for a in a_pts:
         for i, b1 in enumerate(b_pts):
             for b2 in b_pts[i + 1:]:
                 v1, v2 = pair.s(a, b1), pair.s(a, b2)
                 if vnorm(vsub(v1, v2)) <= _FOCUS_MARGIN:
-                    raise AssertionError(
-                        f"focus failure at x={a}: images of {b1} and {b2} collide"
+                    raise UnsupportedOperation(
+                        f"no glued pair focused on {count} points: at x={a} the images "
+                        f"of {b1} and {b2} lie within {_FOCUS_MARGIN} of each other"
                     )

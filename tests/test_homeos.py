@@ -694,8 +694,28 @@ def test_realize_circle_takes_exactly_the_order_keeping_or_reversing_data():
             except OrderViolation:
                 continue
             assert all(h.apply(k) == v for k, v in sigma.items())
+            assert {x for x, _ in h.breaks} <= {0, *pts}
             realized += 1
         assert realized == answered
+
+
+def test_realize_circle_builds_a_reversing_map_through_its_pairs():
+    # no reflection composed in: the breaks sit at 0 and at the sources
+    h = realize_finite_bijection(CIRCLE, {F(1, 8): F(3, 4), F(1, 3): F(1, 2), F(2, 3): F(1, 3)})
+    assert h.orientation == -1
+    assert [x for x, _ in h.breaks] == [0, F(1, 8), F(1, 3), F(2, 3)]
+
+
+@pytest.mark.parametrize("fixed, lift0, arcs", [
+    # the short way from 0 to 9/10, down by 1/10, reads 1/5 and 1/2 as fixed
+    ((F(1, 5), F(1, 2)), F(-1, 10), [(0, F(1, 5)), (F(1, 2), 1)]),
+    # here it would read 19/20 and 97/100 a turn down: a turn up pins them
+    ((F(19, 20), F(97, 100)), F(9, 10), [(0, F(19, 20)), (F(97, 100), 1)]),
+])
+def test_realize_circle_pins_the_lift_at_its_fixed_pairs(fixed, lift0, arcs):
+    h = realize_finite_bijection(CIRCLE, {F(0): F(9, 10), **{x: x for x in fixed}})
+    assert h.breaks == ((0, lift0), *((x, x) for x in fixed))
+    assert h._arcs == arcs
 
 
 def test_realize_rejects_non_injective():
@@ -818,17 +838,66 @@ def test_circle_transporter_is_the_realized_bump_through_its_anchors(args):
 
 
 @pytest.mark.parametrize("turns", [-2, 0, 1])
-def test_circle_transporter_realizes_only_a_support_that_reaches_0(monkeypatch, turns):
-    calls = []
-    realize = homeos._realize_circle
-    monkeypatch.setattr(homeos, "_realize_circle", lambda sigma: calls.append(sigma) or realize(sigma))
+def test_circle_transporter_realizes_only_a_support_that_reaches_0(turns):
     # d = 1/24 and r = 1/12: the support [1/4, 5/12] lies inside (0, 1)
     h = small_ball_transporter(CIRCLE, F(1, 3) + turns, F(3, 8) - turns, F(1, 8))
-    assert not calls
     assert h.breaks == ((0, 0), (F(1, 4), F(1, 4)), (F(1, 3), F(3, 8)), (F(5, 12), F(5, 12)))
-    # d = 1/32 and r = 5/64: the support reaches below 0
-    small_ball_transporter(CIRCLE, F(1, 32) + turns, F(1, 16), F(1, 8))
-    assert len(calls) == 1
+    # d = 1/32 and r = 5/64: the support reaches below 0, so its anchors
+    # turn to 1/32, 7/64 and 61/64, and 0 lies on the segment from
+    # (-3/64, -3/64) to (1/32, 1/16)
+    h = small_ball_transporter(CIRCLE, F(1, 32) + turns, F(1, 16), F(1, 8))
+    assert h.breaks == ((0, F(3, 160)), (F(1, 32), F(1, 16)), (F(7, 64), F(7, 64)),
+                        (F(61, 64), F(61, 64)))
+
+
+@st.composite
+def _transporter_near_0(draw):
+    """(center, target, delta, support) of a circle transporter with d < 1/2:
+    centers within r of 0 or of 1, targets on either side, whole turns added
+    to both; support is [c - r, c + r] mod 1 as intervals of [0, 1]."""
+    delta = draw(st.fractions(F(1, 64), F(1), max_denominator=64))
+    cap = min(delta, F(1, 2))
+    d = cap * draw(st.fractions(0, 1, max_denominator=32).filter(lambda u: 0 < u < 1))
+    r = (d + cap) / 2
+    c = draw(st.sampled_from((0, 1))) + r * draw(st.fractions(-1, 1, max_denominator=64))
+    t = c + draw(st.sampled_from((d, -d)))
+    lo, hi = _wrap1(c) - r, _wrap1(c) + r
+    support = [(0, hi), (lo + 1, 1)] if lo < 0 else [(0, hi - 1), (lo, 1)] if hi > 1 else [(lo, hi)]
+    return c + draw(st.integers(-2, 2)), t + draw(st.integers(-2, 2)), delta, support
+
+
+def _assert_pinned(h, support):
+    """Every break fixed mod 1 reads y == x, and the moved arcs lie in the
+    support, a list of intervals of [0, 1]."""
+    assert all(y == x for x, y in h.breaks if _wrap1(y - x) == 0)
+    merged = []
+    for a, b in sorted(support):
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
+        else:
+            merged.append((a, b))
+    assert all(any(lo <= a and b <= hi for lo, hi in merged) for a, b in h._arcs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transporter_near_0(), _transporter_near_0())
+@example((F(1, 1024), F(-1, 512), F(1, 64), [(0, F(21, 2048)), (F(2031, 2048), 1)]),
+         (F(1, 2), F(1, 2) + F(1, 64), F(1, 8), [(F(55, 128), F(73, 128))]))
+def test_circle_transporter_lift_is_pinned_off_its_support(first, second):
+    (c, t, delta, support), (c2, t2, delta2, support2) = first, second
+    h, g = small_ball_transporter(CIRCLE, c, t, delta), small_ball_transporter(CIRCLE, c2, t2, delta2)
+    for m in (h, h.invert()):
+        _assert_pinned(m, support)
+        assert m._arcs != [(0, 1)]
+    _assert_pinned(compose(h, g), support + support2)
+    _assert_pinned(compose(g.invert(), h), support + support2)
+
+
+def test_circle_transporter_whose_target_wraps_below_0_keeps_its_lift():
+    h = small_ball_transporter(CIRCLE, F(1, 1024), F(-1, 512), F(1, 64))
+    assert h.breaks == ((0, F(-51, 19456)), (F(1, 1024), F(-1, 512)),
+                        (F(21, 2048), F(21, 2048)), (F(2031, 2048), F(2031, 2048)))
+    assert h._arcs == [(0, F(21, 2048)), (F(2031, 2048), 1)]
 
 
 def test_transporter_rejects_target_outside_ball():

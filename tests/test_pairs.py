@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from cdhkit.errors import PreconditionError
+from cdhkit.errors import PreconditionError, UnsupportedOperation
 from cdhkit.pairs import (
     glue_pairs,
     group_pair,
@@ -329,6 +329,19 @@ def test_glue_disc_model():
     for _ in range(300):
         x, y = _rand_ball(2, rng), _rand_ball(1, rng)
         assert vnorm(vsub(pair.s(pair.t(x, y), y), x)) <= 1e-9
+
+
+def test_glue_refuses_a_set_it_cannot_focus_on_with_a_typed_error():
+    # chart radii shrink as 2^-(i*|B|): on seven points two focused images
+    # fall within the focus margin
+    for n in (5, 6, 7):
+        rng = random.Random(3)
+        pts = [tuple(rng.uniform(-0.6, 0.6) for _ in range(3)) for _ in range(n)]
+        if n < 7:
+            assert len(glue_pairs(("disc", 2), ("disc", 1), pts).charts) == n * n
+        else:
+            with pytest.raises(UnsupportedOperation, match="focused on 7 points"):
+                glue_pairs(("disc", 2), ("disc", 1), pts)
 
 
 def test_glue_disc_outputs_are_pinned():
