@@ -878,8 +878,8 @@ def _circle_monotone(items: list, s: int) -> PLCircleHomeo:
     for _, y in items[1:]:
         lifts.append(lifts[-1] + s * _wrap1(s * (y - lifts[-1])))
     if s * (lifts[-1] - lifts[0]) >= 1:
-        raise OrderViolation(f"cyclic order of targets is not {'kept' if s == 1 else 'reversed'}",
-                             witness=items)
+        kept = "kept" if s == 1 else "kept or reversed"
+        raise OrderViolation(f"cyclic order of targets is not {kept}", witness=items)
     k = next((x - v for (x, y), v in zip(items, lifts) if x == y), 0)
     return _circle_through([(x, v + k) for (x, _), v in zip(items, lifts)], s)
 
