@@ -25,10 +25,11 @@ second coordinate.  It has two kinds.  `ConditionalMoveStage` is exact on
 circle/line data, with exact displacement and certified Lipschitz bounds,
 which is what lets repair moves ride a convergence certificate on the
 product; `FloatConditionalStage` is its float disc analogue for the chase.
-The exact move decides by comparisons whether a point is in its bump
-before it reads the gate coordinate, so a point outside the bump costs no
-read of beta, and whether the gate coordinate is in its gate before it
-computes the tent weight.  `_gated_move` builds each move.  Repair gates it at the
+The exact move reads integers: it decides by comparisons whether a point
+is in its bump before it reads the gate coordinate, so a point outside the
+bump costs no read of beta, and whether the gate coordinate is in its gate
+before it computes the tent weight, and builds one Fraction per value it
+returns.  `_gated_move` builds each move.  Repair gates it at the
 pair's first index outside its collision index, the chase at `_gate_index`.
 
 The collision reports, the repair, the chase and the regrouping refuse
@@ -51,7 +52,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .pairs import ConvenientPair, vnorm
-from .rationals import HALF, ZERO, floor_pow2, format_scalar, parse_scalar, pow2
+from .rationals import HALF, floor_pow2, format_scalar, parse_scalar, pow2
 from .spaces import (
     FLOAT_TOLERANCE,
     CircleSpace,
@@ -99,10 +100,14 @@ def check_regrouped_general_position(points: Sequence[ProductPoint],
 
 def _agreeing(factor: FactorSpace, values: Sequence) -> set:
     """The pairs (i, j), i < j, whose values are the same point.  Exact
-    values are canonical, so a value is its own key and agreeing values
-    share a bucket; float values are compared pairwise with `points_equal`,
-    because a tolerance is not transitive."""
+    values are canonical, so agreeing values share a bucket, keyed by
+    (numerator, denominator) on a circle or a line, where an int shares the
+    key of its Fraction, and by the value on a sequence kind; float values
+    are compared pairwise with `points_equal`, as a tolerance is not
+    transitive."""
     if factor.exact:
+        if isinstance(factor, (CircleSpace, LineSpace)):
+            values = [(v.numerator, v.denominator) for v in values]
         buckets: dict = {}
         for i, v in enumerate(values):
             buckets.setdefault(v, []).append(i)
@@ -166,8 +171,10 @@ def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
     Point n sits at every factor's n-th marker point outside finitely many
     adjusted indices, so its other coordinates differ from every other
     point's by construction; adjusted indices get explicitly checked
-    override values.
+    override values.  A count not an int >= 0 raises PreconditionError.
     """
+    if type(count) is not int or count < 0:
+        raise PreconditionError(f"point count {count!r} is not an int >= 0")
     boxes = product_boxes(space, count)
     points: list[ProductPoint] = []
     for k in range(count):
@@ -338,11 +345,14 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
                   omega_star: Optional[Iterable[int]] = None, *,
                   block_count: int) -> PartitionPlan:
     """Disjoint cover of the index range by blocks such that every pair of
-    points disagrees inside every block, block ownership respects
-    block(i) <= i, and every block meets omega* emptily or cofinally."""
+    points disagrees inside every block, block ownership respects block(i)
+    <= i, and every block meets omega* emptily or cofinally; a block_count
+    that is not an int >= 1 raises PreconditionError."""
     depth = space.working_depth
     idx = list(space.indices())
     B = block_count
+    if type(B) is not int:
+        raise PreconditionError(f"block_count {B!r} is not an int")
     if B < 1:
         raise PreconditionError(f"block_count must be at least 1, not {B}")
     _check_space(points, space)
@@ -413,54 +423,62 @@ def _audit_plan(blocks, traces, star, B):
 # conditional two-coordinate moves (exact kinds)
 # ---------------------------------------------------------------------------
 
-def _swrap(x: F) -> F:
-    return _wrap1(x + HALF) - HALF
-
-
 def _ball(c: F, r: F, circle: bool) -> tuple:
-    """(lo, hi, hi - 1, lo + 1) with (lo, hi) = c -+ r, for `_in_ball`; on
-    the circle c is taken in [0, 1)."""
+    """(lo, hi, d), the ends c -+ r as lo/d and hi/d, for `_in_ball`: with
+    c = a/b, taken in [0, 1) on the circle, and r = e/f, (af - eb, af + eb, bf)."""
     if circle:
         c = _wrap1(c)
-    lo, hi = c - r, c + r
-    return lo, hi, hi - 1, lo + 1
+    a, b, e, f = c.numerator, c.denominator, r.numerator, r.denominator
+    return a * f - e * b, a * f + e * b, b * f
 
 
 def _in_ball(u, ball: tuple, circle: bool) -> bool:
     """Whether a canonical u lies in the open ball `_ball(c, r, circle)`
-    describes, by comparisons only: on the line |u - c| < r, on the circle
-    |_swrap(u - c)| < r.
+    describes, by integer comparisons only: on the line |u - c| < r, on
+    the circle |w(u - c)| < r, where w(d) = ((d + 1/2) mod 1) - 1/2.
 
     On the line this is lo < u < hi.  On the circle u and c lie in [0, 1),
     so d = u - c lies in (-1, 1), and the test is lo < u < hi (|d| < r), or
-    u < hi - 1 (d < r - 1), or u > lo + 1 (d > 1 - r).  `_swrap(d)` is d
-    on [-1/2, 1/2), d - 1 above and d + 1 below it.  For r <= 1/2:
-    - d in [-1/2, 1/2): |_swrap(d)| = |d|, and neither other clause holds,
+    u < hi - 1 (d < r - 1), or u > lo + 1 (d > 1 - r).  w(d) is d on
+    [-1/2, 1/2), d - 1 above and d + 1 below it.  For r <= 1/2:
+    - d in [-1/2, 1/2): |w(d)| = |d|, and neither other clause holds,
       as r - 1 <= -1/2 <= d < 1/2 <= 1 - r.
-    - d >= 1/2: |_swrap(d)| = 1 - d < r iff d > 1 - r; |d| < r <= 1/2 and
+    - d >= 1/2: |w(d)| = 1 - d < r iff d > 1 - r; |d| < r <= 1/2 and
       d < r - 1 < 0 both fail.
-    - d < -1/2: |_swrap(d)| = d + 1 < r iff d < r - 1; |d| < r and
+    - d < -1/2: |w(d)| = d + 1 < r iff d < r - 1; |d| < r and
       d > 1 - r >= 1/2 both fail.
     So r = 1/2 holds every u but the antipode c + 1/2.  For r > 1/2 the
-    ball is the whole circle, as |_swrap(d)| <= 1/2 < r, and the test holds
+    ball is the whole circle, as |w(d)| <= 1/2 < r, and the test holds
     every u: |d| < r, or d >= r > 1 - r, or d <= -r < r - 1.
     """
-    lo, hi, hi_1, lo_1 = ball
-    if lo < u < hi:
+    lo, hi, d = ball
+    x, q = u.numerator * d, u.denominator
+    if lo * q < x < hi * q:
         return True
-    return circle and (u < hi_1 or u > lo_1)
+    return circle and (x < (hi - d) * q or x > (lo + d) * q)
+
+
+def _offset(u, c: F, circle: bool) -> tuple:
+    """u - c as an unreduced pair (n, D), D = qb for u = p/q and c = a/b; on
+    the circle n/D is w(u - c) of `_in_ball`, in [-1/2, 1/2)."""
+    q, b = u.denominator, c.denominator
+    n, D = u.numerator * b - c.numerator * q, q * b
+    if circle:
+        n -= (2 * n + D) // (2 * D) * D
+    return n, D
 
 
 class _GatedMove(ProductStage):
     """Moves coordinate alpha by a bump shift scaled with a tent gate on
     coordinate beta != alpha, which the move leaves alone, so the inverse
     reads the same gate.  Its `moved_indices` is {alpha}.  A kind supplies
-    `gate(v)`, `_shift(u, w)` at gate weight w, its inverse `_unshift(u, w)`
-    and may narrow `_in_bump(u)`.  The map sends the bump onto itself, so
-    both directions return a u outside it before they read beta.  An alpha
-    or a beta that is not an int (a bool is not one) raises
-    PreconditionError, one outside the product IndexRange, and one whose
-    factor is of none of the kind's `factor_classes` PreconditionError."""
+    `gate(v)`, `_shift(u, w)` at gate weight w = gate(v) (an integer pair
+    on the exact kind), its inverse `_unshift(u, w)` and may narrow
+    `_in_bump(u)`.  The map sends the bump onto itself, so both directions
+    return a u outside it before they read beta.  An alpha or a beta that
+    is not an int (a bool is not one) raises PreconditionError, one outside
+    the product IndexRange, and one whose factor is of none of the kind's
+    `factor_classes` PreconditionError."""
 
     def __init__(self, space, factor_classes: tuple, alpha: int, beta: int, u_center,
                  u_radius, shift, gate_center, gate_radius):
@@ -504,14 +522,6 @@ class _GatedMove(ProductStage):
 _MOVE_SCALARS = ("u_center", "u_radius", "shift", "gate_center", "gate_radius")
 
 
-def _int_scalar(x) -> F:
-    """An int move scalar (a bool is not one) as a Fraction; a value of any
-    other type raises PreconditionError."""
-    if type(x) is not int:
-        raise PreconditionError(f"move scalar {x!r} is not exact: an int or a Fraction is needed")
-    return F(x)
-
-
 class ConditionalMoveStage(_GatedMove):
     """The gated move on rational circle/line data, exact.
 
@@ -528,15 +538,18 @@ class ConditionalMoveStage(_GatedMove):
                  u_center: F, u_radius: F, shift: F,
                  gate_center: F, gate_radius: F):
         scalars = (u_center, u_radius, shift, gate_center, gate_radius)
+        if bad := [x for x in scalars if type(x) is not F and type(x) is not int]:
+            raise PreconditionError(f"move scalar {bad[0]!r} is not exact: "
+                                    "an int or a Fraction is needed")
         # Fractions are kept as they are: loaded and built moves pass them
         super().__init__(space, (CircleSpace, LineSpace), alpha, beta,
-                         *(x if type(x) is F else _int_scalar(x) for x in scalars))
-        if abs(self.shift) >= self.u_radius:
-            raise PreconditionError("shift must stay inside the bump radius")
+                         *(x if type(x) is F else F(x) for x in scalars))
         self._circle_u = isinstance(self._u_factor, CircleSpace)
         self._circle_v = isinstance(self._gate_factor, CircleSpace)
-        r, g = self.u_radius, self.gate_radius
-        # r > 1/2 and g > 1 in integers, which spares a move two Fraction comparisons
+        r, g, s = self.u_radius, self.gate_radius, self.shift
+        # |s| >= r, r > 1/2 and g > 1 in integers, which spares a move Fraction comparisons
+        if abs(s.numerator) * r.denominator >= r.numerator * s.denominator:
+            raise PreconditionError("shift must stay inside the bump radius")
         if self._circle_u and 2 * r.numerator > r.denominator:
             raise PreconditionError(f"circle bump radius {r} is above 1/2")
         if not self._circle_v and g.numerator > g.denominator:
@@ -555,58 +568,67 @@ class ConditionalMoveStage(_GatedMove):
         return _ball(self.gate_center, self.gate_radius, self._circle_v)
 
     def _in_bump(self, u) -> bool:
-        """Whether abs(self._rel(u)) < r_u, for a canonical u, by
-        comparisons only (`_in_ball`)."""
+        """Whether |u - c_u| < r_u, for a canonical u (`_in_ball`)."""
         return _in_ball(u, self._bump, self._circle_u)
 
-    def _rel(self, u):
-        d = u - self.u_center
-        return _swrap(d) if self._circle_u else d
-
-    def _out(self, u):
-        return _wrap1(self.u_center + u) if self._circle_u else self.u_center + u
-
-    def gate(self, v) -> F:
-        """The tent weight 1 - dist(v, gate center) / r_v of a canonical v,
-        and ZERO, decided by comparisons alone (`_in_ball`), outside the
-        gate, where dist >= r_v."""
+    def gate(self, v) -> tuple:
+        """The tent weight 1 - dist(v, c_v) / r_v of a canonical v as an
+        unreduced pair: (eD - |n|f, eD) for v - c_v = n/D (`_offset`) and
+        r_v = e/f, and (0, 1), decided by `_in_ball` alone, outside the gate."""
         if not _in_ball(v, self._gate_ball, self._circle_v):
-            return ZERO
-        d = v - self.gate_center
-        dist = abs(_swrap(d)) if self._circle_v else abs(d)
-        return 1 - dist / self.gate_radius
+            return 0, 1
+        n, D = _offset(v, self.gate_center, self._circle_v)
+        e, f = self.gate_radius.numerator, self.gate_radius.denominator
+        return e * D - abs(n) * f, e * D
 
-    def _shift(self, u, w: F):
-        """Image of u in the bump at gate weight w."""
-        if w == 0:
-            return u
-        rel = self._rel(u)
-        return self._out(rel + (1 - abs(rel) / self.u_radius) * w * self.shift)
+    def _terms(self, u, w: tuple) -> tuple:
+        """(n, D, e, f, g, m) with u - c_u = n/D (`_offset`), r_u = e/f and
+        w shift = m/g: g = w_d s_d and m = w_n s_n for shift = s_n/s_d."""
+        n, D = _offset(u, self.u_center, self._circle_u)
+        r, s = self.u_radius, self.shift
+        return n, D, r.numerator, r.denominator, w[1] * s.denominator, w[0] * s.numerator
 
-    def _unshift(self, u, w: F):
-        """Preimage of u in the bump at gate weight w."""
-        if w == 0:
+    def _shift(self, u, w: tuple):
+        """Image of u at gate weight w, in `_terms`: u moved by its bump weight
+        (eD - |n|f)/(eD) times m/g, c_u + [neg + (eD - |n|f)m] / (Deg)."""
+        if not w[0]:
             return u
-        rel = self._rel(u)
-        ws = w * self.shift
-        if rel <= ws:
-            back = self.u_radius * (rel - ws) / (self.u_radius + ws)
-        else:
-            back = self.u_radius * (rel - ws) / (self.u_radius - ws)
-        return self._out(back)
+        n, D, e, f, g, m = self._terms(u, w)
+        return self._plus(n * e * g + (e * D - abs(n) * f) * m, D * e * g)
+
+    def _unshift(self, u, w: tuple):
+        """Preimage of u at gate weight w, in `_terms`: c_u + e num / (D den),
+        num = ng - mD, den = eg + mf if num <= 0 and eg - mf otherwise."""
+        if not w[0]:
+            return u
+        n, D, e, f, g, m = self._terms(u, w)
+        num = n * g - m * D
+        den = e * g + m * f if num <= 0 else e * g - m * f
+        return self._plus(e * num, D * den)
+
+    def _plus(self, n: int, d: int) -> F:
+        """c_u + n/d, d > 0, as one Fraction, taken in [0, 1) on the circle."""
+        c = self.u_center
+        top, m = c.numerator * d + n * c.denominator, c.denominator * d
+        return F(top % m if self._circle_u else top, m)
 
     # -- certified bounds --------------------------------------------------------
     def sup_displacement(self) -> F:
-        return pow2(-self.alpha) * abs(self.shift)
+        return F(abs(self.shift.numerator), self.shift.denominator << self.alpha)
 
     def lip_backward_bound(self) -> F:
         """k + |s| k / r_v 2^(beta - alpha), k = r_u / (r_u - |s|): the
         inverse's slope bound 1/m in u, m = 1 - |s|/r_u the least slope of
         the bump, plus its gate cross term (|s|/m) / r_v weighted by
-        2^(beta - alpha).  |s| < r_u, so 1/m >= 1 needs no max with 1."""
-        s = abs(self.shift)
-        k = self.u_radius / (self.u_radius - s)
-        return k + s * k / self.gate_radius * pow2(self.beta - self.alpha)
+        2^(beta - alpha).  |s| < r_u, so 1/m >= 1 needs no max with 1.
+        With r_u = e/f and |s| = s_n/s_d, k = e s_d / (e s_d - s_n f), and
+        1 + |s| 2^t / r_v = (P + Q) / P for t = beta - alpha."""
+        e, f = self.u_radius.numerator, self.u_radius.denominator
+        s, sd = abs(self.shift.numerator), self.shift.denominator
+        t = self.beta - self.alpha
+        P = sd * self.gate_radius.numerator << max(-t, 0)
+        Q = s * self.gate_radius.denominator << max(t, 0)
+        return F(e * sd * (P + Q), (e * sd - s * f) * P)
 
     def descriptor(self):
         return {"stage": "conditional-move", "alpha": self.alpha, "beta": self.beta,
@@ -727,16 +749,19 @@ def _clearance(factor, values, center, cap):
 
 def _neighbours(values, center, circle: bool) -> list:
     """The least value above `center` and the greatest below it, those that
-    exist, found by comparisons: every other value is at least as far from
-    `center` as one of them.  On the circle, with every value in [0, 1),
-    they are the cyclic successor and predecessor, wrapping past 0 when one
-    side is empty: a value's forward arc from `center` is no shorter than
-    the successor's, and its backward arc no shorter than the predecessor's."""
+    exist, each value sided by comparing v_n c_d with c_n v_d: every other
+    value is at least as far from `center` as one of them.  On the circle,
+    with every value in [0, 1), they are the cyclic successor and
+    predecessor, wrapping past 0 when one side is empty: a value's forward
+    arc from `center` is no shorter than the successor's, and its backward
+    arc no shorter than the predecessor's."""
+    cn, cd = center.numerator, center.denominator
     above, below = [], []
     for v in values:
-        if v > center:
+        x, y = v.numerator * cd, cn * v.denominator
+        if x > y:
             above.append(v)
-        elif v < center:
+        elif x < y:
             below.append(v)
     if circle and not (above and below):
         above = below = above or below

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -30,11 +31,14 @@ from cdhkit.genpos import (
     greedy_dense_gp,
     wgpp_transform,
     _MOVE_SCALARS,
+    _agreeing,
+    _ball,
     _build_move,
     _clearance,
     _gate_index,
     _gated_move,
     _in_ball,
+    _neighbours,
 )
 from cdhkit.homeos import realize_finite_bijection, small_ball_transporter
 from cdhkit.pairs import ConvenientPair, group_pair, vnorm
@@ -284,6 +288,25 @@ def test_block_regroup_refuses_more_blocks_than_disagreements():
     points = [space.point({0: F(0)}), space.point({0: F(1, 2)})]
     with pytest.raises(PreconditionError, match="fewer than 2 blocks"):
         block_regroup(points, space, block_count=2)
+
+
+@pytest.mark.parametrize("blocks", [2.5, "2", True, None], ids=repr)
+def test_block_regroup_refuses_a_block_count_that_is_not_an_int(blocks):
+    # 2.5 raised a bare TypeError from range, "2" one from a comparison, and
+    # True was taken as one block
+    space = ProductSpace([CIRCLE, CIRCLE, CIRCLE])
+    points = [space.point({0: F(0), 1: F(0)}), space.point({0: F(1, 2), 1: F(1, 2)})]
+    with pytest.raises(PreconditionError, match=re.escape(f"block_count {blocks!r} is not an int")):
+        block_regroup(points, space, block_count=blocks)
+
+
+@pytest.mark.parametrize("count", [1.5, "3", True, -1], ids=repr)
+def test_greedy_refuses_a_count_that_is_not_an_int_of_at_least_0(count):
+    space = ProductSpace.uniform(CIRCLE, working_depth=8)
+    refusal = re.escape(f"point count {count!r} is not an int >= 0")
+    with pytest.raises(PreconditionError, match=refusal):
+        greedy_dense_gp(space, count)
+    assert greedy_dense_gp(space, 0).points == []
 
 
 @pytest.mark.parametrize("blocks", [0, -1])
@@ -904,6 +927,13 @@ _RADII = [F(1, 16), F(1, 8), F(1, 4), F(3, 8), F(7, 16), F(1, 2), F(9, 16), F(3,
           F(3, 2)]
 
 
+def _rel(factor, u, c):
+    """u - c, taken in [-1/2, 1/2) on the circle: the bump's signed offset,
+    by the Fraction formula the move's integer offset replaced."""
+    d = u - c
+    return _wrap1(d + F(1, 2)) - F(1, 2) if factor is CIRCLE else d
+
+
 @pytest.mark.parametrize("factor", [CIRCLE, LINE], ids=["circle", "line"])
 def test_the_comparison_bump_test_equals_the_distance_test(factor):
     # the centers include bumps that cross 0 and centers a loaded descriptor
@@ -921,7 +951,7 @@ def test_the_comparison_bump_test_equals_the_distance_test(factor):
                 continue
             move = ConditionalMoveStage(space, 0, 1, c, r, r / 2, 0, F(1, 4))
             for u in us:
-                assert move._in_bump(u) == (abs(move._rel(u)) < r), (c, r, u)
+                assert move._in_bump(u) == (abs(_rel(factor, u, c)) < r), (c, r, u)
             for edge in (c - r, c + r):
                 u = _wrap1(edge) if factor is CIRCLE else edge
                 assert not move._in_bump(u), (c, r, u)
@@ -955,8 +985,111 @@ def test_the_comparison_gate_test_equals_the_distance_test(factor):
             for v in vs + edges:
                 dist = _arc_distance(factor, v, c)
                 assert _in_ball(v, move._gate_ball, factor is CIRCLE) == (dist < r), (c, r, v)
-                assert move.gate(v) == max(F(0), 1 - dist / r), (c, r, v)
-                assert type(move.gate(v)) is F
+                n, d = move.gate(v)
+                assert F(n, d) == max(F(0), 1 - dist / r), (c, r, v)
+                assert type(n) is int and type(d) is int and d > 0
+
+
+def _move_in_fractions(move, u, v):
+    """The gate weight at v and the image and preimage of u, by the
+    Fraction formulas the integer kernel replaced, kept as a reference."""
+    u_factor, v_factor = move.space.factor(move.alpha), move.space.factor(move.beta)
+    c, r, s = move.u_center, move.u_radius, move.shift
+    w = max(F(0), 1 - abs(_rel(v_factor, v, move.gate_center)) / move.gate_radius)
+    rel = _rel(u_factor, u, c)
+    if w == 0 or abs(rel) >= r:
+        return w, u, u
+    ws = w * s
+    back = r * (rel - ws) / (r + ws) if rel <= ws else r * (rel - ws) / (r - ws)
+
+    def out(x):
+        return _wrap1(c + x) if u_factor is CIRCLE else c + x
+
+    return w, out(rel + (1 - abs(rel) / r) * ws), out(back)
+
+
+def _bounds_in_fractions(move):
+    """lip_backward_bound and sup_displacement by their Fraction formulas."""
+    s = abs(move.shift)
+    k = move.u_radius / (move.u_radius - s)
+    lip = k + s * k / move.gate_radius * pow2(move.beta - move.alpha)
+    return lip, pow2(-move.alpha) * s
+
+
+def _fractions_in(lo, hi):
+    """Fractions in [lo, hi] over dyadic and non-dyadic denominators."""
+    return st.sampled_from([1, 2, 3, 7, 12, 64, 81]).flatmap(
+        lambda d: st.integers(math.ceil(lo * d), math.floor(hi * d)).map(lambda n: F(n, d)))
+
+
+@st.composite
+def _move_and_values(draw):
+    """An exact move of two or three circle or line factors, on data that
+    need not be dyadic: centers outside [0, 1), as a loaded descriptor may
+    carry, negative shifts, circle bumps up to 1/2, line gates up to 1 and
+    circle gates up to 2.  With it come (u, v) pairs about its bump and
+    gate: exactly at c -+ r, inside, and anywhere, so that some v lie
+    past the gate, where the weight is 0."""
+    kinds = draw(st.lists(st.sampled_from([CIRCLE, LINE]), min_size=2, max_size=3))
+    alpha, beta = draw(st.permutations(range(len(kinds))))[:2]
+    r_u = draw(_fractions_in(0, F(1, 2) if kinds[alpha] is CIRCLE else 2).filter(bool))
+    r_v = draw(_fractions_in(0, 2 if kinds[beta] is CIRCLE else 1).filter(bool))
+    shift = r_u * draw(_fractions_in(-1, 1).filter(lambda t: abs(t) < 1))
+    u_c, g_c = draw(_fractions_in(-2, 3)), draw(_fractions_in(-2, 3))
+    move = ConditionalMoveStage(ProductSpace(kinds), alpha, beta, u_c, r_u, shift, g_c, r_v)
+
+    def near(factor, c, r):
+        x = draw(st.one_of(st.sampled_from([c - r, c + r]),
+                           _fractions_in(-1, 1).map(lambda t: c + r * t),
+                           _fractions_in(-3, 3)))
+        return _wrap1(x) if factor is CIRCLE else x
+
+    values = [(near(kinds[alpha], u_c, r_u), near(kinds[beta], g_c, r_v))
+              for _ in range(draw(st.integers(1, 8)))]
+    return move, values
+
+
+@given(_move_and_values())
+@example((ConditionalMoveStage(ProductSpace([CIRCLE, CIRCLE]), 0, 1, F(-7, 3), F(2, 7), F(-1, 12),
+                               F(22, 7), F(2)),
+          [(F(2, 3) - F(2, 7), F(1, 7)), (F(8, 21), F(5, 7)), (F(2, 3), F(1, 7))]))
+@example((ConditionalMoveStage(ProductSpace([LINE, LINE, CIRCLE]), 1, 0, F(-5, 3), F(3, 2),
+                               F(-4, 3), F(7, 12), F(1)),
+          [(F(-1, 6), F(1, 3)), (F(-19, 6), F(-5, 12)), (F(-5, 3), F(19, 12)), (F(-13, 81), F(0))]))
+@settings(max_examples=400, deadline=None)
+def test_the_integer_move_matches_the_fraction_formulas(inputs):
+    move, values = inputs
+    lip, disp = _bounds_in_fractions(move)
+    assert move.lip_backward_bound() == lip and move.sup_displacement() == disp
+    for u, v in values:
+        w, image, pre = _move_in_fractions(move, u, v)
+        n, d = move.gate(v)
+        assert F(n, d) == w and type(n) is int and type(d) is int and d > 0, (u, v)
+        at = {move.alpha: u, move.beta: v}.get
+        assert move.image_coord(at, move.alpha) == image, (u, v)
+        assert move.preimage_coord(at, move.alpha) == pre, (u, v)
+        moved = {move.alpha: image, move.beta: v}.get
+        assert move.preimage_coord(moved, move.alpha) == u, (u, v)
+
+
+def test_columns_that_mix_ints_and_fractions_read_alike():
+    # ProductSpace.point keeps an int coordinate an int: {0: 0} stays the int 0
+    assert _agreeing(CIRCLE, [0, F(0), F(1, 2), 0]) == {(0, 1), (0, 3), (1, 3)}
+    assert _agreeing(LINE, [1, F(-1), F(1)]) == {(0, 2)}
+    assert _in_ball(0, _ball(F(0), F(1, 4), True), True)
+    assert _in_ball(1, _ball(F(3, 4), F(1, 2), False), False)
+    assert not _in_ball(1, _ball(0, F(1), False), False)
+    assert _neighbours([0, 1, F(1, 3), 2], F(1, 3), False) == [1, 0]
+    assert _neighbours([0, F(1, 3)], 0, True) == [F(1, 3), F(1, 3)]
+    space = ProductSpace([CIRCLE, LINE, CIRCLE])
+    pts = [space.point({0: 0, 1: 1, 2: F(1, 3)}), space.point({0: F(0), 1: F(1), 2: F(2, 3)}),
+           space.point({0: F(1, 2), 1: 1, 2: 0})]
+    assert type(pts[0].coord(0)) is int and type(pts[2].coord(2)) is int
+    result = collision_repair_gpp(pts, space)
+    assert result.moves == 3 and result.collision_history == [4, 3, 1, 0]
+    cert = result.certificate
+    back = cert.apply_inv(cert.apply(pts[0]))
+    assert [back.coord(a) for a in range(3)] == [0, 1, F(1, 3)]
 
 
 _SIXTY_FOURTHS = st.integers(0, 63).map(lambda k: F(k, 64))

@@ -129,3 +129,22 @@ def test_outhash_defaults_to_seed_1_and_hashes_each_seed():
     assert default == one
     assert sorted(one) == sorted(two) == ["chain", "repair", "twist"]
     assert all(one[w] != two[w] for w in one)
+
+
+def test_outhash_hashes_the_rounds_it_is_given(capsys):
+    root = _TOOLS.parent
+
+    def hashes(*argv):
+        out = subprocess.run([sys.executable, str(_TOOLS / "outhash.py"), "--root", str(root), *argv],
+                             check=True, capture_output=True, text=True).stdout
+        return dict(line.split() for line in out.splitlines())
+
+    default, one, four = hashes(), hashes("--rounds", "1"), hashes("--rounds", "4")
+    assert default == four
+    assert sorted(one) == ["chain", "repair", "twist"]
+    assert all(one[w] != four[w] for w in one)
+    for rounds in ("0", "-1"):
+        with pytest.raises(SystemExit) as info:
+            _load("outhash").main(["--root", str(root), "--rounds", rounds])
+        assert info.value.code == 2
+        assert "--rounds must be at least 1" in capsys.readouterr().err

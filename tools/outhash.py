@@ -1,8 +1,8 @@
 """Output identity of the benchmark workloads: one sha256 per workload.
 
-    python3 tools/outhash.py --root DIR [--seed N]
+    python3 tools/outhash.py --root DIR [--seed N] [--rounds R]
 
-Runs every job of rounds 0 .. ROUNDS-1 under seed N (default 1) of each
+Runs every job of rounds 0 .. R-1 (default 4) under seed N (default 1) of each
 workload in `DIR/cdhbench/workloads.py`, against the library in `DIR/src`,
 and hashes
 what the job produces: the `sizes()` document (JSON, sorted keys), the
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 # Fixed inputs: hashes compare across checkouts only on the same jobs.  The
-# hashes recorded in ROADMAP.md are those of the default seed.
+# hashes recorded in ROADMAP.md are those of the default seed and rounds.
 SEED = 1
 ROUNDS = 4
 
@@ -46,7 +46,7 @@ def canon(obj):
     return repr(obj)
 
 
-def workload_hashes(root: Path, seed: int = SEED) -> dict:
+def workload_hashes(root: Path, seed: int = SEED, rounds: int = ROUNDS) -> dict:
     sys.path[:0] = [str(root / "src"), str(root / "cdhbench")]
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # as cdhbench/run.py: some values pass the default limit
@@ -55,7 +55,7 @@ def workload_hashes(root: Path, seed: int = SEED) -> dict:
     out = {}
     for name, wl in workloads.WORKLOADS.items():
         h = hashlib.sha256()
-        for index in range(ROUNDS):
+        for index in range(rounds):
             for job in wl.round(seed, index):
                 inputs = wl.prepare(job)
                 built = wl.build(job, inputs)
@@ -73,11 +73,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, required=True, help="checkout whose src/ and cdhbench/ run")
     ap.add_argument("--seed", type=int, default=SEED, help=f"workload seed (default {SEED})")
+    ap.add_argument("--rounds", type=int, default=ROUNDS,
+                    help=f"rounds 0 .. R-1 are hashed (default {ROUNDS})")
     args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     root = args.root.resolve()
     if not (root / "src" / "cdhkit").is_dir() or not (root / "cdhbench" / "workloads.py").is_file():
         sys.exit(f"{root} holds no src/cdhkit or cdhbench/workloads.py")
-    for name, digest in workload_hashes(root, args.seed).items():
+    for name, digest in workload_hashes(root, args.seed, args.rounds).items():
         print(f"{name} {digest}")
     return 0
 
