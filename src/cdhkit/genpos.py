@@ -17,7 +17,10 @@ Operations:
 One rule, `_agreeing`, decides which points of a column agree: exact
 values share a bucket when equal, float values are compared pairwise.  The
 collision reports, the repair's re-check of a moved column, the twist's
-lemma and focus checks and the chase's search for a clash all use it.
+lemma and focus checks and the chase's search for a clash all use it.  An
+exact value is read through one key, `_key`: (numerator, denominator) on a
+circle or a line, (prefix, tail) on a sequence kind.  The buckets of
+`_agreeing` and the avoid sets of `greedy_dense_gp` are keyed by it.
 
 Both the repair and the chase move points with one gated move: a product
 stage that shifts one coordinate inside a bump, scaled by a tent gate on a
@@ -39,10 +42,12 @@ are given, with SpaceMismatch.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .convergence import ConvergenceCertificate
@@ -55,6 +60,8 @@ from .pairs import ConvenientPair, vnorm
 from .rationals import HALF, floor_pow2, format_scalar, parse_scalar, pow2
 from .spaces import (
     FLOAT_TOLERANCE,
+    BaireSpace,
+    CantorSpace,
     CircleSpace,
     DiscSpace,
     FactorSpace,
@@ -98,18 +105,36 @@ def check_regrouped_general_position(points: Sequence[ProductPoint],
     return _collision_report(points, plan.blocks)
 
 
+_NUMBER_KEY = attrgetter("numerator", "denominator")
+_SEQ_KEY = attrgetter("prefix", "tail")
+
+
+def _own_key(v):
+    return v
+
+
+def _key(factor: FactorSpace) -> Callable:
+    """The key of a canonical value: (numerator, denominator) on a circle
+    or a line, where an int shares the key of its Fraction, (prefix, tail)
+    on a sequence kind, and the value itself on any other kind.  Two exact
+    values are the same point iff their keys are equal, and a key hashes and
+    compares without a Python-level call.  A float value keys only the
+    focus check's memo, where `==` is what it needs."""
+    if isinstance(factor, (CircleSpace, LineSpace)):
+        return _NUMBER_KEY
+    if isinstance(factor, (CantorSpace, BaireSpace)):
+        return _SEQ_KEY
+    return _own_key
+
+
 def _agreeing(factor: FactorSpace, values: Sequence) -> set:
     """The pairs (i, j), i < j, whose values are the same point.  Exact
     values are canonical, so agreeing values share a bucket, keyed by
-    (numerator, denominator) on a circle or a line, where an int shares the
-    key of its Fraction, and by the value on a sequence kind; float values
-    are compared pairwise with `points_equal`, as a tolerance is not
-    transitive."""
+    `_key`; float values are compared pairwise with `points_equal`, as a
+    tolerance is not transitive."""
     if factor.exact:
-        if isinstance(factor, (CircleSpace, LineSpace)):
-            values = [(v.numerator, v.denominator) for v in values]
         buckets: dict = {}
-        for i, v in enumerate(values):
+        for i, v in enumerate(map(_key(factor), values)):
             buckets.setdefault(v, []).append(i)
         return {p for bucket in buckets.values() for p in combinations(bucket, 2)}
     return {(i, j) for i, j in combinations(range(len(values)), 2)
@@ -142,7 +167,10 @@ def _collision_report(points, blocks) -> CollisionReport:
 
 def product_boxes(space: ProductSpace, count: int) -> list:
     """First `count` members of the product pi-base: finite tuples of
-    per-factor basic-open indices, supports clipped to the index set."""
+    per-factor basic-open indices, supports clipped to the index set.  A
+    count not an int >= 0 (a bool is not one) raises PreconditionError."""
+    if type(count) is not int or count < 0:
+        raise PreconditionError(f"box count {count!r} is not an int >= 0")
     boxes = []
     n = 0
     while len(boxes) < count:
@@ -172,37 +200,53 @@ def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
     adjusted indices, so its other coordinates differ from every other
     point's by construction; adjusted indices get explicitly checked
     override values.  A count not an int >= 0 raises PreconditionError.
+
+    Point k looks at the indices of its box and of the earlier points'
+    supports.  Each such index keeps one set of the `_key`s of the placed
+    points' values there: it is filled when the index is first looked at
+    and then takes the key of each point placed after, so no set is rebuilt.
+    A point overrides every index of its box, so the indices looked at are
+    those of the running union of supports and the box.  Picks are made
+    against these sets, with the same salts in the same order as against
+    sets of the values.
     """
     if type(count) is not int or count < 0:
         raise PreconditionError(f"point count {count!r} is not an int >= 0")
     boxes = product_boxes(space, count)
     points: list[ProductPoint] = []
+    avoid: dict = {}      # index -> (its factor's key, the placed points' keys there)
+    support: set = set()  # the placed points' supports
     for k in range(count):
         box = boxes[k]
-        relevant = set(box) | {a for p in points for a in p.support()}
         overrides = {}
-        for a in sorted(relevant):
+        for a in sorted(support.union(box)):
             factor = space.factor(a)
-            avoid = {p.coord(a) for p in points}
+            if a not in avoid:
+                key = _key(factor)
+                avoid[a] = key, {key(p.coord(a)) for p in points}
+            key, keys = avoid[a]
             target_box = box.get(a)
             if target_box is None:
-                if factor.marker(k) not in avoid:
+                if key(factor.marker(k)) not in keys:
                     continue  # marker point already distinct, no override
                 target_box = factor.basic_open(0)
-            overrides[a] = _pick_avoiding(factor, target_box, avoid)
+            overrides[a] = _pick_avoiding(factor, target_box, key, keys)
         point = ProductPoint(space, k, overrides)
         if not box_contains(space, box, point):
             raise AssertionError(f"greedy point {k} missed its box")
         points.append(point)
+        support.update(overrides)
+        for a, (key, keys) in avoid.items():
+            keys.add(key(point.coord(a)))
     return GreedyResult(points, boxes)
 
 
-def _pick_avoiding(factor, box, avoid):
+def _pick_avoiding(factor, box, key, avoid: set):
     """`pick_in` gives distinct points for distinct salts, so one of the
-    len(avoid) + 1 salts tried lands outside `avoid`."""
+    len(avoid) + 1 salts tried has a key outside `avoid`."""
     for salt in range(len(avoid) + 1):
         v = factor.pick_in(box, salt)
-        if v not in avoid:
+        if key(v) not in avoid:
             return v
     raise AssertionError(f"pick_in gave fewer than {len(avoid) + 1} distinct points")
 
@@ -315,13 +359,17 @@ def _check_focus(factor, pair: ConvenientPair, xs, ys, alpha: int, checked: set)
     checked to be injective, so a merge is any agreeing pair of images.
 
     The answer for one x depends only on `pair.s` and x: `s` is pure, and one
-    twist passes the same ys to every call.  `checked` holds the (s, x) keys
-    of the twist's earlier calls, which all passed (a failure ends the
-    twist), so `pair.s` is evaluated once per y for each distinct key and a
-    failure is still raised at the first unfocused index."""
-    s = pair.s
-    xs = [x for x in dict.fromkeys(xs) if (s, x) not in checked]
-    checked.update((s, x) for x in xs)
+    twist passes the same ys to every call.  `checked` holds the (s, key)
+    pairs, x read through `_key`, of the twist's earlier calls, which all
+    passed (a failure ends the twist), so `pair.s` is evaluated once per y
+    for each distinct pair and a failure is still raised at the first
+    unfocused index."""
+    s, key = pair.s, _key(factor)
+    fresh: dict = {}
+    for x in xs:
+        fresh.setdefault((s, key(x)), x)
+    xs = [x for k, x in fresh.items() if k not in checked]
+    checked.update(fresh)
     for x in xs:
         if _agreeing(factor, [s(x, y) for y in ys]):
             raise PreconditionError(
@@ -365,20 +413,27 @@ def block_regroup(points: Sequence[ProductPoint], space: ProductSpace,
 
     owner: dict = {}
     witnesses = {}
-    # witnesses: walk blocks from the top; each pair keeps a disagreement
-    # block b already owns, else claims its deepest free one compatible with
-    # the ownership constraint b <= i.  Later steps only give owners to
-    # unowned indices, so every witness stays in its block.
+    # witnesses: walk blocks from the top; each pair keeps the least
+    # disagreement block b already owns, else claims its deepest free one
+    # compatible with the ownership constraint b <= i.  Block b owns only
+    # what its own walk claimed, kept ascending in `mine`, and `dis` is
+    # ascending, so the first of `mine` in `dis` is the least owned
+    # disagreement.  Later steps only give owners to unowned indices, so
+    # every witness stays in its block.
     for b in reversed(range(B)):
+        mine: list = []
         for p, dis in report.disagreements.items():
-            w = next((a for a in dis if owner.get(a) == b), None)
-            if w is None:
+            for w in mine:
+                if w in dis:
+                    break
+            else:
                 w = next((a for a in reversed(dis) if a not in owner and a >= b), None)
                 if w is None:
                     raise PreconditionError(
                         f"cannot give block {b} a disagreement witness for pair {p}"
                     )
                 owner[w] = b
+                insort(mine, w)
             witnesses[(p, b)] = w
 
     omega_star = sorted(set(omega_star or ()))

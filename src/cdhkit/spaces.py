@@ -275,10 +275,16 @@ class FactorSpace:
 _NUMBERS = frozenset((Fraction, int))
 
 
+_MARKER_MEMO = 256  # sequence markers a factor keeps, k < _MARKER_MEMO
+
+
 class _SeqSpace(FactorSpace):
     """Shared machinery of the sequence kinds."""
 
     binary = False  # whether the symbols are 0 and 1
+
+    def __init__(self):
+        self._markers: dict = {}
 
     def base_point(self):
         return SymSeq((), 0)
@@ -301,7 +307,15 @@ class _SeqSpace(FactorSpace):
         return SymSeq(box.prefix + self._salt_tuple(salt), 0)
 
     def marker(self, k: int) -> SymSeq:
-        return SymSeq(self._salt_tuple(k), 0)
+        """Built once for each k < _MARKER_MEMO and then shared: a SymSeq is
+        not changed once built, and every coordinate of a marker root reads
+        the same marker."""
+        v = self._markers.get(k)
+        if v is None:
+            v = SymSeq(self._salt_tuple(k), 0)
+            if k < _MARKER_MEMO:
+                self._markers[k] = v
+        return v
 
     def _salt_tuple(self, salt: int) -> tuple:
         raise NotImplementedError
@@ -402,8 +416,7 @@ class CircleSpace(FactorSpace):
         return IntervalOpen(lo, lo + pow2(-j + 1), wrap=True)
 
     def pick_in(self, box: IntervalOpen, salt: int) -> Fraction:
-        width = box.hi - box.lo
-        return _wrap1(box.lo + width * _dyadic(salt))
+        return _interval_pick(box, salt, True)
 
     def marker(self, k: int) -> Fraction:
         return _dyadic(k)
@@ -437,19 +450,35 @@ class LineSpace(FactorSpace):
         return IntervalOpen(lo, lo + pow2(-j + 1))
 
     def pick_in(self, box: IntervalOpen, salt: int) -> Fraction:
-        return box.lo + (box.hi - box.lo) * _dyadic(salt)
+        return _interval_pick(box, salt, False)
 
     def marker(self, k: int) -> Fraction:
         return _dyadic(k)
 
 
 def _dyadic(n: int) -> Fraction:
-    """Enumerates the dyadic rationals of (0,1): 1/2, 1/4, 3/4, 1/8, ..."""
-    level = 1
-    while n >= (1 << (level - 1)):
-        n -= 1 << (level - 1)
-        level += 1
-    return Fraction(2 * n + 1, 1 << level)
+    """Enumerates the dyadic rationals of (0,1) level by level, for n >= 0:
+    1/2, 1/4, 3/4, 1/8, ...  Level L holds the 2^(L-1) values (2j + 1)/2^L,
+    j < 2^(L-1), at n = 2^(L-1) - 1 + j, so in closed form L is the bit
+    length of n + 1 and the value is (2n + 3 - 2^L)/2^L (`_dyadic_pair`)."""
+    m, L = _dyadic_pair(n)
+    return Fraction(m, 1 << L)
+
+
+def _dyadic_pair(n: int) -> tuple:
+    """(m, L) with _dyadic(n) = m/2^L, m odd."""
+    L = (n + 1).bit_length()
+    return 2 * n + 3 - (1 << L), L
+
+
+def _interval_pick(box: IntervalOpen, salt: int, wrap: bool) -> Fraction:
+    """lo + (hi - lo) _dyadic(salt) for box = (lo, hi), taken in [0, 1)
+    where `wrap`, as one Fraction: with lo = a/b, hi = c/d and
+    _dyadic(salt) = m/2^L, (a d 2^L + (c b - a d) m) / (b d 2^L)."""
+    a, b, c, d = box.lo.numerator, box.lo.denominator, box.hi.numerator, box.hi.denominator
+    m, L = _dyadic_pair(salt)
+    num, den = (a * d << L) + (c * b - a * d) * m, b * d << L
+    return Fraction(num % den if wrap else num, den)
 
 
 class DiscSpace(FactorSpace):
