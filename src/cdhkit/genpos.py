@@ -201,14 +201,12 @@ def greedy_dense_gp(space: ProductSpace, count: int) -> GreedyResult:
     point's by construction; adjusted indices get explicitly checked
     override values.  A count not an int >= 0 raises PreconditionError.
 
-    Point k looks at the indices of its box and of the earlier points'
-    supports.  Each such index keeps one set of the `_key`s of the placed
-    points' values there: it is filled when the index is first looked at
-    and then takes the key of each point placed after, so no set is rebuilt.
-    A point overrides every index of its box, so the indices looked at are
-    those of the running union of supports and the box.  Picks are made
-    against these sets, with the same salts in the same order as against
-    sets of the values.
+    Point k looks at the indices of its box and of the running union of the
+    earlier points' supports.  Each such index keeps one set of the `_key`s
+    of the placed points' values there, filled when the index is first
+    looked at and then given the key of each point placed after, so no set
+    is rebuilt; picks try the same salts in the same order as against sets
+    of the values.
     """
     if type(count) is not int or count < 0:
         raise PreconditionError(f"point count {count!r} is not an int >= 0")

@@ -29,6 +29,7 @@ from cdhkit.genpos import (
     collision_repair_gpp,
     conditional_move_from_descriptor,
     greedy_dense_gp,
+    product_boxes,
     wgpp_transform,
     _MOVE_SCALARS,
     _agreeing,
@@ -307,6 +308,106 @@ def test_greedy_refuses_a_count_that_is_not_an_int_of_at_least_0(count):
     with pytest.raises(PreconditionError, match=refusal):
         greedy_dense_gp(space, count)
     assert greedy_dense_gp(space, 0).points == []
+
+
+@pytest.mark.parametrize("count", [1.5, True, "3", -1, None], ids=repr)
+def test_product_boxes_refuses_a_count_that_is_not_an_int_of_at_least_0(count):
+    # 1.5 gave 2 boxes, True 1 box, and "3" raised a bare TypeError
+    space = ProductSpace.uniform(CIRCLE, working_depth=8)
+    with pytest.raises(PreconditionError, match=re.escape(f"box count {count!r} is not an int >= 0")):
+        product_boxes(space, count)
+    assert product_boxes(space, 0) == [] and len(product_boxes(space, 2)) == 2
+
+
+def _greedy_by_rebuilt_sets(space, count):
+    """The greedy loop that rebuilds every index's set of values, and the
+    union of supports, for each new point."""
+    boxes = product_boxes(space, count)
+    points = []
+    for k in range(count):
+        box = boxes[k]
+        relevant = set(box) | {a for p in points for a in p.support()}
+        overrides = {}
+        for a in sorted(relevant):
+            factor = space.factor(a)
+            avoid = {p.coord(a) for p in points}
+            target = box.get(a)
+            if target is None:
+                if factor.marker(k) not in avoid:
+                    continue
+                target = factor.basic_open(0)
+            overrides[a] = next(v for v in (factor.pick_in(target, salt)
+                                             for salt in range(len(avoid) + 1)) if v not in avoid)
+        points.append(ProductPoint(space, k, overrides))
+    return points
+
+
+_GREEDY_FACTORS = st.sampled_from([CIRCLE, LINE, CANTOR, BAIRE])
+
+
+@st.composite
+def _greedy_spaces(draw):
+    if draw(st.booleans()):
+        return ProductSpace.uniform(draw(_GREEDY_FACTORS), working_depth=draw(st.integers(1, 10)))
+    return ProductSpace(draw(st.lists(_GREEDY_FACTORS, min_size=1, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_greedy_spaces(), st.integers(0, 24))
+def test_greedy_equals_the_loop_that_rebuilds_its_sets(space, count):
+    # the same markers and the same overrides, index for index in the same order
+    expected = _greedy_by_rebuilt_sets(space, count)
+    points = greedy_dense_gp(space, count).points
+    assert [p.marker for p in points] == [p.marker for p in expected] == list(range(count))
+    assert [list(p.overrides.items()) for p in points] == \
+        [list(p.overrides.items()) for p in expected]
+
+
+def _witnesses_by_scanning(report, block_count):
+    """block_regroup's witness walk, each owned disagreement found by
+    scanning the pair's whole disagreement tuple; None where it refuses."""
+    owner, witnesses = {}, {}
+    for b in reversed(range(block_count)):
+        for p, dis in report.disagreements.items():
+            owned = [a for a in dis if owner.get(a) == b]
+            if owned:
+                w = min(owned)
+            else:
+                free = [a for a in dis if a not in owner and a >= b]
+                if not free:
+                    return None
+                w = max(free)
+                owner[w] = b
+            witnesses[(p, b)] = w
+    return witnesses
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_block_regroup_witnesses_equal_a_scan_of_every_disagreement(depth, data):
+    space = ProductSpace([CIRCLE] * depth)
+    palette = [F(0), F(1, 2), F(1, 4)]
+    rows = data.draw(st.lists(st.lists(st.sampled_from(palette), min_size=depth, max_size=depth),
+                              min_size=2, max_size=7, unique_by=tuple))
+    blocks = data.draw(st.integers(1, 4))
+    points = [space.point(dict(enumerate(r))) for r in rows]
+    report = check_general_position(points)
+    expected = _witnesses_by_scanning(report, blocks)
+    if min(len(d) for d in report.disagreements.values()) < blocks or expected is None:
+        with pytest.raises(PreconditionError):
+            block_regroup(points, space, block_count=blocks)
+        return
+    assert block_regroup(points, space, block_count=blocks).witnesses == expected
+
+
+def test_block_regroup_witnesses_of_greedy_twists_equal_the_scan():
+    for factor in (CIRCLE, CANTOR):
+        space = ProductSpace.uniform(factor, working_depth=24)
+        twist = wgpp_transform(greedy_dense_gp(space, 24).points, lambda a: group_pair(factor))
+        report = check_general_position(twist.points)
+        for blocks in (2, 3, 4):
+            plan = block_regroup(twist.points, space, omega_star=twist.omega, block_count=blocks)
+            assert plan.witnesses == _witnesses_by_scanning(report, blocks)
 
 
 @pytest.mark.parametrize("blocks", [0, -1])

@@ -25,8 +25,11 @@ from cdhkit.spaces import (
     ProductPoint,
     ProductSpace,
     ProductStage,
+    IntervalOpen,
     SymSeq,
     _LINE_LEVEL_CAP,
+    _MARKER_MEMO,
+    _dyadic,
     _unpair,
     _wrap1,
     factor_from_descriptor,
@@ -607,6 +610,59 @@ def test_pick_in_lands_in_box_with_distinct_salts():
         for p in picks:
             assert box.contains(p)
         assert len({space.ser_point(p) if not hasattr(p, "prefix") else p for p in picks}) == len(picks)
+
+
+def _enumerated_dyadics(count: int) -> list:
+    """1/2, 1/4, 3/4, 1/8, ...: level L's odd numerators over 2^L in turn."""
+    out, level = [], 1
+    while len(out) < count:
+        out += [F(m, 1 << level) for m in range(1, 1 << level, 2)]
+        level += 1
+    return out[:count]
+
+
+def test_dyadic_closed_form_equals_the_enumeration():
+    n = 1 << 12
+    assert [_dyadic(k) for k in range(n)] == _enumerated_dyadics(n)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, st.fractions(min_value=F(1, 100), max_value=2, max_denominator=200),
+       st.integers(0, 5000), st.booleans())
+def test_integer_pick_in_equals_the_fraction_formula(lo, width, salt, ints):
+    hi = lo + width
+    if ints:  # int ends read as their Fractions
+        lo, hi = math.floor(lo), math.floor(lo) + max(1, math.ceil(width))
+    point = lo + (hi - lo) * _dyadic(salt)
+    line = LINE.pick_in(IntervalOpen(lo, hi), salt)
+    circle = CIRCLE.pick_in(IntervalOpen(lo, hi, wrap=True), salt)
+    assert type(line) is F and type(circle) is F
+    assert line == point
+    assert circle == _wrap1(point) and 0 <= circle < 1
+
+
+def test_integer_pick_in_equals_the_fraction_formula_on_basic_opens():
+    for n in range(200):
+        for factor in (CIRCLE, LINE):
+            box = factor.basic_open(n)
+            for salt in range(0, 300, 7):
+                point = box.lo + (box.hi - box.lo) * _dyadic(salt)
+                assert factor.pick_in(box, salt) == (_wrap1(point) if box.wrap else point)
+
+
+@pytest.mark.parametrize("factor", [CANTOR, BAIRE], ids=lambda f: f.kind)
+def test_sequence_markers_are_built_once_below_the_memo_bound(factor):
+    # every coordinate of a marker root reads one shared marker
+    root = ProductPoint(ProductSpace.uniform(factor, working_depth=8), 5, {})
+    assert all(root.coord(a) is factor.marker(5) for a in range(8))
+    for k in (0, 1, _MARKER_MEMO - 1, _MARKER_MEMO, 3 * _MARKER_MEMO):
+        fresh = SymSeq(factor._salt_tuple(k), 0)
+        assert factor.marker(k) == fresh
+        assert (factor.marker(k) is factor.marker(k)) == (k < _MARKER_MEMO)
+    assert len(factor._markers) <= _MARKER_MEMO
 
 
 def test_unpair_inverts_the_cantor_pairing_exactly():

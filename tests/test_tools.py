@@ -100,13 +100,73 @@ def test_classtimes_compares_a_checkout_with_itself_in_one_pair():
     assert out[0].startswith("# repair seed=1: 1 pairs of 1 rounds")
     assert out[1].split()[2:] == [word for op in ("build", "verify", "eval")
                                   for word in (op, "base", op, "head", "ratio")]
-    rows = [line.split() for line in out[2:]]
+    rows = [line.split() for line in out[2:out.index("")]]
     assert [row[0] for row in rows] == ["repair-6", "repair-7", "repair-8"]
     for label, base_jobs, head_jobs, *cells in rows:
         assert base_jobs == head_jobs == ("1" if label == "repair-6" else "2")
         for base, head, ratio in zip(cells[::3], cells[1::3], cells[2::3]):
             assert float(base) > 0 and float(head) > 0
             assert float(ratio) == pytest.approx(float(head) / float(base), rel=0.01)
+    ranks = [line.split() for line in out[out.index("") + 3:]]
+    assert [row[:2] for row in ranks] == [[op, q] for op in ("build", "verify", "eval")
+                                          for q in ("p50", "p75")]
+    for _, _, base, head, ratio, wins, _, pairs in ranks:
+        assert float(base) > 0 and float(head) > 0 and wins in ("0", "1") and pairs == "1"
+
+
+def _stub_rows(times: dict) -> list:
+    """One run's rows: label -> the build times of its jobs; verify and eval
+    read twice and three times the build time."""
+    return [(label, {"build": t, "verify": 2 * t, "eval": 3 * t})
+            for label, ts in times.items() for t in ts]
+
+
+# Three pairs of runs of 8 jobs.  In its first two runs the head speeds the
+# slow class "b" up by 40% and the fast class "a" by 5%; its third run is
+# slower than every base job.
+_BASE_RUNS = [_stub_rows({"a": [1.0, 1.1, 1.2], "b": [2.0, 2.1, 2.2, 2.3, 2.4]}),
+              _stub_rows({"a": [1.0, 1.0, 1.3], "b": [2.1, 2.2, 2.2, 2.3, 2.5]}),
+              _stub_rows({"a": [0.9, 1.1, 1.2], "b": [1.9, 2.0, 2.4, 2.6, 2.6]})]
+_HEAD_RUNS = [_stub_rows({"a": [x * 0.95 for x in (1.0, 1.1, 1.2)],
+                          "b": [x * 0.6 for x in (2.0, 2.1, 2.2, 2.3, 2.4)]}),
+              _stub_rows({"a": [x * 0.95 for x in (1.0, 1.0, 1.3)],
+                          "b": [x * 0.6 for x in (2.1, 2.2, 2.2, 2.3, 2.5)]}),
+              _stub_rows({"a": [2.5, 2.5, 2.5], "b": [2.5, 2.6, 2.6, 2.7, 2.8]})]
+
+
+def test_classtimes_rank_summary_takes_each_runs_nearest_rank_then_the_median():
+    classtimes = _load("classtimes")
+    # nearest rank: p50 is the 4th of 8 jobs, p75 the 6th
+    assert classtimes.run_ranks(_BASE_RUNS[0])[("build", "p50")] == 2.0
+    assert classtimes.run_ranks(_BASE_RUNS[0])[("build", "p75")] == 2.2
+    assert classtimes.run_ranks(_HEAD_RUNS[0])[("verify", "p50")] == pytest.approx(2 * 1.2)
+    summary = classtimes.rank_summary(_BASE_RUNS, _HEAD_RUNS)
+    assert sorted(summary) == sorted((op, q) for op in ("build", "verify", "eval")
+                                     for q in ("p50", "p75"))
+    base, head, wins = summary[("build", "p50")]
+    # base p50s 2.0, 2.1 and 1.9; head p50s 1.2, 1.26 and 2.5
+    assert base == 2.0
+    assert head == pytest.approx(1.26)
+    assert wins == 2  # the third head run is slower everywhere
+    base, head, wins = summary[("eval", "p75")]
+    assert base == pytest.approx(3 * 2.2) and head == pytest.approx(3 * 2.2 * 0.6) and wins == 2
+
+
+def test_classtimes_compare_prints_the_percentile_view_of_stubbed_runs(monkeypatch, capsys):
+    classtimes = _load("classtimes")
+    runs = {"base": iter(_BASE_RUNS), "head": iter(_HEAD_RUNS)}
+    monkeypatch.setattr(classtimes, "child_rows",
+                        lambda root, args: next(runs[root.name]))
+    args = classtimes.argparse.Namespace(workload="w", seed=1, rounds=1, pairs=3)
+    classtimes.compare(Path("base"), Path("head"), args)
+    out = capsys.readouterr().out.splitlines()
+    blank = out.index("")
+    assert [line.split()[:3] for line in out[2:blank]] == [["a", "9", "9"], ["b", "15", "15"]]
+    ranks = {tuple(line.split()[:2]): line.split()[2:] for line in out[blank + 3:]}
+    assert len(ranks) == 6
+    base, head, ratio, wins, _, pairs = ranks[("build", "p50")]
+    assert (float(base), float(head), wins, pairs) == (2.0, pytest.approx(1.26), "2", "3")
+    assert float(ratio) == pytest.approx(0.63, abs=1e-3)
 
 
 def test_classtimes_refuses_fewer_than_one_pair(capsys):

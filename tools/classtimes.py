@@ -25,7 +25,12 @@ timed in turn, P pairs of runs, the base first in even pairs and the head
 first in odd ones.  Each run is a subprocess of its own, since both
 checkouts import `cdhkit`.  It prints each class's job count per side and,
 for build, verify and eval, the base's and the head's median over all the
-pairs' jobs and their ratio, head over base.
+pairs' jobs and their ratio, head over base.  Then, for each operation, the
+nearest-rank p50 and p75 of all jobs of one run, as `run.py` reports them:
+each side's median over its runs, their ratio and the number of pairs
+whose head run ranks lower than its base run.  Where a percentile sits on
+the edge between two classes, it can move further than either class's
+median, which only this view shows.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ OPS = ("build", "verify", "eval")
 RANKS = (("p50", 0.5), ("p75", 0.75))
 
 
+def _rank_index(n: int, q: float) -> int:
+    """The nearest-rank place, from 0, of quantile q among n sorted values."""
+    return max(0, math.ceil(q * n) - 1)
+
+
 def rank_lines(rows: list) -> list:
     """For each operation and rank, the class at that rank of `rows`, a
     list of (label, times) pairs."""
@@ -49,7 +59,7 @@ def rank_lines(rows: list) -> list:
     for op in OPS:
         ordered = sorted(rows, key=lambda row: row[1][op])
         for name, q in RANKS:
-            i = max(0, math.ceil(q * len(ordered)) - 1)
+            i = _rank_index(len(ordered), q)
             label = ordered[i][0]
             place = sum(1 for row in ordered[:i + 1] if row[0] == label)
             size = sum(1 for row in ordered if row[0] == label)
@@ -87,6 +97,29 @@ def class_medians(rows: list) -> dict:
     return out
 
 
+def run_ranks(rows: list) -> dict:
+    """{(op, rank name): the nearest-rank percentile of all of one run's
+    jobs} of that run's `rows`."""
+    out = {}
+    for op in OPS:
+        times = sorted(t[op] for _, t in rows)
+        for name, q in RANKS:
+            out[(op, name)] = times[_rank_index(len(times), q)]
+    return out
+
+
+def rank_summary(base_runs: list, head_runs: list) -> dict:
+    """{(op, rank name): (base median, head median, head wins)}: each side's
+    median over its runs of `run_ranks`, and the pairs, run i of each side,
+    whose head percentile is below the base's."""
+    base = [run_ranks(rows) for rows in base_runs]
+    head = [run_ranks(rows) for rows in head_runs]
+    return {key: (statistics.median(b[key] for b in base),
+                  statistics.median(h[key] for h in head),
+                  sum(h[key] < b[key] for b, h in zip(base, head)))
+            for key in base[0]}
+
+
 def child_rows(root: Path, args) -> list:
     """`job_rows` of `root`, run in a subprocess of this script."""
     cmd = [sys.executable, __file__, "--root", str(root), "--workload", args.workload,
@@ -96,11 +129,11 @@ def child_rows(root: Path, args) -> list:
 
 
 def compare(base: Path, head: Path, args) -> None:
-    rows = {"base": [], "head": []}
+    runs = {"base": [], "head": []}
     for i in range(args.pairs):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-            rows[side] += child_rows(base if side == "base" else head, args)
-    med = {side: class_medians(rows[side]) for side in rows}
+            runs[side].append(child_rows(base if side == "base" else head, args))
+    med = {side: class_medians([row for rows in runs[side] for row in rows]) for side in runs}
     print(f"# {args.workload} seed={args.seed}: {args.pairs} pairs of {args.rounds} rounds, "
           f"base {base.name}, head {head.name}; median scaled seconds per class")
     print(f"{'class':12s} {'jobs':>9s}" + "".join(
@@ -112,6 +145,12 @@ def compare(base: Path, head: Path, args) -> None:
             else f" {b[op]:12.6f} {h[op]:12.6f} {h[op] / b[op] if b[op] else math.nan:6.3f}"
             for op in OPS)
         print(f"{label:12s} {nb:4d} {nh:4d}{cells}")
+    print(f"\n# nearest-rank percentiles of all jobs of a run: median over runs, "
+          f"pairs whose head run is lower")
+    print(f"{'op':6s} {'rank':4s} {'base':>10s} {'head':>10s} {'ratio':>6s} {'wins':>7s}")
+    for (op, name), (b, h, wins) in rank_summary(runs["base"], runs["head"]).items():
+        ratio = h / b if b else math.nan
+        print(f"{op:6s} {name:4s} {b:10.6f} {h:10.6f} {ratio:6.3f} {wins:3d} of {args.pairs}")
 
 
 def _checkout(root: Path) -> Path:
