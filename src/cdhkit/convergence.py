@@ -18,8 +18,11 @@ condition-(2) value.  Every ledger value is a Fraction.
 On the exact path a certificate keeps the inverse partial H_n^-1, not H_n:
 condition (2) compares two inverse partials, and H_{n+1}^-1 = H_n^-1 o
 h_{n+1}^-1 differs from H_n^-1 only where h_{n+1} moves, which is all a PL
-composition has to touch.  The exempt append of a factor map keeps
-H_0^-1 = h_0^-1, so every later exact append starts from a kept partial.
+composition has to touch.  So condition (2) of a PL stage is read over the
+new stage's moved arcs only: off them the two partials are one map, and
+the value is the one the walk over every break gives.  The exempt append
+of a factor map keeps H_0^-1 = h_0^-1, so every later exact append starts
+from a kept partial.
 `partial_inv` reads H_m^-1(x) from the kept partial H_m^-1 in one
 evaluation, and walks the stage inverses only at any other `upto`.
 
@@ -37,7 +40,7 @@ from numbers import Real
 from typing import Optional
 
 from .errors import BoundViolation, PreconditionError, SpaceMismatch, UnsupportedOperation
-from .homeos import CylinderHomeo, FactorHomeo, compose, sup_distance
+from .homeos import CylinderHomeo, FactorHomeo, compose, composite_distance
 from .rationals import ONE, ZERO, bound_exponent, format_scalar, pow2
 from .spaces import ProductStage
 
@@ -174,7 +177,14 @@ class ConvergenceCertificate:
 
     def _cond_values(self, h, c1):
         """Condition (2) value for appending h, given its condition (1) value
-        c1, plus the method tag and, on the exact path, H_{n+1}^-1."""
+        c1, plus the method tag and, on the exact path, H_{n+1}^-1.
+
+        On a PL stage the value is read off the merged breaks of H_{n+1}^-1
+        and H_n^-1 inside the moved arcs of h^-1 only.  H_{n+1}^-1 =
+        H_n^-1 o h^-1 is H_n^-1 off those arcs, so every merged break there
+        has gap 0, and `composite_distance` proves the value equal to the
+        walk over all of them; a reversing h or one whose arc is the whole
+        circle takes that walk."""
         if isinstance(h, ProductStage):
             return self._lip_inv * c1, "lipschitz", None
         if isinstance(h, CylinderHomeo):
@@ -185,14 +195,14 @@ class ConvergenceCertificate:
                 # equals the displacement itself
                 return c1, "exact-isometry", None
         # exact factor stage: condition (2) is sup_y d(H_{n+1}^-1(y), H_n^-1(y)),
-        # taken from the two inverse partials (PL maps: at their merged
-        # breaks, of which all but those h moves are shared).  At y =
-        # H_{n+1}(x) the distance is d(H_n^-1 h H_n(x), x), so this is the sup
-        # displacement of the conjugate H_n^-1 o h o H_n, which no kind
-        # builds.  H_{n+1}^-1 goes to the extension's next append.
+        # taken from the two inverse partials.  At y = H_{n+1}(x) the
+        # distance is d(H_n^-1 h H_n(x), x), so this is the sup displacement
+        # of the conjugate H_n^-1 o h o H_n, which no kind builds.
+        # H_{n+1}^-1 goes to the extension's next append.
         mat = self._materialize()
-        nxt = compose(h.invert(), mat)
-        return sup_distance(nxt, mat), "exact", nxt
+        h_inv = h.invert()
+        nxt = compose(h_inv, mat)
+        return composite_distance(h_inv, mat, nxt), "exact", nxt
 
     def _materialize(self) -> FactorHomeo:
         """H_n^-1: the inverses of stages m+1..n composed under H_m^-1, the

@@ -19,25 +19,42 @@ symbol sequences, and its descriptor rebuilds it.
 H_n = h_n o ... o h_0 used by the convergence certificates.  On the PL kinds
 it is local in its first argument: a break of h where g is the identity is
 taken over as the same tuple, and only h's breaks inside g's moved arcs are
-mapped through g^-1.  `sup_distance(f, g)` is sup_x d(f(x), g(x)), read off
-the data of f and g without composing them; every map's displacement is its
-distance to the identity.
+mapped through g^-1.  A circle composite that would be the identity moved
+by whole turns is the shared identity.  `sup_distance(f, g)` is
+sup_x d(f(x), g(x)), read off the data of f and g without composing them;
+every map's displacement is its distance to the identity.
+`composite_distance(g, h, gh)` gives sup_distance(gh, h) for gh =
+compose(g, h) from the breaks inside g's moved arcs alone, since gh is h
+off them.
 
 Maps are immutable: nothing assigns to their fields after construction.  So
 `invert()` builds a map's inverse once, keeps it, and links it back to the
 map, and h.invert().invert() is h; a PL map reads its moved arcs off its
 breaks once; and maps may share break tuples, which `sup_distance` reads as
 gaps of 0.  For the same reason a PL map reads each segment through an
-integer form, built on first use and kept.  Evaluation runs on numerators
-and denominators: the segment search compares p * x_d with x_n * q, and
-`apply`, `lift_at` and the composite's new breaks build at most one
-Fraction per returned value, with a circle value wrapped by `%`.  The break
-walk of `sup_distance` gives its gaps as unreduced integer pairs, which
-`_arc_sup` and the line cap read without building a Fraction until the
-result.  A composite's constructor compares only the break pairs the
-composition added, since every other pair is one its second map's
-constructor checked (see `_compose_breaks`).  `identity_for` returns one
-shared map per kind.
+integer form, built on first use and kept, and a composite takes over the
+form of every segment of h it keeps whole, built or not.
+
+The PL kinds compare, search and interpolate on numerators and
+denominators, and build one Fraction per value they return or store:
+- the segment search compares p * x_d with x_n * q, and a form is read off
+  its ends' integers and reduced by one gcd;
+- `apply`, `lift_at` and the composite's new breaks wrap a circle value
+  by `%`;
+- the constructors compare consecutive breaks by cross-multiplying, the
+  circle's closing pair against L(0) + s too;
+- `compose` finds each moved arc's breaks of h by the segment search,
+  sorts its candidates on exact integer keys and places them among the
+  kept breaks by the same search;
+- a circle inverse takes its anchors in the order the lift's floors give,
+  with no sort, and `_circle_through` and the circle and line transporters
+  compute on integers over one denominator;
+- the break walk of `sup_distance` gives its gaps as unreduced integer
+  pairs, which `_arc_sup` and the line cap read without building a
+  Fraction until the result.
+A composite's constructor compares only the break pairs the composition
+added, since every other pair is one its second map's constructor checked
+(see `_compose_breaks`).  `identity_for` returns one shared map per kind.
 
 Transporters, realizers and inverses build circle maps in `_circle_through`
 from anchors (x, L(x)) whose fixed points read L(x) = x, so a fixed part does
@@ -48,11 +65,10 @@ whose lift displacements sum to less than 1.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd
-from operator import itemgetter
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -264,40 +280,68 @@ def _check_cylinder_data(space, table: dict, masks: dict) -> None:
 
 class _PLHomeo(FactorHomeo):
     """A rational PL map read segment by segment: segment i runs from break
-    i to `_end(i)`, the next break or, on the circle, the closing point.
+    i to the next break or, on the circle, to the closing point
+    (1, L(0) + s).
 
     Every evaluation reads integers.  `_seg` finds a segment by comparing
     p * x_d with x_n * q for t = p/q and each abscissa x = x_n/x_d, and
     `_form` gives the segment's integer form, so a value is one Fraction,
     built at the end, or a pair of ints that nothing reduces."""
 
-    def _seg(self, p: int, q: int) -> int:
-        """bisect_right over the break abscissas at t = p/q, minus 1: the
-        last segment starting at or below t, -1 below every break."""
+    @cached_property
+    def _xs(self) -> list:
+        """Each break's abscissa as its pair of ints (numerator,
+        denominator), built on first use; a composite is given its own."""
+        return [(x.numerator, x.denominator) for x, _ in self.breaks]
+
+    def _seg(self, p: int, q: int, lo: int = 0) -> int:
+        """bisect_right over the break abscissas from index lo at t = p/q,
+        minus 1: the last segment starting at or below t, lo - 1 below every
+        break from lo."""
         xs = self._xs
-        lo, hi = 0, len(xs)
+        hi = len(xs)
         while lo < hi:
             mid = (lo + hi) >> 1
-            x = xs[mid]
-            if p * x.denominator < x.numerator * q:
+            xn, xd = xs[mid]
+            if p * xd < xn * q:
                 hi = mid
             else:
                 lo = mid + 1
         return lo - 1
 
+    def _span(self, a: Fraction, b: Fraction, lo: int) -> tuple:
+        """The indices (i, j), from lo, of the breaks whose abscissas lie in
+        [a, b]: bisect_left at a and bisect_right at b, found by `_seg`."""
+        p, q = a.numerator, a.denominator
+        i = self._seg(p, q, lo)
+        if i < lo or self._xs[i] != (p, q):
+            i += 1
+        return i, self._seg(b.numerator, b.denominator, i) + 1
+
     def _form(self, i: int) -> tuple:
         """Segment i's integer form (a, b, c), built on first use and kept:
         the segment is m*t + e = (a*t + b)/c, so at t = p/q its value is
         (a*p + b*q)/(c*q).  An identity segment has the shared form
-        `_IDENTITY_FORM`."""
+        `_IDENTITY_FORM`.
+
+        The form is the one primitive triple with c > 0 (m = a/c and
+        e = b/c in lowest terms give c = lcm of their denominators, and no
+        prime divides a, b and c), so it is read off the ends' numerators
+        and denominators as any integer triple through them, divided by
+        the gcd of its three entries."""
         form = self._forms[i]
         if form is None:
-            (x0, y0), (x1, y1) = self.breaks[i], self._end(i)
-            m = (y1 - y0) / (x1 - x0)
-            e = y0 - m * x0
-            g = gcd(m.denominator, e.denominator)
-            form = (m.numerator * (e.denominator // g), e.numerator * (m.denominator // g),
-                    m.denominator // g * e.denominator)
+            x0, y0 = self.breaks[i]
+            if i + 1 < len(self.breaks):
+                x1, y1 = self.breaks[i + 1]
+                p1, q1, r1, s1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+            else:  # the circle's closing point (1, L(0) + s)
+                y1 = self.breaks[0][1]
+                p1 = q1 = 1
+                s1 = y1.denominator
+                r1 = y1.numerator + self.orientation * s1
+            form = _segment_form(x0.numerator, x0.denominator, y0.numerator, y0.denominator,
+                                 p1, q1, r1, s1)
             if form == _IDENTITY_FORM:
                 form = _IDENTITY_FORM
             self._forms[i] = form
@@ -318,8 +362,46 @@ class _PLHomeo(FactorHomeo):
         q = t.denominator
         return Fraction(a * t.numerator + b * q, c * q)
 
+    def sup_displacement(self) -> Fraction:
+        """The distance to the identity, read off the breaks alone: the
+        identity's value at a break x is x, so the gaps `sup_distance` walks
+        are y - x at each break (x, y), and on the circle L(1) - 1 at the
+        closing point, the gap at 0 plus s - 1."""
+        gaps = [_minus(y.numerator, y.denominator, x.numerator, x.denominator)
+                for x, y in self.breaks]
+        if isinstance(self, PLLineHomeo):
+            return _line_sup(gaps)
+        n, d = gaps[0]
+        gaps.append((n + (self.orientation - 1) * d, d))
+        return _arc_sup(gaps)
+
 
 _IDENTITY_FORM = (1, 0, 1)
+
+
+def _segment_form(p0: int, q0: int, r0: int, s0: int, p1: int, q1: int, r1: int, s1: int) -> tuple:
+    """The primitive form (a, b, c), c > 0, of the line through
+    (p0/q0, r0/s0) and (p1/q1, r1/s1), p0/q0 < p1/q1, q0, q1, s0, s1 > 0.
+
+    On the line, y = r0/s0 + (t - p0/q0) * dy/dx with dx = (p1*q0 - p0*q1)/(q0*q1)
+    and dy = (r1*s0 - r0*s1)/(s0*s1); over the denominator dx*q0*q1*s0*s1 its
+    value is (a*t + b)/c with a = q0*q1*DY, b = r0*s1*DX - p0*q1*DY and
+    c = DX*s0*s1, for DX and DY the numerators of dx and dy."""
+    dx = p1 * q0 - p0 * q1
+    dy = (r1 * s0 - r0 * s1) * q1
+    a, b, c = dy * q0, r0 * s1 * dx - p0 * dy, dx * s0 * s1
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
+def _lt(a, b) -> bool:
+    """a < b for two ints or Fractions, on their numerators and denominators."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
+def _same(a, b) -> bool:
+    """a == b for two ints or Fractions, each in lowest terms."""
+    return a.numerator == b.numerator and a.denominator == b.denominator
 
 
 def _pairs_to_check(n: int, added) -> Iterable[int]:
@@ -341,22 +423,20 @@ class PLLineHomeo(_PLHomeo):
 
     A float or bool in a break raises ValueError."""
 
-    def __init__(self, breaks: Iterable[tuple] = (), *, _added=None):
+    def __init__(self, breaks: Iterable[tuple] = (), *, _added=None, _forms=None, _xs=None):
         breaks = _as_breaks(breaks) if _added is None else breaks
         self.space = LINE
         for k in _pairs_to_check(len(breaks), _added):
             (x0, y0), (x1, y1) = breaks[k], breaks[k + 1]
-            if not (x0 < x1 and y0 < y1):
+            if not (_lt(x0, x1) and _lt(y0, y1)):
                 raise ValueError("breakpoints must be strictly increasing")
         if breaks:
-            if breaks[0][0] != breaks[0][1] or breaks[-1][0] != breaks[-1][1]:
+            if not (_same(*breaks[0]) and _same(*breaks[-1])):
                 raise ValueError("PL line maps must be the identity outside their breakpoints")
         self.breaks = breaks
-        self._xs = [b[0] for b in breaks]
-        self._forms = [None] * len(breaks)
-
-    def _end(self, i: int) -> tuple:
-        return self.breaks[i + 1]
+        if _xs is not None:
+            self._xs = _xs
+        self._forms = [None] * len(breaks) if _forms is None else _forms
 
     def apply(self, t: Fraction) -> Fraction:
         i = self._seg(t.numerator, t.denominator)
@@ -391,10 +471,10 @@ def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
     same holds for the greatest candidate and everything above it.
     """
     g_inv = g.invert()
-    pts, added = _compose_breaks(
+    pts, added, forms, xs = _compose_breaks(
         g, h, [(x, h.apply(y)) for x, y in g.breaks],
         lambda b: (g_inv.apply(b[0]), b[1]))
-    return PLLineHomeo(tuple(pts), _added=added)
+    return PLLineHomeo(tuple(pts), _added=added, _forms=forms, _xs=xs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,35 +491,38 @@ class PLCircleHomeo(_PLHomeo):
     and a float or bool in a break, raise ValueError.
     """
 
-    def __init__(self, breaks: Iterable[tuple], orientation: int = 1, *, _added=None):
+    def __init__(self, breaks: Iterable[tuple], orientation: int = 1, *, _added=None,
+                 _forms=None, _xs=None):
         breaks = _as_breaks(breaks) if _added is None else breaks
         if type(orientation) is not int or orientation not in (1, -1):
             raise ValueError(f"orientation must be the int +1 or -1, not {orientation!r}")
-        if not breaks or breaks[0][0] != 0:
+        if not breaks or breaks[0][0].numerator != 0:
             raise ValueError("circle breakpoints must start at 0")
-        if not breaks[-1][0] < 1:
+        x = breaks[-1][0]
+        if not x.numerator < x.denominator:
             raise ValueError("circle breakpoints must increase within [0, 1)")
         pairs = _pairs_to_check(len(breaks), _added)
         for k in pairs:
-            if not breaks[k][0] < breaks[k + 1][0]:
+            if not _lt(breaks[k][0], breaks[k + 1][0]):
                 raise ValueError("circle breakpoints must increase within [0, 1)")
-        ys = [(breaks[k][1], breaks[k + 1][1]) for k in pairs]
-        ys.append((breaks[-1][1], breaks[0][1] + orientation))
-        for y0, y1 in ys:
-            if orientation == 1 and not y0 < y1:
-                raise ValueError("lift must strictly increase")
-            if orientation == -1 and not y0 > y1:
-                raise ValueError("lift must strictly decrease")
+        # each pair of lift values (n0/d0, n1/d1), the closing pair ending at
+        # L(0) + s; s * (n1*d0 - n0*d1) > 0 when the lift moves the way s does
+        ys = [(y0.numerator, y0.denominator, y1.numerator, y1.denominator)
+              for y0, y1 in ((breaks[k][1], breaks[k + 1][1]) for k in pairs)]
+        y0, y1 = breaks[-1][1], breaks[0][1]
+        ys.append((y0.numerator, y0.denominator, y1.numerator + orientation * y1.denominator,
+                   y1.denominator))
+        for n0, d0, n1, d1 in ys:
+            if orientation * (n1 * d0 - n0 * d1) <= 0:
+                raise ValueError("lift must strictly increase" if orientation == 1
+                                 else "lift must strictly decrease")
         self.space = CIRCLE
         self.breaks = breaks
         self.orientation = orientation
-        self._xs = [b[0] for b in breaks]
-        self._forms = [None] * len(breaks)
+        if _xs is not None:
+            self._xs = _xs
+        self._forms = [None] * len(breaks) if _forms is None else _forms
 
-    def _end(self, i: int) -> tuple:
-        if i + 1 < len(self.breaks):
-            return self.breaks[i + 1]
-        return ONE, self.breaks[0][1] + self.orientation
 
     def lift_at(self, t: Fraction) -> Fraction:
         """L(t) = L(t - n) + s*n, n = floor(t), s the orientation."""
@@ -466,18 +549,37 @@ class PLCircleHomeo(_PLHomeo):
 
     def _inverse(self) -> "PLCircleHomeo":
         """Each break (x, y) lies on the inverse lift as (y - n, x - s*n),
-        n = floor(y), s the orientation; the break at 0 is interpolated."""
+        n = floor(y), s the orientation; the break at 0 is interpolated.
+
+        No sort is needed.  The lift values run strictly from L(0) towards
+        L(0) + s, so their floors take two values at most, n_0 and then
+        n_0 + s.  A value of the second run lies, mod 1, on the other side
+        of L(0) mod 1 from the first run; so by abscissa the anchors are
+        the second run and then the first (s = 1), or each run reversed,
+        the first and then the second (s = -1)."""
         s = self.orientation
-        pts = []
-        for x, y in self.breaks:
-            n = floor(y)
-            pts.append((y - n, x - s * n) if n else (y, x))
-        pts.sort(key=itemgetter(0))
+        pts, m, n0 = [], None, None
+        for k, (x, y) in enumerate(self.breaks):
+            d = y.denominator
+            n = y.numerator // d
+            if n0 is None:
+                n0 = n
+            elif m is None and n != n0:
+                m = k
+            pts.append((Fraction(y.numerator - n * d, d),
+                        Fraction(x.numerator - s * n * x.denominator, x.denominator))
+                       if n else (y, x))
+        if m is not None:
+            pts = pts[m:] + pts[:m] if s == 1 else pts[:m][::-1] + pts[m:][::-1]
+        elif s == -1:
+            pts.reverse()
         return _circle_through(pts, s)
 
     @cached_property
     def _arcs(self) -> list:
-        return _moved_arcs(self.breaks + (self._end(len(self.breaks) - 1),))
+        y = self.breaks[0][1]
+        closing = ONE, Fraction(y.numerator + self.orientation * y.denominator, y.denominator)
+        return _moved_arcs(self.breaks + (closing,))
 
     def descriptor(self) -> dict:
         return {
@@ -494,6 +596,11 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
     L_h(Y).  For a break (u, v) of h let t' = L_{g^-1}(u) and n = floor(t'):
     the break sits at t = t' - n, where L_g(t) = u - s_g*n, so the composite
     is v - s_h*s_g*n (s_g, s_h the orientations).
+
+    A composite that keeps no break of h and whose every break reads
+    (x, x + n) for one int n, with orientation 1, is the identity moved by
+    whole turns, and the shared identity is returned: so its `_arcs` is
+    empty and no later composition maps a break through it.
     """
     s = g.orientation * h.orientation
     g_inv = g.invert()
@@ -505,8 +612,21 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
         n = a // d
         return Fraction(a - n * d, d), b[1] - s * n
 
-    pts, added = _compose_breaks(g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through)
-    return PLCircleHomeo(tuple(pts), s, _added=added)
+    pts, added, forms, xs = _compose_breaks(g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through)
+    if s == 1 and len(added) == len(pts) and _whole_turn(pts):
+        return identity_for(CIRCLE)
+    return PLCircleHomeo(tuple(pts), s, _added=added, _forms=forms, _xs=xs)
+
+
+def _whole_turn(pts: list) -> bool:
+    """Whether every break reads (x, x + n), for one int n: a lift of the
+    identity moved by n whole turns."""
+    lift0 = pts[0][1]  # at x = 0
+    if lift0.denominator != 1:
+        return False
+    n = lift0.numerator
+    return all(x.denominator == y.denominator and y.numerator - x.numerator == n * x.denominator
+               for x, y in pts)
 
 
 def _as_breaks(breaks: Iterable) -> tuple:
@@ -528,28 +648,41 @@ def _as_breaks(breaks: Iterable) -> tuple:
 def _moved_arcs(pts) -> list:
     """Closed intervals [a, b], increasing and disjoint, outside which the PL
     function through pts (and the identity beyond them) is the identity: the
-    maximal runs of segments whose two ends are not both fixed.  A reversing
-    circle map fixes no segment, so its one arc is the whole circle."""
+    maximal runs of segments whose two ends are not both fixed, a fixed end
+    read as x == y on numerators and denominators.  A reversing circle map
+    fixes no segment, so its one arc is the whole circle."""
     arcs = []
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x0 == y0 and x1 == y1:
+    fixed = [x.numerator == y.numerator and x.denominator == y.denominator for x, y in pts]
+    last = -2  # the last moved segment
+    for k in range(len(pts) - 1):
+        if fixed[k] and fixed[k + 1]:
             continue
-        if arcs and arcs[-1][1] == x0:
-            arcs[-1] = (arcs[-1][0], x1)
+        if last == k - 1:
+            arcs[-1] = (arcs[-1][0], pts[k + 1][0])
         else:
-            arcs.append((x0, x1))
+            arcs.append((pts[k][0], pts[k + 1][0]))
+        last = k
     return arcs
 
 
 def _compose_breaks(g, h, new: list, through: Callable) -> tuple:
-    """The break list of h after g, and the sorted positions in it of the
-    breaks it adds.  Each break is a pair of Fractions, one of h's or built
-    from Fractions here, so the composite's constructor skips `_as_breaks`.
-    `new` holds g's breaks with the composite's values; it
-    is extended by h's breaks inside g's moved arcs sent through g^-1 by
-    `through`, and merged with h's other breaks, which are kept as they are,
-    since g^-1 fixes their abscissas.  Where two candidates share an
-    abscissa their values agree and one is kept; the rest are added.
+    """The break list of h after g, the sorted positions in it of the
+    breaks it adds, the forms it takes over from h and its abscissas as
+    pairs of ints, as `_xs` holds them.  Each break is a
+    pair of Fractions, one of h's or built from Fractions here, so the
+    composite's constructor skips `_as_breaks`.  `new` holds g's breaks with
+    the composite's values; it is extended by h's breaks inside g's moved
+    arcs sent through g^-1 by `through`, and merged with h's other breaks,
+    which are kept as they are, since g^-1 fixes their abscissas.  Where two
+    candidates share an abscissa their values agree and one is kept; the
+    rest are added.
+
+    Every search and comparison reads integers.  `_span` finds each arc's
+    breaks of h by `_seg`.  `new` is sorted on exact integer keys: for
+    abscissas with denominators below 2^m, two distinct ones differ by more
+    than 2^-2m, so floor(x * 2^2m) orders them and ties only equal ones.  A
+    candidate is placed among the kept breaks by `_seg` on h and a bisection
+    of the kept breaks' indices in h.
 
     So the composite's constructor compares only the consecutive pairs that
     hold an added break, and still checks every pair.  Two kept breaks that
@@ -560,31 +693,55 @@ def _compose_breaks(g, h, new: list, through: Callable) -> tuple:
     between the two, with no kept break at a, and a break at a would have
     been added between them.  On the circle, g preserves orientation when
     any break is kept: a reversing map fixes no segment, so its moved arc is
-    the whole circle, and s_g * s_h is s_h."""
+    the whole circle, and s_g * s_h is s_h.
+
+    For the same reason a segment whose two ends are h's breaks i and i + 1,
+    both kept, is h's segment i, and the composite takes over its form as h
+    holds it, built or None; on the circle so does the closing segment when
+    the first and last breaks are h's."""
     xs, hb = h._xs, h.breaks
-    kept, start = [], 0
+    kept, kxs, src, start = [], [], [], 0  # src: each kept break's index in h
     for a, b in g._arcs:
-        lo, hi = bisect_left(xs, a, start), bisect_right(xs, b, start)
+        lo, hi = h._span(a, b, start)
         kept += hb[start:lo]
+        kxs += xs[start:lo]
+        src += range(start, lo)
         new += map(through, hb[lo:hi])
         start = hi
     kept += hb[start:]
-    new.sort(key=itemgetter(0))
-    pts, added, i = [], [], 0
+    kxs += xs[start:]
+    src += range(start, len(hb))
+    if len(new) > 1:
+        m = 2 * max(x.denominator.bit_length() for x, _ in new)
+        new.sort(key=lambda b: (b[0].numerator << m) // b[0].denominator)
+    pts, pxs, added, at, i = [], [], [], [], 0  # at: each break's index in h, -1 if added
+    key = None
     for p in new:
-        if pts and pts[-1][0] == p[0]:
+        n, d = p[0].numerator, p[0].denominator
+        if (n, d) == key:
             continue
-        j = bisect_left(kept, p[0], i, key=itemgetter(0))
-        pts += kept[i:j]
-        if j < len(kept) and kept[j][0] == p[0]:
-            pts.append(kept[j])
-            i = j + 1
-        else:
-            added.append(len(pts))
-            pts.append(p)
+        key = n, d
+        if i < len(kept) and kxs[i][0] * d <= n * kxs[i][1]:
+            u = h._seg(n, d, src[i])  # h's last break at or below p
+            j = bisect_right(src, u, i)  # kept[:j] lie at or below p
+            pts += kept[i:j]
+            pxs += kxs[i:j]
+            at += src[i:j]
             i = j
+            if src[j - 1] == u and xs[u] == key:
+                continue
+        added.append(len(pts))
+        pts.append(p)
+        pxs.append(key)
+        at.append(-1)
     pts += kept[i:]
-    return pts, added
+    pxs += kxs[i:]
+    at += src[i:]
+    hf = h._forms
+    forms = [hf[u] if u >= 0 and v == u + 1 else None for u, v in zip(at, at[1:])]
+    closes = isinstance(h, PLCircleHomeo) and at[0] == 0 and at[-1] == len(hb) - 1
+    forms.append(hf[-1] if closes else None)
+    return pts, added, forms, pxs
 
 
 # ---------------------------------------------------------------------------
@@ -669,24 +826,28 @@ def _cylinder_distance(f: CylinderHomeo, g: CylinderHomeo) -> Fraction:
     return ZERO if best is None else pow2(-best)
 
 
-def _gaps_at_merged_breaks(f, g) -> list:
-    """f - g at the sorted union of both maps' break abscissas, each gap an
-    unreduced pair (n, d) of ints with d > 0; each map is evaluated only at
-    the other's breaks, and f - g is linear in between.
+def _gaps_at_merged_breaks(f, g, i: int = 0, i1: Optional[int] = None, j: int = 0,
+                           j1: Optional[int] = None) -> list:
+    """f - g at the sorted union of f's breaks i..i1-1 and g's breaks
+    j..j1-1 (by default all of them), each gap an unreduced pair (n, d) of
+    ints with d > 0; each map is evaluated only at the other's breaks, and
+    f - g is linear in between.
 
     The walk needs no search: a break of one map strictly between the
-    other's breaks j - 1 and j lies on the other's segment j - 1.  Past the
-    other's last break it lies on a circle map's closing segment; outside a
-    line map's breaks that map is the identity.
+    other's breaks k - 1 and k lies on the other's segment k - 1, and so do
+    the breaks left over once the other's range is used up.  Past the
+    other's last break that is a circle map's closing segment; below its
+    first break or from its last a line map is the identity.
 
     A break both maps hold as one tuple has gap 0 and is not compared.  A
     run of such breaks is listed as one 0: f - g is 0 across the run, so the
     list still holds the same segments and their ends."""
     fb, gb = f.breaks, g.breaks
+    i1 = len(fb) if i1 is None else i1
+    j1 = len(gb) if j1 is None else j1
     gaps = []
-    i = j = 0
     run = False
-    while i < len(fb) and j < len(gb):
+    while i < i1 and j < j1:
         p, q = fb[i], gb[j]
         if p is q:
             if not run:
@@ -708,15 +869,57 @@ def _gaps_at_merged_breaks(f, g) -> list:
         else:
             gaps.append(_minus(*(f._at(i - 1, un, ud) if i else (un, ud)), v.numerator, v.denominator))
             j += 1
-    if isinstance(f, PLCircleHomeo):
-        gaps.extend(_minus(y.numerator, y.denominator, *g._at(j - 1, x.numerator, x.denominator))
-                    for x, y in fb[i:])
-        gaps.extend(_minus(*f._at(i - 1, u.numerator, u.denominator), v.numerator, v.denominator)
-                    for u, v in gb[j:])
-    else:
-        gaps.extend(_minus(y.numerator, y.denominator, x.numerator, x.denominator) for x, y in fb[i:])
-        gaps.extend(_minus(u.numerator, u.denominator, v.numerator, v.denominator) for u, v in gb[j:])
+    gaps.extend(_minus(y.numerator, y.denominator, *_on_segment(g, j - 1, x.numerator, x.denominator))
+                for x, y in fb[i:i1])
+    gaps.extend(_minus(*_on_segment(f, i - 1, u.numerator, u.denominator), v.numerator, v.denominator)
+                for u, v in gb[j:j1])
     return gaps
+
+
+def _on_segment(m, k: int, n: int, d: int) -> tuple:
+    """m at n/d, which lies on m's segment k, as an unreduced pair; a line
+    map is the identity below its first break and from its last."""
+    if k < 0 or k == len(m.breaks) - 1 and isinstance(m, PLLineHomeo):
+        return n, d
+    return m._at(k, n, d)
+
+
+def composite_distance(g: FactorHomeo, h: FactorHomeo, gh: FactorHomeo) -> Fraction:
+    """sup_distance(gh, h) for gh = compose(g, h), and the same value.  On
+    the PL kinds it is read off the breaks inside g's moved arcs only,
+    unless g reverses the circle or its one arc is the whole circle.
+
+    Why that is the whole sup.  Off g's moved arcs g is the identity, on the
+    lift too: every segment there has two fixed ends x = L_g(x).  The
+    composite's lift is L_h o L_g (at a break of g its value is L_h(L_g(x)),
+    and at g^-1(u) for a break (u, v) of h it is v), so gh and h are the
+    same map there, and gh - h, read as `sup_distance` reads it, is 0 at
+    every break outside the arcs.  Both maps are linear between the merged
+    breaks, and `_line_sup` and `_arc_sup` read only the set of gaps at
+    those breaks.  So the full walk's set is the set at the breaks inside
+    the arcs together with 0: at least one break of g, an end of an arc,
+    is fixed when an arc is not the whole circle, and a line map's arcs
+    are bounded.  A 0 is added to the gaps read inside the arcs, and the
+    value is bit for bit the full walk's.  A circle arc [a, 1] ends at the
+    closing point, where the gap is the gap at 0 when the orientations
+    agree; the walk reads the gap at 0 in the arc [0, b] when g moves 0, and
+    it is 0 when g fixes 0.  A reversing g moves every segment, so both
+    fall-backs are the whole circle."""
+    _check_maps(g, h, gh)
+    if not isinstance(g, _PLHomeo) or not (type(g) is type(h) is type(gh)):
+        return sup_distance(gh, h)
+    arcs = g._arcs
+    if isinstance(g, PLCircleHomeo) and (g.orientation == -1 or len(arcs) == 1 and (
+            arcs[0][0].numerator == 0 and arcs[0][1].numerator == arcs[0][1].denominator)):
+        return sup_distance(gh, h)
+    gaps = [(0, 1)]
+    i = j = 0
+    for a, b in arcs:
+        i, i1 = gh._span(a, b, i)
+        j, j1 = h._span(a, b, j)
+        gaps += _gaps_at_merged_breaks(gh, h, i, i1, j, j1)
+        i, j = i1, j1
+    return _line_sup(gaps) if isinstance(g, PLLineHomeo) else _arc_sup(gaps)
 
 
 def _minus(a: int, b: int, c: int, d: int) -> tuple:
@@ -889,10 +1092,19 @@ def _circle_through(pts: list, orientation: int) -> PLCircleHomeo:
     through 0 on the wrap segment.  When the lift increases and the first
     and last anchors are fixed, that segment is the identity and L(0) = 0
     is not interpolated."""
-    if pts[0][0] != 0:
+    if pts[0][0].numerator:
         (x0, y0), (x1, y1) = pts[-1], pts[0]
-        fixed = orientation == 1 and x0 == y0 and x1 == y1
-        pts = [(ZERO, ZERO if fixed else y1 - x1 * (y1 - y0 + orientation) / (x1 - x0 + 1))] + pts
+        if orientation == 1 and _same(x0, y0) and _same(x1, y1):
+            lift0 = ZERO
+        else:
+            # L(0) = y1 - x1 * (y1 - y0 + s) / (x1 - x0 + 1), on the ends'
+            # numerators and denominators
+            p0, q0, r0, s0 = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+            p1, q1, r1, s1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+            rise = r1 * s0 - r0 * s1 + orientation * s0 * s1
+            run = p1 * q0 - p0 * q1 + q0 * q1
+            lift0 = Fraction(r1 * s0 * run - p1 * q0 * rise, s0 * s1 * run)
+        pts = [(ZERO, lift0)] + pts
     return PLCircleHomeo(pts, orientation)
 
 
@@ -916,6 +1128,8 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
     _check_points(factor, (center, target))
     if type(delta) not in (int, Fraction):
         raise PreconditionError(f"delta {delta!r} is not exact: an int or a Fraction is needed")
+    if isinstance(factor, (CircleSpace, LineSpace)):
+        return _pl_transporter(factor, center, target, delta)
     d = factor.metric(center, target)
     delta = Fraction(delta)
     if d >= delta:
@@ -926,25 +1140,58 @@ def small_ball_transporter(factor: FactorSpace, center, target, delta) -> Factor
         # the two-point swap realizer moves only the cylinder around their
         # first difference, which sits inside the open ball
         return _realize_seq(factor, {center: target, target: center})
-    if isinstance(factor, CircleSpace):
-        if d == HALF:
-            # the anchors center -+ r would coincide; as d < delta, the ball
-            # is the whole circle, and the rotation by 1/2 stays inside it
-            return PLCircleHomeo(((ZERO, HALF),))
-        r = (d + min(delta, HALF)) / 2
-        c, t = _wrap1(center), _wrap1(target)
-        lo, hi = c - r, c + r
-        # t = c + e with |e| <= d < r, so t past hi or below lo is a turn off
-        if lo < 0:
-            return _circle_through([(c, t - 1 if t > hi else t), (hi, hi), (lo + 1, lo + 1)], 1)
-        if hi >= 1:
-            return _circle_through([(hi - 1, hi - 1), (lo, lo), (c, t + 1 if t < lo else t)], 1)
-        return _circle_through([(lo, lo), (c, t), (hi, hi)], 1)
-    if isinstance(factor, LineSpace):
-        # the metric caps at 1, so a gap of delta or more means delta > 1:
-        # the ball is the whole line, and any bump wider than the gap fits
-        gap = abs(target - center)
-        r = (gap + delta) / 2 if gap < delta else gap + 1
-        return _realize_line({center - r: center - r, center: target, center + r: center + r})
     raise UnsupportedOperation(f"no transporter for kind {factor.kind}")
 
+
+def _pl_transporter(factor, center, target, delta) -> FactorHomeo:
+    """`small_ball_transporter` on the circle and the line, on integers.
+
+    Every value is an integer over one denominator Q, four times the lcm of
+    the three given denominators: the center C, the target T, delta and
+    the distance are then multiples of 4, so the radius r is an integer
+    too.  One Fraction is built per stored value.  On the line, r is
+    (gap + delta)/2 for a gap below delta; a larger gap means delta > 1, as
+    the metric caps at 1, so the ball is the whole line and r = gap + 1
+    fits.  The line map is padded by one on each side, as `_realize_line`
+    pads its bumps."""
+    q = 4 * lcm(center.denominator, target.denominator, delta.denominator)
+    c = center.numerator * (q // center.denominator)
+    t = target.numerator * (q // target.denominator)
+    room = delta.numerator * (q // delta.denominator)
+    circle = isinstance(factor, CircleSpace)
+    if circle:
+        c, t = c % q, t % q
+        gap = (c - t) % q
+        dist = min(gap, q - gap)
+    else:
+        gap = abs(t - c)
+        dist = min(gap, q)
+    if dist >= room:
+        raise PreconditionError(f"target at distance {Fraction(dist, q)} is outside the "
+                                f"{Fraction(delta)}-ball")
+    if dist == 0:
+        return identity_for(factor)
+
+    def anchor(x, y):
+        fx = Fraction(x, q)
+        return (fx, fx) if x == y else (fx, Fraction(y, q))
+
+    if not circle:
+        r = (gap + room) // 2 if gap < room else gap + q
+        lo, hi = c - r, c + r
+        return PLLineHomeo(tuple(anchor(x, y) for x, y in (
+            (lo - q, lo - q), (lo, lo), (c, t), (hi, hi), (hi + q, hi + q))))
+    if 2 * dist == q:
+        # the anchors center -+ r would coincide; as d < delta, the ball is
+        # the whole circle, and the rotation by 1/2 stays inside it
+        return PLCircleHomeo(((ZERO, HALF),))
+    r = (dist + min(room, q // 2)) // 2
+    lo, hi = c - r, c + r
+    # t = c + e with |e| <= d < r, so t past hi or below lo is a turn off
+    if lo < 0:
+        pts = [(c, t - q if t > hi else t), (hi, hi), (lo + q, lo + q)]
+    elif hi >= q:
+        pts = [(hi - q, hi - q), (lo, lo), (c, t + q if t < lo else t)]
+    else:
+        pts = [(lo, lo), (c, t), (hi, hi)]
+    return _circle_through([anchor(x, y) for x, y in pts], 1)

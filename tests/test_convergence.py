@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdhkit import convergence, homeos
 from cdhkit.convergence import ConvergenceCertificate, double_limit_defect, reverify_ledger
@@ -32,7 +34,9 @@ from cdhkit.homeos import (
     compose,
     homeo_from_descriptor,
     identity_for,
+    realize_finite_bijection,
     small_ball_transporter,
+    sup_distance,
 )
 from cdhkit.pairs import group_pair
 from cdhkit.rationals import parse_scalar, pow2
@@ -573,6 +577,47 @@ def test_exact_line_and_circle_chains_keep_their_recorded_outputs():
     doc = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "58fdb6e3f869adad9a894ca3319652acd22552275ad6407af0a4d2523b8891bb")
+
+
+def _drawn_stage(rng: random.Random, factor, k: int, whole: bool):
+    """A stage for index k as the chain workload draws it, a small-ball
+    transporter with delta 2^-(k+1), sometimes inverted; with `whole`,
+    stages 0 to 2 may be a half turn or a reversing circle map, whose moved
+    arc is the whole circle."""
+    if whole and factor is CIRCLE and k <= 2 and rng.random() < 0.5:
+        c = F(rng.randrange(64), 64)
+        if rng.random() < 0.5:
+            return small_ball_transporter(CIRCLE, c, c + F(1, 2), F(3, 4))
+        # c + 1/4 and c + 3/4 swap: the cyclic order reverses
+        return realize_finite_bijection(CIRCLE, {c: c, c + F(1, 4): c + F(3, 4), c + F(1, 2): c + F(1, 2)})
+    delta = pow2(-(k + 1))
+    lo, hi = (0, 1 << 10) if factor is CIRCLE else (-(1 << 11), 1 << 11)
+    center = F(rng.randrange(lo, hi), 1 << 10)
+    h = small_ball_transporter(factor, center, center + delta * F(rng.randrange(1, 8), 8)
+                               * rng.choice((1, -1)), delta)
+    return h.invert() if rng.random() < 0.3 else h
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((CIRCLE, LINE)), st.integers(1, 40), st.integers(0, 1 << 30), st.booleans())
+def test_condition_2_read_over_the_moved_arcs_is_the_full_walks_value(factor, length, seed, whole):
+    rng = random.Random(seed)
+    cert = ConvergenceCertificate(factor)
+    while cert.stage_count < length:
+        h = _drawn_stage(rng, factor, cert.stage_count, whole)
+        if cert.stage_count:
+            mat = cert._materialize()
+            full = sup_distance(compose(h.invert(), mat), mat)
+        try:
+            cert = cert.append(h)
+        except BoundViolation:
+            continue
+        if cert.stage_count > 1:
+            assert cert.entries[-1].cond2_value == full
+    desc = json.loads(json.dumps(cert.describe()))
+    stages = [homeo_from_descriptor(d) for d in desc["stages"]]
+    verdicts = reverify_ledger(factor_from_descriptor(desc["space"]), stages, desc["ledger"])
+    assert len(verdicts) == length and all(v["ok"] for v in verdicts)
 
 
 def _counted_compose(monkeypatch) -> list:

@@ -324,6 +324,173 @@ def test_segment_search_and_apply_match_the_fraction_formulas(m, ts):
             assert m.apply(t) is t
 
 
+def _form_in_fractions(m, i: int) -> tuple:
+    """The Fraction formula the integer `_form` replaced, kept as a
+    reference: m = slope and e = intercept in lowest terms, over their lcm."""
+    (x0, y0), (x1, y1) = _segment_ends(m)[i]
+    slope = (y1 - y0) / (x1 - x0)
+    e = y0 - slope * x0
+    g = math.gcd(slope.denominator, e.denominator)
+    return (slope.numerator * (e.denominator // g), e.numerator * (slope.denominator // g),
+            slope.denominator // g * e.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_circle_maps(), _line_maps()))
+@example(PLCircleHomeo([(F(0), F(-5, 2)), (F(1, 3), F(-3)), (F(2, 3), F(-13, 4))], -1))  # negative
+@example(PLCircleHomeo([(F(0), F(7, 3)), (F(1, 2), F(11, 4))], 1))  # past two turns
+@example(PLCircleHomeo([(F(0), F(-2)), (F(1, 4), F(-7, 4))], 1))  # whole turns off the identity
+@example(PLLineHomeo([(F(-3), F(-3)), (F(-1, 2), F(-1, 2)), (F(1, 3), F(2)), (F(5), F(5))]))
+def test_integer_forms_match_the_fraction_formula(m):
+    for i in range(len(_segment_ends(m))):
+        form = m._form(i)
+        assert form == _form_in_fractions(m, i)
+        assert form[2] > 0 and math.gcd(*form) == 1
+        assert (form is homeos._IDENTITY_FORM) == (form == (1, 0, 1))
+
+
+def _checked_pairs(n: int, added) -> list:
+    """The pairs a constructor compares: all, or those next to an added break."""
+    if added is None:
+        return list(range(n - 1))
+    return sorted({k for a in added for k in (a - 1, a) if 0 <= k < n - 1})
+
+
+def _line_refusal(breaks, pairs):
+    """The Fraction comparisons the integer line constructor replaced, kept
+    as a reference: the message it raises, or None."""
+    for k in pairs:
+        (x0, y0), (x1, y1) = breaks[k], breaks[k + 1]
+        if not (x0 < x1 and y0 < y1):
+            return "breakpoints must be strictly increasing"
+    if breaks and (breaks[0][0] != breaks[0][1] or breaks[-1][0] != breaks[-1][1]):
+        return "PL line maps must be the identity outside their breakpoints"
+    return None
+
+
+def _circle_refusal(breaks, s, pairs):
+    """As `_line_refusal`, for the circle constructor and orientation s."""
+    if not breaks or breaks[0][0] != 0:
+        return "circle breakpoints must start at 0"
+    if not breaks[-1][0] < 1 or any(not breaks[k][0] < breaks[k + 1][0] for k in pairs):
+        return "circle breakpoints must increase within [0, 1)"
+    ys = [(breaks[k][1], breaks[k + 1][1]) for k in pairs] + [(breaks[-1][1], breaks[0][1] + s)]
+    for y0, y1 in ys:
+        if s == 1 and not y0 < y1:
+            return "lift must strictly increase"
+        if s == -1 and not y0 > y1:
+            return "lift must strictly decrease"
+    return None
+
+
+_EDIT_VALUES = st.one_of(st.integers(-3, 3).map(F), st.fractions(-3, 3, max_denominator=32),
+                         st.fractions(-3, 3, max_denominator=1 << 70))
+
+
+@st.composite
+def _edited_breaks(draw):
+    """(breaks, orientation, added): the breaks of a valid PL map of either
+    kind, then maybe one edit a constructor must refuse (two breaks
+    swapped, a value repeated from the neighbour, a value moved anywhere),
+    and None or some positions to pass as the composite's added breaks."""
+    m = draw(st.one_of(_circle_maps(), _line_maps()))
+    pts = list(m.breaks)
+    edit = draw(st.sampled_from(("none", "swap", "repeat", "move")))
+    if edit != "none" and len(pts) >= 2:
+        k = draw(st.integers(0, len(pts) - 2))
+        if edit == "swap":
+            pts[k], pts[k + 1] = pts[k + 1], pts[k]
+        elif edit == "repeat":
+            pts[k + 1] = draw(st.sampled_from(((pts[k][0], pts[k + 1][1]), (pts[k + 1][0], pts[k][1]))))
+        else:
+            k = draw(st.integers(0, len(pts) - 1))
+            pts[k] = (draw(st.one_of(st.just(pts[k][0]), _EDIT_VALUES)),
+                      draw(st.one_of(st.just(pts[k][1]), _EDIT_VALUES)))
+    s = m.orientation if isinstance(m, PLCircleHomeo) else draw(st.sampled_from((1, -1)))
+    positions = st.lists(st.integers(0, max(len(pts) - 1, 0)), unique=True, max_size=3).map(sorted)
+    return tuple(pts), s, draw(st.one_of(st.none(), positions))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_breaks())
+@example((((F(0), F(0)), (F(1, 2), F(1, 2))), -1, None))  # the closing pair decreases
+@example((((F(0), F(1, 2)), (F(1, 4), F(5, 4))), 1, [1]))  # the closing pair ties, added path
+@example(((), 1, []))
+def test_integer_constructor_checks_match_the_fraction_comparisons(case):
+    breaks, s, added = case
+    pairs = _checked_pairs(len(breaks), added)
+    for build, message in ((lambda: PLLineHomeo(breaks, _added=added), _line_refusal(breaks, pairs)),
+                           (lambda: PLCircleHomeo(breaks, s, _added=added),
+                            _circle_refusal(breaks, s, pairs))):
+        if message is None:
+            assert build().breaks == breaks
+        else:
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == message
+
+
+def _circle_through_in_fractions(pts: list, s: int) -> PLCircleHomeo:
+    """The Fraction formula of `_circle_through`'s wrap segment, kept as a
+    reference."""
+    if pts[0][0] != 0:
+        (x0, y0), (x1, y1) = pts[-1], pts[0]
+        fixed = s == 1 and x0 == y0 and x1 == y1
+        pts = [(F(0), F(0) if fixed else y1 - x1 * (y1 - y0 + s) / (x1 - x0 + 1))] + pts
+    return PLCircleHomeo(pts, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circle_maps())
+@example(PLCircleHomeo([(F(0), F(-5, 2)), (F(1, 3), F(-3)), (F(2, 3), F(-13, 4))], -1))
+@example(PLCircleHomeo([(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(5, 8))], 1))
+def test_circle_inverse_matches_the_sorted_fraction_anchors(h):
+    # each break (x, y) lands at (y - n, x - s*n), n = floor(y); the anchors
+    # sorted by abscissa through Fraction comparisons, then interpolated
+    s = h.orientation
+    pts = sorted(((y - math.floor(y), x - s * math.floor(y)) for x, y in h.breaks), key=lambda p: p[0])
+    ref = _circle_through_in_fractions(pts, s)
+    assert (h._inverse().breaks, h._inverse().orientation) == (ref.breaks, s)
+
+
+def _line_transporter_in_fractions(center, target, delta) -> PLLineHomeo:
+    """The Fraction construction of the line transporter, kept as a
+    reference: a bump of radius r, padded by `_realize_line`."""
+    gap = abs(target - center)
+    r = (gap + delta) / 2 if gap < delta else gap + 1
+    return homeos._realize_line({center - r: center - r, center: target, center + r: center + r})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=1 << 20)),
+       st.one_of(st.integers(-3, 3), st.fractions(-8, 8, max_denominator=1 << 20)),
+       st.one_of(st.integers(1, 3), st.fractions(F(1, 1 << 12), 4, max_denominator=1 << 20)))
+def test_line_transporter_is_the_padded_bump_built_in_fractions(center, shift, delta):
+    target = center + shift
+    d = LINE.metric(center, target)
+    if d >= delta:
+        with pytest.raises(PreconditionError) as refused:
+            small_ball_transporter(LINE, center, target, delta)
+        assert str(refused.value) == f"target at distance {d} is outside the {F(delta)}-ball"
+    elif d == 0:
+        assert small_ball_transporter(LINE, center, target, delta) is identity_for(LINE)
+    else:
+        h = small_ball_transporter(LINE, center, target, delta)
+        assert h.breaks == _line_transporter_in_fractions(center, target, F(delta)).breaks
+
+
+@pytest.mark.parametrize("center, target, delta, distance", [
+    (F(0), F(1, 4), F(1, 8), "1/4"), (F(7, 8), F(1, 8), F(1, 4), "1/4"),
+    (F(1, 3), F(1, 3) + 5, F(1, 2), "0"), (3, F(1, 2), F(1, 2), "1/2")])
+def test_circle_transporter_refusals_name_the_distance(center, target, delta, distance):
+    if distance == "0":
+        assert small_ball_transporter(CIRCLE, center, target, delta) is identity_for(CIRCLE)
+        return
+    with pytest.raises(PreconditionError, match=f"target at distance {distance} is outside the "
+                                                f"{F(delta)}-ball"):
+        small_ball_transporter(CIRCLE, center, target, delta)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.tuples(_circle_maps(), _circle_maps()), st.tuples(_line_maps(), _line_maps())),
        st.integers(-3, 3))
@@ -340,6 +507,15 @@ def test_sup_distance_matches_the_fraction_formula_at_merged_breaks(maps, shift)
         xs = sorted(set(xs) | {x for x, _ in g.breaks})
         want = min(max((abs(f.apply(x) - g.apply(x)) for x in xs), default=F(0)), F(1))
     assert sup_distance(f, g) == sup_distance(g, f) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_circle_maps(), _line_maps()))
+@example(small_ball_transporter(CIRCLE, F(1, 1024), F(-1, 512), F(1, 64)))
+@example(PLCircleHomeo([(F(0), F(3, 4)), (F(1, 2), F(1, 4))], -1))
+def test_pl_displacement_read_off_the_breaks_is_the_distance_to_the_identity(m):
+    e = identity_for(m.space)
+    assert m.sup_displacement() == sup_distance(m, e) == sup_distance(e, m)
 
 
 def test_line_pl_apply_and_invert_exact():
@@ -389,7 +565,7 @@ def test_a_composite_checks_the_pairs_at_its_added_breaks(monkeypatch, factor, c
     merge = homeos._compose_breaks
 
     def corrupted(*args):
-        pts, added = merge(*args)
+        pts, added, *rest = merge(*args)
         assert added and len(added) < len(pts)  # some breaks are h's own
         # the circle's first break stays at 0, the line's stays fixed
         a = next(a for a in added if 2 <= a < len(pts) - 1)
@@ -397,7 +573,7 @@ def test_a_composite_checks_the_pairs_at_its_added_breaks(monkeypatch, factor, c
             pts[a - 1], pts[a] = pts[a], pts[a - 1]
         else:
             pts[a] = (pts[a][0], pts[a + 1][1])
-        return pts, added
+        return (pts, added, *rest)
 
     compose(g, h)
     monkeypatch.setattr(homeos, "_compose_breaks", corrupted)
@@ -479,17 +655,24 @@ def _interpolated(h, t: Fraction) -> Fraction:
 def _check_composite(g, h, ts):
     """compose(g, h) equals the composite built from the candidate set
     {0} | {g's breaks} | g^-1({h's breaks}), each candidate interpolated
-    through g and then h; it agrees pointwise with h after g, and its
-    condition-(2) distance with the conjugate's displacement."""
+    through g and then h, or, where those breaks are the identity moved by
+    whole turns, the shared identity; it agrees pointwise with h after g,
+    and its condition-(2) distance with the conjugate's displacement."""
     gh = compose(g, h)
     g_inv = g.invert()
     cands = {x for x, _ in g.breaks} | {g_inv.apply(u) for u, _ in h.breaks}
     if isinstance(g, PLCircleHomeo):
         cands.add(F(0))
-    assert gh.breaks == tuple((t, _interpolated(h, _interpolated(g, t))) for t in sorted(cands))
+    built = tuple((t, _interpolated(h, _interpolated(g, t))) for t in sorted(cands))
+    turns = 0  # the whole turns by which gh's lift lies below h's after g's
+    if gh is identity_for(CIRCLE) and gh.breaks != built:
+        turns = built[0][1]
+        assert turns.denominator == 1 and all(y - t == turns for t, y in built)
+    else:
+        assert gh.breaks == built
     xs = [x for x, _ in g.breaks + h.breaks + gh.breaks]
     for t in ts + xs + [x + F(1, 7) for x in xs]:
-        assert _interpolated(gh, t) == _interpolated(h, _interpolated(g, t))
+        assert _interpolated(gh, t) + turns == _interpolated(h, _interpolated(g, t))
         for m in (g, h, gh):
             assert (m.apply(t) if isinstance(m, PLLineHomeo) else m.lift_at(t)) == _interpolated(m, t)
     d = sup_distance(gh.invert(), g_inv)
@@ -548,6 +731,94 @@ def test_line_compose_evaluates_only_what_it_must():
         ts = [F(rng.randrange(-80, 80), rng.randrange(1, 24)) for _ in range(6)]
         _check_composite(g, transporter(), ts)
         _check_composite(transporter(), g, ts)
+
+
+def test_a_composite_that_is_the_identity_moved_by_whole_turns_is_the_identity():
+    # the half turn twice: every break of the composite would read (x, x + 1)
+    h = small_ball_transporter(CIRCLE, F(0), F(1, 2), F(3, 4))
+    hh = compose(h, h)
+    assert hh is identity_for(CIRCLE)
+    assert hh._arcs == []
+    assert hh.sup_displacement() == 0
+    # so a later composition keeps the other map's breaks as they are
+    g = small_ball_transporter(CIRCLE, F(1, 3), F(3, 8), F(1, 8))
+    assert compose(hh, g).breaks == g.breaks
+    # a composite that keeps a break of h, or moves by less than a turn, is not
+    assert compose(g, g.invert()) is not identity_for(CIRCLE)
+    assert compose(h, small_ball_transporter(CIRCLE, F(0), F(1, 4), F(3, 4))) is not identity_for(CIRCLE)
+
+
+def _line_composites():
+    """Line maps, and composites of up to three line transporters."""
+    def transporter(args):
+        c, u, delta = args
+        return small_ball_transporter(LINE, c, c + delta * u, delta)
+
+    one = st.tuples(st.fractions(-2, 2, max_denominator=32),
+                    st.fractions(-1, 1, max_denominator=16).filter(lambda v: 0 < abs(v) < 1),
+                    st.sampled_from((F(1, 16), F(1, 4), F(1), F(3)))).map(transporter)
+    chains = st.lists(one, min_size=1, max_size=3)
+    return st.one_of(_line_maps(), chains.map(lambda hs: functools.reduce(compose, hs)))
+
+
+_COMPOSABLE = st.one_of(st.tuples(_circle_composites(), _circle_composites()),
+                        st.tuples(_line_composites(), _line_composites()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMPOSABLE)
+@example((PLCircleHomeo([(F(0), F(1, 2))]), small_ball_transporter(CIRCLE, F(1, 3), F(3, 8), F(1, 8))))
+@example((realize_finite_bijection(CIRCLE, {F(0): F(0), F(1, 3): F(2, 3), F(2, 3): F(1, 3)}),
+          small_ball_transporter(CIRCLE, F(1, 3), F(3, 8), F(1, 8))))
+def test_composite_distance_reads_the_full_walks_value_off_the_moved_arcs(maps):
+    g, h = maps
+    gh = compose(g, h)
+    assert homeos.composite_distance(g, h, gh) == sup_distance(gh, h)
+
+
+def _segments(m) -> int:
+    return len(m.breaks) if isinstance(m, PLCircleHomeo) else max(len(m.breaks) - 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMPOSABLE, st.booleans())
+def test_every_form_a_composite_takes_over_is_the_form_it_would_build(maps, built):
+    g, h = maps
+    if built:  # h holds every form, so each kept segment can take one over
+        for i in range(_segments(h)):
+            h._form(i)
+    gh = compose(g, h)
+    taken = [(i, f) for i, f in enumerate(gh._forms) if f is not None]
+    if gh is h or gh is identity_for(gh.space):
+        return
+    fresh = type(gh)(gh.breaks, *([gh.orientation] if isinstance(gh, PLCircleHomeo) else []))
+    for i, form in taken:
+        assert form in h._forms
+        assert fresh._form(i) == form
+        # its two ends are h's breaks, one after the other
+        ends = _segment_ends(gh)[i]
+        assert any(ends == e for e in _segment_ends(h))
+
+
+@pytest.mark.parametrize("factor, centers", [(CIRCLE, (F(1, 4), F(3, 4))), (LINE, (F(-1), F(1)))],
+                         ids=["circle", "line"])
+def test_a_composite_takes_over_the_forms_of_the_segments_it_keeps(factor, centers):
+    g, h = (small_ball_transporter(factor, c, c + F(1, 64), F(1, 8)) for c in centers)
+    for i in range(_segments(h)):
+        h._form(i)
+    gh = compose(g, h)
+    # g's support lies apart from h's: every segment of h is kept whole, and
+    # the composite holds its form as the same object
+    kept = [i for i, b in enumerate(gh.breaks) if b in h.breaks and gh.breaks.index(b) == i]
+    pairs = [(gh.breaks[i], gh.breaks[i + 1]) for i in range(len(gh.breaks) - 1)]
+    taken = {k for k, (a, b) in enumerate(pairs) if a in h.breaks and b in h.breaks
+             and h.breaks.index(b) == h.breaks.index(a) + 1}
+    assert kept and taken
+    for k in taken:
+        assert gh._forms[k] is h._forms[h.breaks.index(gh.breaks[k])]
+    assert all(gh._forms[k] is None for k in range(len(pairs)) if k not in taken)
+    if factor is CIRCLE:  # the closing segment runs from h's last break to 1
+        assert gh._forms[-1] is h._forms[-1]
 
 
 def _random_baire_homeo(rng: random.Random, depth: int) -> CylinderHomeo:
