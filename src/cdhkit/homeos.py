@@ -885,9 +885,9 @@ def _on_segment(m, k: int, n: int, d: int) -> tuple:
 
 
 def composite_distance(g: FactorHomeo, h: FactorHomeo, gh: FactorHomeo) -> Fraction:
-    """sup_distance(gh, h) for gh = compose(g, h), and the same value.  On
-    the PL kinds it is read off the breaks inside g's moved arcs only,
-    unless g reverses the circle or its one arc is the whole circle.
+    """sup_distance(gh, h), bit for bit, for gh = compose(g, h).  On the PL
+    kinds it is read off the breaks inside g's moved arcs only, unless g
+    reverses the circle or its one arc is the whole circle.
 
     Why that is the whole sup.  Off g's moved arcs g is the identity, on the
     lift too: every segment there has two fixed ends x = L_g(x).  The
