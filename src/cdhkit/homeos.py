@@ -35,23 +35,25 @@ gaps of 0.  For the same reason a PL map reads each segment through an
 integer form, built on first use and kept, and a composite takes over the
 form of every segment of h it keeps whole, built or not.
 
-The PL kinds compare, search and interpolate on numerators and
-denominators, and build one Fraction per value they return or store:
+A PL map keeps its breaks once, as `_pts`: pairs of points, each an (n, d)
+pair of ints in lowest terms with d > 0, so equal points are equal tuples.
+Every kernel reads and builds only these ints:
 - the segment search compares p * x_d with x_n * q, and a form is read off
-  its ends' integers and reduced by one gcd;
-- `apply`, `lift_at` and the composite's new breaks wrap a circle value
-  by `%`;
+  its ends' points and reduced by one gcd;
 - the constructors compare consecutive breaks by cross-multiplying, the
   circle's closing pair against L(0) + s too;
-- `compose` finds each moved arc's breaks of h by the segment search,
-  sorts its candidates on exact integer keys and places them among the
-  kept breaks by the same search;
+- `compose` finds each moved arc's breaks of h by the segment search, maps
+  points through g^-1 and h with one gcd each, sorts its candidates on exact
+  integer keys and places them among the kept breaks by the same search;
 - a circle inverse takes its anchors in the order the lift's floors give,
-  with no sort, and `_circle_through` and the circle and line transporters
-  compute on integers over one denominator;
-- the break walk of `sup_distance` gives its gaps as unreduced integer
-  pairs, which `_arc_sup` and the line cap read without building a
-  Fraction until the result.
+  with no sort, and `_circle_through` and the transporters compute on
+  integers over one denominator;
+- the break walks give their gaps as unreduced integer pairs, which
+  `_arc_sup` and the line cap read.
+A Fraction is built only where a value leaves the map: by `apply`,
+`lift_at` and the distances, and in `breaks`, the view of `_pts` as pairs
+of Fractions built on first read and kept, which no kernel reads.
+`_as_breaks` converts outside breaks.
 A composite's constructor compares only the break pairs the composition
 added, since every other pair is one its second map's constructor checked
 (see `_compose_breaks`).  `identity_for` returns one shared map per kind.
@@ -77,7 +79,7 @@ from .errors import (
     SpaceMismatch,
     UnsupportedOperation,
 )
-from .rationals import HALF, ONE, ZERO, format_scalar, parse_scalar, pow2
+from .rationals import HALF, ONE, ZERO, parse_scalar, pow2
 from .spaces import (
     BAIRE,
     CANTOR,
@@ -283,40 +285,44 @@ class _PLHomeo(FactorHomeo):
     i to the next break or, on the circle, to the closing point
     (1, L(0) + s).
 
-    Every evaluation reads integers.  `_seg` finds a segment by comparing
+    The breaks are kept once, as `_pts`: each break a pair of points, each
+    point an (n, d) pair of ints in lowest terms with d > 0.  Every
+    evaluation reads these ints.  `_seg` finds a segment by comparing
     p * x_d with x_n * q for t = p/q and each abscissa x = x_n/x_d, and
-    `_form` gives the segment's integer form, so a value is one Fraction,
-    built at the end, or a pair of ints that nothing reduces."""
+    `_form` gives the segment's integer form, so a value is a point, one
+    Fraction built at the end, or a pair of ints that nothing reduces.  A
+    map built here passes its points with `_added` (see `_pairs_to_check`)
+    and skips `_as_breaks`, the converter of outside breaks."""
 
     @cached_property
-    def _xs(self) -> list:
-        """Each break's abscissa as its pair of ints (numerator,
-        denominator), built on first use; a composite is given its own."""
-        return [(x.numerator, x.denominator) for x, _ in self.breaks]
+    def breaks(self) -> tuple:
+        """The breaks as pairs of Fractions, built on first read and kept;
+        no kernel reads them."""
+        return tuple((Fraction(*x), Fraction(*y)) for x, y in self._pts)
 
     def _seg(self, p: int, q: int, lo: int = 0) -> int:
         """bisect_right over the break abscissas from index lo at t = p/q,
         minus 1: the last segment starting at or below t, lo - 1 below every
         break from lo."""
-        xs = self._xs
-        hi = len(xs)
+        pts = self._pts
+        hi = len(pts)
         while lo < hi:
             mid = (lo + hi) >> 1
-            xn, xd = xs[mid]
+            xn, xd = pts[mid][0]
             if p * xd < xn * q:
                 hi = mid
             else:
                 lo = mid + 1
         return lo - 1
 
-    def _span(self, a: Fraction, b: Fraction, lo: int) -> tuple:
+    def _span(self, a: tuple, b: tuple, lo: int) -> tuple:
         """The indices (i, j), from lo, of the breaks whose abscissas lie in
-        [a, b]: bisect_left at a and bisect_right at b, found by `_seg`."""
-        p, q = a.numerator, a.denominator
-        i = self._seg(p, q, lo)
-        if i < lo or self._xs[i] != (p, q):
+        [a, b], two points: bisect_left at a and bisect_right at b, found by
+        `_seg`."""
+        i = self._seg(*a, lo)
+        if i < lo or self._pts[i][0] != a:
             i += 1
-        return i, self._seg(b.numerator, b.denominator, i) + 1
+        return i, self._seg(*b, i) + 1
 
     def _form(self, i: int) -> tuple:
         """Segment i's integer form (a, b, c), built on first use and kept:
@@ -326,22 +332,20 @@ class _PLHomeo(FactorHomeo):
 
         The form is the one primitive triple with c > 0 (m = a/c and
         e = b/c in lowest terms give c = lcm of their denominators, and no
-        prime divides a, b and c), so it is read off the ends' numerators
-        and denominators as any integer triple through them, divided by
-        the gcd of its three entries."""
+        prime divides a, b and c), so it is read off the ends' points as
+        any integer triple through them, divided by the gcd of its three
+        entries."""
         form = self._forms[i]
         if form is None:
-            x0, y0 = self.breaks[i]
-            if i + 1 < len(self.breaks):
-                x1, y1 = self.breaks[i + 1]
-                p1, q1, r1, s1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+            pts = self._pts
+            (p0, q0), (r0, s0) = pts[i]
+            if i + 1 < len(pts):
+                (p1, q1), (r1, s1) = pts[i + 1]
             else:  # the circle's closing point (1, L(0) + s)
-                y1 = self.breaks[0][1]
                 p1 = q1 = 1
-                s1 = y1.denominator
-                r1 = y1.numerator + self.orientation * s1
-            form = _segment_form(x0.numerator, x0.denominator, y0.numerator, y0.denominator,
-                                 p1, q1, r1, s1)
+                r1, s1 = pts[0][1]
+                r1 += self.orientation * s1
+            form = _segment_form(p0, q0, r0, s0, p1, q1, r1, s1)
             if form == _IDENTITY_FORM:
                 form = _IDENTITY_FORM
             self._forms[i] = form
@@ -362,13 +366,20 @@ class _PLHomeo(FactorHomeo):
         q = t.denominator
         return Fraction(a * t.numerator + b * q, c * q)
 
+    def _value(self, t: tuple) -> tuple:
+        """The map at the point t, as a point; on the circle its lift,
+        L(t - n) + s*n for n = floor(t) and s the orientation."""
+        p, q = t
+        n, r = divmod(p, q) if self.space is CIRCLE else (0, p)
+        a, d = _on_segment(self, self._seg(r, q), r, q)
+        return _point(a + n * self.orientation * d, d) if n else _point(a, d)
+
     def sup_displacement(self) -> Fraction:
         """The distance to the identity, read off the breaks alone: the
         identity's value at a break x is x, so the gaps `sup_distance` walks
         are y - x at each break (x, y), and on the circle L(1) - 1 at the
         closing point, the gap at 0 plus s - 1."""
-        gaps = [_minus(y.numerator, y.denominator, x.numerator, x.denominator)
-                for x, y in self.breaks]
+        gaps = [_minus(*y, *x) for x, y in self._pts]
         if isinstance(self, PLLineHomeo):
             return _line_sup(gaps)
         n, d = gaps[0]
@@ -394,22 +405,24 @@ def _segment_form(p0: int, q0: int, r0: int, s0: int, p1: int, q1: int, r1: int,
     return a // g, b // g, c // g
 
 
-def _lt(a, b) -> bool:
-    """a < b for two ints or Fractions, on their numerators and denominators."""
-    return a.numerator * b.denominator < b.numerator * a.denominator
+def _point(n: int, d: int) -> tuple:
+    """n/d, d > 0, as a point: the pair in lowest terms."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-def _same(a, b) -> bool:
-    """a == b for two ints or Fractions, each in lowest terms."""
-    return a.numerator == b.numerator and a.denominator == b.denominator
+def _lt(a: tuple, b: tuple) -> bool:
+    """a < b for two points."""
+    return a[0] * b[1] < b[0] * a[1]
 
 
 def _pairs_to_check(n: int, added) -> Iterable[int]:
     """The k whose consecutive pair (k, k + 1) of n breaks a PL constructor
-    compares: every one, or, given the sorted positions `added` of the
-    breaks a composite added, the pairs that hold one (see
-    `_compose_breaks`)."""
-    if added is None:
+    compares: every one for outside breaks (`added` None), else those that
+    hold a break at one of the sorted positions `added`.  A fresh map built
+    here passes every position as added, a composite the positions of the
+    breaks it added (see `_compose_breaks`)."""
+    if added is None or len(added) == n:
         return range(n - 1)
     return sorted({k for a in added for k in (a - 1, a) if 0 <= k < n - 1})
 
@@ -421,9 +434,10 @@ def _pairs_to_check(n: int, added) -> Iterable[int]:
 class PLLineHomeo(_PLHomeo):
     """Strictly increasing rational PL map, identity outside its breakpoints.
 
-    A float or bool in a break raises ValueError."""
+    A break that is not a pair, and a float or bool in a break, raise
+    ValueError."""
 
-    def __init__(self, breaks: Iterable[tuple] = (), *, _added=None, _forms=None, _xs=None):
+    def __init__(self, breaks: Iterable[tuple] = (), *, _added=None, _forms=None):
         breaks = _as_breaks(breaks) if _added is None else breaks
         self.space = LINE
         for k in _pairs_to_check(len(breaks), _added):
@@ -431,31 +445,28 @@ class PLLineHomeo(_PLHomeo):
             if not (_lt(x0, x1) and _lt(y0, y1)):
                 raise ValueError("breakpoints must be strictly increasing")
         if breaks:
-            if not (_same(*breaks[0]) and _same(*breaks[-1])):
+            (x0, y0), (x1, y1) = breaks[0], breaks[-1]
+            if not (x0 == y0 and x1 == y1):
                 raise ValueError("PL line maps must be the identity outside their breakpoints")
-        self.breaks = breaks
-        if _xs is not None:
-            self._xs = _xs
+        self._pts = breaks
         self._forms = [None] * len(breaks) if _forms is None else _forms
 
     def apply(self, t: Fraction) -> Fraction:
         i = self._seg(t.numerator, t.denominator)
-        if i < 0 or i == len(self.breaks) - 1:
+        if i < 0 or i == len(self._pts) - 1:
             return t
         return self._on(i, t)
 
     def _inverse(self) -> "PLLineHomeo":
-        return PLLineHomeo(tuple((y, x) for x, y in self.breaks))
+        pts = tuple((y, x) for x, y in self._pts)
+        return PLLineHomeo(pts, _added=range(len(pts)))
 
     @cached_property
     def _arcs(self) -> list:
-        return _moved_arcs(self.breaks)
+        return _moved_arcs(self._pts)
 
     def descriptor(self) -> dict:
-        return {
-            "type": "pl_line",
-            "breaks": [[format_scalar(x), format_scalar(y)] for x, y in self.breaks],
-        }
+        return {"type": "pl_line", "breaks": _written(self._pts)}
 
 
 def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
@@ -471,10 +482,10 @@ def _compose_pl_line(g: PLLineHomeo, h: PLLineHomeo) -> PLLineHomeo:
     same holds for the greatest candidate and everything above it.
     """
     g_inv = g.invert()
-    pts, added, forms, xs = _compose_breaks(
-        g, h, [(x, h.apply(y)) for x, y in g.breaks],
-        lambda b: (g_inv.apply(b[0]), b[1]))
-    return PLLineHomeo(tuple(pts), _added=added, _forms=forms, _xs=xs)
+    pts, added, forms = _compose_breaks(
+        g, h, [(x, h._value(y)) for x, y in g._pts],
+        lambda b: (g_inv._value(b[0]), b[1]))
+    return PLLineHomeo(tuple(pts), _added=added, _forms=forms)
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +499,19 @@ class PLCircleHomeo(_PLHomeo):
     0 <= x_i < 1 strictly increasing; the closing value L(1) = L(0) + s is
     implied, where s = +1 (orientation-preserving) or -1 (reversing).  An
     orientation other than the int 1 or -1 (a bool or a float included),
-    and a float or bool in a break, raise ValueError.
+    a break that is not a pair, and a float or bool in a break, raise
+    ValueError.
     """
 
     def __init__(self, breaks: Iterable[tuple], orientation: int = 1, *, _added=None,
-                 _forms=None, _xs=None):
+                 _forms=None):
         breaks = _as_breaks(breaks) if _added is None else breaks
         if type(orientation) is not int or orientation not in (1, -1):
             raise ValueError(f"orientation must be the int +1 or -1, not {orientation!r}")
-        if not breaks or breaks[0][0].numerator != 0:
+        if not breaks or breaks[0][0][0] != 0:
             raise ValueError("circle breakpoints must start at 0")
-        x = breaks[-1][0]
-        if not x.numerator < x.denominator:
+        xn, xd = breaks[-1][0]
+        if not xn < xd:
             raise ValueError("circle breakpoints must increase within [0, 1)")
         pairs = _pairs_to_check(len(breaks), _added)
         for k in pairs:
@@ -507,32 +519,21 @@ class PLCircleHomeo(_PLHomeo):
                 raise ValueError("circle breakpoints must increase within [0, 1)")
         # each pair of lift values (n0/d0, n1/d1), the closing pair ending at
         # L(0) + s; s * (n1*d0 - n0*d1) > 0 when the lift moves the way s does
-        ys = [(y0.numerator, y0.denominator, y1.numerator, y1.denominator)
-              for y0, y1 in ((breaks[k][1], breaks[k + 1][1]) for k in pairs)]
-        y0, y1 = breaks[-1][1], breaks[0][1]
-        ys.append((y0.numerator, y0.denominator, y1.numerator + orientation * y1.denominator,
-                   y1.denominator))
+        ys = [(*breaks[k][1], *breaks[k + 1][1]) for k in pairs]
+        (n0, d0), (n1, d1) = breaks[-1][1], breaks[0][1]
+        ys.append((n0, d0, n1 + orientation * d1, d1))
         for n0, d0, n1, d1 in ys:
             if orientation * (n1 * d0 - n0 * d1) <= 0:
                 raise ValueError("lift must strictly increase" if orientation == 1
                                  else "lift must strictly decrease")
         self.space = CIRCLE
-        self.breaks = breaks
+        self._pts = breaks
         self.orientation = orientation
-        if _xs is not None:
-            self._xs = _xs
         self._forms = [None] * len(breaks) if _forms is None else _forms
-
 
     def lift_at(self, t: Fraction) -> Fraction:
         """L(t) = L(t - n) + s*n, n = floor(t), s the orientation."""
-        q = t.denominator
-        n, p = divmod(t.numerator, q)
-        i = self._seg(p, q)
-        if not n:
-            return self._on(i, t)
-        a, d = self._at(i, p, q)
-        return Fraction(a + n * self.orientation * d, d)
+        return Fraction(*self._value((t.numerator, t.denominator)))
 
     def apply(self, t: Fraction) -> Fraction:
         """L(t) mod 1; t itself where it lies in [0, 1) on an identity
@@ -559,16 +560,14 @@ class PLCircleHomeo(_PLHomeo):
         the first and then the second (s = -1)."""
         s = self.orientation
         pts, m, n0 = [], None, None
-        for k, (x, y) in enumerate(self.breaks):
-            d = y.denominator
-            n = y.numerator // d
+        for k, (x, y) in enumerate(self._pts):
+            yn, yd = y
+            n = yn // yd
             if n0 is None:
                 n0 = n
             elif m is None and n != n0:
                 m = k
-            pts.append((Fraction(y.numerator - n * d, d),
-                        Fraction(x.numerator - s * n * x.denominator, x.denominator))
-                       if n else (y, x))
+            pts.append(((yn - n * yd, yd), (x[0] - s * n * x[1], x[1])) if n else (y, x))
         if m is not None:
             pts = pts[m:] + pts[:m] if s == 1 else pts[:m][::-1] + pts[m:][::-1]
         elif s == -1:
@@ -577,15 +576,14 @@ class PLCircleHomeo(_PLHomeo):
 
     @cached_property
     def _arcs(self) -> list:
-        y = self.breaks[0][1]
-        closing = ONE, Fraction(y.numerator + self.orientation * y.denominator, y.denominator)
-        return _moved_arcs(self.breaks + (closing,))
+        n, d = self._pts[0][1]
+        return _moved_arcs(self._pts + (((1, 1), (n + self.orientation * d, d)),))
 
     def descriptor(self) -> dict:
         return {
             "type": "pl_circle",
             "orientation": self.orientation,
-            "breaks": [[format_scalar(x), format_scalar(y)] for x, y in self.breaks],
+            "breaks": _written(self._pts),
         }
 
 
@@ -606,53 +604,61 @@ def _compose_pl_circle(g: PLCircleHomeo, h: PLCircleHomeo) -> PLCircleHomeo:
     g_inv = g.invert()
 
     def through(b):
-        u = b[0]  # in [0, 1)
-        p, q = u.numerator, u.denominator
-        a, d = g_inv._at(g_inv._seg(p, q), p, q)
+        a, d = g_inv._value(b[0])  # b[0] in [0, 1)
         n = a // d
-        return Fraction(a - n * d, d), b[1] - s * n
+        vn, vd = b[1]
+        return (a - n * d, d), (vn - s * n * vd, vd)
 
-    pts, added, forms, xs = _compose_breaks(g, h, [(x, h.lift_at(y)) for x, y in g.breaks], through)
+    pts, added, forms = _compose_breaks(g, h, [(x, h._value(y)) for x, y in g._pts], through)
     if s == 1 and len(added) == len(pts) and _whole_turn(pts):
         return identity_for(CIRCLE)
-    return PLCircleHomeo(tuple(pts), s, _added=added, _forms=forms, _xs=xs)
+    return PLCircleHomeo(tuple(pts), s, _added=added, _forms=forms)
 
 
 def _whole_turn(pts: list) -> bool:
     """Whether every break reads (x, x + n), for one int n: a lift of the
     identity moved by n whole turns."""
-    lift0 = pts[0][1]  # at x = 0
-    if lift0.denominator != 1:
+    n, d = pts[0][1]  # the lift at x = 0
+    if d != 1:
         return False
-    n = lift0.numerator
-    return all(x.denominator == y.denominator and y.numerator - x.numerator == n * x.denominator
-               for x, y in pts)
+    return all(x[1] == y[1] and y[0] - x[0] == n * x[1] for x, y in pts)
 
 
 def _as_breaks(breaks: Iterable) -> tuple:
-    """The breaks as a tuple of pairs of Fractions; a pair that already is
-    one is kept as it is, so that maps can share it.  A value that is not an
-    int or a Fraction (a bool, a float, a str or a Decimal) raises
-    ValueError, as `ProductSpace.point` refuses it on an exact factor."""
+    """Outside breaks as the tuple of pairs of points a PL map keeps.  A
+    break that is not a pair (x, y), and a value that is not an int or a
+    Fraction (a bool, a float, a str or a Decimal), raise ValueError, as
+    `ProductSpace.point` refuses such a value on an exact factor."""
     out = []
     for b in breaks:
-        x, y = b
-        if not (type(b) is tuple and type(x) is Fraction and type(y) is Fraction):
-            if not (_is_number(x) and _is_number(y)):
-                raise ValueError(f"break {b!r} is not exact: an int or a Fraction is needed")
-            b = (Fraction(x), Fraction(y))
-        out.append(b)
+        x, y = _pair(b)
+        if not (_is_number(x) and _is_number(y)):
+            raise ValueError(f"break {b!r} is not exact: an int or a Fraction is needed")
+        out.append(((x.numerator, x.denominator), (y.numerator, y.denominator)))
     return tuple(out)
 
 
+def _pair(b) -> tuple:
+    """The break b, a tuple or a list of two values; anything else raises
+    ValueError, naming b."""
+    if not isinstance(b, (tuple, list)) or len(b) != 2:
+        raise ValueError(f"break {b!r} is not a pair (x, y)")
+    return b
+
+
+def _written(pts) -> list:
+    """The breaks as a descriptor lists them, each point as "n/d"."""
+    return [[f"{xn}/{xd}", f"{yn}/{yd}"] for (xn, xd), (yn, yd) in pts]
+
+
 def _moved_arcs(pts) -> list:
-    """Closed intervals [a, b], increasing and disjoint, outside which the PL
-    function through pts (and the identity beyond them) is the identity: the
-    maximal runs of segments whose two ends are not both fixed, a fixed end
-    read as x == y on numerators and denominators.  A reversing circle map
+    """Closed intervals [a, b], increasing and disjoint, their ends points,
+    outside which the PL function through pts (and the identity beyond
+    them) is the identity: the maximal runs of segments whose two ends are
+    not both fixed, a fixed end read as x == y.  A reversing circle map
     fixes no segment, so its one arc is the whole circle."""
     arcs = []
-    fixed = [x.numerator == y.numerator and x.denominator == y.denominator for x, y in pts]
+    fixed = [x == y for x, y in pts]
     last = -2  # the last moved segment
     for k in range(len(pts) - 1):
         if fixed[k] and fixed[k + 1]:
@@ -667,22 +673,21 @@ def _moved_arcs(pts) -> list:
 
 def _compose_breaks(g, h, new: list, through: Callable) -> tuple:
     """The break list of h after g, the sorted positions in it of the
-    breaks it adds, the forms it takes over from h and its abscissas as
-    pairs of ints, as `_xs` holds them.  Each break is a
-    pair of Fractions, one of h's or built from Fractions here, so the
-    composite's constructor skips `_as_breaks`.  `new` holds g's breaks with
-    the composite's values; it is extended by h's breaks inside g's moved
-    arcs sent through g^-1 by `through`, and merged with h's other breaks,
-    which are kept as they are, since g^-1 fixes their abscissas.  Where two
-    candidates share an abscissa their values agree and one is kept; the
-    rest are added.
+    breaks it adds, and the forms it takes over from h.  Each break is a
+    pair of points, one of h's own tuples or built here in lowest terms, so
+    the composite's constructor skips `_as_breaks`.  `new` holds g's breaks
+    with the composite's values; it is extended by h's breaks inside g's
+    moved arcs sent through g^-1 by `through`, and merged with h's other
+    breaks, which are kept as the same tuples, since g^-1 fixes their
+    abscissas.  Where two candidates share an abscissa their values agree
+    and one is kept; the rest are added.
 
     Every search and comparison reads integers.  `_span` finds each arc's
     breaks of h by `_seg`.  `new` is sorted on exact integer keys: for
     abscissas with denominators below 2^m, two distinct ones differ by more
-    than 2^-2m, so floor(x * 2^2m) orders them and ties only equal ones.  A
-    candidate is placed among the kept breaks by `_seg` on h and a bisection
-    of the kept breaks' indices in h.
+    than 2^-2m, so floor(x * 2^2m) orders them and ties only equal ones,
+    which are equal points.  A candidate is placed among the kept breaks by
+    `_seg` on h and a bisection of the kept breaks' indices in h.
 
     So the composite's constructor compares only the consecutive pairs that
     hold an added break, and still checks every pair.  Two kept breaks that
@@ -699,49 +704,45 @@ def _compose_breaks(g, h, new: list, through: Callable) -> tuple:
     both kept, is h's segment i, and the composite takes over its form as h
     holds it, built or None; on the circle so does the closing segment when
     the first and last breaks are h's."""
-    xs, hb = h._xs, h.breaks
-    kept, kxs, src, start = [], [], [], 0  # src: each kept break's index in h
+    hp = h._pts
+    kept, src, start = [], [], 0  # src: each kept break's index in h
     for a, b in g._arcs:
         lo, hi = h._span(a, b, start)
-        kept += hb[start:lo]
-        kxs += xs[start:lo]
+        kept += hp[start:lo]
         src += range(start, lo)
-        new += map(through, hb[lo:hi])
+        new += map(through, hp[lo:hi])
         start = hi
-    kept += hb[start:]
-    kxs += xs[start:]
-    src += range(start, len(hb))
+    kept += hp[start:]
+    src += range(start, len(hp))
     if len(new) > 1:
-        m = 2 * max(x.denominator.bit_length() for x, _ in new)
-        new.sort(key=lambda b: (b[0].numerator << m) // b[0].denominator)
-    pts, pxs, added, at, i = [], [], [], [], 0  # at: each break's index in h, -1 if added
+        m = 2 * max(x[1].bit_length() for x, _ in new)
+        new.sort(key=lambda b: (b[0][0] << m) // b[0][1])
+    pts, added, at, i = [], [], [], 0  # at: each break's index in h, -1 if added
     key = None
     for p in new:
-        n, d = p[0].numerator, p[0].denominator
-        if (n, d) == key:
+        x = p[0]
+        if x == key:
             continue
-        key = n, d
-        if i < len(kept) and kxs[i][0] * d <= n * kxs[i][1]:
+        key = x
+        n, d = x
+        if i < len(kept) and kept[i][0][0] * d <= n * kept[i][0][1]:
             u = h._seg(n, d, src[i])  # h's last break at or below p
             j = bisect_right(src, u, i)  # kept[:j] lie at or below p
             pts += kept[i:j]
-            pxs += kxs[i:j]
             at += src[i:j]
             i = j
-            if src[j - 1] == u and xs[u] == key:
+            if src[j - 1] == u and hp[u][0] == x:
                 continue
         added.append(len(pts))
         pts.append(p)
-        pxs.append(key)
         at.append(-1)
     pts += kept[i:]
-    pxs += kxs[i:]
     at += src[i:]
     hf = h._forms
     forms = [hf[u] if u >= 0 and v == u + 1 else None for u, v in zip(at, at[1:])]
-    closes = isinstance(h, PLCircleHomeo) and at[0] == 0 and at[-1] == len(hb) - 1
+    closes = isinstance(h, PLCircleHomeo) and at[0] == 0 and at[-1] == len(hp) - 1
     forms.append(hf[-1] if closes else None)
-    return pts, added, forms, pxs
+    return pts, added, forms
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +750,7 @@ def _compose_breaks(g, h, new: list, through: Callable) -> tuple:
 # ---------------------------------------------------------------------------
 
 _IDENTITIES = {"cantor": CylinderHomeo(CANTOR, 0, {}), "baire": CylinderHomeo(BAIRE, 0, {}),
-               "circle": PLCircleHomeo(((Fraction(0), Fraction(0)),), 1), "line": PLLineHomeo(())}
+               "circle": PLCircleHomeo(((0, 0),), 1), "line": PLLineHomeo(())}
 
 
 def identity_for(factor: FactorSpace) -> FactorHomeo:
@@ -842,13 +843,13 @@ def _gaps_at_merged_breaks(f, g, i: int = 0, i1: Optional[int] = None, j: int = 
     A break both maps hold as one tuple has gap 0 and is not compared.  A
     run of such breaks is listed as one 0: f - g is 0 across the run, so the
     list still holds the same segments and their ends."""
-    fb, gb = f.breaks, g.breaks
-    i1 = len(fb) if i1 is None else i1
-    j1 = len(gb) if j1 is None else j1
+    fp, gp = f._pts, g._pts
+    i1 = len(fp) if i1 is None else i1
+    j1 = len(gp) if j1 is None else j1
     gaps = []
     run = False
     while i < i1 and j < j1:
-        p, q = fb[i], gb[j]
+        p, q = fp[i], gp[j]
         if p is q:
             if not run:
                 gaps.append((0, 1))
@@ -858,28 +859,25 @@ def _gaps_at_merged_breaks(f, g, i: int = 0, i1: Optional[int] = None, j: int = 
             continue
         run = False
         (x, y), (u, v) = p, q
-        xn, xd, un, ud = x.numerator, x.denominator, u.numerator, u.denominator
-        if xn == un and xd == ud:
-            gaps.append(_minus(y.numerator, y.denominator, v.numerator, v.denominator))
+        if x == u:
+            gaps.append(_minus(*y, *v))
             i += 1
             j += 1
-        elif xn * ud < un * xd:
-            gaps.append(_minus(y.numerator, y.denominator, *(g._at(j - 1, xn, xd) if j else (xn, xd))))
+        elif x[0] * u[1] < u[0] * x[1]:
+            gaps.append(_minus(*y, *(g._at(j - 1, *x) if j else x)))
             i += 1
         else:
-            gaps.append(_minus(*(f._at(i - 1, un, ud) if i else (un, ud)), v.numerator, v.denominator))
+            gaps.append(_minus(*(f._at(i - 1, *u) if i else u), *v))
             j += 1
-    gaps.extend(_minus(y.numerator, y.denominator, *_on_segment(g, j - 1, x.numerator, x.denominator))
-                for x, y in fb[i:i1])
-    gaps.extend(_minus(*_on_segment(f, i - 1, u.numerator, u.denominator), v.numerator, v.denominator)
-                for u, v in gb[j:j1])
+    gaps.extend(_minus(*y, *_on_segment(g, j - 1, *x)) for x, y in fp[i:i1])
+    gaps.extend(_minus(*_on_segment(f, i - 1, *u), *v) for u, v in gp[j:j1])
     return gaps
 
 
 def _on_segment(m, k: int, n: int, d: int) -> tuple:
     """m at n/d, which lies on m's segment k, as an unreduced pair; a line
     map is the identity below its first break and from its last."""
-    if k < 0 or k == len(m.breaks) - 1 and isinstance(m, PLLineHomeo):
+    if k < 0 or k == len(m._pts) - 1 and isinstance(m, PLLineHomeo):
         return n, d
     return m._at(k, n, d)
 
@@ -909,8 +907,7 @@ def composite_distance(g: FactorHomeo, h: FactorHomeo, gh: FactorHomeo) -> Fract
     if not isinstance(g, _PLHomeo) or not (type(g) is type(h) is type(gh)):
         return sup_distance(gh, h)
     arcs = g._arcs
-    if isinstance(g, PLCircleHomeo) and (g.orientation == -1 or len(arcs) == 1 and (
-            arcs[0][0].numerator == 0 and arcs[0][1].numerator == arcs[0][1].denominator)):
+    if isinstance(g, PLCircleHomeo) and (g.orientation == -1 or arcs == [((0, 1), (1, 1))]):
         return sup_distance(gh, h)
     gaps = [(0, 1)]
     i = j = 0
@@ -977,15 +974,11 @@ def homeo_from_descriptor(desc: dict) -> FactorHomeo:
             table = {tuple(k): tuple(v) for k, v in desc["table"]}
             masks = {tuple(k): _load_symseq(m, binary) for k, m in desc["masks"]}
             return CylinderHomeo(space, desc["depth"], table, masks)
-        if t == "pl_line":
-            return PLLineHomeo(
-                tuple((parse_scalar(x), parse_scalar(y)) for x, y in desc["breaks"])
-            )
-        if t == "pl_circle":
-            return PLCircleHomeo(
-                tuple((parse_scalar(x), parse_scalar(y)) for x, y in desc["breaks"]),
-                desc["orientation"],
-            )
+        if t in ("pl_line", "pl_circle"):
+            breaks = [tuple(map(parse_scalar, _pair(b))) for b in desc["breaks"]]
+            if t == "pl_line":
+                return PLLineHomeo(breaks)
+            return PLCircleHomeo(breaks, desc["orientation"])
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise PreconditionError(f"malformed homeomorphism descriptor: {e!r}") from e
     raise UnsupportedOperation(f"cannot rebuild homeomorphism of type {t!r}")
@@ -1084,28 +1077,27 @@ def _circle_monotone(items: list, s: int) -> PLCircleHomeo:
         kept = "kept" if s == 1 else "kept or reversed"
         raise OrderViolation(f"cyclic order of targets is not {kept}", witness=items)
     k = next((x - v for (x, y), v in zip(items, lifts) if x == y), 0)
-    return _circle_through([(x, v + k) for (x, _), v in zip(items, lifts)], s)
+    return _circle_through(_as_breaks((x, v + k) for (x, _), v in zip(items, lifts)), s)
 
 
-def _circle_through(pts: list, orientation: int) -> PLCircleHomeo:
-    """The PL circle map through (x, L(x)) anchors sorted in [0, 1), and
-    through 0 on the wrap segment.  When the lift increases and the first
-    and last anchors are fixed, that segment is the identity and L(0) = 0
-    is not interpolated."""
-    if pts[0][0].numerator:
+def _circle_through(pts, orientation: int) -> PLCircleHomeo:
+    """The PL circle map through (x, L(x)) anchors, pairs of points sorted
+    in [0, 1), and through 0 on the wrap segment.  When the lift increases
+    and the first and last anchors are fixed, that segment is the identity
+    and L(0) = 0 is not interpolated."""
+    if pts[0][0][0]:
         (x0, y0), (x1, y1) = pts[-1], pts[0]
-        if orientation == 1 and _same(x0, y0) and _same(x1, y1):
-            lift0 = ZERO
+        if orientation == 1 and x0 == y0 and x1 == y1:
+            lift0 = 0, 1
         else:
             # L(0) = y1 - x1 * (y1 - y0 + s) / (x1 - x0 + 1), on the ends'
             # numerators and denominators
-            p0, q0, r0, s0 = x0.numerator, x0.denominator, y0.numerator, y0.denominator
-            p1, q1, r1, s1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+            (p0, q0), (r0, s0), (p1, q1), (r1, s1) = x0, y0, x1, y1
             rise = r1 * s0 - r0 * s1 + orientation * s0 * s1
             run = p1 * q0 - p0 * q1 + q0 * q1
-            lift0 = Fraction(r1 * s0 * run - p1 * q0 * rise, s0 * s1 * run)
-        pts = [(ZERO, lift0)] + pts
-    return PLCircleHomeo(pts, orientation)
+            lift0 = _point(r1 * s0 * run - p1 * q0 * rise, s0 * s1 * run)
+        pts = [((0, 1), lift0), *pts]
+    return PLCircleHomeo(tuple(pts), orientation, _added=range(len(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -1149,7 +1141,8 @@ def _pl_transporter(factor, center, target, delta) -> FactorHomeo:
     Every value is an integer over one denominator Q, four times the lcm of
     the three given denominators: the center C, the target T, delta and
     the distance are then multiples of 4, so the radius r is an integer
-    too.  One Fraction is built per stored value.  On the line, r is
+    too.  Each anchor is reduced to a point by one gcd, and no Fraction is
+    built but for a refusal's message.  On the line, r is
     (gap + delta)/2 for a gap below delta; a larger gap means delta > 1, as
     the metric caps at 1, so the ball is the whole line and r = gap + 1
     fits.  The line map is padded by one on each side, as `_realize_line`
@@ -1173,18 +1166,18 @@ def _pl_transporter(factor, center, target, delta) -> FactorHomeo:
         return identity_for(factor)
 
     def anchor(x, y):
-        fx = Fraction(x, q)
-        return (fx, fx) if x == y else (fx, Fraction(y, q))
+        fx = _point(x, q)
+        return (fx, fx) if x == y else (fx, _point(y, q))
 
     if not circle:
         r = (gap + room) // 2 if gap < room else gap + q
         lo, hi = c - r, c + r
         return PLLineHomeo(tuple(anchor(x, y) for x, y in (
-            (lo - q, lo - q), (lo, lo), (c, t), (hi, hi), (hi + q, hi + q))))
+            (lo - q, lo - q), (lo, lo), (c, t), (hi, hi), (hi + q, hi + q))), _added=range(5))
     if 2 * dist == q:
         # the anchors center -+ r would coincide; as d < delta, the ball is
         # the whole circle, and the rotation by 1/2 stays inside it
-        return PLCircleHomeo(((ZERO, HALF),))
+        return PLCircleHomeo((((0, 1), (1, 2)),), _added=(0,))
     r = (dist + min(room, q // 2)) // 2
     lo, hi = c - r, c + r
     # t = c + e with |e| <= d < r, so t past hi or below lo is a turn off

@@ -829,8 +829,10 @@ class ProductPoint:
     @staticmethod
     def de(space: ProductSpace, obj: dict) -> "ProductPoint":
         """Reads `ser()` output back; a document that cannot be read raises
-        PreconditionError with the cause chained.  An override key must be
-        an index as `ser()` writes it, a decimal numeral with no sign, no
+        PreconditionError with the cause chained, and a CdhError raised
+        while reading it, such as IndexRange for an override index outside
+        the product, passes through unchanged.  An override key must be an
+        index as `ser()` writes it, a decimal numeral with no sign, no
         leading zero and nothing around it."""
         try:
             base = obj["base"]

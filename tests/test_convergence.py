@@ -531,6 +531,25 @@ def _exact_circle_chain(length: int) -> ConvergenceCertificate:
     return cert
 
 
+def test_an_exact_circle_append_builds_no_fraction_view():
+    # `breaks` is a PL map's view of its points as Fractions, built on first
+    # read and kept in the map's __dict__; no kernel of an append reads it
+    rng = random.Random(3)
+    cert = ConvergenceCertificate(CIRCLE)
+    seen = []  # each stage, its inverse and each kept partial, read by later appends
+    while cert.stage_count < 12:
+        delta = pow2(-(cert.stage_count + 1))
+        center = F(rng.randrange(64), 64)
+        h = small_ball_transporter(CIRCLE, center, center + delta / 2, delta)
+        try:
+            cert = cert.append(h)
+        except BoundViolation:
+            continue
+        seen += [h, h.invert(), cert._mat[0]]
+    assert [e.method for e in cert.entries[1:]] == ["exact"] * 11
+    assert not [m for m in seen if "breaks" in vars(m)]
+
+
 def test_exact_entries_match_a_composition_from_stage_zero():
     cert = _exact_circle_chain(8)
     assert [e.method for e in cert.entries[1:]] == ["exact"] * 7
@@ -676,7 +695,7 @@ def test_exact_appends_touch_only_what_each_stage_moves(monkeypatch):
         return counted
 
     # the two segment evaluators: `_at` for the merged-break walk and the
-    # composite's breaks, `_on` for `lift_at` inside [0, 1)
+    # composite's breaks, `_on` for a value returned as a Fraction
     for name in ("_at", "_on"):
         monkeypatch.setattr(homeos.PLCircleHomeo, name, counting(getattr(homeos.PLCircleHomeo, name)))
     cert = ConvergenceCertificate(CIRCLE)

@@ -295,6 +295,12 @@ def test_segments_evaluate_through_one_kept_form(m, ts):
                 assert first is t
 
 
+def _arcs_of(m) -> list:
+    """m's moved arcs, which it keeps as pairs of points, as pairs of
+    Fractions."""
+    return [(F(*a), F(*b)) for a, b in m._arcs]
+
+
 def _segment_ends(m) -> list:
     ends = list(m.breaks[1:])
     if isinstance(m, PLCircleHomeo):
@@ -419,8 +425,9 @@ def _edited_breaks(draw):
 def test_integer_constructor_checks_match_the_fraction_comparisons(case):
     breaks, s, added = case
     pairs = _checked_pairs(len(breaks), added)
-    for build, message in ((lambda: PLLineHomeo(breaks, _added=added), _line_refusal(breaks, pairs)),
-                           (lambda: PLCircleHomeo(breaks, s, _added=added),
+    given = breaks if added is None else homeos._as_breaks(breaks)  # a composite passes points
+    for build, message in ((lambda: PLLineHomeo(given, _added=added), _line_refusal(breaks, pairs)),
+                           (lambda: PLCircleHomeo(given, s, _added=added),
                             _circle_refusal(breaks, s, pairs))):
         if message is None:
             assert build().breaks == breaks
@@ -593,6 +600,27 @@ def test_pl_constructors_refuse_floats_and_bools(bad):
     assert PLLineHomeo([(0, 0), (1, 2), (3, 3)]).breaks[1] == (F(1), F(2))
 
 
+@pytest.mark.parametrize("bad", [F(1), (F(0), F(0), F(1)), "01", None],
+                         ids=["value", "triple", "str", "none"])
+def test_pl_constructors_refuse_a_break_that_is_not_a_pair(bad):
+    for build in (lambda: PLLineHomeo([bad]), lambda: PLCircleHomeo([bad]),
+                  lambda: PLLineHomeo([(0, 0), bad, (1, 1)])):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == f"break {bad!r} is not a pair (x, y)"
+
+
+@pytest.mark.parametrize("bad", [1, "1", "01", ["0", "0", "1"], ["0"]],
+                         ids=["number", "str", "str-of-two", "triple", "single"])
+def test_descriptors_refuse_a_break_that_is_not_a_pair(bad):
+    for desc in ({"type": "pl_line", "breaks": [["0", "0"], bad, ["1", "1"]]},
+                 {"type": "pl_circle", "breaks": [bad], "orientation": 1}):
+        with pytest.raises(PreconditionError, match="is not a pair") as info:
+            homeo_from_descriptor(desc)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == f"break {bad!r} is not a pair (x, y)"
+
+
 @pytest.mark.parametrize("bad", ["1/2", Decimal("0.5")], ids=["str", "decimal"])
 def test_pl_constructors_take_only_ints_and_fractions(bad):
     with pytest.raises(ValueError, match="not exact: an int or a Fraction is needed"):
@@ -683,7 +711,7 @@ def _check_composite(g, h, ts):
     # breaks is at the same distance from every map
     copy = [(x, y) for x, y in gh.breaks]
     fresh = PLLineHomeo(copy) if isinstance(gh, PLLineHomeo) else PLCircleHomeo(copy, gh.orientation)
-    assert not {id(b) for b in fresh.breaks} & {id(b) for b in gh.breaks + h.breaks}
+    assert not {id(b) for b in fresh._pts} & {id(b) for b in gh._pts + h._pts}
     for m in (h, g, g_inv):
         assert sup_distance(gh, m) == sup_distance(fresh, m) == sup_distance(m, gh)
 
@@ -763,6 +791,45 @@ def _line_composites():
 
 _COMPOSABLE = st.one_of(st.tuples(_circle_composites(), _circle_composites()),
                         st.tuples(_line_composites(), _line_composites()))
+
+
+def _whole_as_int(v: Fraction):
+    return v.numerator if v.denominator == 1 else v
+
+
+@st.composite
+def _realized_maps(draw):
+    """realize_finite_bijection on one to three points: increasing data on
+    the line, any data on the circle."""
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.fractions(-2, 2, max_denominator=16), min_size=1, max_size=3, unique=True))
+        ys = draw(st.lists(st.fractions(-2, 2, max_denominator=16), min_size=len(xs), max_size=len(xs),
+                           unique=True))
+        return realize_finite_bijection(LINE, dict(zip(sorted(xs), sorted(ys))))
+    inside = st.fractions(0, 1, max_denominator=16).filter(lambda v: v < 1)
+    xs = draw(st.lists(inside, min_size=1, max_size=3, unique=True))
+    ys = draw(st.lists(inside, min_size=len(xs), max_size=len(xs), unique=True))
+    return realize_finite_bijection(CIRCLE, dict(zip(xs, ys)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COMPOSABLE, _realized_maps())
+def test_every_built_map_keeps_its_breaks_as_points_in_lowest_terms(maps, realized):
+    g, h = maps  # constructors from Fractions, transporters, composites and inverses
+    gh = compose(g, h)
+    orientation = [h.orientation] if isinstance(h, PLCircleHomeo) else []
+    from_ints = type(h)([(_whole_as_int(x), _whole_as_int(y)) for x, y in h.breaks], *orientation)
+    for m in (g, h, gh, g.invert(), gh.invert(), homeo_from_descriptor(gh.descriptor()), from_ints,
+              realized):
+        for n, d in itertools.chain.from_iterable(m._pts):
+            assert type(n) is type(d) is int and d > 0 and math.gcd(n, d) == 1
+        assert m.breaks == tuple((F(*x), F(*y)) for x, y in m._pts)
+    # h's breaks off g's moved arcs are kept as h's own tuples, which the
+    # 0-gap shortcut of the merged-break walk reads
+    arcs = _arcs_of(g)
+    for p in h._pts:
+        if not any(a <= F(*p[0]) <= b for a, b in arcs):
+            assert any(q is p for q in gh._pts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -986,7 +1053,7 @@ def test_realize_circle_builds_a_reversing_map_through_its_pairs():
 def test_realize_circle_pins_the_lift_at_its_fixed_pairs(fixed, lift0, arcs):
     h = realize_finite_bijection(CIRCLE, {F(0): F(9, 10), **{x: x for x in fixed}})
     assert h.breaks == ((0, lift0), *((x, x) for x in fixed))
-    assert h._arcs == arcs
+    assert _arcs_of(h) == arcs
 
 
 def test_realize_rejects_non_injective():
@@ -1147,7 +1214,7 @@ def _assert_pinned(h, support):
             merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
         else:
             merged.append((a, b))
-    assert all(any(lo <= a and b <= hi for lo, hi in merged) for a, b in h._arcs)
+    assert all(any(lo <= a and b <= hi for lo, hi in merged) for a, b in _arcs_of(h))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1159,7 +1226,7 @@ def test_circle_transporter_lift_is_pinned_off_its_support(first, second):
     h, g = small_ball_transporter(CIRCLE, c, t, delta), small_ball_transporter(CIRCLE, c2, t2, delta2)
     for m in (h, h.invert()):
         _assert_pinned(m, support)
-        assert m._arcs != [(0, 1)]
+        assert _arcs_of(m) != [(0, 1)]
     _assert_pinned(compose(h, g), support + support2)
     _assert_pinned(compose(g.invert(), h), support + support2)
 
@@ -1168,7 +1235,7 @@ def test_circle_transporter_whose_target_wraps_below_0_keeps_its_lift():
     h = small_ball_transporter(CIRCLE, F(1, 1024), F(-1, 512), F(1, 64))
     assert h.breaks == ((0, F(-51, 19456)), (F(1, 1024), F(-1, 512)),
                         (F(21, 2048), F(21, 2048)), (F(2031, 2048), F(2031, 2048)))
-    assert h._arcs == [(0, F(21, 2048)), (F(2031, 2048), 1)]
+    assert _arcs_of(h) == [(0, F(21, 2048)), (F(2031, 2048), 1)]
 
 
 def test_transporter_rejects_target_outside_ball():
